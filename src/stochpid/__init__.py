@@ -19,11 +19,8 @@ from .lyapunov import (
     NotNegativeDefinite,
     NotPositiveDefinite,
     build_P,
-    build_P0,
     companion,
-    jacobi_eigh,
     q_diagonal,
-    symmetric_eigenvalues,
     verify_certificate,
 )
 from .model import (

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .design import (
+    DesignReport,
     GainVector,
     bound_constants,
     check_inequality,
@@ -74,7 +75,7 @@ def _load_gains(args) -> GainVector:
             raise ConfigError(f"gains file: {exc}") from None
         return _gains_from(doc, "gains file")
     if getattr(args, "gains", None):
-        return GainVector(args.kind, np.asarray(args.gains, dtype=float))
+        return _gains_from({"kind": args.kind, "gains": args.gains}, "--gains")
     raise ConfigError("provide --gains-file or --gains")
 
 
@@ -166,7 +167,7 @@ def _run_config(doc: dict, workers: Optional[int]):
 # ------------------------------------------------------------ subcommands
 
 
-def _cmd_design(args) -> int:
+def _design(args) -> tuple[GainVector, DesignReport]:
     if args.pattern == "bench3":
         _require(args.k is not None, "--k is required for the bench3 pattern")
         k = args.k
@@ -194,7 +195,14 @@ def _cmd_design(args) -> int:
             report = check_inequality(g, L, args.M, args.b_lower)
         else:
             report = check_inequality_pd(g, L, args.M)
+    return g, report
 
+
+def _cmd_design(args) -> int:
+    try:
+        g, report = _design(args)
+    except ValueError as exc:  # invalid pattern parameters, or gains that overflow float64
+        raise ConfigError(str(exc)) from None
     print(f"gains ({g.kind}): {', '.join(f'{v:.10g}' for v in g.gains)}")
     _print_report(report)
     if args.out:
@@ -210,6 +218,8 @@ def _cmd_certify(args) -> int:
     except CertificateError as exc:
         print(f"certificate rejected: {exc}")
         return EXIT_REJECTED
+    except ValueError as exc:  # negative L or M, or gains that overflow float64
+        raise ConfigError(str(exc)) from None
     print(f"certificate valid for (L={args.L:g}, M={args.M:g}), kbar={cert.kbar:.6g}")
     print(f"  min eig P        = {cert.min_eig_P:.6g}")
     print(f"  max eig P        = {cert.max_eig_P:.6g}")
@@ -287,15 +297,9 @@ def _fig_run(params: dict, x0, args, controller: str = "pid"):
     plant = bench3(**params)
     g = GainVector("pid", np.asarray(FIG_GAINS))
     sp = solve_equilibrium(plant, FIG_YSTAR)
-    cfg = SimConfig(
-        dt=args.dt,
-        horizon=args.horizon,
-        paths=args.paths,
-        seed=args.seed,
-        record_stride=args.stride,
-        controller=controller,
-        x0=np.asarray(x0, dtype=float),
-    )
+    cfg, _ = _sim_config({"dt": args.dt, "horizon": args.horizon, "paths": args.paths,
+                          "seed": args.seed, "record_stride": args.stride,
+                          "controller": controller, "x0": x0}, "reproduce")
     stats = simulate_paths(plant, sp, g, cfg, workers=args.workers)
     metadata = dict(params)
     metadata.update(

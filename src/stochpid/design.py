@@ -62,6 +62,20 @@ class GainVector:
             raise NonPositiveGain(f"all gains must be positive and finite, got {g}")
         object.__setattr__(self, "gains", g)
 
+    def kbar(self, L: float, M: float) -> float:
+        """Disturbance constant ``sum(k_i)*L + k_last*M**2`` the admissible set must beat.
+
+        Raises ``ValueError`` for negative ``L`` or ``M`` and when the constant
+        is not a finite float64.
+        """
+        if L < 0 or M < 0:
+            raise ValueError("L and M must be nonnegative")
+        with np.errstate(over="ignore", invalid="ignore"):
+            kbar = float(np.sum(self.gains) * L + self.gains[-1] * M ** 2)
+        if not np.isfinite(kbar):
+            raise ValueError(f"kbar = {kbar} overflows float64 for L={L}, M={M}")
+        return kbar
+
     @property
     def n(self) -> int:
         """Relative degree of the plant the gains are meant for."""
@@ -123,13 +137,15 @@ def _terms(gains: np.ndarray, b_lower: float, labels) -> list[tuple[str, float]]
     return terms
 
 
-def _report(gains: np.ndarray, L: float, M: float, b_lower: float, labels) -> DesignReport:
-    if L < 0 or M < 0:
-        raise ValueError("L and M must be nonnegative")
+def _report(g: GainVector, L: float, M: float, b_lower: float) -> DesignReport:
+    kbar = g.kbar(L, M)
     if b_lower <= 0:
         raise ValueError("b_lower must be positive")
-    kbar = float(np.sum(gains) * L + gains[-1] * M ** 2)
-    terms = _terms(gains, b_lower, labels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _terms(g.gains, b_lower, g.label)
+    for name, value in terms:
+        if not np.isfinite(value):
+            raise ValueError(f"term {name} = {value} overflows float64")
     binding_term, binding_value = min(terms, key=lambda t: t[1])
     margin = binding_value - kbar
     # the stability conditions are strict: a zero margin counts as failure
@@ -151,7 +167,7 @@ def check_inequality(g: GainVector, L: float, M: float, b_lower: float = 1.0) ->
     """
     if g.kind != "pid":
         raise ValueError("check_inequality expects PID gains; use check_inequality_pd for PD")
-    return _report(g.gains, L, M, b_lower, g.label)
+    return _report(g, L, M, b_lower)
 
 
 def check_inequality_pd(g: GainVector, L: float, M: float) -> DesignReport:
@@ -163,7 +179,7 @@ def check_inequality_pd(g: GainVector, L: float, M: float) -> DesignReport:
     """
     if g.kind != "pd":
         raise ValueError("check_inequality_pd expects PD gains")
-    return _report(g.gains, L, M, 1.0, g.label)
+    return _report(g, L, M, 1.0)
 
 
 def geometric_gains(k: float, n: int) -> GainVector:

@@ -2,15 +2,18 @@
 
 For positive gains the companion matrix A (superdiagonal ones, last row the
 negated gains) admits a unique symmetric P whose last column equals the gain
-vector and for which P*A + A'*P is exactly diagonal.  The entries follow the
+vector and for which P*A + A'*P = -diag(q) exactly.  The entries follow the
 recursion
 
     p[0,j] = 2*g0*g[j+1]  (j < N-1),   p[i,N-1] = g[i],
     p[i,j] = 2*g[i]*g[j+1] - p[i-1,j+1]  (i <= j < N-1),
 
-mirrored to the lower triangle.  A certificate for constants (L, M) holds
-when P is positive definite and P*A + A'*P + 2*kbar*I is negative definite;
-both conditions are decided by symmetric eigenvalue computation.
+mirrored to the lower triangle; PID gains (k0..kn) give the (n+1)x(n+1)
+matrix P and PD gains (k1..kn) the n x n matrix P0 by the same recursion.
+A certificate for constants (L, M) holds when P is positive definite and
+P*A + A'*P + 2*kbar*I is negative definite.  The first condition is decided
+by the symmetric eigenvalues of P; the second matrix is diag(2*kbar - q), so
+the second condition is exactly min(q) > 2*kbar and needs no eigen-solve.
 """
 
 from __future__ import annotations
@@ -28,16 +31,17 @@ __all__ = [
     "LyapunovCertificate",
     "companion",
     "build_P",
-    "build_P0",
     "q_diagonal",
     "verify_certificate",
-    "jacobi_eigh",
-    "symmetric_eigenvalues",
 ]
 
 
 class CertificateError(ValueError):
-    """A certificate condition failed; carries the offending eigenvalue."""
+    """A certificate condition failed; carries the offending eigenvalue.
+
+    For condition (ii) that eigenvalue is 2*kbar - min(q), the largest
+    eigenvalue of the diagonal matrix P*A + A'*P + 2*kbar*I.
+    """
 
     def __init__(self, condition: str, eigenvalue: float):
         self.condition = condition
@@ -59,9 +63,10 @@ class NotNegativeDefinite(CertificateError):
 class LyapunovCertificate:
     """Certificate data: P, the diagonal of Q = -(PA + A'P), and margins.
 
-    ``min_eig_negdef`` is the smallest eigenvalue of -(PA + A'P + 2*kbar*I);
-    margins are reported as raw eigenvalues because downstream envelope
-    constants use the ratio max_eig_P/min_eig_P directly.
+    ``min_eig_negdef`` is the smallest eigenvalue of -(PA + A'P + 2*kbar*I),
+    which is min(Q) - 2*kbar because that matrix is diagonal; margins are
+    reported as raw eigenvalues because downstream envelope constants use
+    the ratio max_eig_P/min_eig_P directly.
     """
 
     P: np.ndarray
@@ -83,7 +88,9 @@ def companion(g: GainVector) -> np.ndarray:
     return A
 
 
-def _lyapunov_matrix(k: np.ndarray) -> np.ndarray:
+def build_P(g: GainVector) -> np.ndarray:
+    """Diagonalizing Lyapunov matrix: (n+1)x(n+1) for PID gains, n x n for PD."""
+    k = g.gains
     N = k.size
     p = np.zeros((N, N))
     for j in range(N - 1):
@@ -98,106 +105,42 @@ def _lyapunov_matrix(k: np.ndarray) -> np.ndarray:
     return p
 
 
-def build_P(g: GainVector) -> np.ndarray:
-    """(n+1)x(n+1) diagonalizing Lyapunov matrix for PID gains."""
-    if g.kind != "pid":
-        raise ValueError("build_P expects PID gains; use build_P0 for PD")
-    return _lyapunov_matrix(g.gains)
-
-
-def build_P0(g: GainVector) -> np.ndarray:
-    """n x n diagonalizing Lyapunov matrix for PD gains (same recursion)."""
-    if g.kind != "pd":
-        raise ValueError("build_P0 expects PD gains")
-    return _lyapunov_matrix(g.gains)
+def _q_from(k: np.ndarray, P: np.ndarray) -> np.ndarray:
+    return 2.0 * (k ** 2 - np.append(0.0, np.diag(P, 1)))
 
 
 def q_diagonal(g: GainVector) -> np.ndarray:
     """Diagonal of Q = -(P*A + A'*P): (2*g0^2, 2*(g_i^2 - p[i-1,i]), ...)."""
-    k = g.gains
-    p = _lyapunov_matrix(k)
-    q = np.empty(k.size)
-    q[0] = 2.0 * k[0] ** 2
-    for i in range(1, k.size):
-        q[i] = 2.0 * (k[i] ** 2 - p[i - 1, i])
-    return q
-
-
-def jacobi_eigh(S: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Convergence threshold is 1e-14 times the Hilbert-Schmidt norm of S; the
-    matrices here are small and dense (dimension ~n+1), for which Jacobi
-    converges unconditionally.  Returns eigenvalues in ascending order and
-    the matching orthonormal eigenvector columns.
-    """
-    A = np.array(S, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(A).max())):
-        raise ValueError("expected a symmetric matrix")
-    A = 0.5 * (A + A.T)
-    m = A.shape[0]
-    V = np.eye(m)
-    threshold = 1e-14 * float(np.linalg.norm(A))
-    for _ in range(max_sweeps):
-        off = A - np.diag(np.diag(A))
-        if np.abs(off).max() <= threshold:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = A[p, q]
-                if abs(apq) <= threshold:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(tau, 1.0)) if tau != 0.0 else 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = A[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
-
-
-def symmetric_eigenvalues(S: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix (cyclic Jacobi)."""
-    return jacobi_eigh(S)[0]
+    return _q_from(g.gains, build_P(g))
 
 
 def verify_certificate(g: GainVector, L: float, M: float) -> LyapunovCertificate:
     """Build P for the gains and verify the two certificate conditions.
 
     Raises :class:`NotPositiveDefinite` when P has a nonpositive eigenvalue
-    and :class:`NotNegativeDefinite` when P*A + A'*P + 2*kbar*I has a
-    nonnegative one; each error names the violated condition and the
-    offending eigenvalue.
+    and :class:`NotNegativeDefinite` when min(q) <= 2*kbar, i.e. when
+    P*A + A'*P + 2*kbar*I has a nonnegative eigenvalue; each error names the
+    violated condition and the offending eigenvalue.  Raises ``ValueError``
+    when kbar, P or q overflows float64, where neither condition can be
+    decided.
     """
-    if L < 0 or M < 0:
-        raise ValueError("L and M must be nonnegative")
-    P = _lyapunov_matrix(g.gains)
-    A = companion(g)
-    kbar = float(np.sum(g.gains) * L + g.gains[-1] * M ** 2)
-    eigs_P = symmetric_eigenvalues(P)
+    kbar = g.kbar(L, M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = build_P(g)
+        q = _q_from(g.gains, P)
+    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(q))):
+        raise ValueError(f"the Lyapunov matrix of gains {g.gains} overflows float64")
+    eigs_P = np.linalg.eigvalsh(P)
     if eigs_P[0] <= 0.0:
         raise NotPositiveDefinite(eigs_P[0])
-    S = P @ A + A.T @ P + 2.0 * kbar * np.eye(P.shape[0])
-    eigs_neg = symmetric_eigenvalues(-0.5 * (S + S.T))
-    if eigs_neg[0] <= 0.0:
-        raise NotNegativeDefinite(-eigs_neg[0])
+    margin = float(q.min()) - 2.0 * kbar
+    if margin <= 0.0:
+        raise NotNegativeDefinite(-margin)
     return LyapunovCertificate(
         P=P,
-        Q=q_diagonal(g),
+        Q=q,
         min_eig_P=float(eigs_P[0]),
         max_eig_P=float(eigs_P[-1]),
-        min_eig_negdef=float(eigs_neg[0]),
+        min_eig_negdef=margin,
         kbar=kbar,
     )

@@ -79,8 +79,12 @@ class SimConfig:
     x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not (self.dt > 0.0 and self.horizon >= self.dt):
-            raise ValueError("need 0 < dt <= horizon")
+        if not (self.dt > 0.0 and math.inf > self.horizon >= self.dt):
+            raise ValueError("need 0 < dt <= horizon < inf")
+        ratio = self.horizon / self.dt
+        # a relative 1e-9 absorbs the rounding of decimal horizons and steps
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            raise ValueError(f"horizon={self.horizon} is not an integer multiple of dt={self.dt}")
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
         if self.record_stride < 1:
@@ -92,7 +96,7 @@ class SimConfig:
 
     @property
     def steps(self) -> int:
-        return max(1, int(round(self.horizon / self.dt)))
+        return int(round(self.horizon / self.dt))
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,17 @@ def _gain_weights(g: GainVector, d: int) -> np.ndarray:
     return np.kron(k, np.eye(d)).reshape(k.size * d, d)
 
 
+def _control_law(g: GainVector, y_star):
+    """The extended PID/PD law as a function of a (batched) closed-loop state."""
+    y_star = np.asarray(y_star, dtype=float)
+    W = _gain_weights(g, np.atleast_1d(y_star).size)
+    if g.kind == "pd":
+        bias = g.gains[0] * y_star
+        return lambda state: bias - state.x @ W
+    k0, bias = g.gains[0], g.gains[1] * y_star
+    return lambda state: k0 * state.integral + bias - state.x @ W
+
+
 def controller_pid(state: ClosedLoopState, g: GainVector, y_star) -> np.ndarray:
     """Extended PID output u = k1*e + k0*integral(e) + k2*e' + ... + kn*e^(n-1).
 
@@ -172,17 +187,14 @@ def controller_pid(state: ClosedLoopState, g: GainVector, y_star) -> np.ndarray:
     """
     if g.kind != "pid":
         raise ValueError("controller_pid expects PID gains")
-    k = g.gains
-    W = _gain_weights(g, np.atleast_1d(np.asarray(y_star)).size)
-    return k[0] * state.integral + k[1] * np.asarray(y_star, dtype=float) - state.x @ W
+    return _control_law(g, y_star)(state)
 
 
 def controller_pd(state: ClosedLoopState, g: GainVector, y_star) -> np.ndarray:
     """Extended PD output u = k1*e + k2*e' + ... + kn*e^(n-1) (no integral)."""
     if g.kind != "pd":
         raise ValueError("controller_pd expects PD gains")
-    W = _gain_weights(g, np.atleast_1d(np.asarray(y_star)).size)
-    return g.gains[0] * np.asarray(y_star, dtype=float) - state.x @ W
+    return _control_law(g, y_star)(state)
 
 
 def _check_finite_box(x: np.ndarray, integral: np.ndarray, t: float):
@@ -257,21 +269,7 @@ def _make_u_fn(controller: str, g: Optional[GainVector], plant: PlantSpec, y_sta
         raise ValueError(f"{controller} controller requires {expected_kind} gains, got {g.kind}")
     if g.n != plant.n:
         raise ValueError(f"gains are for relative degree {g.n}, plant has {plant.n}")
-    W = _gain_weights(g, plant.d)
-    if controller == "pid":
-        k0 = g.gains[0]
-        bias = g.gains[1] * y_star
-
-        def u_pid(state):
-            return k0 * state.integral + bias - state.x @ W
-
-        return u_pid
-    bias = g.gains[0] * y_star
-
-    def u_pd(state):
-        return bias - state.x @ W
-
-    return u_pd
+    return _control_law(g, y_star)
 
 
 def _run_chunk(plant, sp, u_fn, cfg: SimConfig, x0, start: int, size: int, rec_count: int):

@@ -50,6 +50,21 @@ def certified_stability(coeffs_ascending, band: float = INDETERMINATE_BAND):
     return None
 
 
+def congruent_eigvalsh(S) -> np.ndarray:
+    """Ascending eigenvalues of D@S@D, D the powers of two nearest 1/sqrt|S_ii|.
+
+    Scaling by powers of two is exact, and a congruence keeps the number of
+    positive, zero and negative eigenvalues (Sylvester's law of inertia), so
+    these eigenvalues have the signs of S's.  ``eigvalsh`` is accurate only
+    to about eps*||S||; evening out the graded scale of the Lyapunov matrices
+    lets it decide signs far closer to zero than on S itself.
+    """
+    diag = np.abs(np.diag(S))
+    diag[diag == 0.0] = 1.0
+    d = np.exp2(-np.round(0.5 * np.log2(diag)))
+    return np.linalg.eigvalsh(S * d[:, None] * d[None, :])
+
+
 def sample_admissible(rng: np.random.Generator, n: int):
     """Random (gains, L, M) with L, M in [0, 1] passing check_inequality.
 

@@ -67,6 +67,12 @@ class TestDesign:
     def test_missing_gains_is_config_error(self):
         assert main(["design"]) == EXIT_CONFIG
 
+    def test_bad_gains_are_config_errors(self, capsys):
+        assert main(["design", "--gains=-1,2"]) == EXIT_CONFIG
+        assert "--gains: all gains must be positive" in capsys.readouterr().err
+        assert main(["design", "--gains=1e200,1e200,1e200", "--L", "0.5"]) == EXIT_CONFIG
+        assert "overflows" in capsys.readouterr().err
+
 
 class TestCertify:
     def test_valid(self, tmp_path):
@@ -78,6 +84,12 @@ class TestCertify:
     def test_rejected(self):
         assert main(["certify", "--gains", "1,1,4", "--L", "0"]) == EXIT_REJECTED
 
+    def test_bad_gains_are_config_errors(self, capsys):
+        assert main(["certify", "--gains=-1,2", "--L", "0"]) == EXIT_CONFIG
+        assert "--gains: all gains must be positive" in capsys.readouterr().err
+        assert main(["certify", "--gains=1e200,1e200,1e200", "--L", "0.5"]) == EXIT_CONFIG
+        assert "overflows" in capsys.readouterr().err
+
 
 class TestHurwitz:
     def test_stable(self, capsys):
@@ -86,6 +98,10 @@ class TestHurwitz:
 
     def test_unstable(self):
         assert main(["hurwitz", "--gains", "100,1,0.01"]) == EXIT_REJECTED
+
+    def test_bad_gains_are_config_errors(self, capsys):
+        assert main(["hurwitz", "--gains=0,1"]) == EXIT_CONFIG
+        assert "--gains: all gains must be positive" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -134,6 +150,11 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg2), "--out", str(tmp_path / "o.csv")]) \
             == EXIT_CONFIG
         assert "plant.kind" in capsys.readouterr().err
+
+        cfg3 = write_config(tmp_path / "cfg3.json", **{"sim.dt": 0.3})
+        assert main(["simulate", "--config", str(cfg3), "--out", str(tmp_path / "o.csv")]) \
+            == EXIT_CONFIG
+        assert "not an integer multiple of dt" in capsys.readouterr().err
 
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -79,6 +79,15 @@ class TestCheckInequality:
         with pytest.raises(NonPositiveGain):
             GainVector("pd", np.array([0.0, 4.0]))
 
+    def test_overflow_is_not_admissible(self):
+        # k1^2 - 2*k0*k2 < 0 in exact arithmetic, but the float64 terms are inf and nan
+        with pytest.raises(ValueError, match="overflows"):
+            check_inequality(GainVector("pid", np.full(3, 1e200)), 0.5, 0.0)
+        with pytest.raises(ValueError, match="overflows"):
+            check_inequality_pd(GainVector("pd", np.full(3, 1e200)), 0.5, 0.0)
+        with pytest.raises(ValueError, match="kbar"):
+            check_inequality(GainVector("pid", np.array([1.0, 1e308, 1e308])), 1.0, 0.0)
+
 
 class TestCheckInequalityPd:
     def test_admissible_pair(self):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,11 @@ from stochpid import (
     NotNegativeDefinite,
     NotPositiveDefinite,
     build_P,
-    build_P0,
     check_inequality,
+    check_inequality_pd,
     companion,
-    jacobi_eigh,
+    lambda_gains,
     q_diagonal,
-    symmetric_eigenvalues,
     verify_certificate,
 )
 
@@ -100,16 +101,12 @@ class TestBuildP:
             off = S - np.diag(np.diag(S))
             assert np.abs(off).max() < 1e-12 * np.linalg.norm(P)
 
-    def test_kind_guards(self):
-        with pytest.raises(ValueError):
-            build_P(GainVector("pd", np.array([3.0, 4.0])))
-        with pytest.raises(ValueError):
-            build_P0(GainVector("pid", np.array([1.0, 3.0, 4.0])))
-
 
 class TestBuildP0:
+    """build_P on PD gains gives the n x n matrix P0 by the same recursion."""
+
     def test_n2_example(self):
-        P0 = build_P0(GainVector("pd", np.array([3.0, 4.0])))
+        P0 = build_P(GainVector("pd", np.array([3.0, 4.0])))
         assert np.array_equal(P0, [[24.0, 3.0], [3.0, 4.0]])
 
     def test_last_column(self):
@@ -117,14 +114,14 @@ class TestBuildP0:
         for _ in range(20):
             n = int(rng.integers(1, 7))
             g = random_positive_gains(rng, n, kind="pd")
-            assert np.array_equal(build_P0(g)[:, -1], g.gains)
+            assert np.array_equal(build_P(g)[:, -1], g.gains)
 
     def test_diagonalizes_pd_companion(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
             n = int(rng.integers(1, 7))
             g = random_positive_gains(rng, n, kind="pd")
-            P0, A0 = build_P0(g), companion(g)
+            P0, A0 = build_P(g), companion(g)
             S = P0 @ A0 + A0.T @ P0
             off = S - np.diag(np.diag(S))
             assert np.abs(off).max() < 1e-12 * (1.0 + np.linalg.norm(P0))
@@ -154,37 +151,55 @@ class TestQDiagonal:
             assert np.allclose(q_diagonal(g), -np.diag(P @ A + A.T @ P), rtol=1e-12, atol=1e-12)
 
 
-class TestJacobi:
-    def test_diagonal_exact(self):
-        D = np.diag([3.0, -1.0, 2.5, 0.0])
-        w, V = jacobi_eigh(D)
-        assert np.array_equal(w, [-1.0, 0.0, 2.5, 3.0])
-        assert np.abs(np.abs(V[np.array([1, 3, 2, 0]), np.arange(4)]) - 1.0).max() == 0.0
+def exact_lyapunov(k):
+    """P and q of the recursion in rational arithmetic (float gains are exact dyadics)."""
+    N = len(k)
+    P = [[Fraction(0)] * N for _ in range(N)]
+    for j in range(N - 1):
+        P[0][j] = 2 * k[0] * k[j + 1]
+    for i in range(N):
+        P[i][N - 1] = k[i]
+    for i in range(1, N):
+        for j in range(i, N - 1):
+            P[i][j] = 2 * k[i] * k[j + 1] - P[i - 1][j + 1]
+    for i in range(N):
+        for j in range(i):
+            P[i][j] = P[j][i]
+    q = [2 * k[0] ** 2] + [2 * (k[i] ** 2 - P[i - 1][i]) for i in range(1, N)]
+    return P, q
 
-    def test_residual_on_random_symmetric(self):
-        rng = np.random.default_rng(12)
-        for m in (2, 3, 5, 8, 11):
-            S = rng.standard_normal((m, m))
-            S = S + S.T
-            w, V = jacobi_eigh(S)
-            assert np.linalg.norm(S @ V - V * w) < 1e-10 * np.linalg.norm(S)
-            assert np.all(np.diff(w) >= 0.0)
-            assert np.allclose(V.T @ V, np.eye(m), atol=1e-12)
 
-    def test_agrees_with_numpy(self):
-        rng = np.random.default_rng(13)
-        S = rng.standard_normal((7, 7))
-        S = S + S.T
-        assert np.allclose(symmetric_eigenvalues(S), np.linalg.eigvalsh(S), atol=1e-12)
+class TestClosedFormCondition:
+    """Condition (ii) of the certificate is exactly min(q) > 2*kbar."""
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_zero_matrix(self):
-        w, V = jacobi_eigh(np.zeros((3, 3)))
-        assert np.array_equal(w, np.zeros(3))
-        assert np.array_equal(V, np.eye(3))
+    @pytest.mark.parametrize("kind", ["pid", "pd"])
+    def test_exact_diagonal_identity_and_admissible_margin(self, kind):
+        rng = np.random.default_rng(41 if kind == "pid" else 42)
+        for n in range(1, 9):
+            admissible = 0
+            for trial in range(6):
+                L, M = (float(v) for v in rng.uniform(0.0, 1.0, 2))
+                pid, _ = lambda_gains(10.0 ** rng.uniform(-1.0, 0.7), L, M, n)
+                gains = pid.gains
+                if trial > 0:  # jitter off the rate design, inside and out of the admissible set
+                    gains = gains * 10.0 ** rng.uniform(-0.3, 0.3, n + 1)
+                g = GainVector(kind, gains if kind == "pid" else gains[1:])
+                k = [Fraction(float(v)) for v in g.gains]
+                N = len(k)
+                P, q = exact_lyapunov(k)
+                A = [[Fraction(float(v)) for v in row] for row in companion(g)]
+                PA = [[sum(P[i][m] * A[m][j] for m in range(N)) for j in range(N)]
+                      for i in range(N)]
+                for i in range(N):
+                    for j in range(N):
+                        assert PA[i][j] + PA[j][i] == (-q[i] if i == j else 0)
+                assert np.allclose(q_diagonal(g), [float(v) for v in q], rtol=1e-12, atol=0.0)
+                check = check_inequality if kind == "pid" else check_inequality_pd
+                if check(g, L, M).admissible:
+                    admissible += 1
+                    kbar = sum(k) * Fraction(L) + k[-1] * Fraction(M) ** 2
+                    assert min(q) > 2 * kbar
+            assert admissible > 0
 
 
 class TestVerifyCertificate:
@@ -232,3 +247,11 @@ class TestVerifyCertificate:
             assert q[0] / 2.0 == pytest.approx(k[0] ** 2)
             for i in range(1, n):
                 assert q[i] / 2.0 >= binding - 1e-9 * max(1.0, abs(binding))
+
+    def test_overflow_is_not_certified(self):
+        with pytest.raises(ValueError, match="overflows"):
+            verify_certificate(GainVector("pid", np.full(3, 1e200)), 0.5, 0.0)
+        with pytest.raises(ValueError, match="overflows"):
+            verify_certificate(GainVector("pd", np.array([1e200])), 0.0, 0.0)  # q = 2*k1^2
+        with pytest.raises(ValueError, match="overflows"):
+            verify_certificate(GainVector("pd", np.array([1e308, 1e308])), 1.0, 0.0)  # kbar

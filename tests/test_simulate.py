@@ -214,6 +214,14 @@ class TestSimulatePaths:
         with pytest.raises(ValueError):
             simulate_paths(plant, sp, BENCH, cfg)
 
+    def test_horizon_must_be_a_multiple_of_dt(self):
+        with pytest.raises(ValueError, match="multiple"):
+            SimConfig(dt=0.3, horizon=1.0, paths=1, seed=1)
+        with pytest.raises(ValueError):
+            SimConfig(dt=1e-3, horizon=math.inf, paths=1, seed=1)
+        assert SimConfig(dt=1e-3, horizon=30.0, paths=1, seed=1).steps == 30000
+        assert SimConfig(dt=0.1, horizon=0.3, paths=1, seed=1).steps == 3
+
     def test_record_stride_times(self):
         plant = chain(1)
         sp = solve_equilibrium(plant, 0.0)
