@@ -141,6 +141,12 @@ def _run_config(doc: dict, workers: Optional[int]):
     if cfg.controller != "open_loop":
         _require("gains" in doc, "gains: required section for a closed-loop run")
         gains = _gains_from(doc["gains"], "gains")
+        _require(gains.kind == cfg.controller,
+                 f"gains.kind: a {cfg.controller} controller needs {cfg.controller} gains, "
+                 f"got {gains.kind}")
+        _require(gains.n == plant.n,
+                 f"gains.gains: {gains.gains.size} {gains.kind} gains are for relative degree "
+                 f"{gains.n}, the plant has {plant.n}")
     sp = solve_equilibrium(plant, y_star)
     stats = simulate_paths(plant, sp, gains, cfg, workers=workers)
 
@@ -233,14 +239,16 @@ def _cmd_hurwitz(args) -> int:
     coeffs = char_coeffs(g)
     print(f"characteristic coefficients (ascending): "
           f"{', '.join(f'{c:.10g}' for c in coeffs)}")
-    if coeffs.size - 1 >= 3:
-        alphas = determining_coeffs(coeffs)
-        print(f"determining coefficients: {', '.join(f'{a:.6g}' for a in alphas)}")
     try:
+        if coeffs.size - 1 >= 3:
+            alphas = determining_coeffs(coeffs)
+            print(f"determining coefficients: {', '.join(f'{a:.6g}' for a in alphas)}")
         stable = is_hurwitz(g)
     except IndeterminateStability as exc:
         print(f"indeterminate: {exc}")
         return EXIT_REJECTED
+    except ValueError as exc:  # gains whose coefficient products overflow float64
+        raise ConfigError(str(exc)) from None
     print(f"hurwitz: {stable}")
     return EXIT_OK if stable else EXIT_REJECTED
 

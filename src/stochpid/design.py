@@ -126,14 +126,17 @@ def _terms(gains: np.ndarray, b_lower: float, labels) -> list[tuple[str, float]]
     g = gains
     N = g.size
     b = "*b" if b_lower != 1.0 else ""
-    terms = [(f"{labels(0)}^2{b}", g[0] ** 2 * b_lower)]
+    # g[i] * g[i] is correctly rounded, like the certificate's array k ** 2;
+    # a numpy scalar g[i] ** 2 goes through libm pow, which is not
+    terms = [(f"{labels(0)}^2{b}", g[0] * g[0] * b_lower)]
     for i in range(1, N - 1):
         name = f"{labels(i)}^2-2*{labels(i - 1)}*{labels(i + 1)}"
         if b:
             name = f"({name}){b}"
-        terms.append((name, (g[i] ** 2 - 2.0 * g[i - 1] * g[i + 1]) * b_lower))
+        terms.append((name, (g[i] * g[i] - 2.0 * g[i - 1] * g[i + 1]) * b_lower))
     if N >= 2:
-        terms.append((f"{labels(N - 1)}^2{b}-{labels(N - 2)}", g[N - 1] ** 2 * b_lower - g[N - 2]))
+        last = g[N - 1] * g[N - 1] * b_lower - g[N - 2]
+        terms.append((f"{labels(N - 1)}^2{b}-{labels(N - 2)}", last))
     return terms
 
 

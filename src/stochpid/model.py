@@ -83,18 +83,21 @@ class PlantSpec:
         """Evaluate f(x; u), broadcast to u's shape, NaN/Inf checked."""
         out = np.asarray(self.drift(x, u), dtype=float)
         out = np.broadcast_to(out, np.shape(u))
-        if not np.all(np.isfinite(out)):
-            raise NonFinite("drift returned a non-finite value")
-        return out
+        return require_finite(out, "drift")
 
     def eval_diffusion(self, x: np.ndarray) -> np.ndarray:
         """Evaluate g(x), broadcast to batch + (d, m), NaN/Inf checked."""
         out = np.asarray(self.diffusion(x), dtype=float)
         batch = np.shape(x)[:-1]
         out = np.broadcast_to(out, batch + (self.d, self.m))
-        if not np.all(np.isfinite(out)):
-            raise NonFinite("diffusion returned a non-finite value")
-        return out
+        return require_finite(out, "diffusion")
+
+
+def require_finite(out: np.ndarray, what: str) -> np.ndarray:
+    """Return ``out``, or raise :class:`NonFinite` naming ``what`` if it holds NaN/Inf."""
+    if not np.all(np.isfinite(out)):
+        raise NonFinite(f"{what} returned a non-finite value")
+    return out
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,14 @@
 
 Drift, diffusion and the error-integral accumulator all use the left
 endpoint of each step, so the discrete controller matches the shifted
-coordinate identity exactly at grid points.  Every path owns a counter-based
-Philox substream keyed by (seed, path index); paths are processed in fixed
-chunks and chunk partial sums are reduced in chunk order, which makes the
-resulting moments bitwise identical no matter how many worker threads run
-the chunks.
+coordinate identity exactly at grid points.  :func:`em_step` is the
+single-step reference; :func:`simulate_paths` runs a fused kernel that
+keeps each chunk of paths as one (state, paths) buffer and advances it in
+place.  Paths are processed in fixed chunks of 4096; each chunk draws its
+noise from one counter-based Philox stream keyed by (seed, chunk index),
+sequentially step by step, and chunk partial sums are reduced in chunk
+order, which makes the resulting moments bitwise identical no matter how
+many worker threads run the chunks.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .design import BoundConstants, GainVector
-from .model import PlantSpec, Setpoint
+from .model import PlantSpec, Setpoint, require_finite
 
 __all__ = [
     "SimConfig",
@@ -40,7 +43,7 @@ __all__ = [
 ]
 
 _CHUNK_PATHS = 4096  # fixed regardless of worker count (determinism contract)
-_NOISE_BLOCK = 1024  # steps of noise drawn per path at a time
+_NOISE_BLOCK = 256  # steps of noise drawn per chunk at a time
 _DIVERGENCE_LIMIT = 1e12
 _WORKERS_ENV = "STOCHPID_WORKERS"
 
@@ -162,21 +165,24 @@ class EnsembleStats:
             yield tuple(float(c[i]) for c in cols)
 
 
-def _gain_weights(g: GainVector, d: int) -> np.ndarray:
-    """(n*d, d) matrix W with x @ W = sum_i k_i * x_i (blockwise)."""
-    k = g.gains if g.kind == "pd" else g.gains[1:]
-    return np.kron(k, np.eye(d)).reshape(k.size * d, d)
+def _control_law(g: GainVector, y_star) -> np.ndarray:
+    """Weights K of the extended PID/PD law u = K @ [1; integral; x_1; ...; x_n].
+
+    The blocks of K are k1*y*, k0*I, -k1*I, ..., -kn*I (PD gains have no k0
+    and a zero integral block): u = k1*e + k0*integral(e) - k2*x2 - ... with
+    e = y* - x1 and the derivatives e^(i) = -x_{i+1} of the chain.
+    """
+    y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
+    k = g.gains if g.kind == "pid" else np.concatenate([[0.0], g.gains])
+    blocks = np.kron(np.concatenate([k[:1], -k[1:]]), np.eye(y_star.size))
+    return np.hstack([(k[1] * y_star)[:, None], blocks])
 
 
-def _control_law(g: GainVector, y_star):
-    """The extended PID/PD law as a function of a (batched) closed-loop state."""
-    y_star = np.asarray(y_star, dtype=float)
-    W = _gain_weights(g, np.atleast_1d(y_star).size)
-    if g.kind == "pd":
-        bias = g.gains[0] * y_star
-        return lambda state: bias - state.x @ W
-    k0, bias = g.gains[0], g.gains[1] * y_star
-    return lambda state: k0 * state.integral + bias - state.x @ W
+def _apply_law(K: np.ndarray, state: ClosedLoopState) -> np.ndarray:
+    x = np.asarray(state.x, dtype=float)
+    batch = x.shape[:-1]
+    integral = np.broadcast_to(state.integral, batch + (K.shape[0],))
+    return np.concatenate([np.ones(batch + (1,)), integral, x], axis=-1) @ K.T
 
 
 def controller_pid(state: ClosedLoopState, g: GainVector, y_star) -> np.ndarray:
@@ -187,14 +193,14 @@ def controller_pid(state: ClosedLoopState, g: GainVector, y_star) -> np.ndarray:
     """
     if g.kind != "pid":
         raise ValueError("controller_pid expects PID gains")
-    return _control_law(g, y_star)(state)
+    return _apply_law(_control_law(g, y_star), state)
 
 
 def controller_pd(state: ClosedLoopState, g: GainVector, y_star) -> np.ndarray:
     """Extended PD output u = k1*e + k2*e' + ... + kn*e^(n-1) (no integral)."""
     if g.kind != "pd":
         raise ValueError("controller_pd expects PD gains")
-    return _control_law(g, y_star)(state)
+    return _apply_law(_control_law(g, y_star), state)
 
 
 def _check_finite_box(x: np.ndarray, integral: np.ndarray, t: float):
@@ -243,8 +249,8 @@ def em_step(
     return ClosedLoopState(x=new_x, integral=new_integral, t=t_next)
 
 
-def _path_stream(seed: int, path: int) -> np.random.Generator:
-    key = np.array([seed % (2 ** 64), path % (2 ** 64)], dtype=np.uint64)
+def _chunk_stream(seed: int, chunk: int) -> np.random.Generator:
+    key = np.array([seed % (2 ** 64), chunk % (2 ** 64)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -254,14 +260,11 @@ def _resolve_workers(workers: Optional[int]) -> int:
     return max(1, workers)
 
 
-def _make_u_fn(controller: str, g: Optional[GainVector], plant: PlantSpec, y_star: np.ndarray):
+def _law_weights(controller: str, g: Optional[GainVector], plant: PlantSpec,
+                 y_star) -> Optional[np.ndarray]:
+    """Control-law weights for the configured controller; None for the open loop."""
     if controller == "open_loop":
-        d = plant.d
-
-        def u_open(state):
-            return np.zeros(state.x.shape[:-1] + (d,))
-
-        return u_open
+        return None
     if g is None:
         raise ValueError(f"{controller} controller requires gains")
     expected_kind = "pid" if controller == "pid" else "pd"
@@ -272,52 +275,106 @@ def _make_u_fn(controller: str, g: Optional[GainVector], plant: PlantSpec, y_sta
     return _control_law(g, y_star)
 
 
-def _run_chunk(plant, sp, u_fn, cfg: SimConfig, x0, start: int, size: int, rec_count: int):
-    """Simulate one fixed chunk of paths; returns partial sums or a divergence marker."""
-    steps, stride, dt = cfg.steps, cfg.record_stride, cfg.dt
-    d, m = plant.d, plant.m
-    sqrt_dt = math.sqrt(dt)
-    y_star, z_star = sp.y_star, sp.z_star
+def _step_matrix(n: int, d: int, dt: float, y_star: np.ndarray,
+                 K: Optional[np.ndarray]) -> np.ndarray:
+    """M with M @ [1; integral; x; u; f; w] = the next [1; integral; x] and, given
+    the control-law weights K, the next u = K @ [1; integral; x].
 
-    state = ClosedLoopState(
-        x=np.tile(x0, (size, 1)), integral=np.zeros((size, d)), t=0.0
-    )
-    streams = [_path_stream(cfg.seed, start + i) for i in range(size)]
+    Blocks of d rows: integral += dt*(y* - x1), x_i += dt*x_{i+1} (i < n),
+    x_n += dt*f + w, where f is the drift and w the noise term g(x) dW.
+    """
+    rows = 1 + (n + 1) * d
+    A = np.eye(rows, rows + 3 * d)
+    I = np.eye(d)
+
+    def blk(j):  # block 0 is the integral, 1..n the chain, then u, f and w
+        return slice(1 + j * d, 1 + (j + 1) * d)
+
+    A[blk(0), 0] = dt * y_star
+    A[blk(0), blk(1)] = -dt * I
+    for j in range(1, n):
+        A[blk(j), blk(j + 1)] = dt * I
+    A[blk(n), blk(n + 2)] = dt * I
+    A[blk(n), blk(n + 3)] = I
+    return A if K is None else np.vstack([A, K @ A])
+
+
+def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_count: int):
+    """Simulate one fixed chunk of paths; returns partial sums or a divergence marker.
+
+    The chunk lives in two (rows, size) buffers [1; integral; x; u; f; w]
+    that take turns as the current and the next state.  One matmul per step
+    advances the integral and the chain and applies the control law to the
+    result; plants see the transposed (size, n*d) view of x.  A non-finite
+    drift or diffusion value reaches x_n at the same step, so the per-step
+    box guard on the new state also finds it; the plant output is then
+    checked to raise :class:`NonFinite` exactly where :func:`em_step` would.
+    """
+    steps, stride, dt = cfg.steps, cfg.record_stride, cfg.dt
+    n, d, m = plant.n, plant.d, plant.m
+    S = 1 + (n + 1) * d  # rows of [1; integral; x]
+    M = _step_matrix(n, d, dt, sp.y_star, K)
+    bufs = [np.zeros((S + 3 * d, size)) for _ in range(2)]
+    # per buffer: the rows M writes, the guarded [integral; x], x, u, f and w
+    views = [(B[: M.shape[0]], B[1:S], B[1 + d:S], B[S:S + d], B[S + d:S + 2 * d], B[S + 2 * d:])
+             for B in bufs]
+    bufs[0][0] = 1.0
+    bufs[0][1 + d:S] = x0[:, None]
+    if K is not None:
+        np.matmul(K, bufs[0][:S], out=views[0][3])
+    rng = _chunk_stream(cfg.seed, chunk)
+    noise = np.empty((min(_NOISE_BLOCK, steps), m, size))
+
     sums = np.zeros((rec_count, 6))
     u_sums = np.zeros((rec_count, d))
-    rec = 0
+    dev = np.empty((n * d, size))
+    mom = np.empty((3, size))
+    z_col = sp.z_star[:, None]
 
-    def record(st: ClosedLoopState, u: np.ndarray, r: int):
-        e = y_star - st.x[:, :d]
-        dev = st.x - z_star
-        e2 = np.einsum("ij,ij->i", e, e)
-        dev2 = np.einsum("ij,ij->i", dev, dev)
-        u2 = np.einsum("ij,ij->i", u, u)
-        sums[r, 0] += e2.sum()
-        sums[r, 1] += (e2 * e2).sum()
-        sums[r, 2] += dev2.sum()
-        sums[r, 3] += (dev2 * dev2).sum()
-        sums[r, 4] += u2.sum()
-        sums[r, 5] += (u2 * u2).sum()
-        u_sums[r] += u.sum(axis=0)
+    def record(x, u, r: int):
+        np.subtract(x, z_col, out=dev)
+        np.multiply(dev, dev, out=dev)
+        dev[:d].sum(axis=0, out=mom[0])  # |e|^2 with e = y* - x1
+        dev.sum(axis=0, out=mom[1])  # |x - z*|^2
+        (u * u).sum(axis=0, out=mom[2])
+        sums[r, 0::2] += mom.sum(axis=1)
+        np.multiply(mom, mom, out=mom)
+        sums[r, 1::2] += mom.sum(axis=1)
+        u_sums[r] += u.sum(axis=1)
 
-    noise = np.empty((size, _NOISE_BLOCK, m))
-    try:
-        for block_start in range(0, steps, _NOISE_BLOCK):
-            nb = min(_NOISE_BLOCK, steps - block_start)
-            for i, stream in enumerate(streams):
-                noise[i, :nb] = stream.standard_normal((nb, m))
-            for j in range(nb):
-                s = block_start + j
-                u = u_fn(state)
-                if s % stride == 0:
-                    record(state, u, rec)
-                    rec += 1
-                state = em_step(state, plant, u, sqrt_dt * noise[:, j], dt, y_star)
-        if steps % stride == 0:
-            record(state, u_fn(state), rec)
-    except Diverged as exc:
-        return ("diverged", exc.t, start + (exc.path or 0))
+    cur = 0
+    for block_start in range(0, steps, _NOISE_BLOCK):
+        dW = noise[: min(_NOISE_BLOCK, steps - block_start)]
+        rng.standard_normal(out=dW)
+        dW *= math.sqrt(dt)
+        for j in range(dW.shape[0]):
+            s = block_start + j
+            _, _, x, u, f_row, w_row = views[cur]
+            if s % stride == 0:
+                record(x, u, s // stride)
+            f = np.asarray(plant.drift(x.T, u.T), dtype=float)
+            if f.shape != (size, d):
+                f = np.broadcast_to(f, (size, d))
+            f_row[...] = f.T
+            g = np.asarray(plant.diffusion(x.T), dtype=float)
+            if g.ndim > 2:  # one (d, m) matrix per path
+                if g.shape != (size, d, m):
+                    g = np.broadcast_to(g, (size, d, m))
+                np.einsum("pjk,kp->jp", g, dW[j], out=w_row)
+            else:  # one (d, m) matrix for every path
+                if g.shape != (d, m):
+                    g = np.broadcast_to(g, (d, m))
+                (np.multiply if m == 1 else np.matmul)(g, dW[j], out=w_row)
+            out, box = views[1 - cur][:2]
+            np.matmul(M, bufs[cur], out=out)
+            if not (box.max() <= _DIVERGENCE_LIMIT and box.min() >= -_DIVERGENCE_LIMIT):
+                require_finite(f, "drift")
+                require_finite(g, "diffusion")
+                bad = ~np.all(np.abs(box) <= _DIVERGENCE_LIMIT, axis=0)
+                return ("diverged", (s + 1) * dt, chunk * _CHUNK_PATHS + int(np.argmax(bad)))
+            cur = 1 - cur
+    if steps % stride == 0:
+        record(views[cur][2], views[cur][3], rec_count - 1)
     return ("ok", sums, u_sums)
 
 
@@ -338,8 +395,7 @@ def simulate_paths(
     variable.  Plant callables must be pure functions as they run on
     multiple workers concurrently.
     """
-    y_star = sp.y_star
-    u_fn = _make_u_fn(cfg.controller, g, plant, y_star)
+    K = _law_weights(cfg.controller, g, plant, sp.y_star)
     x0 = sp.z_star if cfg.x0 is None else cfg.x0
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (plant.state_dim,):
@@ -348,20 +404,16 @@ def simulate_paths(
     steps = cfg.steps
     positions = np.arange(0, steps + 1, cfg.record_stride)
     rec_count = positions.size
-    chunks = [(s, min(s + _CHUNK_PATHS, cfg.paths) - s) for s in range(0, cfg.paths, _CHUNK_PATHS)]
+    chunks = [(c, min(_CHUNK_PATHS, cfg.paths - c * _CHUNK_PATHS))
+              for c in range(-(-cfg.paths // _CHUNK_PATHS))]
 
     nworkers = _resolve_workers(workers)
     if nworkers == 1 or len(chunks) == 1:
-        results = [
-            _run_chunk(plant, sp, u_fn, cfg, x0, start, size, rec_count)
-            for start, size in chunks
-        ]
+        results = [_run_chunk(plant, sp, K, cfg, x0, *chunk, rec_count) for chunk in chunks]
     else:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            futures = [
-                pool.submit(_run_chunk, plant, sp, u_fn, cfg, x0, start, size, rec_count)
-                for start, size in chunks
-            ]
+            futures = [pool.submit(_run_chunk, plant, sp, K, cfg, x0, *chunk, rec_count)
+                       for chunk in chunks]
             results = [f.result() for f in futures]
 
     diverged = [(r[1], r[2]) for r in results if r[0] == "diverged"]

@@ -8,6 +8,8 @@ route by which admissible gain vectors are known to be Hurwitz.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .design import GainVector
@@ -63,7 +65,12 @@ def determining_coeffs(p) -> np.ndarray:
     if np.any(a <= 0.0):
         raise NonPositiveCoefficient("all coefficients must be positive")
     i = np.arange(1, N - 1)
-    return a[i - 1] * a[i + 2] / (a[i] * a[i + 1])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        den = a[i] * a[i + 1]
+        alpha = a[i - 1] * a[i + 2] / den
+    if not (np.isfinite(den).all() and np.isfinite(alpha).all()):
+        raise ValueError("determining coefficients overflow float64")
+    return alpha
 
 
 def nie_stable(p) -> bool:
@@ -105,26 +112,43 @@ def routh_hurwitz(p) -> bool:
     rows = np.zeros((N + 1, width))
     rows[0, : desc[0::2].size] = desc[0::2]
     rows[1, : desc[1::2].size] = desc[1::2]
-    for r in range(2, N + 1):
-        pivot = rows[r - 1, 0]
-        if pivot == 0.0:
-            raise IndeterminateStability(f"zero pivot in Routh row {r - 1}")
-        for j in range(width - 1):
-            rows[r, j] = (pivot * rows[r - 2, j + 1] - rows[r - 2, 0] * rows[r - 1, j + 1]) / pivot
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(2, N + 1):
+            pivot = rows[r - 1, 0]
+            if pivot == 0.0:
+                _finite_routh(rows[:r])
+                raise IndeterminateStability(f"zero pivot in Routh row {r - 1}")
+            for j in range(width - 1):
+                cross = pivot * rows[r - 2, j + 1] - rows[r - 2, 0] * rows[r - 1, j + 1]
+                rows[r, j] = cross / pivot
+    _finite_routh(rows)
     first = rows[:, 0]
     if np.any(first == 0.0):
         raise IndeterminateStability("zero entry in Routh first column")
     return bool(np.all(first > 0.0))
 
 
+def _finite_routh(rows: np.ndarray) -> None:
+    if not np.isfinite(rows).all():
+        raise ValueError("Routh array entries overflow float64")
+
+
 def _closed_form(a: np.ndarray) -> bool:
-    # monic, positive coefficients; degree <= 4
+    # monic, positive coefficients; degree <= 4.  Python floats overflow to
+    # inf silently, and every product is checked before it decides.
     N = a.size - 1
     if N <= 2:
         return True
+    a0, a1, a2, a3 = a.tolist()[:4]
     if N == 3:
-        return bool(a[2] * a[1] > a[0])
-    return bool(a[1] * a[2] * a[3] - a[1] ** 2 - a[0] * a[3] ** 2 > 0.0)
+        products = (a2 * a1,)
+        stable = products[0] > a0
+    else:
+        products = (a1 * a2 * a3, a1 * a1, a0 * (a3 * a3))
+        stable = products[0] - products[1] - products[2] > 0.0
+    if not all(math.isfinite(p) for p in products):
+        raise ValueError("Routh products overflow float64")
+    return stable
 
 
 def is_hurwitz(g: GainVector) -> bool:
@@ -132,7 +156,8 @@ def is_hurwitz(g: GainVector) -> bool:
 
     Degree <= 4 uses the closed-form Routh conditions; degree >= 5 tries the
     sufficient determining-coefficient test first and falls back to the
-    full Routh array when that is inconclusive.
+    full Routh array when that is inconclusive.  Raises ValueError when the
+    products these tests form overflow float64.
     """
     a = char_coeffs(g)
     N = a.size - 1

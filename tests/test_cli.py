@@ -102,6 +102,8 @@ class TestHurwitz:
     def test_bad_gains_are_config_errors(self, capsys):
         assert main(["hurwitz", "--gains=0,1"]) == EXIT_CONFIG
         assert "--gains: all gains must be positive" in capsys.readouterr().err
+        assert main(["hurwitz", "--gains=1e200,1e200,1e200"]) == EXIT_CONFIG
+        assert "overflow float64" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -155,6 +157,17 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg3), "--out", str(tmp_path / "o.csv")]) \
             == EXIT_CONFIG
         assert "not an integer multiple of dt" in capsys.readouterr().err
+
+        cfg4 = write_config(tmp_path / "cfg4.json",
+                            gains={"kind": "pid", "gains": [8.6, 21.5, 21.5, 8.6]})
+        assert main(["simulate", "--config", str(cfg4), "--out", str(tmp_path / "o.csv")]) \
+            == EXIT_CONFIG
+        assert "relative degree 3, the plant has 2" in capsys.readouterr().err
+
+        cfg5 = write_config(tmp_path / "cfg5.json", gains={"kind": "pd", "gains": [3, 4]})
+        assert main(["simulate", "--config", str(cfg5), "--out", str(tmp_path / "o.csv")]) \
+            == EXIT_CONFIG
+        assert "gains.kind: a pid controller needs pid gains, got pd" in capsys.readouterr().err
 
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -8,6 +8,8 @@ from stochpid import (
     DimensionMismatch,
     Diverged,
     GainVector,
+    NonFinite,
+    PlantSpec,
     SimConfig,
     bench3,
     bound_constants,
@@ -23,9 +25,54 @@ from stochpid import (
     simulate_paths,
     solve_equilibrium,
 )
-from stochpid.simulate import ClosedLoopState, _z_drift
+from stochpid.simulate import ClosedLoopState, _chunk_stream, _z_drift
 
 BENCH = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
+
+
+def coupled_plant():
+    """n = 2, d = 2, m = 2 with a state-dependent, non-diagonal diffusion."""
+
+    def drift(x, u):
+        x = np.asarray(x, dtype=float)
+        return u - 0.5 * x[..., 0:2] + 0.2 * np.sin(x[..., 2:4])
+
+    def diffusion(x):
+        x = np.asarray(x, dtype=float)
+        g = np.empty(x.shape[:-1] + (2, 2))
+        g[..., 0, 0] = 0.3 + 0.1 * np.cos(x[..., 0])
+        g[..., 0, 1] = 0.1 * np.tanh(x[..., 3])
+        g[..., 1, 0] = 0.05
+        g[..., 1, 1] = 0.2 + 0.05 * np.sin(x[..., 1])
+        return g
+
+    return PlantSpec(2, 2, 2, drift, diffusion, lipschitz_L=1.0, lipschitz_M=0.2)
+
+
+def em_reference(plant, sp, g, cfg):
+    """Moments and divergence from repeated em_step calls on the kernel's noise.
+
+    One chunk (paths <= 4096) draws its noise from the stream keyed
+    (seed, 0), sequentially in (step, noise dimension, path) order.
+    Returns (times, E|e|^2, E|x - z*|^2, E|u|^2, Var u) or raises Diverged.
+    """
+    N, d, dt = cfg.paths, plant.d, cfg.dt
+    z = _chunk_stream(cfg.seed, 0).standard_normal((cfg.steps, plant.m, N))
+    x0 = sp.z_star if cfg.x0 is None else cfg.x0
+    state = ClosedLoopState(x=np.tile(x0, (N, 1)), integral=np.zeros((N, d)), t=0.0)
+    law = {"pid": controller_pid, "pd": controller_pd}.get(cfg.controller)
+    rows = []
+    for s in range(cfg.steps + 1):
+        u = np.zeros((N, d)) if law is None else law(state, g, sp.y_star)
+        if s % cfg.record_stride == 0:
+            dev = state.x - sp.z_star
+            u2 = np.sum(u * u, axis=1)
+            rows.append((s * dt, np.mean(np.sum(dev[:, :d] ** 2, axis=1)),
+                         np.mean(np.sum(dev ** 2, axis=1)), np.mean(u2),
+                         np.mean(u2) - np.sum(np.mean(u, axis=0) ** 2)))
+        if s < cfg.steps:
+            state = em_step(state, plant, u, math.sqrt(dt) * z[s].T, dt, sp.y_star)
+    return np.array(rows).T
 
 
 def stats_fields(stats):
@@ -229,6 +276,90 @@ class TestSimulatePaths:
                         record_stride=2, controller="open_loop")
         stats = simulate_paths(plant, sp, None, cfg)
         assert np.allclose(stats.times, [0.0, 0.5, 1.0])
+
+
+class TestKernelMatchesEmStep:
+    CASES = {
+        "pid": (chain(2, sigma=0.3, bias=0.5), GainVector("pid", np.array([2.0, 5.0, 3.0])), 1.0),
+        "pd": (bench3(sigma=0.4), GainVector("pd", np.array([21.5, 21.5, 8.6])), 1.0),
+        "open_loop": (ou(theta=2.0, sigma=0.7), None, 0.0),
+        "coupled": (coupled_plant(), GainVector("pid", np.array([1.0, 4.0, 3.0])), [1.0, -0.5]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_moments_match_to_round_off(self, case):
+        # 300 steps cross a noise-block boundary
+        plant, g, y_star = self.CASES[case]
+        sp = solve_equilibrium(plant, y_star)
+        controller = "open_loop" if g is None else g.kind
+        x0 = np.linspace(-0.5, 0.5, plant.state_dim)
+        cfg = SimConfig(dt=0.01, horizon=3.0, paths=64, seed=40, record_stride=3,
+                        controller=controller, x0=x0)
+        stats = simulate_paths(plant, sp, g, cfg)
+        ref = em_reference(plant, sp, g, cfg)
+        got = (stats.times, stats.mean_sq_error, stats.mean_sq_state_dev, stats.mean_sq_u,
+               stats.var_u)
+        for want, have in zip(ref, got):
+            assert have == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_divergence_located_like_em_step(self):
+        # an undamped oscillator, x1 = A*cos(w*t) and x2 = -w*A*sin(w*t) with
+        # A = 0.9e12 and w*A = 1.1e12: x2 leaves the box at about step 93 and
+        # is back inside well before the noise block ends at step 256
+        plant = chain(2, sigma=1e9)
+        sp = solve_equilibrium(plant, 0.0)
+        g = GainVector("pd", np.array([1.5, 1e-6]))
+        cfg = SimConfig(dt=0.01, horizon=5.0, paths=40, seed=7, record_stride=10,
+                        controller="pd", x0=np.array([0.9e12, 0.0]))
+        with pytest.raises(Diverged) as ref:
+            em_reference(plant, sp, g, cfg)
+        with pytest.raises(Diverged) as got:
+            simulate_paths(plant, sp, g, cfg)
+        assert got.value.path == ref.value.path
+        assert got.value.t == pytest.approx(ref.value.t, rel=1e-12)
+        assert 0.8 < got.value.t < 1.0
+
+        # the same loop scaled by 1e-12 never meets the box: its excursion
+        # past 1 ends inside the block
+        scaled = chain(2, sigma=1e-3)
+        state = ClosedLoopState(x=np.tile([0.9, 0.0], (40, 1)), integral=np.zeros((40, 1)), t=0.0)
+        z = _chunk_stream(cfg.seed, 0).standard_normal((256, 1, 40))
+        peaks = []
+        for s in range(256):
+            u = controller_pd(state, g, sp.y_star)
+            state = em_step(state, scaled, u, 0.1 * z[s].T, 0.01, sp.y_star)
+            peaks.append(max(np.abs(state.x).max(), np.abs(state.integral).max()))
+        assert max(peaks) > 1.0 > peaks[-1]
+
+    def test_nan_drift_mid_block_raises_non_finite(self):
+        def drift(x, u):
+            x = np.asarray(x, dtype=float)
+            return np.where(x[..., 0:1] > 0.5, np.nan, 1.0) + u
+
+        plant = PlantSpec(1, 1, 1, drift, lambda x: np.array([[0.01]]), 0.0, 0.0)
+        sp = solve_equilibrium(plant, 0.0)
+        cfg = SimConfig(dt=0.01, horizon=2.0, paths=16, seed=3, record_stride=1,
+                        controller="open_loop", x0=np.zeros(1))
+        with pytest.raises(NonFinite, match="drift"):
+            simulate_paths(plant, sp, None, cfg)
+        with pytest.raises(NonFinite, match="drift"):
+            em_reference(plant, sp, None, cfg)
+
+    def test_second_chunk_draws_from_its_own_stream(self):
+        # path 4096 is alone in chunk 1, whose noise stream is keyed (seed, 1);
+        # chunk 0 is the same in both runs
+        plant = ou(1.0, 1.0)
+        sp = solve_equilibrium(plant, 0.0)
+        a, b = (simulate_paths(plant, sp, None,
+                               SimConfig(dt=0.1, horizon=1.0, paths=paths, seed=2,
+                                         record_stride=10, controller="open_loop"))
+                for paths in (4096, 4097))
+        z = _chunk_stream(2, 1).standard_normal((10, 1, 1))
+        state = ClosedLoopState(x=np.zeros((1, 1)), integral=np.zeros((1, 1)), t=0.0)
+        for s in range(10):
+            state = em_step(state, plant, np.zeros((1, 1)), math.sqrt(0.1) * z[s].T, 0.1, 0.0)
+        last = b.mean_sq_state_dev[-1] * 4097 - a.mean_sq_state_dev[-1] * 4096
+        assert last == pytest.approx(state.x[0, 0] ** 2, abs=1e-9)
 
 
 class TestPidVsPdOffset:

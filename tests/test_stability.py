@@ -55,6 +55,8 @@ class TestDeterminingCoeffs:
             determining_coeffs([1.0, 2.0, 1.0])
         with pytest.raises(NonPositiveCoefficient):
             determining_coeffs([1.0, -2.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="overflow float64"):
+            determining_coeffs([1e200, 1e200, 1e200, 1.0])
 
 
 class TestNieStable:
@@ -163,6 +165,14 @@ class TestIsHurwitz:
             except IndeterminateStability:
                 continue
             assert verdict == (top < 0.0)
+
+    def test_overflow_raises(self):
+        # every degree route: closed-form cubic and quartic, Nie and the Routh array
+        for gains in ([1e200] * 3, [1e200] * 4, [1e200] * 5):
+            with pytest.raises(ValueError, match="overflow float64"):
+                is_hurwitz(GainVector("pid", np.array(gains)))
+        with pytest.raises(ValueError, match="Routh array entries overflow float64"):
+            routh_hurwitz([1.0, 1.0, 1e300, 1.0, 1e-300, 1.0])
 
     def test_admissible_implies_hurwitz(self):
         rng = np.random.default_rng(27)
