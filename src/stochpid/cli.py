@@ -1,17 +1,21 @@
 """Command-line front end: gain design, certification, stability checks,
 Monte Carlo simulation, bundled reproduction jobs and parameter sweeps.
 
+`simulate`, `sweep` and `reproduce` run config documents through one path;
+the reproduction jobs are bundled bench3 documents, one per curve.
+
 Exit codes: 0 success, 1 usage/config error, 2 rejected design/certificate
-(or unstable polynomial), 3 trajectory divergence.  All CSV outputs start
-with '# key=value' metadata lines followed by a header row; reruns with the
+(or unstable polynomial), 3 trajectory divergence or non-finite plant
+output.  All CSV outputs start with '# key=value' metadata lines followed by
+a header row; run CSVs record the full run configuration.  Reruns with the
 same configuration produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -28,8 +32,8 @@ from .design import (
     lambda_gains,
 )
 from .lyapunov import CertificateError, verify_certificate
-from .model import solve_equilibrium
-from .plants import bench3, build_plant
+from .model import NonFinite, solve_equilibrium
+from .plants import BUILTIN_PLANTS, bench3, build_plant
 from .simulate import Diverged, SimConfig, bound_envelope, simulate_paths
 from .stability import IndeterminateStability, char_coeffs, determining_coeffs, is_hurwitz
 
@@ -37,8 +41,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_REJECTED = 2
 EXIT_DIVERGED = 3
-
-BENCH3_L = math.sqrt(3.0) / 2.0
 
 
 class ConfigError(ValueError):
@@ -67,6 +69,10 @@ def _stats_csv(path: Path, metadata: dict, stats) -> None:
     _write_csv(path, metadata, stats.CSV_COLUMNS, stats.rows())
 
 
+def _csv_list(values) -> str:
+    return ",".join(repr(float(v)) for v in values)
+
+
 def _load_gains(args) -> GainVector:
     if getattr(args, "gains_file", None):
         try:
@@ -84,7 +90,7 @@ def _gains_from(doc, where: str) -> GainVector:
         raise ConfigError(f"{where}: expected an object with 'kind' and 'gains'")
     try:
         return GainVector(doc["kind"], np.asarray(doc["gains"], dtype=float))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -103,10 +109,10 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _sim_config(sim: dict, where: str = "sim") -> tuple[SimConfig, np.ndarray]:
-    _require(isinstance(sim, dict), f"{where}: expected an object")
+def _sim_config(sim: dict) -> tuple[SimConfig, np.ndarray]:
+    _require(isinstance(sim, dict), "sim: expected an object")
     for field in ("dt", "horizon", "paths", "seed"):
-        _require(field in sim, f"{where}.{field}: required")
+        _require(field in sim, f"sim.{field}: required")
     y_star = np.atleast_1d(np.asarray(sim.get("y_star", 0.0), dtype=float))
     x0 = sim.get("x0")
     try:
@@ -120,11 +126,25 @@ def _sim_config(sim: dict, where: str = "sim") -> tuple[SimConfig, np.ndarray]:
             x0=None if x0 is None else np.asarray(x0, dtype=float),
         )
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"sim: {exc}") from None
     return cfg, y_star
 
 
+def _run_metadata(plant_doc: dict, plant, sp, gains, cfg, x0) -> dict:
+    """CSV metadata of a run: the plant, its builtin params and the resolved sim settings."""
+    metadata = dict(plant_doc.get("params", {})) if plant_doc["kind"] in BUILTIN_PLANTS else {}
+    metadata.update(
+        plant=plant.name, controller=cfg.controller, dt=cfg.dt, horizon=cfg.horizon,
+        paths=cfg.paths, seed=cfg.seed, record_stride=cfg.record_stride, x0=_csv_list(x0),
+        y_star=_csv_list(sp.y_star), u_star=_csv_list(sp.u_star),
+    )
+    if gains is not None:
+        metadata.update(gains=_csv_list(gains.gains), gain_kind=gains.kind)
+    return metadata
+
+
 def _run_config(doc: dict, workers: Optional[int]):
+    """Run one config document; returns its stats, envelope report (or None) and CSV metadata."""
     _require(isinstance(doc, dict), "config: expected a JSON object")
     _require("plant" in doc, "plant: required section")
     _require("sim" in doc, "sim: required section")
@@ -149,6 +169,7 @@ def _run_config(doc: dict, workers: Optional[int]):
                  f"{gains.n}, the plant has {plant.n}")
     sp = solve_equilibrium(plant, y_star)
     stats = simulate_paths(plant, sp, gains, cfg, workers=workers)
+    x0 = sp.z_star if cfg.x0 is None else cfg.x0
 
     envelope = None
     if "bounds" in doc and gains is not None:
@@ -158,7 +179,6 @@ def _run_config(doc: dict, workers: Optional[int]):
         lam = float(bounds["lambda"])
         R = float(bounds.get("R", 1.0))
         bc = bound_constants(gains, lam, plant.lipschitz_L, plant.lipschitz_M, R)
-        x0 = sp.z_star if cfg.x0 is None else cfg.x0
         g_norm = float(np.linalg.norm(plant.eval_diffusion(sp.z_star)))
         envelope = bound_envelope(
             stats,
@@ -167,7 +187,7 @@ def _run_config(doc: dict, workers: Optional[int]):
             u_star_norm=float(np.linalg.norm(sp.u_star)),
             g_norm_at_zstar=g_norm,
         )
-    return plant, sp, gains, cfg, stats, envelope
+    return stats, envelope, _run_metadata(doc["plant"], plant, sp, gains, cfg, x0)
 
 
 # ------------------------------------------------------------ subcommands
@@ -178,7 +198,7 @@ def _design(args) -> tuple[GainVector, DesignReport]:
         _require(args.k is not None, "--k is required for the bench3 pattern")
         k = args.k
         g = GainVector("pid", np.array([k, 2.5 * k, 2.5 * k, k]))
-        L = BENCH3_L if args.L is None else args.L
+        L = bench3().lipschitz_L if args.L is None else args.L
         report = check_inequality(g, L, args.M, args.b_lower)
     elif args.pattern == "geometric":
         _require(args.k is not None and args.n is not None,
@@ -200,6 +220,7 @@ def _design(args) -> tuple[GainVector, DesignReport]:
         if g.kind == "pid":
             report = check_inequality(g, L, args.M, args.b_lower)
         else:
+            _require(args.b_lower == 1.0, "--b-lower: the PD inequality has no b term")
             report = check_inequality_pd(g, L, args.M)
     return g, report
 
@@ -258,21 +279,7 @@ def _cmd_simulate(args) -> int:
         doc = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config: {exc}") from None
-    plant, sp, gains, cfg, stats, envelope = _run_config(doc, args.workers)
-    metadata = {
-        "plant": plant.name or "custom",
-        "controller": cfg.controller,
-        "dt": cfg.dt,
-        "horizon": cfg.horizon,
-        "paths": cfg.paths,
-        "seed": cfg.seed,
-        "record_stride": cfg.record_stride,
-        "y_star": ",".join(repr(float(v)) for v in sp.y_star),
-        "u_star": ",".join(repr(float(v)) for v in sp.u_star),
-    }
-    if gains is not None:
-        metadata["gains"] = ",".join(repr(float(v)) for v in gains.gains)
-        metadata["gain_kind"] = gains.kind
+    stats, envelope, metadata = _run_config(doc, args.workers)
     _stats_csv(Path(args.out), metadata, stats)
     print(f"wrote {args.out} ({stats.times.size} rows)")
     if envelope is not None:
@@ -284,38 +291,46 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# Reproduction jobs: parameter tuples are fixed, documented choices within
-# the benchmark's uncertainty class; y* = 1 throughout.
-FIG1_CASES = [
-    {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0, "mu": 0.0, "sigma": 0.2},
-    {"a": 0.4, "b": -0.3, "c": 0.5, "d": 6.0, "mu": 5.2, "sigma": 0.2},
-    {"a": -0.5, "b": 0.5, "c": -0.5, "d": -3.0, "mu": 1.0, "sigma": 0.2},
-    {"a": 0.25, "b": 0.1, "c": -0.2, "d": 10.0, "mu": 0.0, "sigma": 0.4},
-]
-FIG_GAINS = (8.6, 21.5, 21.5, 8.6)
-FIG_SIGMAS = (0.0, 0.2, 0.4)
-FIG2_PARAMS = {"a": 0.4, "b": -0.3, "c": 0.5, "d": 6.0, "mu": 5.2}
-FIG1_X0 = (0.5, 0.5, 0.3)
-FIG2_X0 = (0.9, 0.0, 0.1)
-FIG3_X0 = (1.3, 0.0, 0.1)
-FIG_YSTAR = 1.0
+def _bench3_doc(x0: list, params: dict) -> dict:
+    return {"plant": {"kind": "bench3", "params": params},
+            "gains": {"kind": "pid", "gains": [8.6, 21.5, 21.5, 8.6]},
+            "sim": {"x0": x0, "y_star": 1.0}}
 
 
-def _fig_run(params: dict, x0, args, controller: str = "pid"):
-    plant = bench3(**params)
-    g = GainVector("pid", np.asarray(FIG_GAINS))
-    sp = solve_equilibrium(plant, FIG_YSTAR)
-    cfg, _ = _sim_config({"dt": args.dt, "horizon": args.horizon, "paths": args.paths,
-                          "seed": args.seed, "record_stride": args.stride,
-                          "controller": controller, "x0": x0}, "reproduce")
-    stats = simulate_paths(plant, sp, g, cfg, workers=args.workers)
-    metadata = dict(params)
-    metadata.update(
-        dt=args.dt, horizon=args.horizon, paths=args.paths, seed=args.seed,
-        record_stride=args.stride, x0=",".join(repr(float(v)) for v in x0),
-        y_star=FIG_YSTAR, gains=",".join(repr(float(v)) for v in FIG_GAINS),
-    )
-    return stats, metadata
+def _sigma_curves(job: str, x0: list) -> list:
+    return [(f"{job}_sigma{s:g}.csv", f"sigma={s:g}",
+             _bench3_doc(x0, {"a": 0.4, "b": -0.3, "c": 0.5, "d": 6.0, "mu": 5.2, "sigma": s}))
+            for s in (0.0, 0.2, 0.4)]
+
+
+# Reproduction jobs: per curve a (CSV name, label, config document), then the
+# gnuplot scripts as (name, title, ylabel, columns, label prefix, log y).  The
+# fig1 parameter tuples are fixed, documented choices within the benchmark's
+# uncertainty class.  The reproduce flags fill in the rest of each sim section.
+JOBS = {
+    "fig1": (
+        [(f"fig1_case{i}.csv", "abcd mu sigma = " + " ".join(f"{v:g}" for v in params.values()),
+          _bench3_doc([0.5, 0.5, 0.3], params))
+         for i, params in enumerate([
+             {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0, "mu": 0.0, "sigma": 0.2},
+             {"a": 0.4, "b": -0.3, "c": 0.5, "d": 6.0, "mu": 5.2, "sigma": 0.2},
+             {"a": -0.5, "b": 0.5, "c": -0.5, "d": -3.0, "mu": 1.0, "sigma": 0.2},
+             {"a": 0.25, "b": 0.1, "c": -0.2, "d": 10.0, "mu": 0.0, "sigma": 0.4},
+         ])],
+        [("fig1.gp", "tracking error under parameter uncertainty", "E|e(t)|^2", "1:2", "", False)],
+    ),
+    "fig2": (
+        _sigma_curves("fig2", [0.9, 0.0, 0.1]),
+        [("fig2.gp", "tracking error under different noise intensities", "E|e(t)|^2", "1:2", "",
+          True)],
+    ),
+    "fig3": (
+        _sigma_curves("fig3", [1.3, 0.0, 0.1]),
+        [("fig3_mean_sq_u.gp", "control input second moment", "E|u(t)|^2", "1:6", "E|u|^2 ",
+          False),
+         ("fig3_var_u.gp", "control input variance", "Var(u(t))", "1:8", "Var(u) ", False)],
+    ),
+}
 
 
 def _plot_script(path: Path, title: str, ylabel: str, curves, logscale: bool) -> None:
@@ -338,47 +353,17 @@ def _plot_script(path: Path, title: str, ylabel: str, curves, logscale: bool) ->
 def _cmd_reproduce(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    job = args.job
-    if job == "fig1":
-        curves = []
-        for i, params in enumerate(FIG1_CASES):
-            stats, metadata = _fig_run(params, FIG1_X0, args)
-            fname = f"fig1_case{i}.csv"
-            _stats_csv(outdir / fname, metadata, stats)
-            label = "abcd mu sigma = " + " ".join(
-                f"{params[k]:g}" for k in ("a", "b", "c", "d", "mu", "sigma")
-            )
-            curves.append((fname, "1:2", label))
-            print(f"wrote {outdir / fname}")
-        _plot_script(outdir / "fig1.gp", "tracking error under parameter uncertainty",
-                     "E|e(t)|^2", curves, logscale=False)
-    elif job == "fig2":
-        curves = []
-        for sigma in FIG_SIGMAS:
-            params = dict(FIG2_PARAMS, sigma=sigma)
-            stats, metadata = _fig_run(params, FIG2_X0, args)
-            fname = f"fig2_sigma{sigma:g}.csv"
-            _stats_csv(outdir / fname, metadata, stats)
-            curves.append((fname, "1:2", f"sigma={sigma:g}"))
-            print(f"wrote {outdir / fname}")
-        _plot_script(outdir / "fig2.gp", "tracking error under different noise intensities",
-                     "E|e(t)|^2", curves, logscale=True)
-    elif job == "fig3":
-        u_curves, var_curves = [], []
-        for sigma in FIG_SIGMAS:
-            params = dict(FIG2_PARAMS, sigma=sigma)
-            stats, metadata = _fig_run(params, FIG3_X0, args)
-            fname = f"fig3_sigma{sigma:g}.csv"
-            _stats_csv(outdir / fname, metadata, stats)
-            u_curves.append((fname, "1:6", f"E|u|^2 sigma={sigma:g}"))
-            var_curves.append((fname, "1:8", f"Var(u) sigma={sigma:g}"))
-            print(f"wrote {outdir / fname}")
-        _plot_script(outdir / "fig3_mean_sq_u.gp", "control input second moment",
-                     "E|u(t)|^2", u_curves, logscale=False)
-        _plot_script(outdir / "fig3_var_u.gp", "control input variance",
-                     "Var(u(t))", var_curves, logscale=False)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown job {job!r}")
+    curves, scripts = JOBS[args.job]
+    for fname, _, doc in curves:
+        doc = copy.deepcopy(doc)
+        doc["sim"].update(dt=args.dt, horizon=args.horizon, paths=args.paths, seed=args.seed,
+                          record_stride=args.stride)
+        stats, _, metadata = _run_config(doc, args.workers)
+        _stats_csv(outdir / fname, metadata, stats)
+        print(f"wrote {outdir / fname}")
+    for name, title, ylabel, cols, prefix, logscale in scripts:
+        _plot_script(outdir / name, title, ylabel,
+                     [(fname, cols, prefix + label) for fname, label, _ in curves], logscale)
     print(f"gnuplot scripts written to {outdir}")
     return EXIT_OK
 
@@ -391,16 +376,19 @@ def _cmd_sweep(args) -> int:
     _require(isinstance(doc, dict), "config: expected a JSON object")
     rows = []
     for value in args.values:
-        sweep_doc = json.loads(json.dumps(doc))  # deep copy
+        sweep_doc = copy.deepcopy(doc)
         if args.vary == "sigma":
             plant_sec = sweep_doc.get("plant", {})
-            _require(plant_sec.get("kind") in ("bench3", "chain", "ou"),
+            _require(isinstance(plant_sec, dict) and plant_sec.get("kind") in BUILTIN_PLANTS,
                      "plant.kind: sigma sweeps need a builtin plant")
-            plant_sec.setdefault("params", {})["sigma"] = value
+            params = plant_sec.setdefault("params", {})
+            _require(isinstance(params, dict), "plant.params: expected an object")
+            params["sigma"] = value
         else:  # gain-scale
             _require("gains" in sweep_doc, "gains: required for a gain-scale sweep")
-            sweep_doc["gains"]["gains"] = [value * g for g in sweep_doc["gains"]["gains"]]
-        _, _, _, cfg, stats, _ = _run_config(sweep_doc, args.workers)
+            gains = _gains_from(sweep_doc["gains"], "gains")
+            sweep_doc["gains"]["gains"] = (value * gains.gains).tolist()
+        stats, _, _ = _run_config(sweep_doc, args.workers)
         tail = max(1, stats.times.size // 4)
         rows.append((
             value,
@@ -497,7 +485,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Diverged as exc:
+    except (Diverged, NonFinite) as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 

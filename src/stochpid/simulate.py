@@ -343,36 +343,38 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
         u_sums[r] += u.sum(axis=1)
 
     cur = 0
-    for block_start in range(0, steps, _NOISE_BLOCK):
-        dW = noise[: min(_NOISE_BLOCK, steps - block_start)]
-        rng.standard_normal(out=dW)
-        dW *= math.sqrt(dt)
-        for j in range(dW.shape[0]):
-            s = block_start + j
-            _, _, x, u, f_row, w_row = views[cur]
-            if s % stride == 0:
-                record(x, u, s // stride)
-            f = np.asarray(plant.drift(x.T, u.T), dtype=float)
-            if f.shape != (size, d):
-                f = np.broadcast_to(f, (size, d))
-            f_row[...] = f.T
-            g = np.asarray(plant.diffusion(x.T), dtype=float)
-            if g.ndim > 2:  # one (d, m) matrix per path
-                if g.shape != (size, d, m):
-                    g = np.broadcast_to(g, (size, d, m))
-                np.einsum("pjk,kp->jp", g, dW[j], out=w_row)
-            else:  # one (d, m) matrix for every path
-                if g.shape != (d, m):
-                    g = np.broadcast_to(g, (d, m))
-                (np.multiply if m == 1 else np.matmul)(g, dW[j], out=w_row)
-            out, box = views[1 - cur][:2]
-            np.matmul(M, bufs[cur], out=out)
-            if not (box.max() <= _DIVERGENCE_LIMIT and box.min() >= -_DIVERGENCE_LIMIT):
-                require_finite(f, "drift")
-                require_finite(g, "diffusion")
-                bad = ~np.all(np.abs(box) <= _DIVERGENCE_LIMIT, axis=0)
-                return ("diverged", (s + 1) * dt, chunk * _CHUNK_PATHS + int(np.argmax(bad)))
-            cur = 1 - cur
+    # overflow and NaN reach the box guard and require_finite; warnings would repeat them
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for block_start in range(0, steps, _NOISE_BLOCK):
+            dW = noise[: min(_NOISE_BLOCK, steps - block_start)]
+            rng.standard_normal(out=dW)
+            dW *= math.sqrt(dt)
+            for j in range(dW.shape[0]):
+                s = block_start + j
+                _, _, x, u, f_row, w_row = views[cur]
+                if s % stride == 0:
+                    record(x, u, s // stride)
+                f = np.asarray(plant.drift(x.T, u.T), dtype=float)
+                if f.shape != (size, d):
+                    f = np.broadcast_to(f, (size, d))
+                f_row[...] = f.T
+                g = np.asarray(plant.diffusion(x.T), dtype=float)
+                if g.ndim > 2:  # one (d, m) matrix per path
+                    if g.shape != (size, d, m):
+                        g = np.broadcast_to(g, (size, d, m))
+                    np.einsum("pjk,kp->jp", g, dW[j], out=w_row)
+                else:  # one (d, m) matrix for every path
+                    if g.shape != (d, m):
+                        g = np.broadcast_to(g, (d, m))
+                    (np.multiply if m == 1 else np.matmul)(g, dW[j], out=w_row)
+                out, box = views[1 - cur][:2]
+                np.matmul(M, bufs[cur], out=out)
+                if not (box.max() <= _DIVERGENCE_LIMIT and box.min() >= -_DIVERGENCE_LIMIT):
+                    require_finite(f, "drift")
+                    require_finite(g, "diffusion")
+                    bad = ~np.all(np.abs(box) <= _DIVERGENCE_LIMIT, axis=0)
+                    return ("diverged", (s + 1) * dt, chunk * _CHUNK_PATHS + int(np.argmax(bad)))
+                cur = 1 - cur
     if steps % stride == 0:
         record(views[cur][2], views[cur][3], rec_count - 1)
     return ("ok", sums, u_sums)

@@ -60,9 +60,12 @@ class TestDesign:
         assert code == EXIT_OK
         assert "4000" in capsys.readouterr().out
 
-    def test_explicit_pd_gains(self):
+    def test_explicit_pd_gains(self, capsys):
         assert main(["design", "--gains", "3,4", "--kind", "pd"]) == EXIT_OK
         assert main(["design", "--gains", "3,1", "--kind", "pd"]) == EXIT_REJECTED
+        # the PD inequality has no b term, so a b bound cannot be honoured
+        assert main(["design", "--gains", "3,4", "--kind", "pd", "--b-lower", "2"]) == EXIT_CONFIG
+        assert "--b-lower" in capsys.readouterr().err
 
     def test_missing_gains_is_config_error(self):
         assert main(["design"]) == EXIT_CONFIG
@@ -142,6 +145,19 @@ class TestSimulate:
         out = tmp_path / "out.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_DIVERGED
 
+    def test_non_finite_plant_output_exit_code(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            plant={"kind": "expression", "n": 1, "drift": "exp(exp(exp(x1 * 3))) + u",
+                   "diffusion": "0.1", "L": 1.0, "M": 0.0},
+            gains={"kind": "pid", "gains": [1.0, 2.0]},
+            **{"sim.x0": [1.0], "sim.y_star": 0.0, "sim.paths": 4},
+        )
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) \
+            == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["divergence: drift returned a non-finite value"]
+
     def test_config_error_paths(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", **{"sim.x0": [1, 2, 3]})
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) \
@@ -199,6 +215,29 @@ class TestReproduce:
         for name in names:
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
+    def test_job_runs_like_simulate(self, tmp_path):
+        """A reproduce curve is its config document run through simulate."""
+        flags = {"paths": 60, "horizon": 0.5, "stride": 100, "seed": 4}
+        assert main(["reproduce", "fig2", "--outdir", str(tmp_path)]
+                    + [f"--{k}={v}" for k, v in flags.items()]) == EXIT_OK
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            plant={"kind": "bench3", "params": {"sigma": 0.2}},
+            gains={"kind": "pid", "gains": [8.6, 21.5, 21.5, 8.6]},
+            sim={"dt": 1e-3, "horizon": flags["horizon"], "paths": flags["paths"],
+                 "seed": flags["seed"], "record_stride": flags["stride"],
+                 "x0": [0.9, 0.0, 0.1], "y_star": 1.0},
+        )
+        out = tmp_path / "simulate.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        job = (tmp_path / "fig2_sigma0.2.csv").read_text().splitlines()
+        run = out.read_text().splitlines()
+        for lines in (job, run):
+            assert any(l.startswith("# x0=") for l in lines)
+            assert any(l.startswith("# u_star=") for l in lines)
+        assert [l for l in job if not l.startswith("#")] == \
+            [l for l in run if not l.startswith("#")]
+
     def test_fig1_cases(self, tmp_path):
         assert main(["reproduce", "fig1", "--outdir", str(tmp_path), "--paths", "40",
                      "--horizon", "0.3", "--stride", "100"]) == EXIT_OK
@@ -235,3 +274,14 @@ class TestSweep:
         code = main(["sweep", "--config", str(cfg), "--vary", "gain-scale",
                      "--values", "1,2", "--out", str(out)])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("vary, override, field", [
+        ("gain-scale", {"gains": {"kind": "pid"}}, "gains"),
+        ("gain-scale", {"gains": {"kind": "pid", "gains": {"k0": 1.0}}}, "gains"),
+        ("sigma", {"plant": {"kind": "chain", "params": [2, 0.2]}}, "plant.params"),
+    ])
+    def test_malformed_sections_are_config_errors(self, tmp_path, capsys, vary, override, field):
+        cfg = write_config(tmp_path / "cfg.json", **override)
+        assert main(["sweep", "--config", str(cfg), "--vary", vary, "--values", "1",
+                     "--out", str(tmp_path / "sweep.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
