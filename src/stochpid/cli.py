@@ -32,9 +32,9 @@ from .design import (
     lambda_gains,
 )
 from .lyapunov import CertificateError, verify_certificate
-from .model import NonFinite, solve_equilibrium
+from .model import NoConvergence, NonFinite, solve_equilibrium
 from .plants import BUILTIN_PLANTS, bench3, build_plant
-from .simulate import Diverged, SimConfig, bound_envelope, simulate_paths
+from .simulate import Diverged, SimConfig, _resolve_workers, bound_envelope, simulate_paths
 from .stability import IndeterminateStability, char_coeffs, determining_coeffs, is_hurwitz
 
 EXIT_OK = 0
@@ -55,6 +55,12 @@ def _float_list(text: str) -> list[float]:
         return [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _write_csv(path: Path, metadata: dict, header, rows) -> None:
@@ -109,23 +115,34 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _integer(sim: dict, field: str, default=None) -> int:
+    """An integral JSON number; 4.0 is accepted, 4.7, true and "4" are not."""
+    value = sim.get(field, default)
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    _require(integral and not isinstance(value, bool),
+             f"sim.{field}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _sim_config(sim: dict) -> tuple[SimConfig, np.ndarray]:
     _require(isinstance(sim, dict), "sim: expected an object")
     for field in ("dt", "horizon", "paths", "seed"):
         _require(field in sim, f"sim.{field}: required")
-    y_star = np.atleast_1d(np.asarray(sim.get("y_star", 0.0), dtype=float))
     x0 = sim.get("x0")
+    paths, seed = _integer(sim, "paths"), _integer(sim, "seed")
+    stride = _integer(sim, "record_stride", 1)
     try:
+        y_star = np.atleast_1d(np.asarray(sim.get("y_star", 0.0), dtype=float))
         cfg = SimConfig(
             dt=float(sim["dt"]),
             horizon=float(sim["horizon"]),
-            paths=int(sim["paths"]),
-            seed=int(sim["seed"]),
-            record_stride=int(sim.get("record_stride", 1)),
+            paths=paths,
+            seed=seed,
+            record_stride=stride,
             controller=sim.get("controller", "pid"),
             x0=None if x0 is None else np.asarray(x0, dtype=float),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # a wrong JSON type, or a value SimConfig rejects
         raise ConfigError(f"sim: {exc}") from None
     return cfg, y_star
 
@@ -167,7 +184,14 @@ def _run_config(doc: dict, workers: Optional[int]):
         _require(gains.n == plant.n,
                  f"gains.gains: {gains.gains.size} {gains.kind} gains are for relative degree "
                  f"{gains.n}, the plant has {plant.n}")
-    sp = solve_equilibrium(plant, y_star)
+    try:
+        workers = _resolve_workers(workers)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    try:
+        sp = solve_equilibrium(plant, y_star)
+    except NoConvergence as exc:
+        raise ConfigError(f"sim.y_star: no equilibrium input: {exc}") from None
     stats = simulate_paths(plant, sp, gains, cfg, workers=workers)
     x0 = sp.z_star if cfg.x0 is None else cfg.x0
 
@@ -415,8 +439,14 @@ def _add_gain_args(p: argparse.ArgumentParser) -> None:
                    help="gain kind when --gains is used")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse exits 2, which means rejected or unstable here
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stochpid",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -451,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo run from a JSON config; exit 3 on divergence")
     p.add_argument("--config", required=True, help="JSON config (plant/gains/sim[/bounds])")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_positive_int, default=None,
                    help="worker threads (default: STOCHPID_WORKERS or 1)")
     p.set_defaults(func=_cmd_simulate)
 
@@ -463,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=20240901)
     p.add_argument("--stride", type=int, default=25)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("sweep", help="steady-state error grid over sigma or a gain scale")
@@ -471,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vary", choices=("sigma", "gain-scale"), required=True)
     p.add_argument("--values", type=_float_list, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

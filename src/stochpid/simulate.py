@@ -255,9 +255,11 @@ def _chunk_stream(seed: int, chunk: int) -> np.random.Generator:
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is None:
-        workers = int(os.environ.get(_WORKERS_ENV, "1"))
-    return max(1, workers)
+    where = "workers" if workers is not None else _WORKERS_ENV
+    text = str(workers) if workers is not None else os.environ.get(_WORKERS_ENV, "1")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"{where}={text!r}: expected a positive integer")
+    return int(text)
 
 
 def _law_weights(controller: str, g: Optional[GainVector], plant: PlantSpec,
@@ -393,9 +395,9 @@ def simulate_paths(
     :class:`Diverged` carrying the first offending path and time (diverged
     paths are never silently dropped, which would bias the moments).  For a
     fixed config the output is bitwise reproducible for any worker count;
-    ``workers`` threads default to the STOCHPID_WORKERS environment
-    variable.  Plant callables must be pure functions as they run on
-    multiple workers concurrently.
+    ``workers`` threads (a positive integer, else ValueError) default to
+    the STOCHPID_WORKERS environment variable.  Plant callables must be
+    pure functions as they run on multiple workers concurrently.
     """
     K = _law_weights(cfg.controller, g, plant, sp.y_star)
     x0 = sp.z_star if cfg.x0 is None else cfg.x0
@@ -539,7 +541,7 @@ def _z_drift(plant: PlantSpec, sp: Setpoint, k0: float, betas: np.ndarray, z: np
     zb = z.reshape(-1, n + 1, d)
     diffs = (zb[:, 1:] - zb[:, :-1]) / betas[None, :, None]  # term j: (z_{j+1}-z_j)/beta_{j+1}
     cum = np.cumsum(diffs, axis=1)
-    x_arg = ((zb[:, 1:] - zb[:, :-1]) / prods[None, :, None]).reshape(-1, n * d)
+    x_arg = ((zb[:, 1:] - zb[:, :-1]) / prods[None, :, None]).reshape(-1, n * d) + sp.z_star
     u_arg = -k0 * zb[:, n] + sp.u_star
     f_last = prods[-1] * plant.eval_drift(x_arg, u_arg)
     b = np.empty_like(zb)

@@ -1,9 +1,10 @@
 """Polynomial stability tests for the closed-loop characteristic polynomial.
 
 Coefficients are stored ascending, ``a[0] + a[1]*s + ... + a[N]*s**N``.
-``routh_hurwitz`` is the exact oracle for any degree; ``nie_stable`` is the
-determining-coefficient *sufficient* test for degree >= 5, cheap and the
-route by which admissible gain vectors are known to be Hurwitz.
+``routh_hurwitz`` decides stability for every degree with one Routh row
+recursion, and ``is_hurwitz`` applies it to the companion matrix of a gain
+vector.  ``nie_stable`` is a separate determining-coefficient *sufficient*
+test for degree >= 5: True proves stability, False decides nothing.
 """
 
 from __future__ import annotations
@@ -64,13 +65,14 @@ def determining_coeffs(p) -> np.ndarray:
         raise DegreeTooLow("determining coefficients need degree >= 3")
     if np.any(a <= 0.0):
         raise NonPositiveCoefficient("all coefficients must be positive")
-    i = np.arange(1, N - 1)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        den = a[i] * a[i + 1]
-        alpha = a[i - 1] * a[i + 2] / den
-    if not (np.isfinite(den).all() and np.isfinite(alpha).all()):
+    c = a.tolist()
+    alpha = []
+    for i in range(1, N - 1):
+        den = c[i] * c[i + 1]
+        alpha.append(c[i - 1] * c[i + 2] / den if 0.0 < den < math.inf else math.inf)
+    if not all(map(math.isfinite, alpha)):
         raise ValueError("determining coefficients overflow float64")
-    return alpha
+    return np.array(alpha)
 
 
 def nie_stable(p) -> bool:
@@ -94,75 +96,37 @@ def nie_stable(p) -> bool:
 
 
 def routh_hurwitz(p) -> bool:
-    """Exact stability via the full Routh array (first column all positive).
+    """Exact stability via the Routh array (first column all positive), any degree.
 
-    For a monic quartic (a0..a3, 1) with positive coefficients this reduces
-    to ``a1*a2*a3 - a1**2 - a0*a3**2 > 0``.  Raises
-    :class:`IndeterminateStability` when a pivot is exactly zero rather than
-    guessing.
+    One row recursion on Python floats.  Raises :class:`IndeterminateStability`
+    when a pivot is exactly zero rather than guessing, and ValueError when an
+    entry overflows float64.
     """
     a = _coeffs(p)
     if a[-1] < 0.0:
         raise ValueError("leading coefficient must be positive")
-    desc = a[::-1]
-    N = a.size - 1
-    if N == 1:
-        return bool(desc[1] > 0.0)
-    width = (N + 2) // 2
-    rows = np.zeros((N + 1, width))
-    rows[0, : desc[0::2].size] = desc[0::2]
-    rows[1, : desc[1::2].size] = desc[1::2]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(2, N + 1):
-            pivot = rows[r - 1, 0]
-            if pivot == 0.0:
-                _finite_routh(rows[:r])
-                raise IndeterminateStability(f"zero pivot in Routh row {r - 1}")
-            for j in range(width - 1):
-                cross = pivot * rows[r - 2, j + 1] - rows[r - 2, 0] * rows[r - 1, j + 1]
-                rows[r, j] = cross / pivot
-    _finite_routh(rows)
-    first = rows[:, 0]
-    if np.any(first == 0.0):
-        raise IndeterminateStability("zero entry in Routh first column")
-    return bool(np.all(first > 0.0))
-
-
-def _finite_routh(rows: np.ndarray) -> None:
-    if not np.isfinite(rows).all():
+    desc = a[::-1].tolist()
+    if len(desc) == 2:
+        return desc[1] > 0.0
+    # Python float arithmetic overflows to inf (and inf - inf to nan) silently
+    if not all(map(math.isfinite, desc)):
         raise ValueError("Routh array entries overflow float64")
-
-
-def _closed_form(a: np.ndarray) -> bool:
-    # monic, positive coefficients; degree <= 4.  Python floats overflow to
-    # inf silently, and every product is checked before it decides.
-    N = a.size - 1
-    if N <= 2:
-        return True
-    a0, a1, a2, a3 = a.tolist()[:4]
-    if N == 3:
-        products = (a2 * a1,)
-        stable = products[0] > a0
-    else:
-        products = (a1 * a2 * a3, a1 * a1, a0 * (a3 * a3))
-        stable = products[0] - products[1] - products[2] > 0.0
-    if not all(math.isfinite(p) for p in products):
-        raise ValueError("Routh products overflow float64")
-    return stable
+    prev, row = desc[0::2], desc[1::2] + [0.0] * (len(desc) % 2)
+    positive = True
+    for r in range(1, len(desc) - 1):
+        pivot = row[0]
+        if pivot == 0.0:
+            raise IndeterminateStability(f"zero pivot in Routh row {r}")
+        positive = positive and pivot > 0.0
+        prev, row = row, [(pivot * prev[j + 1] - prev[0] * row[j + 1]) / pivot
+                          for j in range(len(prev) - 1)] + [0.0]
+        if not all(map(math.isfinite, row)):
+            raise ValueError("Routh array entries overflow float64")
+    if row[0] == 0.0:
+        raise IndeterminateStability("zero entry in Routh first column")
+    return positive and row[0] > 0.0
 
 
 def is_hurwitz(g: GainVector) -> bool:
-    """Stability of the companion matrix for positive gains.
-
-    Degree <= 4 uses the closed-form Routh conditions; degree >= 5 tries the
-    sufficient determining-coefficient test first and falls back to the
-    full Routh array when that is inconclusive.  Raises ValueError when the
-    products these tests form overflow float64.
-    """
-    a = char_coeffs(g)
-    N = a.size - 1
-    if N <= 4:
-        return _closed_form(a)
-    if nie_stable(a):
-        return True
-    return routh_hurwitz(a)
+    """Stability of the companion matrix: ``routh_hurwitz`` of its characteristic polynomial."""
+    return routh_hurwitz(char_coeffs(g))

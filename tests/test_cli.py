@@ -190,6 +190,39 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o.csv")]) \
             == EXIT_CONFIG
 
+    @pytest.mark.parametrize("field, value", [
+        ("dt", None), ("x0", {"x1": 0.0}), ("paths", 4.7), ("seed", 1.9), ("record_stride", 2.5),
+    ])
+    def test_wrong_sim_types_are_config_errors(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path / "cfg.json", **{f"sim.{field}": value})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: sim")
+
+    def test_no_equilibrium_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            plant={"kind": "expression", "n": 1, "drift": "exp(u)", "diffusion": "0.1",
+                   "L": 1.0, "M": 0.0},
+            gains={"kind": "pid", "gains": [1.0, 2.0]},
+            **{"sim.x0": [1.0], "sim.paths": 4},
+        )
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: sim.y_star:")
+
+    def test_usage_errors_exit_config(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path / "cfg.json", **{"sim.paths": 4})
+        run = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
+        for argv in (["hurwitz", "--gains", "1,2,x"], run + ["--workers", "0"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == EXIT_CONFIG
+        monkeypatch.setenv("STOCHPID_WORKERS", "two")
+        capsys.readouterr()
+        assert main(run) == EXIT_CONFIG
+        assert "STOCHPID_WORKERS" in capsys.readouterr().err
+
     def test_expression_plant_config(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",

@@ -192,6 +192,8 @@ class TestSimulatePaths:
         for fa, fb, fc in zip(stats_fields(a), stats_fields(b), stats_fields(c)):
             assert np.array_equal(fa, fb)
             assert np.array_equal(fa, fc)
+        with pytest.raises(ValueError, match="workers='0': expected a positive integer"):
+            simulate_paths(plant, sp, None, cfg, workers=0)
 
     def test_zero_noise_matches_rk4_reference(self):
         # explicit Euler error stays O(dt) against a dense RK4 reference
@@ -425,11 +427,12 @@ class TestDissipativityProbe:
         assert report.threshold == pytest.approx(0.5)
 
     def test_drift_vanishes_at_origin(self):
-        plant = chain(2)
-        sp = solve_equilibrium(plant, 1.0)
-        g, betas = lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4, 0.1], k=4000.0)
-        b = _z_drift(plant, sp, g.gains[0], np.asarray(betas), np.zeros((1, 3)))
-        assert np.allclose(b, 0.0, atol=1e-12)
+        # bench3's drift depends on x1, so z = 0 must map to x = z* != 0; b(0) is
+        # then the drift at the solved equilibrium, as small as its residual
+        for plant, k0, betas in ((chain(2), 4000.0, [0.4, 0.1]), (bench3(), 8.6, [2.5, 1.0, 0.4])):
+            sp = solve_equilibrium(plant, 1.0)
+            b = _z_drift(plant, sp, k0, np.asarray(betas), np.zeros((1, plant.n + 1)))
+            assert np.allclose(b, 0.0, atol=1e-12 + np.prod(betas) * sp.residual)
 
     def test_weak_gains_report_positive_margins(self):
         plant = chain(2)

@@ -154,8 +154,9 @@ class TestIsHurwitz:
     def test_oracle_agreement_gain_vectors(self):
         rng = np.random.default_rng(26)
         for _ in range(300):
-            n = int(rng.integers(1, 8))
-            g = GainVector("pid", 10.0 ** rng.uniform(-1.0, 1.5, n + 1))
+            n = int(rng.integers(1, 9))
+            kind = "pid" if rng.random() < 0.5 else "pd"
+            g = GainVector(kind, 10.0 ** rng.uniform(-1.0, 1.5, n + 1 if kind == "pid" else n))
             coeffs = char_coeffs(g)
             top = helpers.max_real_root(coeffs)
             if abs(top) <= helpers.INDETERMINATE_BAND:
@@ -167,7 +168,6 @@ class TestIsHurwitz:
             assert verdict == (top < 0.0)
 
     def test_overflow_raises(self):
-        # every degree route: closed-form cubic and quartic, Nie and the Routh array
         for gains in ([1e200] * 3, [1e200] * 4, [1e200] * 5):
             with pytest.raises(ValueError, match="overflow float64"):
                 is_hurwitz(GainVector("pid", np.array(gains)))
