@@ -27,13 +27,12 @@ from .design import (
     GainVector,
     bound_constants,
     check_inequality,
-    check_inequality_pd,
     geometric_gains,
     lambda_gains,
 )
 from .lyapunov import CertificateError, verify_certificate
 from .model import NoConvergence, NonFinite, solve_equilibrium
-from .plants import BUILTIN_PLANTS, bench3, build_plant
+from .plants import BUILTIN_PLANTS, _is_integer, _is_real, bench3, build_plant
 from .simulate import Diverged, SimConfig, _resolve_workers, bound_envelope, simulate_paths
 from .stability import IndeterminateStability, char_coeffs, determining_coeffs, is_hurwitz
 
@@ -116,11 +115,8 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _integer(sim: dict, field: str, default=None) -> int:
-    """An integral JSON number; 4.0 is accepted, 4.7, true and "4" are not."""
     value = sim.get(field, default)
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    _require(integral and not isinstance(value, bool),
-             f"sim.{field}: expected an integer, got {value!r}")
+    _require(_is_integer(value), f"sim.{field}: expected an integer, got {value!r}")
     return int(value)
 
 
@@ -188,6 +184,18 @@ def _run_config(doc: dict, workers: Optional[int]):
         workers = _resolve_workers(workers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    bc = None
+    if "bounds" in doc:
+        bounds = doc["bounds"]
+        _require(isinstance(bounds, dict), "bounds: expected an object")
+        _require(gains is not None and gains.kind == "pid",
+                 "bounds: the envelope constants are defined for PID gains")
+        _require("lambda" in bounds, "bounds.lambda: required")
+        lam, R = bounds["lambda"], bounds.get("R", 1.0)
+        _require(_is_real(lam) and lam > 0,
+                 f"bounds.lambda: expected a positive number, got {lam!r}")
+        _require(_is_real(R) and R >= 0, f"bounds.R: expected a nonnegative number, got {R!r}")
+        bc = bound_constants(gains, float(lam), plant.lipschitz_L, plant.lipschitz_M, float(R))
     try:
         sp = solve_equilibrium(plant, y_star)
     except NoConvergence as exc:
@@ -196,13 +204,7 @@ def _run_config(doc: dict, workers: Optional[int]):
     x0 = sp.z_star if cfg.x0 is None else cfg.x0
 
     envelope = None
-    if "bounds" in doc and gains is not None:
-        bounds = doc["bounds"]
-        _require(isinstance(bounds, dict), "bounds: expected an object")
-        _require("lambda" in bounds, "bounds.lambda: required")
-        lam = float(bounds["lambda"])
-        R = float(bounds.get("R", 1.0))
-        bc = bound_constants(gains, lam, plant.lipschitz_L, plant.lipschitz_M, R)
+    if bc is not None:
         g_norm = float(np.linalg.norm(plant.eval_diffusion(sp.z_star)))
         envelope = bound_envelope(
             stats,
@@ -218,35 +220,25 @@ def _run_config(doc: dict, workers: Optional[int]):
 
 
 def _design(args) -> tuple[GainVector, DesignReport]:
+    L = args.L or 0.0
     if args.pattern == "bench3":
         _require(args.k is not None, "--k is required for the bench3 pattern")
-        k = args.k
-        g = GainVector("pid", np.array([k, 2.5 * k, 2.5 * k, k]))
+        g = GainVector("pid", np.array([args.k, 2.5 * args.k, 2.5 * args.k, args.k]))
         L = bench3().lipschitz_L if args.L is None else args.L
-        report = check_inequality(g, L, args.M, args.b_lower)
     elif args.pattern == "geometric":
         _require(args.k is not None and args.n is not None,
                  "--k and --n are required for the geometric pattern")
         g = geometric_gains(args.k, args.n)
-        L = args.L or 0.0
-        report = check_inequality(g, L, args.M, args.b_lower)
     elif args.pattern == "lambda":
         _require(args.lam is not None and args.n is not None,
                  "--lam and --n are required for the lambda pattern")
-        L = args.L or 0.0
         betas = np.asarray(args.betas, dtype=float) if args.betas else None
         g, used = lambda_gains(args.lam, L, args.M, args.n, args.b_lower, betas, args.k)
         print(f"ratios: {', '.join(f'{b:.6g}' for b in used)}")
-        report = check_inequality(g, L, args.M, args.b_lower)
     else:
         g = _load_gains(args)
-        L = args.L or 0.0
-        if g.kind == "pid":
-            report = check_inequality(g, L, args.M, args.b_lower)
-        else:
-            _require(args.b_lower == 1.0, "--b-lower: the PD inequality has no b term")
-            report = check_inequality_pd(g, L, args.M)
-    return g, report
+    _require(g.kind == "pid" or args.b_lower == 1.0, "--b-lower: the PD inequality has no b term")
+    return g, check_inequality(g, L, args.M, args.b_lower)
 
 
 def _cmd_design(args) -> int:

@@ -5,11 +5,14 @@ The controller for a relative-degree-n plant is
     u = k1*e + k0*integral(e) + k2*de/dt + ... + kn*e^(n-1)      (PID form)
     u = k1*e + k2*de/dt + ... + kn*e^(n-1)                       (PD form)
 
-A gain vector is *admissible* for asserted Lipschitz constants (L, M) when a
-quadratic min-inequality over the gains exceeds the aggregate disturbance
-constant kbar = sum(k_i)*L + k_last*M**2.  Admissibility guarantees a
-Lyapunov certificate (see :mod:`stochpid.lyapunov`) and hence mean-square
-stability of the closed loop with an explicit tracking-error bound.
+PD gains are PID gains without k0, and both kinds share one law, the linear
+map u = K @ [1; integral; x] built by ``stochpid.simulate._control_law``.  A
+gain vector of either kind is *admissible* for asserted Lipschitz constants
+(L, M) when one quadratic min-inequality over its entries,
+:func:`check_inequality`, exceeds the aggregate disturbance constant
+kbar = sum(k_i)*L + k_last*M**2.  Admissibility guarantees a Lyapunov
+certificate (see :mod:`stochpid.lyapunov`) and hence mean-square stability
+of the closed loop with an explicit tracking-error bound.
 """
 
 from __future__ import annotations
@@ -140,7 +143,18 @@ def _terms(gains: np.ndarray, b_lower: float, labels) -> list[tuple[str, float]]
     return terms
 
 
-def _report(g: GainVector, L: float, M: float, b_lower: float) -> DesignReport:
+def check_inequality(g: GainVector, L: float, M: float, b_lower: float = 1.0) -> DesignReport:
+    """Check PID (k0..kn) or PD (k1..kn) gains against the quadratic admissibility inequality.
+
+    Over the gain entries k_first..k_last, evaluates ``min{k_first^2*b,
+    (k_i^2 - 2*k_{i-1}*k_{i+1})*b for the middle entries, k_last^2*b - k_{last-1}}
+    > kbar`` with ``kbar = sum(k_i)*L + k_last*M**2`` and ``b`` the asserted
+    lower bound on the symmetrized control gain matrix.  The PD inequality has
+    no b term, so PD gains need ``b_lower == 1``; a single PD gain degenerates
+    to ``k1^2 > kbar``.
+    """
+    if g.kind == "pd" and b_lower != 1.0:
+        raise ValueError("b_lower: the PD inequality has no b term")
     kbar = g.kbar(L, M)
     if b_lower <= 0:
         raise ValueError("b_lower must be positive")
@@ -161,28 +175,11 @@ def _report(g: GainVector, L: float, M: float, b_lower: float) -> DesignReport:
     )
 
 
-def check_inequality(g: GainVector, L: float, M: float, b_lower: float = 1.0) -> DesignReport:
-    """Check PID gains (k0..kn) against the quadratic admissibility inequality.
-
-    Evaluates ``min{k0^2*b, (k_{i-1}^2 - 2*k_{i-2}*k_i)*b for 2<=i<=n,
-    kn^2*b - k_{n-1}} > kbar`` with ``kbar = sum(k_i)*L + kn*M**2`` and
-    ``b`` the asserted lower bound on the symmetrized control gain matrix.
-    """
-    if g.kind != "pid":
-        raise ValueError("check_inequality expects PID gains; use check_inequality_pd for PD")
-    return _report(g, L, M, b_lower)
-
-
 def check_inequality_pd(g: GainVector, L: float, M: float) -> DesignReport:
-    """Check PD gains (k1..kn) against the integral-free variant.
-
-    Evaluates ``min{k1^2, k_i^2 - 2*k_{i-1}*k_{i+1} for 2<=i<=n-1,
-    kn^2 - k_{n-1}} > khat`` with ``khat = sum(k_i)*L + kn*M**2``.  For n=1
-    the condition degenerates to ``k1^2 > khat``.
-    """
+    """:func:`check_inequality` for gains that must be PD."""
     if g.kind != "pd":
         raise ValueError("check_inequality_pd expects PD gains")
-    return _report(g, L, M, 1.0)
+    return check_inequality(g, L, M)
 
 
 def geometric_gains(k: float, n: int) -> GainVector:

@@ -165,6 +165,31 @@ def expression_plant(
 BUILTIN_PLANTS = {"bench3": bench3, "chain": chain, "ou": ou}
 
 
+def _is_real(value) -> bool:
+    """A JSON number; true and "4" are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """An integral JSON number; 4.0 is accepted, 4.7, true and "4" are not."""
+    return _is_real(value) and (isinstance(value, int) or value.is_integer())
+
+
+def _field(where: str, name: str, value):
+    """A plant field checked by its type: ``n`` a count, the formulas strings, the rest numbers."""
+    if name == "n":
+        if not _is_integer(value):
+            raise ValueError(f"{where}.{name}: expected an integer, got {value!r}")
+        return int(value)
+    if name in ("drift", "diffusion"):
+        if not isinstance(value, str):
+            raise ValueError(f"{where}.{name}: expected a formula string, got {value!r}")
+        return value
+    if not _is_real(value):
+        raise ValueError(f"{where}.{name}: expected a number, got {value!r}")
+    return value
+
+
 def build_plant(spec: dict, where: str = "plant") -> PlantSpec:
     """Construct a plant from a config mapping; errors carry field paths."""
     if not isinstance(spec, dict):
@@ -174,24 +199,18 @@ def build_plant(spec: dict, where: str = "plant") -> PlantSpec:
         params = spec.get("params", {})
         if not isinstance(params, dict):
             raise ValueError(f"{where}.params: expected an object")
+        params = {name: _field(f"{where}.params", name, v) for name, v in params.items()}
         try:
             return BUILTIN_PLANTS[kind](**params)
-        except TypeError as exc:
-            raise ValueError(f"{where}.params: {exc}") from None
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{where}.params: {exc}") from None
     if kind == "expression":
         missing = [k for k in ("n", "drift", "diffusion", "L", "M") if k not in spec]
         if missing:
             raise ValueError(f"{where}: missing fields {missing} for an expression plant")
-        return expression_plant(
-            n=int(spec["n"]),
-            drift=spec["drift"],
-            diffusion=spec["diffusion"],
-            L=float(spec["L"]),
-            M=float(spec["M"]),
-            b_lower=float(spec.get("b_lower", 1.0)),
-        )
+        fields = {name: _field(where, name, spec[name])
+                  for name in ("n", "drift", "diffusion", "L", "M", "b_lower") if name in spec}
+        return expression_plant(**fields)
     raise ValueError(
         f"{where}.kind: expected one of {sorted(BUILTIN_PLANTS)} or 'expression', got {kind!r}"
     )

@@ -2,14 +2,15 @@
 
 Drift, diffusion and the error-integral accumulator all use the left
 endpoint of each step, so the discrete controller matches the shifted
-coordinate identity exactly at grid points.  :func:`em_step` is the
-single-step reference; :func:`simulate_paths` runs a fused kernel that
-keeps each chunk of paths as one (state, paths) buffer and advances it in
-place.  Paths are processed in fixed chunks of 4096; each chunk draws its
-noise from one counter-based Philox stream keyed by (seed, chunk index),
-sequentially step by step, and chunk partial sums are reduced in chunk
-order, which makes the resulting moments bitwise identical no matter how
-many worker threads run the chunks.
+coordinate identity exactly at grid points.  The controller is one linear
+map, u = K @ [1; integral; x] with K from :func:`_control_law`.
+:func:`em_step` is the single-step reference, given u; :func:`simulate_paths`
+runs a fused kernel that keeps each chunk of paths as one (state, paths)
+buffer and advances it in place.  Paths are processed in fixed chunks of
+4096; each chunk draws its noise from one counter-based Philox stream keyed
+by (seed, chunk index), sequentially step by step, and chunk partial sums
+are reduced in chunk order, which makes the resulting moments bitwise
+identical no matter how many worker threads run the chunks.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ __all__ = [
     "DissipativityReport",
     "Diverged",
     "DimensionMismatch",
-    "controller_pid",
-    "controller_pd",
     "em_step",
     "simulate_paths",
     "bound_envelope",
@@ -168,39 +167,16 @@ class EnsembleStats:
 def _control_law(g: GainVector, y_star) -> np.ndarray:
     """Weights K of the extended PID/PD law u = K @ [1; integral; x_1; ...; x_n].
 
-    The blocks of K are k1*y*, k0*I, -k1*I, ..., -kn*I (PD gains have no k0
-    and a zero integral block): u = k1*e + k0*integral(e) - k2*x2 - ... with
-    e = y* - x1 and the derivatives e^(i) = -x_{i+1} of the chain.
+    The one control law of the package.  The blocks of K are k1*y*, k0*I,
+    -k1*I, ..., -kn*I (PD gains have no k0 and a zero integral block):
+    u = k1*e + k0*integral(e) - k2*x2 - ... with e = y* - x1 and the
+    derivatives e^(i) = -x_{i+1} of the chain, so no numerical
+    differentiation is involved.
     """
     y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
     k = g.gains if g.kind == "pid" else np.concatenate([[0.0], g.gains])
     blocks = np.kron(np.concatenate([k[:1], -k[1:]]), np.eye(y_star.size))
     return np.hstack([(k[1] * y_star)[:, None], blocks])
-
-
-def _apply_law(K: np.ndarray, state: ClosedLoopState) -> np.ndarray:
-    x = np.asarray(state.x, dtype=float)
-    batch = x.shape[:-1]
-    integral = np.broadcast_to(state.integral, batch + (K.shape[0],))
-    return np.concatenate([np.ones(batch + (1,)), integral, x], axis=-1) @ K.T
-
-
-def controller_pid(state: ClosedLoopState, g: GainVector, y_star) -> np.ndarray:
-    """Extended PID output u = k1*e + k0*integral(e) + k2*e' + ... + kn*e^(n-1).
-
-    Derivatives come from the chain structure (e^(i) = -x_{i+1}), so no
-    numerical differentiation is involved.  Works on batched states.
-    """
-    if g.kind != "pid":
-        raise ValueError("controller_pid expects PID gains")
-    return _apply_law(_control_law(g, y_star), state)
-
-
-def controller_pd(state: ClosedLoopState, g: GainVector, y_star) -> np.ndarray:
-    """Extended PD output u = k1*e + k2*e' + ... + kn*e^(n-1) (no integral)."""
-    if g.kind != "pd":
-        raise ValueError("controller_pd expects PD gains")
-    return _apply_law(_control_law(g, y_star), state)
 
 
 def _check_finite_box(x: np.ndarray, integral: np.ndarray, t: float):

@@ -10,6 +10,7 @@ test for degree >= 5: True proves stability, False decides nothing.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -95,22 +96,8 @@ def nie_stable(p) -> bool:
     return True
 
 
-def routh_hurwitz(p) -> bool:
-    """Exact stability via the Routh array (first column all positive), any degree.
-
-    One row recursion on Python floats.  Raises :class:`IndeterminateStability`
-    when a pivot is exactly zero rather than guessing, and ValueError when an
-    entry overflows float64.
-    """
-    a = _coeffs(p)
-    if a[-1] < 0.0:
-        raise ValueError("leading coefficient must be positive")
-    desc = a[::-1].tolist()
-    if len(desc) == 2:
-        return desc[1] > 0.0
-    # Python float arithmetic overflows to inf (and inf - inf to nan) silently
-    if not all(map(math.isfinite, desc)):
-        raise ValueError("Routh array entries overflow float64")
+def _routh(desc: list) -> bool:
+    """Routh verdict of descending coefficients; OverflowError on a non-finite entry."""
     prev, row = desc[0::2], desc[1::2] + [0.0] * (len(desc) % 2)
     positive = True
     for r in range(1, len(desc) - 1):
@@ -120,11 +107,57 @@ def routh_hurwitz(p) -> bool:
         positive = positive and pivot > 0.0
         prev, row = row, [(pivot * prev[j + 1] - prev[0] * row[j + 1]) / pivot
                           for j in range(len(prev) - 1)] + [0.0]
+        # Python float arithmetic overflows to inf (and inf - inf to nan) silently
         if not all(map(math.isfinite, row)):
-            raise ValueError("Routh array entries overflow float64")
+            raise OverflowError
     if row[0] == 0.0:
         raise IndeterminateStability("zero entry in Routh first column")
     return positive and row[0] > 0.0
+
+
+def _balanced(desc: list) -> list:
+    """``desc[j] * 2**(j*k - e)``: p(2**-k * t) times a power of two, with centred exponents.
+
+    s = 2**-k * t keeps the sign of every root's real part, and each Routh
+    entry of the scaled polynomial is the original one times a power of two,
+    so it rounds alike.  OverflowError when a scaled coefficient would leave
+    the normal float range, where the scaling is no longer exact.
+    """
+    exps = [(j, math.frexp(c)[1]) for j, c in enumerate(desc) if c != 0.0]
+    (j0, e0), (j1, e1) = exps[0], exps[-1]
+    k = round((e0 - e1) / (j1 - j0)) if j1 > j0 else 0
+    scaled = [e + j * k for j, e in exps]
+    e = (max(scaled) + min(scaled)) // 2
+    if min(scaled) - e < sys.float_info.min_exp:
+        raise OverflowError
+    return [math.ldexp(c, j * k - e) for j, c in enumerate(desc)]
+
+
+def routh_hurwitz(p) -> bool:
+    """Exact stability via the Routh array (first column all positive), any degree.
+
+    One row recursion on Python floats.  When an entry overflows, the
+    recursion runs once more on the polynomial rescaled exactly by powers of
+    two.  Raises :class:`IndeterminateStability` when a pivot is exactly zero
+    rather than guessing, and ValueError when an entry overflows float64
+    either way.
+    """
+    a = _coeffs(p)
+    if a[-1] < 0.0:
+        raise ValueError("leading coefficient must be positive")
+    desc = a[::-1].tolist()
+    if len(desc) == 2:
+        return desc[1] > 0.0
+    if all(map(math.isfinite, desc)):
+        try:
+            return _routh(desc)
+        except OverflowError:
+            pass
+        try:
+            return _routh(_balanced(desc))
+        except OverflowError:
+            pass
+    raise ValueError("Routh array entries overflow float64")
 
 
 def is_hurwitz(g: GainVector) -> bool:

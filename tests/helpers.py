@@ -115,6 +115,13 @@ def sample_admissible(rng: np.random.Generator, n: int):
     return g, L, M
 
 
+def law_input(state) -> np.ndarray:
+    """[1; integral; x] of a closed-loop state (batched over leading axes), the
+    vector the control-law weights K act on: u = law_input(state) @ K.T."""
+    x = state.x
+    return np.concatenate([np.ones(x.shape[:-1] + (1,)), state.integral, x], axis=-1)
+
+
 def rk4_closed_loop_chain(kvec, y_star: float, x0, dt: float, steps: int, bias: float = 0.0):
     """Dense RK4 reference for the deterministic chain plant f = u + bias
     under extended PID.  Returns the (steps+1, n) state trajectory."""

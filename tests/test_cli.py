@@ -98,6 +98,9 @@ class TestHurwitz:
     def test_stable(self, capsys):
         assert main(["hurwitz", "--gains", "8.6,21.5,21.5,8.6"]) == EXIT_OK
         assert "hurwitz: True" in capsys.readouterr().out
+        # the Routh recursion overflows here unless the polynomial is rescaled
+        assert main(["hurwitz", "--gains=1e200,1e200"]) == EXIT_OK
+        assert "hurwitz: True" in capsys.readouterr().out
 
     def test_unstable(self):
         assert main(["hurwitz", "--gains", "100,1,0.01"]) == EXIT_REJECTED
@@ -198,6 +201,45 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) \
             == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: sim")
+
+    @pytest.mark.parametrize("plant, field", [
+        ({"n": 2.7}, "n"),
+        ({"n": "2"}, "n"),
+        ({"n": True}, "n"),
+        ({"n": None}, "n"),
+        ({"L": None}, "L"),
+        ({"M": None}, "M"),
+        ({"drift": 3.0}, "drift"),
+        ({"kind": "bench3", "params": {"sigma": None}}, "params.sigma"),
+        ({"kind": "chain", "params": {"n": 2.5}}, "params.n"),
+    ])
+    def test_wrong_plant_types_are_config_errors(self, tmp_path, capsys, plant, field):
+        doc = {"kind": "expression", "n": 2, "drift": "u - 0.2*x1", "diffusion": "0.1",
+               "L": 0.2, "M": 0.0}
+        cfg = write_config(tmp_path / "cfg.json", plant={**doc, **plant}, **{"sim.paths": 4})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: plant.{field}: ")
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"bounds": {"lambda": "x"}}, "bounds.lambda"),
+        ({"bounds": {"lambda": None}}, "bounds.lambda"),
+        ({"bounds": {"lambda": -1}}, "bounds.lambda"),
+        ({"bounds": {"lambda": 1.0, "R": -1}}, "bounds.R"),
+        ({"bounds": {"lambda": 1.0}, "gains": {"kind": "pd", "gains": [3, 4]},
+          "sim.controller": "pd"}, "bounds"),
+        ({"bounds": {"lambda": 1.0}, "sim.controller": "open_loop"}, "bounds"),
+    ])
+    def test_bad_bounds_fail_before_the_run(self, tmp_path, capsys, monkeypatch, overrides,
+                                           field):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulate_paths ran before bounds were validated")
+
+        monkeypatch.setattr("stochpid.cli.simulate_paths", no_run)
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
     def test_no_equilibrium_is_config_error(self, tmp_path, capsys):
         cfg = write_config(

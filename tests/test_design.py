@@ -69,8 +69,11 @@ class TestCheckInequality:
         assert report.margin == pytest.approx(2.0)
 
     def test_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            check_inequality(GainVector("pd", np.array([3.0, 4.0])), 0.0, 0.0)
+        # one inequality for both kinds: the PD wrapper only guards the kind
+        pd = GainVector("pd", np.array([3.0, 4.0]))
+        assert check_inequality(pd, 0.5, 0.25) == check_inequality_pd(pd, 0.5, 0.25)
+        with pytest.raises(ValueError, match="no b term"):
+            check_inequality(pd, 0.0, 0.0, b_lower=2.0)
         with pytest.raises(ValueError):
             check_inequality_pd(GainVector("pid", np.array([1.0, 3.0, 4.0])), 0.0, 0.0)
 

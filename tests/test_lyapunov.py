@@ -11,7 +11,6 @@ from stochpid import (
     NotPositiveDefinite,
     build_P,
     check_inequality,
-    check_inequality_pd,
     companion,
     lambda_gains,
     q_diagonal,
@@ -194,8 +193,7 @@ class TestClosedFormCondition:
                     for j in range(N):
                         assert PA[i][j] + PA[j][i] == (-q[i] if i == j else 0)
                 assert np.allclose(q_diagonal(g), [float(v) for v in q], rtol=1e-12, atol=0.0)
-                check = check_inequality if kind == "pid" else check_inequality_pd
-                if check(g, L, M).admissible:
+                if check_inequality(g, L, M).admissible:
                     admissible += 1
                     kbar = sum(k) * Fraction(L) + k[-1] * Fraction(M) ** 2
                     assert min(q) > 2 * kbar

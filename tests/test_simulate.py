@@ -15,8 +15,6 @@ from stochpid import (
     bound_constants,
     bound_envelope,
     chain,
-    controller_pd,
-    controller_pid,
     dissipativity_probe,
     em_step,
     generator_eval,
@@ -25,7 +23,7 @@ from stochpid import (
     simulate_paths,
     solve_equilibrium,
 )
-from stochpid.simulate import ClosedLoopState, _chunk_stream, _z_drift
+from stochpid.simulate import ClosedLoopState, _chunk_stream, _control_law, _z_drift
 
 BENCH = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
 
@@ -60,10 +58,10 @@ def em_reference(plant, sp, g, cfg):
     z = _chunk_stream(cfg.seed, 0).standard_normal((cfg.steps, plant.m, N))
     x0 = sp.z_star if cfg.x0 is None else cfg.x0
     state = ClosedLoopState(x=np.tile(x0, (N, 1)), integral=np.zeros((N, d)), t=0.0)
-    law = {"pid": controller_pid, "pd": controller_pd}.get(cfg.controller)
+    K = None if cfg.controller == "open_loop" else _control_law(g, sp.y_star)
     rows = []
     for s in range(cfg.steps + 1):
-        u = np.zeros((N, d)) if law is None else law(state, g, sp.y_star)
+        u = np.zeros((N, d)) if K is None else helpers.law_input(state) @ K.T
         if s % cfg.record_stride == 0:
             dev = state.x - sp.z_star
             u2 = np.sum(u * u, axis=1)
@@ -90,19 +88,23 @@ def stats_fields(stats):
 
 
 class TestControllers:
+    """The control law u = K @ [1; integral; x] against its closed form."""
+
     def test_pid_zero_error_zero_output(self):
         plant = bench3()
         sp = solve_equilibrium(plant, 1.0)
         state = ClosedLoopState(x=sp.z_star.copy(), integral=np.zeros(1), t=0.0)
-        assert controller_pid(state, BENCH, sp.y_star) == pytest.approx(0.0)
+        K = _control_law(BENCH, sp.y_star)
+        assert K @ helpers.law_input(state) == pytest.approx(0.0)
 
     def test_pid_pure_proportional(self):
         # e = 1, all derivatives and the integral zero: u = k1
         state = ClosedLoopState(x=np.zeros(3), integral=np.zeros(1), t=0.0)
-        assert controller_pid(state, BENCH, 1.0)[0] == pytest.approx(21.5)
+        assert (_control_law(BENCH, 1.0) @ helpers.law_input(state))[0] == pytest.approx(21.5)
 
     def test_pid_full_formula(self):
         rng = np.random.default_rng(50)
+        K = _control_law(BENCH, 1.0)
         for _ in range(20):
             x = rng.standard_normal(3)
             acc = rng.standard_normal(1)
@@ -110,22 +112,15 @@ class TestControllers:
             k = BENCH.gains
             e = 1.0 - x[0]
             expected = k[1] * e + k[0] * acc[0] + k[2] * (-x[1]) + k[3] * (-x[2])
-            assert controller_pid(state, BENCH, 1.0)[0] == pytest.approx(expected, rel=1e-12)
+            assert (K @ helpers.law_input(state))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_pd_examples(self):
-        g = GainVector("pd", np.array([3.0, 4.0]))
+        K = _control_law(GainVector("pd", np.array([3.0, 4.0])), 0.0)
         state = ClosedLoopState(x=np.zeros(2), integral=np.zeros(1), t=0.0)
-        assert controller_pd(state, g, 0.0)[0] == 0.0
+        assert (K @ helpers.law_input(state))[0] == 0.0
         # e = 2, e' = -x2 = -1
         state = ClosedLoopState(x=np.array([-2.0, 1.0]), integral=np.zeros(1), t=0.0)
-        assert controller_pd(state, g, 0.0)[0] == pytest.approx(3.0 * 2.0 + 4.0 * -1.0)
-
-    def test_kind_guards(self):
-        state = ClosedLoopState(x=np.zeros(2), integral=np.zeros(1), t=0.0)
-        with pytest.raises(ValueError):
-            controller_pid(state, GainVector("pd", np.array([3.0, 4.0])), 0.0)
-        with pytest.raises(ValueError):
-            controller_pd(state, GainVector("pid", np.array([1.0, 3.0])), 0.0)
+        assert (K @ helpers.law_input(state))[0] == pytest.approx(3.0 * 2.0 + 4.0 * -1.0)
 
 
 class TestEmStep:
@@ -260,8 +255,11 @@ class TestSimulatePaths:
         plant = chain(2)
         sp = solve_equilibrium(plant, 0.0)
         cfg = SimConfig(dt=0.1, horizon=1.0, paths=1, seed=1)
-        with pytest.raises(ValueError):
-            simulate_paths(plant, sp, BENCH, cfg)
+        # relative degree 3 on a degree-2 plant, and PD gains for the PID controller
+        for gains, match in ((BENCH, "relative degree 3"),
+                             (GainVector("pd", np.array([3.0, 4.0])), "requires pid gains")):
+            with pytest.raises(ValueError, match=match):
+                simulate_paths(plant, sp, gains, cfg)
 
     def test_horizon_must_be_a_multiple_of_dt(self):
         with pytest.raises(ValueError, match="multiple"):
@@ -327,8 +325,9 @@ class TestKernelMatchesEmStep:
         state = ClosedLoopState(x=np.tile([0.9, 0.0], (40, 1)), integral=np.zeros((40, 1)), t=0.0)
         z = _chunk_stream(cfg.seed, 0).standard_normal((256, 1, 40))
         peaks = []
+        K = _control_law(g, sp.y_star)
         for s in range(256):
-            u = controller_pd(state, g, sp.y_star)
+            u = helpers.law_input(state) @ K.T
             state = em_step(state, scaled, u, 0.1 * z[s].T, 0.01, sp.y_star)
             peaks.append(max(np.abs(state.x).max(), np.abs(state.integral).max()))
         assert max(peaks) > 1.0 > peaks[-1]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from stochpid import (
     nie_stable,
     routh_hurwitz,
 )
+from stochpid.stability import _routh
 
 BENCH_QUARTIC = np.array([8.6, 21.5, 21.5, 8.6, 1.0])
 
@@ -141,6 +144,37 @@ class TestRouthHurwitz:
         assert checked > 300
 
 
+    def test_rescaled_verdicts_match_exact_routh(self):
+        def exact_first_column(coeffs):
+            desc = [Fraction(float(c)) for c in coeffs[::-1]]
+            prev, row = desc[0::2], desc[1::2] + [Fraction(0)] * (len(desc) % 2)
+            first = [prev[0]]
+            for _ in range(len(desc) - 1):
+                first.append(row[0])
+                prev, row = row, [(row[0] * prev[j + 1] - prev[0] * row[j + 1]) / row[0]
+                                  for j in range(len(prev) - 1)] + [Fraction(0)]
+            return first
+
+        rng = np.random.default_rng(28)
+        decided = 0
+        for _ in range(400):
+            coeffs = 10.0 ** rng.uniform(-150.0, 250.0, int(rng.integers(3, 11)))
+            try:
+                _routh(coeffs[::-1].tolist())
+                continue  # the raw recursion decides it
+            except OverflowError:
+                pass
+            except IndeterminateStability:
+                continue
+            try:
+                verdict = routh_hurwitz(coeffs)
+            except (ValueError, IndeterminateStability):
+                continue
+            assert verdict == all(f > 0 for f in exact_first_column(coeffs))
+            decided += 1
+        assert decided > 50
+
+
 class TestIsHurwitz:
     def test_bench_gains(self):
         assert is_hurwitz(GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6])))
@@ -168,8 +202,12 @@ class TestIsHurwitz:
             assert verdict == (top < 0.0)
 
     def test_overflow_raises(self):
-        for gains in ([1e200] * 3, [1e200] * 4, [1e200] * 5):
-            with pytest.raises(ValueError, match="overflow float64"):
+        # the raw recursion overflows on these; the power-of-two rescaling decides them
+        for gains in ([1e200] * 2, [1e200] * 3):
+            assert is_hurwitz(GainVector("pid", np.array(gains)))
+        # a float pivot cancels to exactly 0 after the rescaling
+        for gains in ([1e200] * 4, [1e200] * 5):
+            with pytest.raises(IndeterminateStability):
                 is_hurwitz(GainVector("pid", np.array(gains)))
         with pytest.raises(ValueError, match="Routh array entries overflow float64"):
             routh_hurwitz([1.0, 1.0, 1e300, 1.0, 1e-300, 1.0])
