@@ -10,10 +10,17 @@ asserts the Lipschitz constants L (drift in x, uniform in u) and M
 control gain matrix; these are inputs, not derived quantities, and can only
 be refuted by sampling (see :func:`falsify_lipschitz`).
 
+The drift splits into an affine part given as data and a residual callable:
+f(x; u) = W @ [1; x; u] + drift(x, u), with the weights W = ``affine`` of
+shape (d, 1 + n*d + d) (absent means zero) and ``drift`` None when f is
+affine.  The simulator folds W into its step matrix, so only the residual
+is evaluated per step; :meth:`PlantSpec.eval_drift` returns the full f.
 Drift and diffusion callables must be pure functions, vectorized over a
 leading batch axis: drift(x, u) maps (..., n*d) x (..., d) -> (..., d) and
-diffusion(x) maps (..., n*d) -> (..., d, m) (constant (d, m) returns are
-broadcast).  All builtin plants satisfy this.
+diffusion(x) maps (..., n*d) -> (..., d, m).  A diffusion that returns one
+unbatched (d, m) matrix is constant: it is broadcast over the batch, and
+the simulator evaluates it once per chunk of paths.  All builtin plants
+satisfy this.
 """
 
 from __future__ import annotations
@@ -55,17 +62,22 @@ class DegenerateBeta(ValueError):
 
 @dataclass(frozen=True)
 class PlantSpec:
-    """An uncertain nonlinear stochastic plant of relative degree n."""
+    """An uncertain nonlinear stochastic plant of relative degree n.
+
+    ``drift`` is the residual of f beyond the affine part ``affine`` (see
+    the module docstring); None means f is affine.
+    """
 
     n: int
     d: int
     m: int
-    drift: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    drift: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
     diffusion: Callable[[np.ndarray], np.ndarray]
     lipschitz_L: float
     lipschitz_M: float
     gain_lower_b: float = 1.0
     name: str = field(default="", compare=False)
+    affine: Optional[np.ndarray] = field(default=None, compare=False)  # == on arrays is elementwise
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1 or self.m < 1:
@@ -74,15 +86,29 @@ class PlantSpec:
             raise ValueError("Lipschitz constants must be nonnegative")
         if self.gain_lower_b <= 0:
             raise ValueError("gain_lower_b must be positive")
+        if self.affine is not None:
+            W = np.array(self.affine, dtype=float)
+            shape = (self.d, 1 + self.state_dim + self.d)
+            if W.shape != shape:
+                raise ValueError(f"affine must have shape {shape}, got {W.shape}")
+            if not np.all(np.isfinite(W)):
+                raise ValueError("affine weights must be finite")
+            W.flags.writeable = False
+            object.__setattr__(self, "affine", W)
 
     @property
     def state_dim(self) -> int:
         return self.n * self.d
 
     def eval_drift(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Evaluate f(x; u), broadcast to u's shape, NaN/Inf checked."""
-        out = np.asarray(self.drift(x, u), dtype=float)
-        out = np.broadcast_to(out, np.shape(u))
+        """Evaluate the full f(x; u), broadcast to u's shape, NaN/Inf checked."""
+        u = np.asarray(u, dtype=float)
+        out = 0.0 if self.drift is None else np.asarray(self.drift(x, u), dtype=float)
+        if self.affine is not None:
+            W, nd = self.affine, self.state_dim
+            out = out + (W[:, 0] + np.asarray(x, dtype=float) @ W[:, 1:1 + nd].T
+                         + u @ W[:, 1 + nd:].T)
+        out = np.broadcast_to(out, u.shape)
         return require_finite(out, "drift")
 
     def eval_diffusion(self, x: np.ndarray) -> np.ndarray:

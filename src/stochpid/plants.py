@@ -6,8 +6,10 @@
 
 restricted to |a|, |b|, |c| <= 1/2, mu >= 0, which keeps the asserted
 Lipschitz constants L = sqrt(3)/2, M = 0 and control-gain lower bound 1
-valid for the whole parameter class.  ``chain`` (f = u + bias) and ``ou``
-(f = u - theta*x1) cover the linear sanity cases.  Expression plants are
+valid for the whole parameter class; its affine part b*x2 + c*x3 + d + u
+is declared as data and a*sin(x1) + mu*tanh(u) is the residual callable.
+``chain`` (f = u + bias) and ``ou`` (f = u - theta*x1) cover the linear
+sanity cases and are affine only.  Expression plants are
 scalar (d = m = 1) with drift over x1..xn, u and diffusion over x1..xn only.
 """
 
@@ -38,16 +40,9 @@ def bench3(
     if mu < 0:
         raise ValueError("mu must be nonnegative")
 
-    def drift(x, u):
+    def residual(x, u):
         x = np.asarray(x, dtype=float)
-        return (
-            a * np.sin(x[..., 0:1])
-            + b * x[..., 1:2]
-            + c * x[..., 2:3]
-            + d
-            + u
-            + mu * np.tanh(u)
-        )
+        return a * np.sin(x[..., 0:1]) + mu * np.tanh(u)
 
     def diffusion(x):
         return np.array([[float(sigma)]])
@@ -56,20 +51,18 @@ def bench3(
         n=3,
         d=1,
         m=1,
-        drift=drift,
+        drift=residual,
         diffusion=diffusion,
         lipschitz_L=math.sqrt(3.0) / 2.0,
         lipschitz_M=0.0,
         gain_lower_b=1.0,
         name="bench3",
+        affine=np.array([[d, 0.0, b, c, 1.0]]),
     )
 
 
 def chain(n: int, sigma: float = 0.0, bias: float = 0.0) -> PlantSpec:
     """Linear integrator chain f = u + bias with additive noise."""
-
-    def drift(x, u):
-        return u + bias
 
     def diffusion(x):
         return np.array([[float(sigma)]])
@@ -78,12 +71,13 @@ def chain(n: int, sigma: float = 0.0, bias: float = 0.0) -> PlantSpec:
         n=n,
         d=1,
         m=1,
-        drift=drift,
+        drift=None,
         diffusion=diffusion,
         lipschitz_L=0.0,
         lipschitz_M=0.0,
         gain_lower_b=1.0,
         name="chain",
+        affine=np.concatenate([[bias], np.zeros(n), [1.0]])[None, :],
     )
 
 
@@ -96,10 +90,6 @@ def ou(theta: float = 1.0, sigma: float = 1.0) -> PlantSpec:
     if theta <= 0:
         raise ValueError("theta must be positive")
 
-    def drift(x, u):
-        x = np.asarray(x, dtype=float)
-        return u - theta * x[..., 0:1]
-
     def diffusion(x):
         return np.array([[float(sigma)]])
 
@@ -107,12 +97,13 @@ def ou(theta: float = 1.0, sigma: float = 1.0) -> PlantSpec:
         n=1,
         d=1,
         m=1,
-        drift=drift,
+        drift=None,
         diffusion=diffusion,
         lipschitz_L=float(theta),
         lipschitz_M=0.0,
         gain_lower_b=1.0,
         name="ou",
+        affine=np.array([[0.0, -float(theta), 1.0]]),
     )
 
 
@@ -128,13 +119,16 @@ def expression_plant(
     """Scalar plant (d = m = 1) from DSL expressions.
 
     The drift may reference x1..xn and u; the diffusion only x1..xn (the
-    noise gain does not depend on the input).  L, M and b_lower are the
-    caller's assertions about the expressions.
+    noise gain does not depend on the input).  The whole drift is the
+    residual callable; a diffusion that references no variable returns one
+    unbatched (1, 1) matrix, so the simulator treats it as constant.  L, M
+    and b_lower are the caller's assertions about the expressions.  Errors
+    in a formula name its parameter (``drift: ...``).
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
-    drift_ast = parse_expr(drift, n=n, allow_u=True)
-    diff_ast = parse_expr(diffusion, n=n, allow_u=False)
+        raise ValueError("n: must be >= 1")
+    drift_ast = _parse("drift", drift, n, allow_u=True)
+    diff_ast = _parse("diffusion", diffusion, n, allow_u=False)
 
     def drift_fn(x, u):
         x = np.asarray(x, dtype=float)
@@ -146,8 +140,8 @@ def expression_plant(
     def diff_fn(x):
         x = np.asarray(x, dtype=float)
         env = {f"x{i + 1}": x[..., i] for i in range(n)}
-        out = np.asarray(eval_expr(diff_ast, env), dtype=float)
-        return np.broadcast_to(out, np.shape(x)[:-1])[..., None, None]
+        # a formula without variables evaluates to a scalar: one unbatched (1, 1) matrix
+        return np.asarray(eval_expr(diff_ast, env), dtype=float)[..., None, None]
 
     return PlantSpec(
         n=n,
@@ -160,6 +154,15 @@ def expression_plant(
         gain_lower_b=b_lower,
         name=name,
     )
+
+
+def _parse(what: str, text: str, n: int, allow_u: bool):
+    """Parse one formula; a syntax error keeps its type and names the formula it is in."""
+    try:
+        return parse_expr(text, n=n, allow_u=allow_u)
+    except ValueError as exc:
+        exc.args = (f"{what}: {exc}",)
+        raise
 
 
 BUILTIN_PLANTS = {"bench3": bench3, "chain": chain, "ou": ou}
@@ -176,10 +179,12 @@ def _is_integer(value) -> bool:
 
 
 def _field(where: str, name: str, value):
-    """A plant field checked by its type: ``n`` a count, the formulas strings, the rest numbers."""
+    """A plant field checked by its type and range: ``n`` a positive count, the
+    formulas strings, the Lipschitz constants ``L`` and ``M`` nonnegative,
+    ``b_lower`` positive, the rest numbers."""
     if name == "n":
-        if not _is_integer(value):
-            raise ValueError(f"{where}.{name}: expected an integer, got {value!r}")
+        if not (_is_integer(value) and value >= 1):
+            raise ValueError(f"{where}.{name}: expected a positive integer, got {value!r}")
         return int(value)
     if name in ("drift", "diffusion"):
         if not isinstance(value, str):
@@ -187,6 +192,10 @@ def _field(where: str, name: str, value):
         return value
     if not _is_real(value):
         raise ValueError(f"{where}.{name}: expected a number, got {value!r}")
+    if name in ("L", "M") and not value >= 0:
+        raise ValueError(f"{where}.{name}: expected a nonnegative number, got {value!r}")
+    if name == "b_lower" and not value > 0:
+        raise ValueError(f"{where}.{name}: expected a positive number, got {value!r}")
     return value
 
 
@@ -210,7 +219,10 @@ def build_plant(spec: dict, where: str = "plant") -> PlantSpec:
             raise ValueError(f"{where}: missing fields {missing} for an expression plant")
         fields = {name: _field(where, name, spec[name])
                   for name in ("n", "drift", "diffusion", "L", "M", "b_lower") if name in spec}
-        return expression_plant(**fields)
+        try:
+            return expression_plant(**fields)
+        except ValueError as exc:  # a formula error, named by its field
+            raise ValueError(f"{where}.{exc}") from None
     raise ValueError(
         f"{where}.kind: expected one of {sorted(BUILTIN_PLANTS)} or 'expression', got {kind!r}"
     )

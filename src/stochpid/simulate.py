@@ -6,11 +6,14 @@ coordinate identity exactly at grid points.  The controller is one linear
 map, u = K @ [1; integral; x] with K from :func:`_control_law`.
 :func:`em_step` is the single-step reference, given u; :func:`simulate_paths`
 runs a fused kernel that keeps each chunk of paths as one (state, paths)
-buffer and advances it in place.  Paths are processed in fixed chunks of
-4096; each chunk draws its noise from one counter-based Philox stream keyed
-by (seed, chunk index), sequentially step by step, and chunk partial sums
-are reduced in chunk order, which makes the resulting moments bitwise
-identical no matter how many worker threads run the chunks.
+buffer and advances it in place.  The plant's affine drift part and a
+constant diffusion are folded into the kernel's step matrix, so per step
+it calls only the residual drift and a state-dependent diffusion.  Paths
+are processed in fixed chunks of 4096; each chunk draws its noise from one
+counter-based Philox stream keyed by (seed, chunk index), sequentially step
+by step, and chunk moments are merged in chunk order, which makes the
+resulting moments bitwise identical no matter how many worker threads run
+the chunks.
 """
 
 from __future__ import annotations
@@ -119,8 +122,8 @@ class ClosedLoopState:
 class EnsembleStats:
     """Across-path moment time series with standard-error bands.
 
-    ``var_u`` is E|u|^2 - |E u|^2; its stderr column reuses the spread of
-    |u|^2 as a conservative proxy.
+    ``var_u`` is E|u|^2 - |E u|^2.  Its standard error is the delta-method
+    one: the standard error of the mean of |u|^2 - 2 (E u).u over paths.
     """
 
     times: np.ndarray
@@ -253,49 +256,72 @@ def _law_weights(controller: str, g: Optional[GainVector], plant: PlantSpec,
     return _control_law(g, y_star)
 
 
-def _step_matrix(n: int, d: int, dt: float, y_star: np.ndarray,
-                 K: Optional[np.ndarray]) -> np.ndarray:
+def _step_matrix(plant: PlantSpec, dt: float, y_star: np.ndarray, K: Optional[np.ndarray],
+                 noise_gain: np.ndarray) -> np.ndarray:
     """M with M @ [1; integral; x; u; f; w] = the next [1; integral; x] and, given
     the control-law weights K, the next u = K @ [1; integral; x].
 
-    Blocks of d rows: integral += dt*(y* - x1), x_i += dt*x_{i+1} (i < n),
-    x_n += dt*f + w, where f is the drift and w the noise term g(x) dW.
+    Blocks of d rows: integral += dt*(y* - x1), x_i += dt*x_{i+1} (i < n) and
+    x_n += dt*(W @ [1; x; u] + f) + noise_gain @ w, where W is the plant's
+    affine drift part and f its residual drift (no rows when it has none).
+    w holds either the m increments dW, with the constant diffusion G as
+    noise_gain, or the d-row noise term g(x) dW, with noise_gain = I.
     """
-    rows = 1 + (n + 1) * d
-    A = np.eye(rows, rows + 3 * d)
+    n, d = plant.n, plant.d
+    S = 1 + (n + 1) * d
+    f_rows = 0 if plant.drift is None else d
+    A = np.eye(S, S + d + f_rows + noise_gain.shape[1])
     I = np.eye(d)
 
-    def blk(j):  # block 0 is the integral, 1..n the chain, then u, f and w
+    def blk(j):  # block 0 is the integral, 1..n the chain
         return slice(1 + j * d, 1 + (j + 1) * d)
 
     A[blk(0), 0] = dt * y_star
     A[blk(0), blk(1)] = -dt * I
     for j in range(1, n):
         A[blk(j), blk(j + 1)] = dt * I
-    A[blk(n), blk(n + 2)] = dt * I
-    A[blk(n), blk(n + 3)] = I
+    if plant.affine is not None:  # W acts on [1; x; u], every column but the integral's
+        A[blk(n), np.r_[0, 1 + d:S + d]] += dt * plant.affine
+    if f_rows:
+        A[blk(n), S + d:S + 2 * d] = dt * I
+    A[blk(n), S + d + f_rows:] = noise_gain
     return A if K is None else np.vstack([A, K @ A])
 
 
 def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_count: int):
-    """Simulate one fixed chunk of paths; returns partial sums or a divergence marker.
+    """Simulate one fixed chunk of paths; returns its moments or a divergence marker.
 
     The chunk lives in two (rows, size) buffers [1; integral; x; u; f; w]
     that take turns as the current and the next state.  One matmul per step
-    advances the integral and the chain and applies the control law to the
-    result; plants see the transposed (size, n*d) view of x.  A non-finite
-    drift or diffusion value reaches x_n at the same step, so the per-step
-    box guard on the new state also finds it; the plant output is then
-    checked to raise :class:`NonFinite` exactly where :func:`em_step` would.
+    advances the integral and the chain, adds the affine drift and applies
+    the control law to the result; plants see the transposed (size, n*d)
+    view of x.  The diffusion is evaluated once at x0 first: an unbatched
+    (d, m) result is constant and goes into the step matrix, so w is just
+    the step's dW; otherwise it is evaluated every step and w = g(x) dW.
+    A non-finite residual drift or diffusion value reaches x_n at the same
+    step, so the per-step box guard on the new state also finds it; the
+    plant output is then checked to raise :class:`NonFinite` exactly where
+    :func:`em_step` would.
+
+    Per record it returns the chunk means of the rows
+    mom = [|e|^2; |x - z*|^2; |u|^2; u] over its paths, the sums of their
+    squared deviations from those means and the cross sums of the deviations
+    of [|u|^2; u] with those of u.  Centring within the chunk keeps the
+    spreads free of cancellation against the means.
     """
     steps, stride, dt = cfg.steps, cfg.record_stride, cfg.dt
     n, d, m = plant.n, plant.d, plant.m
     S = 1 + (n + 1) * d  # rows of [1; integral; x]
-    M = _step_matrix(n, d, dt, sp.y_star, K)
-    bufs = [np.zeros((S + 3 * d, size)) for _ in range(2)]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in the step loop
+        g = np.asarray(plant.diffusion(x0[None, :]), dtype=float)
+    constant = g.ndim <= 2
+    if constant:
+        g = require_finite(np.broadcast_to(g, (d, m)), "diffusion")
+    M = _step_matrix(plant, dt, sp.y_star, K, g if constant else np.eye(d))
+    F = M.shape[1] - (m if constant else d)  # first row of w
+    bufs = [np.zeros((M.shape[1], size)) for _ in range(2)]
     # per buffer: the rows M writes, the guarded [integral; x], x, u, f and w
-    views = [(B[: M.shape[0]], B[1:S], B[1 + d:S], B[S:S + d], B[S + d:S + 2 * d], B[S + 2 * d:])
-             for B in bufs]
+    views = [(B[: M.shape[0]], B[1:S], B[1 + d:S], B[S:S + d], B[S + d:F], B[F:]) for B in bufs]
     bufs[0][0] = 1.0
     bufs[0][1 + d:S] = x0[:, None]
     if K is not None:
@@ -303,10 +329,11 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     rng = _chunk_stream(cfg.seed, chunk)
     noise = np.empty((min(_NOISE_BLOCK, steps), m, size))
 
-    sums = np.zeros((rec_count, 6))
-    u_sums = np.zeros((rec_count, d))
+    means = np.empty((rec_count, 3 + d))
+    sq = np.empty((rec_count, 3 + d))
+    cross = np.empty((rec_count, 1 + d, d))
     dev = np.empty((n * d, size))
-    mom = np.empty((3, size))
+    mom = np.empty((3 + d, size))
     z_col = sp.z_star[:, None]
 
     def record(x, u, r: int):
@@ -315,10 +342,11 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
         dev[:d].sum(axis=0, out=mom[0])  # |e|^2 with e = y* - x1
         dev.sum(axis=0, out=mom[1])  # |x - z*|^2
         (u * u).sum(axis=0, out=mom[2])
-        sums[r, 0::2] += mom.sum(axis=1)
-        np.multiply(mom, mom, out=mom)
-        sums[r, 1::2] += mom.sum(axis=1)
-        u_sums[r] += u.sum(axis=1)
+        mom[3:] = u
+        np.divide(mom.sum(axis=1), size, out=means[r])
+        np.subtract(mom, means[r][:, None], out=mom)
+        np.einsum("ij,ij->i", mom, mom, out=sq[r])
+        np.matmul(mom[2:], mom[3:].T, out=cross[r])
 
     cur = 0
     # overflow and NaN reach the box guard and require_finite; warnings would repeat them
@@ -332,30 +360,31 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
                 _, _, x, u, f_row, w_row = views[cur]
                 if s % stride == 0:
                     record(x, u, s // stride)
-                f = np.asarray(plant.drift(x.T, u.T), dtype=float)
-                if f.shape != (size, d):
-                    f = np.broadcast_to(f, (size, d))
-                f_row[...] = f.T
-                g = np.asarray(plant.diffusion(x.T), dtype=float)
-                if g.ndim > 2:  # one (d, m) matrix per path
+                if plant.drift is not None:
+                    f = np.asarray(plant.drift(x.T, u.T), dtype=float)
+                    if f.shape != (size, d):
+                        f = np.broadcast_to(f, (size, d))
+                    f_row[...] = f.T
+                if constant:
+                    w_row[...] = dW[j]
+                else:  # one (d, m) matrix per path
+                    if s:
+                        g = np.asarray(plant.diffusion(x.T), dtype=float)
                     if g.shape != (size, d, m):
                         g = np.broadcast_to(g, (size, d, m))
                     np.einsum("pjk,kp->jp", g, dW[j], out=w_row)
-                else:  # one (d, m) matrix for every path
-                    if g.shape != (d, m):
-                        g = np.broadcast_to(g, (d, m))
-                    (np.multiply if m == 1 else np.matmul)(g, dW[j], out=w_row)
                 out, box = views[1 - cur][:2]
                 np.matmul(M, bufs[cur], out=out)
                 if not (box.max() <= _DIVERGENCE_LIMIT and box.min() >= -_DIVERGENCE_LIMIT):
-                    require_finite(f, "drift")
+                    if plant.drift is not None:
+                        require_finite(f, "drift")
                     require_finite(g, "diffusion")
                     bad = ~np.all(np.abs(box) <= _DIVERGENCE_LIMIT, axis=0)
                     return ("diverged", (s + 1) * dt, chunk * _CHUNK_PATHS + int(np.argmax(bad)))
                 cur = 1 - cur
     if steps % stride == 0:
         record(views[cur][2], views[cur][3], rec_count - 1)
-    return ("ok", sums, u_sums)
+    return ("ok", means, sq, cross)
 
 
 def simulate_paths(
@@ -401,40 +430,41 @@ def simulate_paths(
         t, path = min(diverged)
         raise Diverged(t, path=path)
 
-    sums = np.zeros((rec_count, 6))
-    u_sums = np.zeros((rec_count, plant.d))
-    for _, s_part, u_part in results:
-        sums += s_part
-        u_sums += u_part
+    # Chan, Golub and LeVeque's pairwise update merges the chunk moments in chunk order
+    count, mean, sq, cross = chunks[0][1], *results[0][1:]
+    for (_, size), (_, mean_c, sq_c, cross_c) in zip(chunks[1:], results[1:]):
+        total = count + size
+        delta = mean_c - mean
+        weight = count * size / total
+        mean = mean + delta * (size / total)
+        sq = sq + sq_c + weight * delta ** 2
+        cross = cross + cross_c + weight * delta[:, 2:, None] * delta[:, None, 3:]
+        count = total
 
     N = cfg.paths
     times = positions * cfg.dt
 
-    def mean_and_stderr(idx_mean: int, idx_sq: int):
-        mean = sums[:, idx_mean] / N
-        if N > 1:
-            var = np.maximum(sums[:, idx_sq] - sums[:, idx_mean] ** 2 / N, 0.0) / (N - 1)
-            err = np.sqrt(var / N)
-        else:
-            err = np.zeros_like(mean)
-        return mean, err
+    def stderr(sq_dev: np.ndarray) -> np.ndarray:
+        """Standard error of a path mean from its sum of squared deviations."""
+        if N == 1:
+            return np.zeros_like(sq_dev)
+        return np.sqrt(np.maximum(sq_dev, 0.0) / (N - 1) / N)
 
-    mse, mse_err = mean_and_stderr(0, 1)
-    dev, dev_err = mean_and_stderr(2, 3)
-    usq, usq_err = mean_and_stderr(4, 5)
-    u_mean = u_sums / N
-    var_u = np.maximum(usq - np.einsum("ij,ij->i", u_mean, u_mean), 0.0)
+    u_mean = mean[:, 3:]
+    # delta method: to first order var_u varies like the path mean of h = |u|^2 - 2 (E u).u
+    h_sq_dev = (sq[:, 2] - 4.0 * np.einsum("ri,ri->r", u_mean, cross[:, 0])
+                + 4.0 * np.einsum("ri,rij,rj->r", u_mean, cross[:, 1:], u_mean))
 
     return EnsembleStats(
         times=times,
-        mean_sq_error=mse,
-        stderr_sq_error=mse_err,
-        mean_sq_state_dev=dev,
-        stderr_sq_state_dev=dev_err,
-        mean_sq_u=usq,
-        stderr_sq_u=usq_err,
-        var_u=var_u,
-        stderr_var_u=usq_err.copy(),
+        mean_sq_error=mean[:, 0],
+        stderr_sq_error=stderr(sq[:, 0]),
+        mean_sq_state_dev=mean[:, 1],
+        stderr_sq_state_dev=stderr(sq[:, 1]),
+        mean_sq_u=mean[:, 2],
+        stderr_sq_u=stderr(sq[:, 2]),
+        var_u=sq[:, 3:].sum(axis=1) / N,
+        stderr_var_u=stderr(h_sq_dev),
         paths=N,
         dt=cfg.dt,
     )

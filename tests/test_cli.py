@@ -212,6 +212,13 @@ class TestSimulate:
         ({"drift": 3.0}, "drift"),
         ({"kind": "bench3", "params": {"sigma": None}}, "params.sigma"),
         ({"kind": "chain", "params": {"n": 2.5}}, "params.n"),
+        # values of the right type that expression_plant rejects
+        ({"n": 0}, "n"),
+        ({"drift": "u + foo"}, "drift"),
+        ({"diffusion": "x3"}, "diffusion"),
+        ({"L": -1}, "L"),
+        ({"M": -0.5}, "M"),
+        ({"b_lower": 0}, "b_lower"),
     ])
     def test_wrong_plant_types_are_config_errors(self, tmp_path, capsys, plant, field):
         doc = {"kind": "expression", "n": 2, "drift": "u - 0.2*x1", "diffusion": "0.1",

@@ -160,3 +160,14 @@ class TestExpressionPlant:
         out = plant.eval_diffusion(np.array([1.0, 3.0]))
         assert out.shape == (1, 1)
         assert out[0, 0] == pytest.approx(1.5)
+        assert plant.diffusion(np.ones((5, 2))).shape == (5, 1, 1)
+
+    def test_constant_diffusion_is_unbatched(self):
+        # a formula without variables is one (1, 1) matrix, which the simulator folds
+        plant = expression_plant(2, "u", "0.1 + exp(0)", L=0.0, M=0.0)
+        assert np.array_equal(plant.diffusion(np.ones((5, 2))), [[1.1]])
+        assert plant.eval_diffusion(np.ones((5, 2))).shape == (5, 1, 1)
+
+    def test_formula_errors_name_the_formula(self):
+        with pytest.raises(UnknownIdentifier, match="^drift: unknown identifier 'foo'"):
+            expression_plant(1, "u + foo", "0.1", L=0.0, M=0.0)

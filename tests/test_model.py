@@ -12,6 +12,7 @@ from stochpid import (
     bench3,
     chain,
     falsify_lipschitz,
+    ou,
     shifted_coordinates,
     shifted_to_raw,
     solve_equilibrium,
@@ -188,6 +189,41 @@ class TestZTransform:
             z_transform(y, [0.4, 0.0])
         with pytest.raises(DegenerateBeta):
             z_inverse(z_transform(y, [0.4, 0.1]), [-0.4, 0.1])
+
+
+class TestAffineDrift:
+    """f = affine @ [1; x; u] + drift(x, u): the full drift is the sum of the two."""
+
+    @pytest.mark.parametrize("plant, formula", [
+        (bench3(a=0.3, b=-0.45, c=0.2, d=4.0, mu=1.5),
+         lambda x, u: (0.3 * np.sin(x[:, 0:1]) - 0.45 * x[:, 1:2] + 0.2 * x[:, 2:3] + 4.0 + u
+                       + 1.5 * np.tanh(u))),
+        (chain(3, bias=0.7), lambda x, u: u + 0.7),
+        (ou(theta=2.0), lambda x, u: u - 2.0 * x[:, 0:1]),
+    ])
+    def test_eval_drift_matches_the_formula(self, plant, formula):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-5.0, 5.0, (200, plant.state_dim))
+        u = rng.uniform(-10.0, 10.0, (200, 1))
+        assert np.allclose(plant.eval_drift(x, u), formula(x, u), rtol=1e-14, atol=1e-14)
+        assert np.allclose(plant.eval_drift(x[0], u[0]), formula(x[:1], u[:1])[0],
+                           rtol=1e-14, atol=1e-14)
+
+    def test_affine_only_plants_have_no_residual(self):
+        assert chain(2).drift is None and ou().drift is None
+
+    def test_affine_weights_are_checked(self):
+        def diffusion(x):
+            return np.array([[0.1]])
+
+        with pytest.raises(ValueError, match=r"affine must have shape \(1, 4\), got \(1, 3\)"):
+            PlantSpec(2, 1, 1, None, diffusion, 0.0, 0.0, affine=[[0.0, 1.0, 1.0]])
+        with pytest.raises(ValueError, match="affine must have shape"):
+            PlantSpec(1, 2, 1, None, diffusion, 0.0, 0.0, affine=np.zeros((1, 4)))
+        with pytest.raises(ValueError, match="finite"):
+            PlantSpec(1, 1, 1, None, diffusion, 0.0, 0.0, affine=[[np.inf, 0.0, 1.0]])
+        plant = PlantSpec(1, 1, 1, None, diffusion, 0.0, 0.0, affine=[[1.0, 0.0, 1.0]])
+        assert not plant.affine.flags.writeable
 
 
 class TestFalsifyLipschitz:

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -47,27 +49,47 @@ def coupled_plant():
     return PlantSpec(2, 2, 2, drift, diffusion, lipschitz_L=1.0, lipschitz_M=0.2)
 
 
+def non_square_noise_plant(d: int, m: int) -> PlantSpec:
+    """A constant (d, m) diffusion: d = 1, m = 2 with a residual drift, or
+    d = 2, m = 1 with an affine-only, coupled drift."""
+    if d == 1:
+        return PlantSpec(2, 1, 2, lambda x, u: 0.3 * np.sin(np.asarray(x)[..., 0:1]),
+                         lambda x: np.array([[0.3, -0.2]]), lipschitz_L=0.8, lipschitz_M=0.0,
+                         affine=[[0.5, -0.4, -0.2, 1.0]])
+    return PlantSpec(1, 2, 1, None, lambda x: np.array([[0.2], [0.1]]), lipschitz_L=0.6,
+                     lipschitz_M=0.0, gain_lower_b=0.9,
+                     affine=[[0.1, -0.5, 0.2, 1.0, 0.1], [0.0, 0.1, -0.3, 0.0, 1.0]])
+
+
 def em_reference(plant, sp, g, cfg):
     """Moments and divergence from repeated em_step calls on the kernel's noise.
 
-    One chunk (paths <= 4096) draws its noise from the stream keyed
-    (seed, 0), sequentially in (step, noise dimension, path) order.
-    Returns (times, E|e|^2, E|x - z*|^2, E|u|^2, Var u) or raises Diverged.
+    Chunk c of 4096 paths draws its noise from the stream keyed (seed, c),
+    sequentially in (step, noise dimension, path) order.  Returns the
+    columns of :func:`stats_fields`, each standard error computed in two
+    passes over all paths; the one of Var u is the delta-method standard
+    error, that of the mean of |u|^2 - 2 (E u).u.  Raises Diverged.
     """
     N, d, dt = cfg.paths, plant.d, cfg.dt
-    z = _chunk_stream(cfg.seed, 0).standard_normal((cfg.steps, plant.m, N))
+    z = np.concatenate([_chunk_stream(cfg.seed, c).standard_normal((cfg.steps, plant.m, size))
+                        for c, size in enumerate(np.diff(np.r_[0:N:4096, N]))], axis=2)
     x0 = sp.z_star if cfg.x0 is None else cfg.x0
     state = ClosedLoopState(x=np.tile(x0, (N, 1)), integral=np.zeros((N, d)), t=0.0)
     K = None if cfg.controller == "open_loop" else _control_law(g, sp.y_star)
+
+    def mean_and_stderr(v):
+        return np.mean(v), np.std(v, ddof=1) / math.sqrt(N)
+
     rows = []
     for s in range(cfg.steps + 1):
         u = np.zeros((N, d)) if K is None else helpers.law_input(state) @ K.T
         if s % cfg.record_stride == 0:
             dev = state.x - sp.z_star
             u2 = np.sum(u * u, axis=1)
-            rows.append((s * dt, np.mean(np.sum(dev[:, :d] ** 2, axis=1)),
-                         np.mean(np.sum(dev ** 2, axis=1)), np.mean(u2),
-                         np.mean(u2) - np.sum(np.mean(u, axis=0) ** 2)))
+            h = u2 - 2.0 * u @ np.mean(u, axis=0)
+            rows.append((s * dt, *mean_and_stderr(np.sum(dev[:, :d] ** 2, axis=1)),
+                         *mean_and_stderr(np.sum(dev ** 2, axis=1)), *mean_and_stderr(u2),
+                         np.mean(u2) - np.sum(np.mean(u, axis=0) ** 2), mean_and_stderr(h)[1]))
         if s < cfg.steps:
             state = em_step(state, plant, u, math.sqrt(dt) * z[s].T, dt, sp.y_star)
     return np.array(rows).T
@@ -277,13 +299,33 @@ class TestSimulatePaths:
         stats = simulate_paths(plant, sp, None, cfg)
         assert np.allclose(stats.times, [0.0, 0.5, 1.0])
 
+    def test_noise_free_spreads_are_round_off(self):
+        # every path is the same, so each standard error is the spread of equal
+        # values; raw sums of squares would leave about sqrt(eps) of the mean
+        plant = bench3(sigma=0.0)
+        sp = solve_equilibrium(plant, 1.0)
+        cfg = SimConfig(dt=1e-3, horizon=0.5, paths=5000, seed=7, record_stride=50,
+                        controller="pid", x0=np.array([0.9, 0.0, 0.1]))
+        stats = simulate_paths(plant, sp, BENCH, cfg, workers=2)
+        for mean, err in ((stats.mean_sq_error, stats.stderr_sq_error),
+                          (stats.mean_sq_state_dev, stats.stderr_sq_state_dev),
+                          (stats.mean_sq_u, stats.stderr_sq_u),
+                          (stats.mean_sq_u, stats.stderr_var_u)):
+            assert np.all(err <= 1e-15 * mean)
+        assert np.all(stats.var_u <= 1e-15 * stats.mean_sq_u)
+
 
 class TestKernelMatchesEmStep:
     CASES = {
         "pid": (chain(2, sigma=0.3, bias=0.5), GainVector("pid", np.array([2.0, 5.0, 3.0])), 1.0),
         "pd": (bench3(sigma=0.4), GainVector("pd", np.array([21.5, 21.5, 8.6])), 1.0),
+        "bench3_pid": (bench3(sigma=0.3), BENCH, 1.0),
         "open_loop": (ou(theta=2.0, sigma=0.7), None, 0.0),
         "coupled": (coupled_plant(), GainVector("pid", np.array([1.0, 4.0, 3.0])), [1.0, -0.5]),
+        "noise_d1_m2": (non_square_noise_plant(1, 2), GainVector("pid", np.array([1.0, 4.0, 3.0])),
+                        1.0),
+        "noise_d2_m1": (non_square_noise_plant(2, 1), GainVector("pid", np.array([1.0, 3.0])),
+                        [1.0, -0.5]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -297,10 +339,46 @@ class TestKernelMatchesEmStep:
                         controller=controller, x0=x0)
         stats = simulate_paths(plant, sp, g, cfg)
         ref = em_reference(plant, sp, g, cfg)
-        got = (stats.times, stats.mean_sq_error, stats.mean_sq_state_dev, stats.mean_sq_u,
-               stats.var_u)
-        for want, have in zip(ref, got):
+        for want, have in zip(ref, stats_fields(stats)):
             assert have == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_chunk_moments_merge_like_one_sample(self):
+        # two chunks, the second of 4 paths, merged by Chan's update
+        plant, g = bench3(sigma=0.3), BENCH
+        sp = solve_equilibrium(plant, 1.0)
+        cfg = SimConfig(dt=0.01, horizon=0.3, paths=4100, seed=12, record_stride=3,
+                        controller="pid", x0=np.array([0.9, 0.0, 0.1]))
+        ref = em_reference(plant, sp, g, cfg)
+        for want, have in zip(ref, stats_fields(simulate_paths(plant, sp, g, cfg, workers=2))):
+            assert have == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("plant, g, diffusion_per_step", [
+        (bench3(sigma=0.3), BENCH, False),
+        (coupled_plant(), GainVector("pid", np.array([1.0, 4.0, 3.0])), True),
+    ])
+    def test_plant_calls_per_chunk(self, plant, g, diffusion_per_step):
+        # a constant diffusion is evaluated once per chunk, a state-dependent one
+        # once per step; wrapped callables and two workers leave the moments bitwise equal
+        counters = {"drift": itertools.count(), "diffusion": itertools.count()}
+
+        def counted(name, fn):
+            def call(*args):
+                next(counters[name])
+                return fn(*args)
+            return call
+
+        wrapped = dataclasses.replace(plant, drift=counted("drift", plant.drift),
+                                      diffusion=counted("diffusion", plant.diffusion))
+        sp = solve_equilibrium(plant, [1.0] * plant.d)
+        cfg = SimConfig(dt=0.01, horizon=0.5, paths=4100, seed=11, record_stride=10,
+                        controller="pid", x0=np.linspace(-0.2, 0.2, plant.state_dim))
+        a = simulate_paths(plant, sp, g, cfg, workers=1)
+        b = simulate_paths(wrapped, sp, g, cfg, workers=2)
+        for fa, fb in zip(stats_fields(a), stats_fields(b)):
+            assert np.array_equal(fa, fb)
+        chunks, steps = 2, cfg.steps
+        assert next(counters["drift"]) == steps * chunks
+        assert next(counters["diffusion"]) == (steps if diffusion_per_step else 1) * chunks
 
     def test_divergence_located_like_em_step(self):
         # an undamped oscillator, x1 = A*cos(w*t) and x2 = -w*A*sin(w*t) with
