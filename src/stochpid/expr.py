@@ -8,10 +8,14 @@ Grammar (left-associative, usual precedence):
 
 Identifiers are restricted to the state variables x1..xn and the input u;
 functions are sin, cos, tanh, exp, abs.  Parsing and printing round-trip.
+:func:`fold_constants` evaluates the variable-free subtrees once, and
+:func:`split_affine` separates the affine terms of a top-level sum from the
+rest, which lets a plant apply them as data.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -31,6 +35,8 @@ __all__ = [
     "format_expr",
     "eval_expr",
     "variables_of",
+    "fold_constants",
+    "split_affine",
 ]
 
 FUNCTIONS = {
@@ -260,3 +266,85 @@ def variables_of(node: Expr) -> set[str]:
     if isinstance(node, Bin):
         return variables_of(node.left) | variables_of(node.right)
     return set()
+
+
+def fold_constants(node: Expr) -> Expr:
+    """The AST with every variable-free subtree replaced by its value.
+
+    Each constant is computed once, by the same float operations
+    :func:`eval_expr` performs.  Raises ValueError, naming the
+    subexpression, for a constant that is not finite (``exp(1000)``) and
+    for a division by a constant zero, whatever its numerator.
+    """
+    if isinstance(node, Var):
+        return node
+    if isinstance(node, Num):
+        folded = node
+    elif isinstance(node, Unary):
+        folded = Unary(fold_constants(node.operand))
+    elif isinstance(node, Call):
+        folded = Call(node.func, fold_constants(node.arg))
+    else:
+        folded = Bin(node.op, fold_constants(node.left), fold_constants(node.right))
+        if node.op == "/" and isinstance(folded.right, Num) and folded.right.value == 0.0:
+            raise ValueError(f"{format_expr(node)} divides by zero")
+    if variables_of(folded):
+        return folded
+    with np.errstate(all="ignore"):  # an overflow is reported below, not warned about
+        value = float(eval_expr(folded, {}))
+    if not math.isfinite(value):
+        raise ValueError(f"constant {format_expr(node)} is not finite")
+    return Num(value)
+
+
+def _linear_term(node: Expr) -> Optional[tuple[str, float]]:
+    """(variable, coefficient) of a variable, possibly negated or multiplied or
+    divided by constants; None for any other term."""
+    if isinstance(node, Var):
+        return node.name, 1.0
+    if isinstance(node, Unary):
+        inner = _linear_term(node.operand)
+        return inner and (inner[0], -inner[1])
+    if not isinstance(node, Bin) or node.op not in "*/":
+        return None
+    if isinstance(node.right, Num):
+        inner = _linear_term(node.left)
+        if inner:
+            c = node.right.value
+            return inner[0], inner[1] * c if node.op == "*" else inner[1] / c
+    if node.op == "*" and isinstance(node.left, Num):
+        inner = _linear_term(node.right)
+        return inner and (inner[0], node.left.value * inner[1])
+    return None
+
+
+def split_affine(node: Expr) -> tuple[float, dict[str, float], Optional[Expr]]:
+    """Split a constant-folded AST into its affine terms and a residual.
+
+    The terms are the operands of the top-level ``+`` and ``-``, through
+    unary minus.  A constant, a variable, or a constant multiple or quotient
+    of a variable is affine.  Returns the sum of the constants, the summed
+    coefficient of each variable, and the sum of the remaining terms in
+    their order, or None when every term is affine.
+    """
+    const, coeffs, residual = 0.0, {}, None
+
+    def terms(n: Expr, sign: float):
+        if isinstance(n, Bin) and n.op in "+-":
+            yield from terms(n.left, sign)
+            yield from terms(n.right, sign if n.op == "+" else -sign)
+        elif isinstance(n, Unary):
+            yield from terms(n.operand, -sign)
+        else:
+            yield sign, n
+
+    for sign, term in terms(node, 1.0):
+        if isinstance(term, Num):
+            const += sign * term.value
+        elif linear := _linear_term(term):
+            coeffs[linear[0]] = coeffs.get(linear[0], 0.0) + sign * linear[1]
+        elif residual is None:
+            residual = term if sign > 0 else Unary(term)
+        else:
+            residual = Bin("+" if sign > 0 else "-", residual, term)
+    return const, coeffs, residual

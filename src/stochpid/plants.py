@@ -10,7 +10,8 @@ valid for the whole parameter class; its affine part b*x2 + c*x3 + d + u
 is declared as data and a*sin(x1) + mu*tanh(u) is the residual callable.
 ``chain`` (f = u + bias) and ``ou`` (f = u - theta*x1) cover the linear
 sanity cases and are affine only.  Expression plants are
-scalar (d = m = 1) with drift over x1..xn, u and diffusion over x1..xn only.
+scalar (d = m = 1) with drift over x1..xn, u and diffusion over x1..xn only;
+the affine terms of their drift formula become data as well.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import eval_expr, parse_expr
+from .expr import eval_expr, fold_constants, parse_expr, split_affine
 from .model import PlantSpec
 
 __all__ = ["bench3", "chain", "ou", "expression_plant", "BUILTIN_PLANTS", "build_plant"]
@@ -119,23 +120,35 @@ def expression_plant(
     """Scalar plant (d = m = 1) from DSL expressions.
 
     The drift may reference x1..xn and u; the diffusion only x1..xn (the
-    noise gain does not depend on the input).  The whole drift is the
-    residual callable; a diffusion that references no variable returns one
-    unbatched (1, 1) matrix, so the simulator treats it as constant.  L, M
-    and b_lower are the caller's assertions about the expressions.  Errors
-    in a formula name its parameter (``drift: ...``).
+    noise gain does not depend on the input).  Both formulas have their
+    constant subexpressions folded once here.  The drift is then split at
+    its top-level sum: the constant terms and the constant multiples or
+    quotients of one variable become the affine weights W, which the
+    simulator folds into its step matrix, and the remaining terms are the
+    residual callable (None when every term is affine), so the formula
+    from the README gives W = [6, 0, -0.3, 0.5, 1] and the residual
+    0.4*sin(x1) + 5.2*tanh(u), as ``bench3`` declares.  A diffusion that
+    references no variable returns one unbatched (1, 1) matrix, so the
+    simulator treats it as constant.  L, M and b_lower are the caller's
+    assertions about the expressions.  Errors in a formula, including a
+    constant that divides by zero or is not finite, name its parameter
+    (``drift: ...``).
     """
     if n < 1:
         raise ValueError("n: must be >= 1")
-    drift_ast = _parse("drift", drift, n, allow_u=True)
+    const, coeffs, drift_ast = split_affine(_parse("drift", drift, n, allow_u=True))
     diff_ast = _parse("diffusion", diffusion, n, allow_u=False)
+    names = [f"x{i + 1}" for i in range(n)] + ["u"]
+    affine = np.array([[const] + [coeffs.get(v, 0.0) for v in names]]) if coeffs or const else None
 
     def drift_fn(x, u):
         x = np.asarray(x, dtype=float)
         env = {f"x{i + 1}": x[..., i] for i in range(n)}
         env["u"] = np.asarray(u, dtype=float)[..., 0]
         out = np.asarray(eval_expr(drift_ast, env), dtype=float)
-        return np.broadcast_to(out, np.shape(x)[:-1])[..., None]
+        if out.shape != x.shape[:-1]:  # a residual of u alone, given one u for many x
+            out = np.broadcast_to(out, x.shape[:-1])
+        return out[..., None]
 
     def diff_fn(x):
         x = np.asarray(x, dtype=float)
@@ -147,19 +160,21 @@ def expression_plant(
         n=n,
         d=1,
         m=1,
-        drift=drift_fn,
+        drift=None if drift_ast is None else drift_fn,
         diffusion=diff_fn,
         lipschitz_L=L,
         lipschitz_M=M,
         gain_lower_b=b_lower,
         name=name,
+        affine=affine,
     )
 
 
 def _parse(what: str, text: str, n: int, allow_u: bool):
-    """Parse one formula; a syntax error keeps its type and names the formula it is in."""
+    """Parse one formula and fold its constants; an error keeps its type and
+    names the formula it is in."""
     try:
-        return parse_expr(text, n=n, allow_u=allow_u)
+        return fold_constants(parse_expr(text, n=n, allow_u=allow_u))
     except ValueError as exc:
         exc.args = (f"{what}: {exc}",)
         raise

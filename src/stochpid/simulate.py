@@ -45,7 +45,8 @@ __all__ = [
 ]
 
 _CHUNK_PATHS = 4096  # fixed regardless of worker count (determinism contract)
-_NOISE_BLOCK = 256  # steps of noise drawn per chunk at a time
+_NOISE_BLOCK = 32  # steps of noise drawn per chunk at a time
+_RECORD_BYTES = 1 << 16  # cap on the [x; u] rows a chunk buffers before reducing them
 _DIVERGENCE_LIMIT = 1e12
 _WORKERS_ENV = "STOCHPID_WORKERS"
 
@@ -303,7 +304,11 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     plant output is then checked to raise :class:`NonFinite` exactly where
     :func:`em_step` would.
 
-    Per record it returns the chunk means of the rows
+    A record only copies the adjacent [x; u] rows into a record buffer of at
+    most ``_RECORD_BYTES`` (a few dozen records of a narrow chunk, one of a
+    full one).  When the buffer is full, and after the last record, the
+    moments of all its records are computed at once, vectorized over the
+    record axis.  Per record it returns the chunk means of the rows
     mom = [|e|^2; |x - z*|^2; |u|^2; u] over its paths, the sums of their
     squared deviations from those means and the cross sums of the deviations
     of [|u|^2; u] with those of u.  Centring within the chunk keeps the
@@ -332,21 +337,31 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     means = np.empty((rec_count, 3 + d))
     sq = np.empty((rec_count, 3 + d))
     cross = np.empty((rec_count, 1 + d, d))
-    dev = np.empty((n * d, size))
-    mom = np.empty((3 + d, size))
+    # recorded [x; u] rows, reduced to moments a batch at a time
+    batch = max(1, _RECORD_BYTES // (8 * (n + 1) * d * size))
+    rec = np.empty((min(batch, rec_count), (n + 1) * d, size))
     z_col = sp.z_star[:, None]
 
-    def record(x, u, r: int):
-        np.subtract(x, z_col, out=dev)
-        np.multiply(dev, dev, out=dev)
-        dev[:d].sum(axis=0, out=mom[0])  # |e|^2 with e = y* - x1
-        dev.sum(axis=0, out=mom[1])  # |x - z*|^2
-        (u * u).sum(axis=0, out=mom[2])
-        mom[3:] = u
-        np.divide(mom.sum(axis=1), size, out=means[r])
-        np.subtract(mom, means[r][:, None], out=mom)
-        np.einsum("ij,ij->i", mom, mom, out=sq[r])
-        np.matmul(mom[2:], mom[3:].T, out=cross[r])
+    def reduce(r: int, k: int):
+        """Moments of the k buffered records, the last of which is record r."""
+        x, u = rec[:k, :n * d], rec[:k, n * d:]
+        dev = x - z_col
+        dev *= dev
+        mom = np.empty((k, 3 + d, size))
+        dev[:, :d].sum(axis=1, out=mom[:, 0])  # |e|^2 with e = y* - x1
+        dev.sum(axis=1, out=mom[:, 1])  # |x - z*|^2
+        np.einsum("rip,rip->rp", u, u, out=mom[:, 2])
+        mom[:, 3:] = u
+        rows = slice(r + 1 - k, r + 1)
+        np.divide(mom.sum(axis=2), size, out=means[rows])
+        mom -= means[rows, :, None]
+        np.einsum("rip,rip->ri", mom, mom, out=sq[rows])
+        np.matmul(mom[:, 2:], mom[:, 3:].transpose(0, 2, 1), out=cross[rows])
+
+    def record(B, r: int):
+        rec[r % batch] = B[1 + d:S + d]
+        if r % batch == batch - 1 or r == rec_count - 1:
+            reduce(r, r % batch + 1)
 
     cur = 0
     # overflow and NaN reach the box guard and require_finite; warnings would repeat them
@@ -359,7 +374,7 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
                 s = block_start + j
                 _, _, x, u, f_row, w_row = views[cur]
                 if s % stride == 0:
-                    record(x, u, s // stride)
+                    record(bufs[cur], s // stride)
                 if plant.drift is not None:
                     f = np.asarray(plant.drift(x.T, u.T), dtype=float)
                     if f.shape != (size, d):
@@ -383,7 +398,7 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
                     return ("diverged", (s + 1) * dt, chunk * _CHUNK_PATHS + int(np.argmax(bad)))
                 cur = 1 - cur
     if steps % stride == 0:
-        record(views[cur][2], views[cur][3], rec_count - 1)
+        record(bufs[cur], rec_count - 1)
     return ("ok", means, sq, cross)
 
 

@@ -219,6 +219,11 @@ class TestSimulate:
         ({"L": -1}, "L"),
         ({"M": -0.5}, "M"),
         ({"b_lower": 0}, "b_lower"),
+        # formula constants that divide by zero or are not finite
+        ({"drift": "u + 1/0"}, "drift"),
+        ({"diffusion": "1/0"}, "diffusion"),
+        ({"drift": "u + sin(1/0)*x1"}, "drift"),
+        ({"drift": "u + exp(1000)"}, "drift"),
     ])
     def test_wrong_plant_types_are_config_errors(self, tmp_path, capsys, plant, field):
         doc = {"kind": "expression", "n": 2, "drift": "u - 0.2*x1", "diffusion": "0.1",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from stochpid.expr import (
     UnknownIdentifier,
     Var,
     eval_expr,
+    fold_constants,
     format_expr,
     parse_expr,
+    split_affine,
     variables_of,
 )
 
@@ -130,6 +134,86 @@ class TestEvaluation:
     def test_scalar_division_by_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             eval_expr(parse_expr("1 / x1"), {"x1": 0.0})
+
+
+class TestConstantFolding:
+    def test_constant_subtrees_become_numbers(self):
+        assert fold_constants(parse_expr("0.1 + exp(0)")) == Num(0.1 + 1.0)
+        assert fold_constants(parse_expr("-0.3*x2")) == Bin("*", Num(-0.3), Var("x2"))
+        assert fold_constants(parse_expr("2*3*x1 + sin(x1)/(1 + 1)")) == parse_expr(
+            "6*x1 + sin(x1)/2")
+        # left-associative: x1*2*3 has no variable-free subtree
+        assert fold_constants(parse_expr("x1*2*3")) == parse_expr("x1*2*3")
+
+    def test_folding_keeps_values(self):
+        text = "abs(-2)*x1/3 - (1 - 4)*tanh(u) + exp(-1)*cos(x1)"
+        env = {"x1": np.linspace(-2.0, 2.0, 9), "u": np.linspace(1.0, -1.0, 9)}
+        assert np.array_equal(eval_expr(fold_constants(parse_expr(text)), env),
+                              eval_expr(parse_expr(text), env))
+
+    @pytest.mark.parametrize("text, message", [
+        ("u + 1/0", "1.0 / 0.0 divides by zero"),
+        ("1/0", "1.0 / 0.0 divides by zero"),
+        ("u + sin(1/0)*x1", "1.0 / 0.0 divides by zero"),
+        ("x1/(1 - 1)", "x1 / (1.0 - 1.0) divides by zero"),
+        ("u + exp(1000)", "constant exp(1000.0) is not finite"),
+        ("u + 1e400", "constant inf is not finite"),
+    ])
+    def test_bad_constants_are_rejected(self, text, message):
+        # the suite turns a RuntimeWarning into an error, so none is emitted either
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fold_constants(parse_expr(text))
+
+
+class TestAffineSplit:
+    @staticmethod
+    def split(text):
+        return split_affine(fold_constants(parse_expr(text)))
+
+    def test_bench_formula(self):
+        const, coeffs, residual = self.split(BENCH_DRIFT)
+        assert (const, coeffs) == (6.0, {"x2": -0.3, "x3": 0.5, "u": 1.0})
+        assert residual == parse_expr("0.4*sin(x1) + 5.2*tanh(u)")
+        plant = expression_plant(3, BENCH_DRIFT, "0.2", L=np.sqrt(3) / 2, M=0.0)
+        assert np.array_equal(plant.affine, [[6.0, 0.0, -0.3, 0.5, 1.0]])
+
+    def test_affine_only_formula_has_no_drift_callable(self):
+        assert self.split("u - 0.2*x1") == (0.0, {"u": 1.0, "x1": -0.2}, None)
+        plant = expression_plant(2, "u - 0.2*x1", "0.1", L=0.2, M=0.0)
+        assert plant.drift is None
+        assert np.array_equal(plant.affine, [[0.0, -0.2, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("term", ["x1*x2", "2/x1", "x1*u", "sin(x1)", "2*(x1 + u)"])
+    def test_nonlinear_terms_stay_residual(self, term):
+        const, coeffs, residual = self.split(f"u + {term} - 1")
+        assert (const, coeffs) == (-1.0, {"u": 1.0})
+        assert residual == fold_constants(parse_expr(term))
+        plant = expression_plant(2, f"{term} - 1", "0.1", L=1.0, M=0.0)
+        assert np.array_equal(plant.affine, [[-1.0, 0.0, 0.0, 0.0]])
+
+    def test_terms_through_unary_minus_and_repeats(self):
+        assert self.split("x1 + 2*x1") == (0.0, {"x1": 3.0}, None)
+        assert self.split("-(x1/4 - 3) - -u*2 - sin(x2)") == (
+            3.0, {"x1": -0.25, "u": 2.0}, Unary(Call("sin", Var("x2"))))
+        assert self.split("sin(x1) - cos(x2)") == (
+            0.0, {}, Bin("-", Call("sin", Var("x1")), Call("cos", Var("x2"))))
+        assert expression_plant(2, "sin(x1) + tanh(u)", "0.1", L=1.0, M=0.0).affine is None
+
+    @pytest.mark.parametrize("text", [
+        BENCH_DRIFT,
+        "u - 0.2*x1 + x3/3",
+        "-(x1*x2) + 2*x1 - x1/7 + u*1.5 - abs(u) + 0.25",
+        "sin(x1) - exp(-x2)*u",
+    ])
+    def test_split_plant_evaluates_the_unsplit_formula(self, text):
+        plant = expression_plant(3, text, "0.2", L=1.0, M=0.0)
+        ast = parse_expr(text, n=3)
+        rng = np.random.default_rng(43)
+        x, u = rng.standard_normal((256, 3)), rng.standard_normal((256, 1))
+        env = {"x1": x[:, 0], "x2": x[:, 1], "x3": x[:, 2], "u": u[:, 0]}
+        want = eval_expr(ast, env)[:, None]
+        assert np.allclose(plant.eval_drift(x, u), want, rtol=1e-14, atol=1e-14)
+        assert np.allclose(plant.eval_drift(x[0], u[0]), want[0], rtol=1e-14, atol=1e-14)
 
 
 class TestExpressionPlant:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
+import stochpid.plants
 from stochpid import (
     DimensionMismatch,
     Diverged,
@@ -19,6 +20,7 @@ from stochpid import (
     chain,
     dissipativity_probe,
     em_step,
+    expression_plant,
     generator_eval,
     lambda_gains,
     ou,
@@ -28,6 +30,7 @@ from stochpid import (
 from stochpid.simulate import ClosedLoopState, _chunk_stream, _control_law, _z_drift
 
 BENCH = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
+BENCH_DRIFT = "0.4*sin(x1) - 0.3*x2 + 0.5*x3 + 6 + u + 5.2*tanh(u)"
 
 
 def coupled_plant():
@@ -328,19 +331,48 @@ class TestKernelMatchesEmStep:
                         [1.0, -0.5]),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_moments_match_to_round_off(self, case):
-        # 300 steps cross a noise-block boundary
+    # run id: (case, paths, record_stride, horizon); the plain case ids record
+    # every third of 300 steps.  Recording every step buffers 42 (chain(2)) or
+    # 32 (bench3) records of 64 paths per moment batch, so 301 records fill
+    # several batches and end in a partial one; 4100 paths are a chunk of one
+    # record per batch and one of 4 paths whose 31 records share a batch.
+    RUNS = {
+        **{case: (case, 64, 3, 3.0) for case in CASES},
+        "pid_stride1": ("pid", 64, 1, 3.0),
+        "bench3_pid_stride1": ("bench3_pid", 64, 1, 3.0),
+        "bench3_pid_two_chunks": ("bench3_pid", 4100, 1, 0.3),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_moments_match_to_round_off(self, run):
+        # 300 steps cross noise-block boundaries
+        case, paths, stride, horizon = self.RUNS[run]
         plant, g, y_star = self.CASES[case]
         sp = solve_equilibrium(plant, y_star)
         controller = "open_loop" if g is None else g.kind
         x0 = np.linspace(-0.5, 0.5, plant.state_dim)
-        cfg = SimConfig(dt=0.01, horizon=3.0, paths=64, seed=40, record_stride=3,
+        cfg = SimConfig(dt=0.01, horizon=horizon, paths=paths, seed=40, record_stride=stride,
                         controller=controller, x0=x0)
-        stats = simulate_paths(plant, sp, g, cfg)
+        stats = simulate_paths(plant, sp, g, cfg, workers=1)
         ref = em_reference(plant, sp, g, cfg)
         for want, have in zip(ref, stats_fields(stats)):
             assert have == pytest.approx(want, rel=1e-9, abs=1e-12)
+        for one, two in zip(stats_fields(stats), stats_fields(simulate_paths(plant, sp, g, cfg,
+                                                                             workers=2))):
+            assert np.array_equal(one, two)
+
+    def test_noise_block_length_leaves_moments_bitwise_equal(self, monkeypatch):
+        # each chunk draws its stream in step order whatever the block length
+        plant, g = bench3(sigma=0.3), BENCH
+        sp = solve_equilibrium(plant, 1.0)
+        cfg = SimConfig(dt=0.01, horizon=3.0, paths=4100, seed=5, record_stride=7,
+                        controller="pid", x0=np.array([0.9, 0.0, 0.1]))
+        runs = []
+        for block in (256, 32):
+            monkeypatch.setattr("stochpid.simulate._NOISE_BLOCK", block)
+            runs.append(stats_fields(simulate_paths(plant, sp, g, cfg, workers=2)))
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
 
     def test_chunk_moments_merge_like_one_sample(self):
         # two chunks, the second of 4 paths, merged by Chan's update
@@ -355,11 +387,15 @@ class TestKernelMatchesEmStep:
     @pytest.mark.parametrize("plant, g, diffusion_per_step", [
         (bench3(sigma=0.3), BENCH, False),
         (coupled_plant(), GainVector("pid", np.array([1.0, 4.0, 3.0])), True),
+        (expression_plant(3, BENCH_DRIFT, "0.3", L=0.87, M=0.0), BENCH, False),
+        (expression_plant(2, "u - 0.2*x1", "0.1", L=0.2, M=0.0),
+         GainVector("pid", np.array([1.0, 4.0, 3.0])), False),
     ])
-    def test_plant_calls_per_chunk(self, plant, g, diffusion_per_step):
+    def test_plant_calls_per_chunk(self, plant, g, diffusion_per_step, monkeypatch):
         # a constant diffusion is evaluated once per chunk, a state-dependent one
-        # once per step; wrapped callables and two workers leave the moments bitwise equal
-        counters = {"drift": itertools.count(), "diffusion": itertools.count()}
+        # once per step, and a residual drift once per step (never when the drift
+        # is affine); wrapped callables and two workers leave the moments bitwise equal
+        counters = {name: itertools.count() for name in ("drift", "diffusion", "expr")}
 
         def counted(name, fn):
             def call(*args):
@@ -367,23 +403,32 @@ class TestKernelMatchesEmStep:
                 return fn(*args)
             return call
 
-        wrapped = dataclasses.replace(plant, drift=counted("drift", plant.drift),
-                                      diffusion=counted("diffusion", plant.diffusion))
+        wrapped = dataclasses.replace(
+            plant, drift=None if plant.drift is None else counted("drift", plant.drift),
+            diffusion=counted("diffusion", plant.diffusion))
         sp = solve_equilibrium(plant, [1.0] * plant.d)
         cfg = SimConfig(dt=0.01, horizon=0.5, paths=4100, seed=11, record_stride=10,
                         controller="pid", x0=np.linspace(-0.2, 0.2, plant.state_dim))
         a = simulate_paths(plant, sp, g, cfg, workers=1)
+        monkeypatch.setattr("stochpid.plants.eval_expr",
+                            counted("expr", stochpid.plants.eval_expr))
         b = simulate_paths(wrapped, sp, g, cfg, workers=2)
         for fa, fb in zip(stats_fields(a), stats_fields(b)):
             assert np.array_equal(fa, fb)
         chunks, steps = 2, cfg.steps
-        assert next(counters["drift"]) == steps * chunks
-        assert next(counters["diffusion"]) == (steps if diffusion_per_step else 1) * chunks
+        drift_calls = next(counters["drift"])
+        diffusion_calls = next(counters["diffusion"])
+        assert drift_calls == (0 if plant.drift is None else steps * chunks)
+        assert diffusion_calls == (steps if diffusion_per_step else 1) * chunks
+        # expression plants evaluate one formula per call
+        expr_calls = drift_calls + diffusion_calls if plant.name == "expression" else 0
+        assert next(counters["expr"]) == expr_calls
 
     def test_divergence_located_like_em_step(self):
         # an undamped oscillator, x1 = A*cos(w*t) and x2 = -w*A*sin(w*t) with
         # A = 0.9e12 and w*A = 1.1e12: x2 leaves the box at about step 93 and
-        # is back inside well before the noise block ends at step 256
+        # is back inside well before step 256, so a guard that looked only at
+        # the ends of long stretches of steps could miss the excursion
         plant = chain(2, sigma=1e9)
         sp = solve_equilibrium(plant, 0.0)
         g = GainVector("pd", np.array([1.5, 1e-6]))
@@ -529,8 +574,6 @@ class TestDissipativityProbe:
 
     def test_nonlinear_plant_dissipative_inside_class(self):
         # drift with true L = 0.3 <= asserted design L
-        from stochpid import expression_plant
-
         plant = expression_plant(2, "0.3*sin(x1) + u", "0", L=0.3, M=0.0)
         sp = solve_equilibrium(plant, 0.5)
         g, betas = lambda_gains(1.0, 0.3, 0.0, 2)
