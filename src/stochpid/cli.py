@@ -65,13 +65,12 @@ def _positive_int(text: str) -> int:
 def _write_csv(path: Path, metadata: dict, header, rows) -> None:
     lines = [f"# {key}={metadata[key]}" for key in sorted(metadata)]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines.extend(",".join(map(repr, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
 def _stats_csv(path: Path, metadata: dict, stats) -> None:
-    _write_csv(path, metadata, stats.CSV_COLUMNS, stats.rows())
+    _write_csv(path, metadata, stats.CSV_COLUMNS, stats.table().tolist())
 
 
 def _csv_list(values) -> str:
@@ -140,6 +139,9 @@ def _sim_config(sim: dict) -> tuple[SimConfig, np.ndarray]:
         )
     except (TypeError, ValueError) as exc:  # a wrong JSON type, or a value SimConfig rejects
         raise ConfigError(f"sim: {exc}") from None
+    for field, value in (("x0", cfg.x0), ("y_star", y_star)):
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ConfigError(f"sim.{field}: expected finite numbers, got {sim[field]!r}")
     return cfg, y_star
 
 

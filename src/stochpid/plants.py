@@ -184,8 +184,10 @@ BUILTIN_PLANTS = {"bench3": bench3, "chain": chain, "ou": ou}
 
 
 def _is_real(value) -> bool:
-    """A JSON number; true and "4" are not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number; true, "4", NaN and Infinity are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
 
 
 def _is_integer(value) -> bool:
@@ -206,7 +208,7 @@ def _field(where: str, name: str, value):
             raise ValueError(f"{where}.{name}: expected a formula string, got {value!r}")
         return value
     if not _is_real(value):
-        raise ValueError(f"{where}.{name}: expected a number, got {value!r}")
+        raise ValueError(f"{where}.{name}: expected a finite number, got {value!r}")
     if name in ("L", "M") and not value >= 0:
         raise ValueError(f"{where}.{name}: expected a nonnegative number, got {value!r}")
     if name == "b_lower" and not value > 0:

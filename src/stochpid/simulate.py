@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 _CHUNK_PATHS = 4096  # fixed regardless of worker count (determinism contract)
-_NOISE_BLOCK = 32  # steps of noise drawn per chunk at a time
 _RECORD_BYTES = 1 << 16  # cap on the [x; u] rows a chunk buffers before reducing them
 _DIVERGENCE_LIMIT = 1e12
 _WORKERS_ENV = "STOCHPID_WORKERS"
@@ -93,6 +92,8 @@ class SimConfig:
             raise ValueError(f"horizon={self.horizon} is not an integer multiple of dt={self.dt}")
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:  # the first word of each chunk's Philox key
+            raise ValueError(f"seed={self.seed} is outside [0, 2**64)")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if self.controller not in _CONTROLLERS:
@@ -125,6 +126,7 @@ class EnsembleStats:
 
     ``var_u`` is E|u|^2 - |E u|^2.  Its standard error is the delta-method
     one: the standard error of the mean of |u|^2 - 2 (E u).u over paths.
+    :meth:`table` stacks the series as columns in ``CSV_COLUMNS`` order.
     """
 
     times: np.ndarray
@@ -151,21 +153,9 @@ class EnsembleStats:
         "stderr_var_u",
     )
 
-    def rows(self):
-        """Yield CSV rows in the stable column order."""
-        cols = (
-            self.times,
-            self.mean_sq_error,
-            self.stderr_sq_error,
-            self.mean_sq_state_dev,
-            self.stderr_sq_state_dev,
-            self.mean_sq_u,
-            self.stderr_sq_u,
-            self.var_u,
-            self.stderr_var_u,
-        )
-        for i in range(self.times.size):
-            yield tuple(float(c[i]) for c in cols)
+    def table(self) -> np.ndarray:
+        """(records, columns) array, one row per recorded time, in ``CSV_COLUMNS`` order."""
+        return np.column_stack([self.times] + [getattr(self, c) for c in self.CSV_COLUMNS[1:]])
 
 
 def _control_law(g: GainVector, y_star) -> np.ndarray:
@@ -209,16 +199,13 @@ def em_step(
     integral accumulates (y* - x1)*dt evaluated before the update.  Raises
     :class:`Diverged` when any entry leaves [-1e12, 1e12].
     """
-    d, m = plant.d, plant.m
+    d = plant.d
     x = state.x
     u = np.asarray(u, dtype=float)
     dW = np.asarray(dW, dtype=float)
     f_val = plant.eval_drift(x, u)
     g_val = plant.eval_diffusion(x)
-    if m == 1:
-        noise = g_val[..., 0] * dW
-    else:
-        noise = (g_val * dW[..., None, :]).sum(axis=-1)
+    noise = np.einsum("...jk,...k->...j", g_val, dW)
     new_x = np.empty_like(x)
     head = x.shape[-1] - d
     new_x[..., :head] = x[..., :head] + dt * x[..., d:]
@@ -230,7 +217,7 @@ def em_step(
 
 
 def _chunk_stream(seed: int, chunk: int) -> np.random.Generator:
-    key = np.array([seed % (2 ** 64), chunk % (2 ** 64)], dtype=np.uint64)
+    key = np.array([seed, chunk], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -263,10 +250,10 @@ def _step_matrix(plant: PlantSpec, dt: float, y_star: np.ndarray, K: Optional[np
     the control-law weights K, the next u = K @ [1; integral; x].
 
     Blocks of d rows: integral += dt*(y* - x1), x_i += dt*x_{i+1} (i < n) and
-    x_n += dt*(W @ [1; x; u] + f) + noise_gain @ w, where W is the plant's
-    affine drift part and f its residual drift (no rows when it has none).
-    w holds either the m increments dW, with the constant diffusion G as
-    noise_gain, or the d-row noise term g(x) dW, with noise_gain = I.
+    x_n += dt*(W @ [1; x; u] + f) + sqrt(dt)*noise_gain @ w, where W is the
+    plant's affine drift part and f its residual drift (no rows when it has
+    none).  w holds either the step's m standard normals z, with the constant
+    diffusion G as noise_gain, or the d-row term g(x) z, with noise_gain = I.
     """
     n, d = plant.n, plant.d
     S = 1 + (n + 1) * d
@@ -285,7 +272,7 @@ def _step_matrix(plant: PlantSpec, dt: float, y_star: np.ndarray, K: Optional[np
         A[blk(n), np.r_[0, 1 + d:S + d]] += dt * plant.affine
     if f_rows:
         A[blk(n), S + d:S + 2 * d] = dt * I
-    A[blk(n), S + d + f_rows:] = noise_gain
+    A[blk(n), S + d + f_rows:] = math.sqrt(dt) * noise_gain
     return A if K is None else np.vstack([A, K @ A])
 
 
@@ -294,24 +281,25 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
 
     The chunk lives in two (rows, size) buffers [1; integral; x; u; f; w]
     that take turns as the current and the next state.  One matmul per step
-    advances the integral and the chain, adds the affine drift and applies
-    the control law to the result; plants see the transposed (size, n*d)
-    view of x.  The diffusion is evaluated once at x0 first: an unbatched
-    (d, m) result is constant and goes into the step matrix, so w is just
-    the step's dW; otherwise it is evaluated every step and w = g(x) dW.
-    A non-finite residual drift or diffusion value reaches x_n at the same
-    step, so the per-step box guard on the new state also finds it; the
-    plant output is then checked to raise :class:`NonFinite` exactly where
-    :func:`em_step` would.
+    advances the integral and the chain, adds the affine drift and the noise
+    and applies the control law to the result; plants see the transposed
+    (size, n*d) view of x.  The diffusion is evaluated once at x0 first: an
+    unbatched (d, m) result G is constant and sqrt(dt)*G goes into the step
+    matrix, so each step draws its m standard normals straight into w;
+    otherwise g is evaluated every step, the normals z go to one (m, size)
+    scratch and w = g(x) z.  A non-finite residual drift or diffusion value
+    reaches x_n at the same step, so the per-step box guard on the new state
+    also finds it; the plant output is then checked to raise
+    :class:`NonFinite` exactly where :func:`em_step` would.
 
     A record only copies the adjacent [x; u] rows into a record buffer of at
     most ``_RECORD_BYTES`` (a few dozen records of a narrow chunk, one of a
     full one).  When the buffer is full, and after the last record, the
     moments of all its records are computed at once, vectorized over the
     record axis.  Per record it returns the chunk means of the rows
-    mom = [|e|^2; |x - z*|^2; |u|^2; u] over its paths, the sums of their
-    squared deviations from those means and the cross sums of the deviations
-    of [|u|^2; u] with those of u.  Centring within the chunk keeps the
+    mom = [|e|^2; |x - z*|^2; |u|^2; u] over its paths and their centred
+    co-moment matrix C, the sums over paths of the products of the rows'
+    deviations from those means.  Centring within the chunk keeps the
     spreads free of cancellation against the means.
     """
     steps, stride, dt = cfg.steps, cfg.record_stride, cfg.dt
@@ -332,11 +320,10 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     if K is not None:
         np.matmul(K, bufs[0][:S], out=views[0][3])
     rng = _chunk_stream(cfg.seed, chunk)
-    noise = np.empty((min(_NOISE_BLOCK, steps), m, size))
+    z = None if constant else np.empty((m, size))
 
     means = np.empty((rec_count, 3 + d))
-    sq = np.empty((rec_count, 3 + d))
-    cross = np.empty((rec_count, 1 + d, d))
+    C = np.empty((rec_count, 3 + d, 3 + d))
     # recorded [x; u] rows, reduced to moments a batch at a time
     batch = max(1, _RECORD_BYTES // (8 * (n + 1) * d * size))
     rec = np.empty((min(batch, rec_count), (n + 1) * d, size))
@@ -355,8 +342,7 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
         rows = slice(r + 1 - k, r + 1)
         np.divide(mom.sum(axis=2), size, out=means[rows])
         mom -= means[rows, :, None]
-        np.einsum("rip,rip->ri", mom, mom, out=sq[rows])
-        np.matmul(mom[:, 2:], mom[:, 3:].transpose(0, 2, 1), out=cross[rows])
+        np.matmul(mom, mom.transpose(0, 2, 1), out=C[rows])
 
     def record(B, r: int):
         rec[r % batch] = B[1 + d:S + d]
@@ -366,40 +352,36 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     cur = 0
     # overflow and NaN reach the box guard and require_finite; warnings would repeat them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for block_start in range(0, steps, _NOISE_BLOCK):
-            dW = noise[: min(_NOISE_BLOCK, steps - block_start)]
-            rng.standard_normal(out=dW)
-            dW *= math.sqrt(dt)
-            for j in range(dW.shape[0]):
-                s = block_start + j
-                _, _, x, u, f_row, w_row = views[cur]
-                if s % stride == 0:
-                    record(bufs[cur], s // stride)
+        for s in range(steps):
+            _, _, x, u, f_row, w_row = views[cur]
+            if s % stride == 0:
+                record(bufs[cur], s // stride)
+            if plant.drift is not None:
+                f = np.asarray(plant.drift(x.T, u.T), dtype=float)
+                if f.shape != (size, d):
+                    f = np.broadcast_to(f, (size, d))
+                f_row[...] = f.T
+            if constant:
+                rng.standard_normal(out=w_row)
+            else:  # one (d, m) matrix per path
+                if s:
+                    g = np.asarray(plant.diffusion(x.T), dtype=float)
+                if g.shape != (size, d, m):
+                    g = np.broadcast_to(g, (size, d, m))
+                rng.standard_normal(out=z)
+                np.einsum("pjk,kp->jp", g, z, out=w_row)
+            out, box = views[1 - cur][:2]
+            np.matmul(M, bufs[cur], out=out)
+            if not (box.max() <= _DIVERGENCE_LIMIT and box.min() >= -_DIVERGENCE_LIMIT):
                 if plant.drift is not None:
-                    f = np.asarray(plant.drift(x.T, u.T), dtype=float)
-                    if f.shape != (size, d):
-                        f = np.broadcast_to(f, (size, d))
-                    f_row[...] = f.T
-                if constant:
-                    w_row[...] = dW[j]
-                else:  # one (d, m) matrix per path
-                    if s:
-                        g = np.asarray(plant.diffusion(x.T), dtype=float)
-                    if g.shape != (size, d, m):
-                        g = np.broadcast_to(g, (size, d, m))
-                    np.einsum("pjk,kp->jp", g, dW[j], out=w_row)
-                out, box = views[1 - cur][:2]
-                np.matmul(M, bufs[cur], out=out)
-                if not (box.max() <= _DIVERGENCE_LIMIT and box.min() >= -_DIVERGENCE_LIMIT):
-                    if plant.drift is not None:
-                        require_finite(f, "drift")
-                    require_finite(g, "diffusion")
-                    bad = ~np.all(np.abs(box) <= _DIVERGENCE_LIMIT, axis=0)
-                    return ("diverged", (s + 1) * dt, chunk * _CHUNK_PATHS + int(np.argmax(bad)))
-                cur = 1 - cur
+                    require_finite(f, "drift")
+                require_finite(g, "diffusion")
+                bad = ~np.all(np.abs(box) <= _DIVERGENCE_LIMIT, axis=0)
+                return ("diverged", (s + 1) * dt, chunk * _CHUNK_PATHS + int(np.argmax(bad)))
+            cur = 1 - cur
     if steps % stride == 0:
         record(bufs[cur], rec_count - 1)
-    return ("ok", means, sq, cross)
+    return ("ok", means, C)
 
 
 def simulate_paths(
@@ -446,18 +428,16 @@ def simulate_paths(
         raise Diverged(t, path=path)
 
     # Chan, Golub and LeVeque's pairwise update merges the chunk moments in chunk order
-    count, mean, sq, cross = chunks[0][1], *results[0][1:]
-    for (_, size), (_, mean_c, sq_c, cross_c) in zip(chunks[1:], results[1:]):
-        total = count + size
+    count, mean, C = chunks[0][1], *results[0][1:]
+    for (_, size), (_, mean_c, C_c) in zip(chunks[1:], results[1:]):
         delta = mean_c - mean
-        weight = count * size / total
-        mean = mean + delta * (size / total)
-        sq = sq + sq_c + weight * delta ** 2
-        cross = cross + cross_c + weight * delta[:, 2:, None] * delta[:, None, 3:]
-        count = total
+        mean = mean + delta * (size / (count + size))
+        C = C + C_c + (count * size / (count + size)) * delta[:, :, None] * delta[:, None, :]
+        count += size
 
     N = cfg.paths
     times = positions * cfg.dt
+    sq = np.diagonal(C, axis1=1, axis2=2)  # sums of squared deviations
 
     def stderr(sq_dev: np.ndarray) -> np.ndarray:
         """Standard error of a path mean from its sum of squared deviations."""
@@ -465,10 +445,12 @@ def simulate_paths(
             return np.zeros_like(sq_dev)
         return np.sqrt(np.maximum(sq_dev, 0.0) / (N - 1) / N)
 
-    u_mean = mean[:, 3:]
-    # delta method: to first order var_u varies like the path mean of h = |u|^2 - 2 (E u).u
-    h_sq_dev = (sq[:, 2] - 4.0 * np.einsum("ri,ri->r", u_mean, cross[:, 0])
-                + 4.0 * np.einsum("ri,rij,rj->r", u_mean, cross[:, 1:], u_mean))
+    # delta method: to first order var_u varies like the path mean of
+    # h = |u|^2 - 2 (E u).u = v.mom with v = [0, 0, 1, -2 E u]
+    v = np.zeros_like(mean)
+    v[:, 2] = 1.0
+    v[:, 3:] = -2.0 * mean[:, 3:]
+    h_sq_dev = np.einsum("ri,rij,rj->r", v, C, v)
 
     return EnsembleStats(
         times=times,

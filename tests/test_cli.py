@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from stochpid.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_REJECTED, main
+from stochpid.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_REJECTED, _run_config, main
 
 
 def write_config(path, **overrides):
@@ -131,6 +131,11 @@ class TestSimulate:
         assert times == sorted(times)
         assert len(times) == 11
 
+        # every cell is the repr of the matching entry of the run's stats table
+        stats, _, _ = _run_config(json.loads(cfg.read_text()), 1)
+        cells = [l.split(",") for l in lines[header_idx + 1:]]
+        assert cells == [[repr(v) for v in row] for row in stats.table().tolist()]
+
     def test_envelope_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", bounds={"lambda": 1.0, "R": 1.0})
         out = tmp_path / "out.csv"
@@ -195,6 +200,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("field, value", [
         ("dt", None), ("x0", {"x1": 0.0}), ("paths", 4.7), ("seed", 1.9), ("record_stride", 2.5),
+        # non-finite JSON numbers, and a seed outside the 64-bit Philox key word
+        ("x0", [float("nan"), 0.0]), ("y_star", float("inf")), ("seed", -1), ("seed", 2 ** 64),
     ])
     def test_wrong_sim_types_are_config_errors(self, tmp_path, capsys, field, value):
         cfg = write_config(tmp_path / "cfg.json", **{f"sim.{field}": value})
@@ -224,6 +231,11 @@ class TestSimulate:
         ({"diffusion": "1/0"}, "diffusion"),
         ({"drift": "u + sin(1/0)*x1"}, "drift"),
         ({"drift": "u + exp(1000)"}, "drift"),
+        # NaN and Infinity, which JSON readers accept as numbers
+        ({"kind": "bench3", "params": {"a": float("nan")}}, "params.a"),
+        ({"kind": "bench3", "params": {"sigma": float("inf")}}, "params.sigma"),
+        ({"L": float("inf")}, "L"),
+        ({"b_lower": float("inf")}, "b_lower"),
     ])
     def test_wrong_plant_types_are_config_errors(self, tmp_path, capsys, plant, field):
         doc = {"kind": "expression", "n": 2, "drift": "u - 0.2*x1", "diffusion": "0.1",
@@ -241,6 +253,8 @@ class TestSimulate:
         ({"bounds": {"lambda": 1.0}, "gains": {"kind": "pd", "gains": [3, 4]},
           "sim.controller": "pd"}, "bounds"),
         ({"bounds": {"lambda": 1.0}, "sim.controller": "open_loop"}, "bounds"),
+        ({"bounds": {"lambda": float("inf")}}, "bounds.lambda"),
+        ({"bounds": {"lambda": 1.0, "R": float("inf")}}, "bounds.R"),
     ])
     def test_bad_bounds_fail_before_the_run(self, tmp_path, capsys, monkeypatch, overrides,
                                            field):

@@ -69,7 +69,7 @@ def em_reference(plant, sp, g, cfg):
 
     Chunk c of 4096 paths draws its noise from the stream keyed (seed, c),
     sequentially in (step, noise dimension, path) order.  Returns the
-    columns of :func:`stats_fields`, each standard error computed in two
+    columns of ``EnsembleStats.table()``, each standard error computed in two
     passes over all paths; the one of Var u is the delta-method standard
     error, that of the mean of |u|^2 - 2 (E u).u.  Raises Diverged.
     """
@@ -96,20 +96,6 @@ def em_reference(plant, sp, g, cfg):
         if s < cfg.steps:
             state = em_step(state, plant, u, math.sqrt(dt) * z[s].T, dt, sp.y_star)
     return np.array(rows).T
-
-
-def stats_fields(stats):
-    return (
-        stats.times,
-        stats.mean_sq_error,
-        stats.stderr_sq_error,
-        stats.mean_sq_state_dev,
-        stats.stderr_sq_state_dev,
-        stats.mean_sq_u,
-        stats.stderr_sq_u,
-        stats.var_u,
-        stats.stderr_var_u,
-    )
 
 
 class TestControllers:
@@ -209,9 +195,8 @@ class TestSimulatePaths:
         a = simulate_paths(plant, sp, None, cfg, workers=1)
         b = simulate_paths(plant, sp, None, cfg, workers=1)
         c = simulate_paths(plant, sp, None, cfg, workers=4)
-        for fa, fb, fc in zip(stats_fields(a), stats_fields(b), stats_fields(c)):
-            assert np.array_equal(fa, fb)
-            assert np.array_equal(fa, fc)
+        assert np.array_equal(a.table(), b.table())
+        assert np.array_equal(a.table(), c.table())
         with pytest.raises(ValueError, match="workers='0': expected a positive integer"):
             simulate_paths(plant, sp, None, cfg, workers=0)
 
@@ -294,6 +279,13 @@ class TestSimulatePaths:
         assert SimConfig(dt=1e-3, horizon=30.0, paths=1, seed=1).steps == 30000
         assert SimConfig(dt=0.1, horizon=0.3, paths=1, seed=1).steps == 3
 
+    def test_seed_must_fit_the_philox_key(self):
+        # the seed is the first 64-bit word of each chunk's key, taken as is
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+                SimConfig(dt=0.1, horizon=1.0, paths=1, seed=seed)
+        assert SimConfig(dt=0.1, horizon=1.0, paths=1, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
     def test_record_stride_times(self):
         plant = chain(1)
         sp = solve_equilibrium(plant, 0.0)
@@ -345,7 +337,6 @@ class TestKernelMatchesEmStep:
 
     @pytest.mark.parametrize("run", sorted(RUNS))
     def test_moments_match_to_round_off(self, run):
-        # 300 steps cross noise-block boundaries
         case, paths, stride, horizon = self.RUNS[run]
         plant, g, y_star = self.CASES[case]
         sp = solve_equilibrium(plant, y_star)
@@ -355,24 +346,9 @@ class TestKernelMatchesEmStep:
                         controller=controller, x0=x0)
         stats = simulate_paths(plant, sp, g, cfg, workers=1)
         ref = em_reference(plant, sp, g, cfg)
-        for want, have in zip(ref, stats_fields(stats)):
+        for want, have in zip(ref, stats.table().T):
             assert have == pytest.approx(want, rel=1e-9, abs=1e-12)
-        for one, two in zip(stats_fields(stats), stats_fields(simulate_paths(plant, sp, g, cfg,
-                                                                             workers=2))):
-            assert np.array_equal(one, two)
-
-    def test_noise_block_length_leaves_moments_bitwise_equal(self, monkeypatch):
-        # each chunk draws its stream in step order whatever the block length
-        plant, g = bench3(sigma=0.3), BENCH
-        sp = solve_equilibrium(plant, 1.0)
-        cfg = SimConfig(dt=0.01, horizon=3.0, paths=4100, seed=5, record_stride=7,
-                        controller="pid", x0=np.array([0.9, 0.0, 0.1]))
-        runs = []
-        for block in (256, 32):
-            monkeypatch.setattr("stochpid.simulate._NOISE_BLOCK", block)
-            runs.append(stats_fields(simulate_paths(plant, sp, g, cfg, workers=2)))
-        for a, b in zip(*runs):
-            assert np.array_equal(a, b)
+        assert np.array_equal(stats.table(), simulate_paths(plant, sp, g, cfg, workers=2).table())
 
     def test_chunk_moments_merge_like_one_sample(self):
         # two chunks, the second of 4 paths, merged by Chan's update
@@ -381,7 +357,7 @@ class TestKernelMatchesEmStep:
         cfg = SimConfig(dt=0.01, horizon=0.3, paths=4100, seed=12, record_stride=3,
                         controller="pid", x0=np.array([0.9, 0.0, 0.1]))
         ref = em_reference(plant, sp, g, cfg)
-        for want, have in zip(ref, stats_fields(simulate_paths(plant, sp, g, cfg, workers=2))):
+        for want, have in zip(ref, simulate_paths(plant, sp, g, cfg, workers=2).table().T):
             assert have == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("plant, g, diffusion_per_step", [
@@ -413,8 +389,7 @@ class TestKernelMatchesEmStep:
         monkeypatch.setattr("stochpid.plants.eval_expr",
                             counted("expr", stochpid.plants.eval_expr))
         b = simulate_paths(wrapped, sp, g, cfg, workers=2)
-        for fa, fb in zip(stats_fields(a), stats_fields(b)):
-            assert np.array_equal(fa, fb)
+        assert np.array_equal(a.table(), b.table())
         chunks, steps = 2, cfg.steps
         drift_calls = next(counters["drift"])
         diffusion_calls = next(counters["diffusion"])
