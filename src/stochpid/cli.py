@@ -77,13 +77,16 @@ def _csv_list(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
+def _read_json(path: str, where: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _load_gains(args) -> GainVector:
     if getattr(args, "gains_file", None):
-        try:
-            doc = json.loads(Path(args.gains_file).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"gains file: {exc}") from None
-        return _gains_from(doc, "gains file")
+        return _gains_from(_read_json(args.gains_file, "gains file"), "gains file")
     if getattr(args, "gains", None):
         return _gains_from({"kind": args.kind, "gains": args.gains}, "--gains")
     raise ConfigError("provide --gains-file or --gains")
@@ -293,10 +296,7 @@ def _cmd_hurwitz(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        doc = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"config: {exc}") from None
+    doc = _read_json(args.config, "config")
     stats, envelope, metadata = _run_config(doc, args.workers)
     _stats_csv(Path(args.out), metadata, stats)
     print(f"wrote {args.out} ({stats.times.size} rows)")
@@ -387,10 +387,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        doc = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"config: {exc}") from None
+    doc = _read_json(args.config, "config")
     _require(isinstance(doc, dict), "config: expected a JSON object")
     rows = []
     for value in args.values:
@@ -506,7 +503,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (Diverged, NonFinite) as exc:

@@ -17,6 +17,7 @@ of the closed loop with an explicit tracking-error bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -44,6 +45,16 @@ class InvalidBeta(ValueError):
     """Ratio overrides violate the strict design inequalities."""
 
 
+def _require_constant(name: str, value: float, positive: bool = False) -> None:
+    """Raise ``ValueError`` naming ``name`` unless 0 <= value < inf (0 < value with ``positive``).
+
+    The chained comparison is false for NaN, so NaN is rejected with inf.
+    """
+    if not (0 < value < math.inf if positive else 0 <= value < math.inf):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be {kind} and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class GainVector:
     """Extended PID gains (k0..kn) or PD gains (k1..kn).
@@ -68,11 +79,11 @@ class GainVector:
     def kbar(self, L: float, M: float) -> float:
         """Disturbance constant ``sum(k_i)*L + k_last*M**2`` the admissible set must beat.
 
-        Raises ``ValueError`` for negative ``L`` or ``M`` and when the constant
-        is not a finite float64.
+        Raises ``ValueError`` for a negative or non-finite ``L`` or ``M`` and
+        when the constant is not a finite float64.
         """
-        if L < 0 or M < 0:
-            raise ValueError("L and M must be nonnegative")
+        _require_constant("L", L)
+        _require_constant("M", M)
         with np.errstate(over="ignore", invalid="ignore"):
             kbar = float(np.sum(self.gains) * L + self.gains[-1] * M ** 2)
         if not np.isfinite(kbar):
@@ -156,8 +167,7 @@ def check_inequality(g: GainVector, L: float, M: float, b_lower: float = 1.0) ->
     if g.kind == "pd" and b_lower != 1.0:
         raise ValueError("b_lower: the PD inequality has no b term")
     kbar = g.kbar(L, M)
-    if b_lower <= 0:
-        raise ValueError("b_lower must be positive")
+    _require_constant("b_lower", b_lower, positive=True)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = _terms(g.gains, b_lower, g.label)
     for name, value in terms:
@@ -247,12 +257,10 @@ def lambda_gains(
     :class:`InvalidBeta` when they sit on or outside the open region.
     Returns the gain vector together with the ratios actually used.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if L < 0 or M < 0:
-        raise ValueError("L and M must be nonnegative")
-    if b_lower <= 0:
-        raise ValueError("b_lower must be positive")
+    _require_constant("lam", lam, positive=True)
+    _require_constant("L", L)
+    _require_constant("M", M)
+    _require_constant("b_lower", b_lower, positive=True)
     if n < 1:
         raise ValueError("n must be >= 1")
 

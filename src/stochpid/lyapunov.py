@@ -79,12 +79,8 @@ class LyapunovCertificate:
 
 def companion(g: GainVector) -> np.ndarray:
     """Companion matrix: superdiagonal ones, last row the negated gains."""
-    k = g.gains
-    N = k.size
-    A = np.zeros((N, N))
-    for i in range(N - 1):
-        A[i, i + 1] = 1.0
-    A[N - 1, :] = -k
+    A = np.eye(g.gains.size, k=1)
+    A[-1] = -g.gains
     return A
 
 

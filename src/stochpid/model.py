@@ -21,6 +21,11 @@ diffusion(x) maps (..., n*d) -> (..., d, m).  A diffusion that returns one
 unbatched (d, m) matrix is constant: it is broadcast over the batch, and
 the simulator evaluates it once per chunk of paths.  All builtin plants
 satisfy this.
+
+The proof coordinates are plain arrays of blocks: the equilibrium-shifted
+state (y0, ..., yn) and its cascade transform (z0, ..., zn) are
+(..., n+1, d) arrays, and :func:`shifted_to_raw`, :func:`z_transform` and
+:func:`z_inverse` are batched over the leading axes.
 """
 
 from __future__ import annotations
@@ -34,8 +39,6 @@ import numpy as np
 __all__ = [
     "PlantSpec",
     "Setpoint",
-    "ShiftedState",
-    "ZState",
     "NoConvergence",
     "NonFinite",
     "DegenerateBeta",
@@ -139,24 +142,6 @@ class Setpoint:
     z_star: np.ndarray
     u_star: np.ndarray
     residual: float
-
-
-@dataclass(frozen=True)
-class ShiftedState:
-    """Equilibrium-shifted blocks (y0, y1, ..., yn), each in R^d.
-
-    y0 is the output-error integral plus the u*/k0 offset, y1 the output
-    deviation from the setpoint, and y2..yn the raw upper states.
-    """
-
-    blocks: np.ndarray  # (n + 1, d)
-
-
-@dataclass(frozen=True)
-class ZState:
-    """Cascade-transformed blocks (z0, ..., zn), each in R^d."""
-
-    blocks: np.ndarray  # (n + 1, d)
 
 
 def _as_vec(v, dim: int, what: str) -> np.ndarray:
@@ -267,13 +252,14 @@ def _damped_newton(f, d: int, tol: float, max_iter: int) -> np.ndarray:
     raise NoConvergence(f"Newton exhausted {max_iter} iterations")
 
 
-def shifted_coordinates(x, integral, sp: Setpoint, k0: float) -> ShiftedState:
-    """Shift a raw state into the equilibrium coordinates (y0, ..., yn).
+def shifted_coordinates(x, integral, sp: Setpoint, k0: float) -> np.ndarray:
+    """Shift a raw state into the equilibrium blocks (y0, ..., yn), an (n+1, d) array.
 
     ``integral`` is the accumulated output error int (x1 - y*) dt (note the
     sign: output minus setpoint, the negative of the controller's error
     accumulator).  Then y0 = integral + u*/k0, y1 = x1 - y*, and yi = xi for
-    i >= 2, so the controller output equals -sum(k_i * y_i) + u*.
+    i >= 2 (the raw upper states), so the controller output equals
+    -sum(k_i * y_i) + u*.
     """
     if k0 <= 0:
         raise ValueError("k0 must be positive")
@@ -284,48 +270,49 @@ def shifted_coordinates(x, integral, sp: Setpoint, k0: float) -> ShiftedState:
     blocks[0] = _as_vec(integral, d, "integral") + sp.u_star / k0
     blocks[1] = xa[0] - sp.y_star
     blocks[2:] = xa[1:]
-    return ShiftedState(blocks=blocks)
+    return blocks
 
 
-def shifted_to_raw(y: ShiftedState, sp: Setpoint, k0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Invert :func:`shifted_coordinates`; returns (x, integral)."""
+def shifted_to_raw(y, sp: Setpoint, k0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Invert :func:`shifted_coordinates`, batched over leading axes.
+
+    Maps (..., n+1, d) blocks to the raw state (..., n*d) and the
+    integral (..., d).
+    """
     if k0 <= 0:
         raise ValueError("k0 must be positive")
-    blocks = y.blocks
-    x = blocks[1:].copy()
-    x[0] = blocks[1] + sp.y_star
-    return x.reshape(-1), blocks[0] - sp.u_star / k0
+    y = np.asarray(y, dtype=float)
+    x = y[..., 1:, :].copy()
+    x[..., 0, :] += sp.y_star
+    return x.reshape(y.shape[:-2] + (-1,)), y[..., 0, :] - sp.u_star / k0
 
 
-def _beta_prods(betas, n: int) -> np.ndarray:
+def _cascade_weights(betas, n: int) -> np.ndarray:
+    """Cascade weights w = (1, beta_1, beta_1*beta_2, ..., beta_1*...*beta_n)."""
     b = np.asarray(betas, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"expected {n} ratios, got shape {b.shape}")
     if np.any(b <= 0.0):
         raise DegenerateBeta(f"all ratios must be positive, got {b}")
-    return np.cumprod(b)
+    return np.cumprod(np.concatenate([[1.0], b]))
 
 
-def z_transform(y: ShiftedState, betas) -> ZState:
-    """Cascade transform z0 = y0, z_i = z_{i-1} + (beta_1*...*beta_i) * y_i."""
-    n = y.blocks.shape[0] - 1
-    prods = _beta_prods(betas, n)
-    z = np.empty_like(y.blocks)
-    z[0] = y.blocks[0]
-    for i in range(1, n + 1):
-        z[i] = z[i - 1] + prods[i - 1] * y.blocks[i]
-    return ZState(blocks=z)
+def z_transform(y, betas) -> np.ndarray:
+    """Cascade transform z_i = w_0*y_0 + ... + w_i*y_i of (..., n+1, d) blocks.
+
+    The weights w are the cumulative ratio products (see
+    :func:`_cascade_weights`), so z0 = y0 and z_i = z_{i-1} + (beta_1*...*beta_i) * y_i.
+    """
+    y = np.asarray(y, dtype=float)
+    w = _cascade_weights(betas, y.shape[-2] - 1)
+    return np.cumsum(w[:, None] * y, axis=-2)
 
 
-def z_inverse(z: ZState, betas) -> ShiftedState:
-    """Invert :func:`z_transform` exactly up to floating-point round-off."""
-    n = z.blocks.shape[0] - 1
-    prods = _beta_prods(betas, n)
-    y = np.empty_like(z.blocks)
-    y[0] = z.blocks[0]
-    for i in range(1, n + 1):
-        y[i] = (z.blocks[i] - z.blocks[i - 1]) / prods[i - 1]
-    return ShiftedState(blocks=y)
+def z_inverse(z, betas) -> np.ndarray:
+    """Invert :func:`z_transform` up to floating-point round-off: y_i = (z_i - z_{i-1})/w_i."""
+    z = np.asarray(z, dtype=float)
+    w = _cascade_weights(betas, z.shape[-2] - 1)
+    return np.diff(z, axis=-2, prepend=0.0) / w[:, None]
 
 
 def falsify_lipschitz(
@@ -336,34 +323,35 @@ def falsify_lipschitz(
 ) -> Optional[dict]:
     """Try to refute the asserted L and M constants by random sampling.
 
-    Draws pairs (x, y) uniformly in a box of the given radius (and a shared
-    random input) and compares difference quotients against the asserted
-    constants.  Returns None when no violation is found, otherwise a dict
-    with the worst offending pair.  Absence of a counterexample proves
-    nothing; the constants remain user assertions.
+    Draws ``samples`` pairs (x, y) uniformly in a box of the given radius
+    (and a shared random input) in one batch, evaluates the plant once per
+    batch and compares difference quotients against the asserted constants.
+    Returns None when no violation is found, otherwise a dict with the
+    worst offending pair (the first one, on ties).  Absence of a
+    counterexample proves nothing; the constants remain user assertions.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     nd, d = plant.state_dim, plant.d
-    worst = None
-    for _ in range(samples):
-        x1 = rng.uniform(-radius, radius, nd)
-        x2 = rng.uniform(-radius, radius, nd)
-        u = rng.uniform(-radius, radius, d)
-        dist = float(np.linalg.norm(x1 - x2))
-        if dist == 0.0:
-            continue
-        df = float(np.linalg.norm(plant.eval_drift(x1, u) - plant.eval_drift(x2, u)))
-        dg = float(np.linalg.norm(plant.eval_diffusion(x1) - plant.eval_diffusion(x2)))
-        tol = 1e-9 * (1.0 + dist)
-        if df > plant.lipschitz_L * dist + tol or dg > plant.lipschitz_M * dist + tol:
-            ratio_f, ratio_g = df / dist, dg / dist
-            if worst is None or max(ratio_f, ratio_g) > worst["ratio"]:
-                worst = {
-                    "x1": x1,
-                    "x2": x2,
-                    "u": u,
-                    "drift_ratio": ratio_f,
-                    "diffusion_ratio": ratio_g,
-                    "ratio": max(ratio_f, ratio_g),
-                }
-    return worst
+    draws = rng.uniform(-radius, radius, (samples, 2 * nd + d))  # rows (x1, x2, u)
+    x1, x2, u = draws[:, :nd], draws[:, nd:2 * nd], draws[:, 2 * nd:]
+    dist = np.linalg.norm(x1 - x2, axis=-1)
+    df = np.linalg.norm(plant.eval_drift(x1, u) - plant.eval_drift(x2, u), axis=-1)
+    dg = np.linalg.norm(plant.eval_diffusion(x1) - plant.eval_diffusion(x2), axis=(-2, -1))
+    tol = 1e-9 * (1.0 + dist)
+    over = (df > plant.lipschitz_L * dist + tol) | (dg > plant.lipschitz_M * dist + tol)
+    bad = over & (dist > 0.0)
+    if not bad.any():
+        return None
+    safe = np.where(bad, dist, 1.0)  # coincident pairs are never violations
+    ratio_f, ratio_g = df / safe, dg / safe
+    i = int(np.argmax(np.where(bad, np.maximum(ratio_f, ratio_g), -np.inf)))
+    return {
+        "x1": x1[i].copy(),
+        "x2": x2[i].copy(),
+        "u": u[i].copy(),
+        "drift_ratio": float(ratio_f[i]),
+        "diffusion_ratio": float(ratio_g[i]),
+        "ratio": float(max(ratio_f[i], ratio_g[i])),
+    }

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .design import BoundConstants, GainVector
-from .model import PlantSpec, Setpoint, require_finite
+from .model import PlantSpec, Setpoint, _cascade_weights, require_finite, shifted_to_raw, z_inverse
 
 __all__ = [
     "SimConfig",
@@ -540,13 +540,12 @@ class DissipativityReport:
 def _z_drift(plant: PlantSpec, sp: Setpoint, k0: float, betas: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Closed-loop drift of the cascade coordinates, batched over rows of z."""
     n, d = plant.n, plant.d
-    prods = np.cumprod(betas)
+    w = _cascade_weights(betas, n)
     zb = z.reshape(-1, n + 1, d)
-    diffs = (zb[:, 1:] - zb[:, :-1]) / betas[None, :, None]  # term j: (z_{j+1}-z_j)/beta_{j+1}
+    x, _ = shifted_to_raw(z_inverse(zb, betas), sp, k0)
+    diffs = (zb[:, 1:] - zb[:, :-1]) / betas[None, :, None]  # term j: w_j*y_{j+1}
     cum = np.cumsum(diffs, axis=1)
-    x_arg = ((zb[:, 1:] - zb[:, :-1]) / prods[None, :, None]).reshape(-1, n * d) + sp.z_star
-    u_arg = -k0 * zb[:, n] + sp.u_star
-    f_last = prods[-1] * plant.eval_drift(x_arg, u_arg)
+    f_last = w[-1] * plant.eval_drift(x, -k0 * zb[:, n] + sp.u_star)
     b = np.empty_like(zb)
     b[:, : n] = cum
     b[:, n] = cum[:, n - 1] + f_last
@@ -567,22 +566,21 @@ def dissipativity_probe(
     """Sample the cascade-coordinate drift inequality z'b(z) <= -((lam+8M^2)/2)|z|^2.
 
     Points are drawn uniformly on spheres of the given radius and 10x that
-    radius.  Gains must follow the ratio pattern k_i = (beta_1..beta_i)*k0;
-    positive margins are reported, not raised (a failed probe is a
-    diagnostic about the sampled region, not a disproof).
+    radius, ``samples // 2`` on each.  Gains must follow the ratio pattern
+    k_i = (beta_1..beta_i)*k0; positive margins are reported, not raised (a
+    failed probe is a diagnostic about the sampled region, not a disproof).
     """
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2 (one per radius), got {samples}")
     betas = np.asarray(betas, dtype=float)
-    if betas.shape != (plant.n,) or np.any(betas <= 0.0):
-        raise ValueError("betas must be positive with one entry per relative degree")
     k = g.gains
-    expect = k[0] * np.concatenate([[1.0], np.cumprod(betas)])
-    if not np.allclose(k, expect, rtol=1e-8, atol=0.0):
+    if not np.allclose(k, k[0] * _cascade_weights(betas, plant.n), rtol=1e-8, atol=0.0):
         raise ValueError("gains do not follow the supplied ratio pattern")
 
     threshold = 0.5 * (lam + 8.0 * M ** 2)
     dim = (plant.n + 1) * plant.d
     rng = np.random.default_rng(seed)
-    per_radius = max(1, samples // 2)
+    per_radius = samples // 2
     worst = -math.inf
     violations = 0
     total = 0

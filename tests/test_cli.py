@@ -76,6 +76,25 @@ class TestDesign:
         assert main(["design", "--gains=1e200,1e200,1e200", "--L", "0.5"]) == EXIT_CONFIG
         assert "overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["--pattern", "bench3", "--k", "8.6", "--M", "inf"], "M"),
+        (["--pattern", "bench3", "--k", "8.6", "--L", "-1"], "L"),
+        (["--pattern", "lambda", "--lam", "1", "--n", "2", "--L", "nan"], "L"),
+        (["--pattern", "lambda", "--lam", "nan", "--n", "2"], "lam"),
+        (["--pattern", "lambda", "--lam", "1", "--n", "2", "--b-lower", "inf"], "b_lower"),
+        (["--pattern", "geometric", "--k", "2", "--n", "2", "--b-lower", "nan"], "b_lower"),
+    ])
+    def test_bad_design_constants_are_named(self, capsys, argv, name):
+        # NaN and inf fail the range check itself instead of a later overflow check
+        assert main(["design"] + argv) == EXIT_CONFIG
+        assert f"config error: {name} must be " in capsys.readouterr().err
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "g.json"
+        assert main(["design", "--pattern", "bench3", "--k", "8.6", "--out", str(out)]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
 
 class TestCertify:
     def test_valid(self, tmp_path):
@@ -92,6 +111,11 @@ class TestCertify:
         assert "--gains: all gains must be positive" in capsys.readouterr().err
         assert main(["certify", "--gains=1e200,1e200,1e200", "--L", "0.5"]) == EXIT_CONFIG
         assert "overflows" in capsys.readouterr().err
+        for flag, value in (("--L", "nan"), ("--M", "inf")):
+            argv = ["certify", "--gains", "8.6,21.5,21.5,8.6", "--L", "0", flag, value]
+            assert main(argv) == EXIT_CONFIG
+            assert f"config error: {flag[2:]} must be nonnegative and finite, got {value}" \
+                in capsys.readouterr().err
 
 
 class TestHurwitz:
@@ -197,6 +221,12 @@ class TestSimulate:
         bad.write_text("{not json")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o.csv")]) \
             == EXIT_CONFIG
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", **{"sim.paths": 4})
+        out = tmp_path / "missing" / "run.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
 
     @pytest.mark.parametrize("field, value", [
         ("dt", None), ("x0", {"x1": 0.0}), ("paths", 4.7), ("seed", 1.9), ("record_stride", 2.5),
@@ -352,6 +382,14 @@ class TestReproduce:
                      "--horizon", "0.3", "--stride", "100"]) == EXIT_OK
         assert (tmp_path / "fig3_mean_sq_u.gp").exists()
         assert (tmp_path / "fig3_var_u.gp").exists()
+
+
+    def test_outdir_that_is_a_file_is_config_error(self, tmp_path, capsys):
+        outdir = tmp_path / "taken"
+        outdir.write_text("")
+        args = ["reproduce", "fig2", "--outdir", str(outdir), "--paths", "4", "--horizon", "0.01"]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 class TestSweep:

@@ -8,7 +8,7 @@ from stochpid import (
     NoConvergence,
     NonFinite,
     PlantSpec,
-    ShiftedState,
+    Setpoint,
     bench3,
     chain,
     falsify_lipschitz,
@@ -94,18 +94,23 @@ class TestSolveEquilibrium:
         assert np.linalg.norm(drift(sp.z_star, sp.u_star)) <= 1e-10
 
 
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestShiftedCoordinates:
     def test_equilibrium_state(self):
         plant = bench3(a=0.0, mu=0.0)
         sp = solve_equilibrium(plant, 1.0)
         y = shifted_coordinates(sp.z_star, np.zeros(1), sp, 8.6)
-        assert y.blocks[0] == pytest.approx(sp.u_star / 8.6)
-        assert np.all(y.blocks[1:] == 0.0)
+        assert y.shape == (4, 1)
+        assert y[0] == pytest.approx(sp.u_star / 8.6)
+        assert np.all(y[1:] == 0.0)
 
     def test_direct_substitution(self):
         sp = solve_equilibrium(chain(1), 1.0)  # u* = 0
         y = shifted_coordinates(np.array([3.0]), np.array([2.0]), sp, 5.0)
-        assert np.array_equal(y.blocks.ravel(), [2.0, 2.0])
+        assert np.array_equal(y.ravel(), [2.0, 2.0])
 
     def test_controller_identity(self):
         # PID output equals -sum(k_i y_i) + u* when the shifted integral is
@@ -121,7 +126,7 @@ class TestShiftedCoordinates:
             state = ClosedLoopState(x=x, integral=acc, t=0.0)
             u = K @ helpers.law_input(state)
             y = shifted_coordinates(x, -acc, sp, g.gains[0])
-            via_shift = -np.sum(g.gains[:, None] * y.blocks, axis=0) + sp.u_star
+            via_shift = -np.sum(g.gains[:, None] * y, axis=0) + sp.u_star
             assert np.allclose(u, via_shift, rtol=1e-10, atol=1e-10)
 
     def test_round_trip(self):
@@ -143,20 +148,16 @@ class TestShiftedCoordinates:
 
 class TestZTransform:
     def test_zero_maps_to_zero(self):
-        y = ShiftedState(np.zeros((3, 1)))
-        z = z_transform(y, [0.4, 0.1])
-        assert np.all(z.blocks == 0.0)
+        z = z_transform(np.zeros((3, 1)), [0.4, 0.1])
+        assert np.all(z == 0.0)
 
     def test_direct_substitution(self):
-        y = ShiftedState(np.ones((3, 1)))
-        z = z_transform(y, [0.4, 0.1])
-        assert np.allclose(z.blocks.ravel(), [1.0, 1.4, 1.44])
+        z = z_transform(np.ones((3, 1)), [0.4, 0.1])
+        assert np.allclose(z.ravel(), [1.0, 1.4, 1.44])
 
     def test_round_trip_z_domain(self):
         # z_transform(z_inverse(z)) recovers z to 1e-12 relative error even
         # for tiny cumulative ratios
-        from stochpid import ZState
-
         rng = np.random.default_rng(33)
         worst = 0.0
         for _ in range(1000):
@@ -164,9 +165,9 @@ class TestZTransform:
             d = int(rng.integers(1, 3))
             blocks = rng.standard_normal((n + 1, d))
             betas = 10.0 ** rng.uniform(-2.0, 0.5, n)
-            back = z_transform(z_inverse(ZState(blocks), betas), betas)
+            back = z_transform(z_inverse(blocks, betas), betas)
             scale = max(1.0, np.abs(blocks).max())
-            worst = max(worst, np.abs(back.blocks - blocks).max() / scale)
+            worst = max(worst, np.abs(back - blocks).max() / scale)
         assert worst < 1e-12
 
     def test_round_trip_y_domain(self):
@@ -178,13 +179,31 @@ class TestZTransform:
             n = int(rng.integers(1, 4))
             blocks = rng.standard_normal((n + 1, 1))
             betas = rng.uniform(0.3, 0.95, n)
-            back = z_inverse(z_transform(ShiftedState(blocks), betas), betas)
+            back = z_inverse(z_transform(blocks, betas), betas)
             scale = max(1.0, np.abs(blocks).max())
-            worst = max(worst, np.abs(back.blocks - blocks).max() / scale)
+            worst = max(worst, np.abs(back - blocks).max() / scale)
         assert worst < 1e-12
 
+    def test_batches_match_single_points(self):
+        # every leading axis is a batch axis: a (S, n+1, d) batch gives
+        # bitwise the per-point results
+        rng = np.random.default_rng(35)
+        for n, d in ((1, 1), (3, 1), (4, 2)):
+            blocks = rng.standard_normal((20, n + 1, d))
+            betas = 10.0 ** rng.uniform(-2.0, 0.5, n)
+            y_star = rng.standard_normal(d)
+            sp = Setpoint(y_star=y_star, z_star=np.r_[y_star, np.zeros((n - 1) * d)],
+                          u_star=rng.standard_normal(d), residual=0.0)
+            for transform in (z_transform, z_inverse):
+                batch = transform(blocks, betas)
+                assert same_bits(batch, np.stack([transform(y, betas) for y in blocks]))
+            x, integral = shifted_to_raw(blocks, sp, 2.5)
+            singles = [shifted_to_raw(y, sp, 2.5) for y in blocks]
+            assert same_bits(x, np.stack([single[0] for single in singles]))
+            assert same_bits(integral, np.stack([single[1] for single in singles]))
+
     def test_degenerate_beta(self):
-        y = ShiftedState(np.zeros((3, 1)))
+        y = np.zeros((3, 1))
         with pytest.raises(DegenerateBeta):
             z_transform(y, [0.4, 0.0])
         with pytest.raises(DegenerateBeta):
@@ -226,27 +245,77 @@ class TestAffineDrift:
         assert not plant.affine.flags.writeable
 
 
+def understated_bench3() -> PlantSpec:
+    """bench3's residual drift with an understated drift constant L = 0.01."""
+    plant = bench3()
+    return PlantSpec(
+        n=3, d=1, m=1,
+        drift=plant.drift, diffusion=plant.diffusion,
+        lipschitz_L=0.01, lipschitz_M=0.0,
+    )
+
+
+def sin_diffusion_plant() -> PlantSpec:
+    """g(x) = sin(x1) asserted with M = 0."""
+    def diffusion(x):
+        x = np.asarray(x, dtype=float)
+        return np.sin(x[..., 0:1, None])
+
+    return PlantSpec(1, 1, 1, lambda x, u: u, diffusion, 0.0, 0.0)
+
+
+def falsify_per_sample(plant, samples, radius, seed):
+    """Reference for falsify_lipschitz: one pair per plant call, the first worst kept."""
+    rng = np.random.default_rng(seed)
+    nd, d = plant.state_dim, plant.d
+    worst = None
+    for _ in range(samples):
+        x1 = rng.uniform(-radius, radius, nd)
+        x2 = rng.uniform(-radius, radius, nd)
+        u = rng.uniform(-radius, radius, d)
+        dist = float(np.linalg.norm(x1 - x2))
+        if dist == 0.0:
+            continue
+        df = float(np.linalg.norm(plant.eval_drift(x1, u) - plant.eval_drift(x2, u)))
+        dg = float(np.linalg.norm(plant.eval_diffusion(x1) - plant.eval_diffusion(x2)))
+        tol = 1e-9 * (1.0 + dist)
+        if df > plant.lipschitz_L * dist + tol or dg > plant.lipschitz_M * dist + tol:
+            ratio = max(df / dist, dg / dist)
+            if worst is None or ratio > worst["ratio"]:
+                worst = {"x1": x1, "x2": x2, "u": u, "drift_ratio": df / dist,
+                         "diffusion_ratio": dg / dist, "ratio": ratio}
+    return worst
+
+
 class TestFalsifyLipschitz:
     def test_valid_constants_not_refuted(self):
         assert falsify_lipschitz(bench3(), samples=300, seed=1) is None
 
     def test_understated_drift_constant_refuted(self):
-        plant = bench3()
-        lying = PlantSpec(
-            n=3, d=1, m=1,
-            drift=plant.drift, diffusion=plant.diffusion,
-            lipschitz_L=0.01, lipschitz_M=0.0,
-        )
-        found = falsify_lipschitz(lying, samples=300, seed=1)
+        found = falsify_lipschitz(understated_bench3(), samples=300, seed=1)
         assert found is not None
         assert found["drift_ratio"] > 0.01
 
     def test_understated_diffusion_constant_refuted(self):
-        def diffusion(x):
-            x = np.asarray(x, dtype=float)
-            return np.sin(x[..., 0:1, None])
-
-        plant = PlantSpec(1, 1, 1, lambda x, u: u, diffusion, 0.0, 0.0)
-        found = falsify_lipschitz(plant, samples=500, seed=2)
+        found = falsify_lipschitz(sin_diffusion_plant(), samples=500, seed=2)
         assert found is not None
         assert found["diffusion_ratio"] > 0.0
+
+    @pytest.mark.parametrize("make_plant", [bench3, understated_bench3, sin_diffusion_plant])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_batch_matches_per_sample_loop(self, make_plant, seed):
+        # one batched draw is the per-sample stream in order; the norms may
+        # round differently, so only the ratios carry a tolerance
+        plant = make_plant()
+        found = falsify_lipschitz(plant, samples=300, radius=4.0, seed=seed)
+        expect = falsify_per_sample(plant, 300, 4.0, seed)
+        assert (found is None) == (expect is None)
+        if expect is not None:
+            for key in ("x1", "x2", "u"):
+                assert np.array_equal(found[key], expect[key])
+            for key in ("drift_ratio", "diffusion_ratio", "ratio"):
+                assert found[key] == pytest.approx(expect[key], rel=1e-15, abs=0.0)
+
+    def test_samples_must_be_positive(self):
+        with pytest.raises(ValueError, match="samples"):
+            falsify_lipschitz(bench3(), samples=0)

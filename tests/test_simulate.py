@@ -547,6 +547,15 @@ class TestDissipativityProbe:
         with pytest.raises(ValueError):
             dissipativity_probe(plant, sp, g, [0.4, 0.1], 1.0, 0.0, samples=10)
 
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_too_few_samples_rejected(self, samples):
+        # one point per radius is the least the probe can draw
+        plant = chain(2)
+        sp = solve_equilibrium(plant, 1.0)
+        g, betas = lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4, 0.1], k=4000.0)
+        with pytest.raises(ValueError, match="samples"):
+            dissipativity_probe(plant, sp, g, betas, 1.0, 0.0, samples=samples)
+
     def test_nonlinear_plant_dissipative_inside_class(self):
         # drift with true L = 0.3 <= asserted design L
         plant = expression_plant(2, "0.3*sin(x1) + u", "0", L=0.3, M=0.0)
