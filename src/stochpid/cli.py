@@ -25,6 +25,7 @@ import numpy as np
 from .design import (
     DesignReport,
     GainVector,
+    _require_constant,
     bound_constants,
     check_inequality,
     geometric_gains,
@@ -228,6 +229,7 @@ def _design(args) -> tuple[GainVector, DesignReport]:
     L = args.L or 0.0
     if args.pattern == "bench3":
         _require(args.k is not None, "--k is required for the bench3 pattern")
+        _require_constant("k", args.k, positive=True)
         g = GainVector("pid", np.array([args.k, 2.5 * args.k, 2.5 * args.k, args.k]))
         L = bench3().lipschitz_L if args.L is None else args.L
     elif args.pattern == "geometric":

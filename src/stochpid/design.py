@@ -85,7 +85,7 @@ class GainVector:
         _require_constant("L", L)
         _require_constant("M", M)
         with np.errstate(over="ignore", invalid="ignore"):
-            kbar = float(np.sum(self.gains) * L + self.gains[-1] * M ** 2)
+            kbar = float(np.sum(self.gains) * L + self.gains[-1] * M * M)
         if not np.isfinite(kbar):
             raise ValueError(f"kbar = {kbar} overflows float64 for L={L}, M={M}")
         return kbar
@@ -198,21 +198,22 @@ def geometric_gains(k: float, n: int) -> GainVector:
     This one-parameter family is admissible for every (L, M) once ``k`` is
     large enough; admissibility is monotone in ``k``.
     """
-    if k <= 0:
-        raise NonPositiveGain("k must be positive")
+    _require_constant("k", k, positive=True)
     if n < 1:
         raise ValueError("n must be >= 1")
     gains = np.array([3.0 ** (-i * (i + 1) / 2.0) * k for i in range(n + 1)])
     return GainVector("pid", gains)
 
 
+# squares are products: a Python float ** 2 raises OverflowError where * gives inf
 def _beta_bounds(lam: float, M: float, n: int) -> float:
-    return min(1.0, 1.0 / (n * (lam + 8.0 * M ** 2)))
+    return min(1.0, 1.0 / (n * (lam + 8.0 * M * M)))
 
 
 def _k_threshold(betas: np.ndarray, lam: float, L: float, M: float, b_lower: float) -> float:
-    prod = float(np.prod(betas))
-    return (1.0 + 3.0 * L + 2.0 * L ** 2 / (lam + 8.0 * M ** 2)) / (prod ** 2 * b_lower)
+    """The design condition's bound on k; inf when prod(betas)**2 * b_lower underflows."""
+    scale = float(np.prod(betas)) ** 2 * b_lower
+    return (1.0 + 3.0 * L + 2.0 * L * L / (lam + 8.0 * M * M)) / scale if scale > 0 else math.inf
 
 
 def _k_admissible_threshold(betas: np.ndarray, L: float, M: float, b_lower: float) -> float:
@@ -224,12 +225,13 @@ def _k_admissible_threshold(betas: np.ndarray, L: float, M: float, b_lower: floa
     monotone in k with an explicit per-family threshold.
     """
     prods = np.concatenate([[1.0], np.cumprod(betas)])
-    c = L * float(np.sum(prods)) + prods[-1] * M ** 2  # kbar = c*k
+    c = L * float(np.sum(prods)) + prods[-1] * M * M  # kbar = c*k
     thresholds = [c / b_lower]
-    for i in range(1, prods.size - 1):
-        quad = prods[i - 1] * prods[i] * (betas[i - 1] - 2.0 * betas[i]) * b_lower
-        thresholds.append(c / quad)
-    thresholds.append((prods[-2] + c) / (prods[-1] ** 2 * b_lower))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # underflow gives inf
+        for i in range(1, prods.size - 1):
+            quad = prods[i - 1] * prods[i] * (betas[i - 1] - 2.0 * betas[i]) * b_lower
+            thresholds.append(c / quad)
+        thresholds.append((prods[-2] + c) / (prods[-1] ** 2 * b_lower))
     return max(thresholds)
 
 
@@ -254,7 +256,8 @@ def lambda_gains(
     Defaults pick beta_1 = 0.9*bound, beta_i = 0.9*beta_{i-1}/n and
     k = 1.1*threshold, which keeps the strict inequalities robust to
     round-off.  Explicit ``betas``/``k`` overrides are validated and raise
-    :class:`InvalidBeta` when they sit on or outside the open region.
+    :class:`InvalidBeta` when they sit on or outside the open region; a
+    ``ValueError`` names ``lam`` (or ``betas``) when no finite default k exists.
     Returns the gain vector together with the ratios actually used.
     """
     _require_constant("lam", lam, positive=True)
@@ -285,11 +288,16 @@ def lambda_gains(
         # also clear the exact admissibility threshold: the design condition
         # alone does not imply the quadratic inequality when n < 3
         k_val = 1.1 * max(k_min, _k_admissible_threshold(b, L, M, b_lower))
+        if not k_val < math.inf:
+            raise ValueError(
+                f"{'lam' if betas is None else 'betas'} must be such that the gain threshold "
+                f"is finite, got inf for lam={lam}, L={L}, M={M}, b_lower={b_lower} and ratios {b}")
     else:
+        _require_constant("k", k, positive=True)
         k_val = float(k)
         # 1e-12 relative guard keeps the strict comparison meaningful when
         # the threshold itself rounds (exact boundary values must reject)
-        if k_val <= k_min * (1.0 + 1e-12):
+        if not k_val > k_min * (1.0 + 1e-12):
             raise InvalidBeta(f"k={k_val} must strictly exceed {k_min}")
 
     gains = k_val * np.concatenate([[1.0], np.cumprod(b)])

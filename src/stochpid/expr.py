@@ -1,22 +1,22 @@
 """Tiny arithmetic DSL for scalar plant definitions.
 
-Grammar (left-associative, usual precedence):
-
-    expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := NUMBER | IDENT | FUNC '(' expr ')' | '(' expr ')' | '-' factor
-
-Identifiers are restricted to the state variables x1..xn and the input u;
-functions are sin, cos, tanh, exp, abs.  Parsing and printing round-trip.
-:func:`fold_constants` evaluates the variable-free subtrees once, and
-:func:`split_affine` separates the affine terms of a top-level sum from the
-rest, which lets a plant apply them as data.
+A formula is decimal numbers (optional exponent), the state variables
+x1..xn, the input u, ``+ - * /`` with the usual precedence (left-associative),
+unary minus, parentheses and one-argument calls of sin, cos, tanh, exp, abs.
+:func:`parse_expr` checks the characters, parses with ``ast.parse`` and
+converts a whitelist of Python nodes into the dataclasses below; every other
+node is an error whose position is a character offset in the formula.
+Parsing and printing round-trip.  :func:`fold_constants` evaluates the
+variable-free subtrees once, and :func:`split_affine` separates the affine
+terms of a top-level sum from the rest, which lets a plant apply them as data.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -94,115 +94,72 @@ class Call:
 
 Expr = Union[Num, Var, Unary, Bin, Call]
 
-_TOKEN = re.compile(
-    r"(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/(),]))"
-)
-
+_NON_DSL = re.compile(r"[^A-Za-z0-9_.+\-*/(),\s]")
+_SPACE = re.compile(r"\s")
+# Python forbids leading zeros in integer literals ("007"); the DSL does not
+_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![0-9.][eE][+-])0+(?=[0-9])")
+_NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _VAR_PATTERN = re.compile(r"x[1-9][0-9]*$")
-
-
-class _Parser:
-    def __init__(self, text: str, n: Optional[int], allow_u: bool):
-        self.text = text
-        self.n = n
-        self.allow_u = allow_u
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            self.tokens.append((m.lastgroup, m.group(), pos))
-            pos = m.end()
-        self.tokens.append(("end", "", len(text)))
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, text, pos = self.next()
-        if text != value:
-            raise ParseError(f"expected {value!r}, found {text or 'end of input'!r}", pos)
-
-    def parse(self) -> Expr:
-        node = self.expr()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {text!r}", pos)
-        return node
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            node = Bin(op, node, self.term())
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            node = Bin(op, node, self.factor())
-        return node
-
-    def factor(self) -> Expr:
-        kind, text, pos = self.next()
-        if text == "-":
-            return Unary(self.factor())
-        if text == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if kind == "num":
-            return Num(float(text))
-        if kind == "ident":
-            if self.peek()[1] == "(":
-                return self.call(text, pos)
-            return self.variable(text, pos)
-        raise ParseError(f"expected a value, found {text or 'end of input'!r}", pos)
-
-    def call(self, name: str, pos: int) -> Expr:
-        if name not in FUNCTIONS:
-            raise UnknownIdentifier(f"unknown function {name!r}", pos)
-        self.expect("(")
-        if self.peek()[1] == ")":
-            raise ArityError(f"{name} takes exactly one argument, got 0", self.peek()[2])
-        args = [self.expr()]
-        while self.peek()[1] == ",":
-            self.next()
-            args.append(self.expr())
-        self.expect(")")
-        if len(args) != 1:
-            raise ArityError(f"{name} takes exactly one argument, got {len(args)}", pos)
-        return Call(name, args[0])
-
-    def variable(self, name: str, pos: int) -> Expr:
-        if name == "u":
-            if not self.allow_u:
-                raise UnknownIdentifier("u is not allowed in a diffusion expression", pos)
-            return Var(name)
-        if _VAR_PATTERN.match(name):
-            index = int(name[1:])
-            if self.n is not None and index > self.n:
-                raise UnknownIdentifier(f"{name} exceeds the state dimension (n={self.n})", pos)
-            return Var(name)
-        raise UnknownIdentifier(f"unknown identifier {name!r}", pos)
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
 def parse_expr(text: str, n: Optional[int] = None, allow_u: bool = True) -> Expr:
     """Parse the DSL; identifiers are x1..xn plus u (unless disallowed)."""
-    return _Parser(text, n, allow_u).parse()
+    bad = _NON_DSL.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    # one space per whitespace character or leading zero keeps every offset
+    src = _LEADING_ZEROS.sub(lambda m: " " * len(m.group()), _SPACE.sub(" ", text))
+    lead = len(src) - len(src.lstrip())
+    src = src[lead:]  # eval mode rejects leading whitespace
+    try:
+        with warnings.catch_warnings():  # "1if": a number running into a keyword warns
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = ast.parse(src, mode="eval")
+    except SyntaxError as exc:  # offset is 1-based, sometimes 0, and varies by version
+        raise ParseError(exc.msg, min(max(lead + (exc.offset or 1) - 1, 0), len(text))) from None
+
+    def convert(node) -> Expr:
+        pos = lead + node.col_offset
+        if isinstance(node, ast.BinOp):
+            if type(node.op) not in _BINOPS:
+                gap = src[node.left.end_col_offset:node.right.col_offset]
+                op = gap.strip(" ()")
+                raise ParseError(f"unsupported operator {op!r}",
+                                 lead + node.left.end_col_offset + gap.index(op))
+            return Bin(_BINOPS[type(node.op)], convert(node.left), convert(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return Unary(convert(node.operand))
+        if isinstance(node, ast.Constant):
+            literal = src[node.col_offset:node.end_col_offset]
+            if _NUMBER.fullmatch(literal):
+                return Num(float(literal))  # 1e400 and 400-digit integers give inf
+        if isinstance(node, ast.Name):
+            if node.id == "u":
+                if not allow_u:
+                    raise UnknownIdentifier("u is not allowed in a diffusion expression", pos)
+            elif not _VAR_PATTERN.match(node.id):
+                raise UnknownIdentifier(f"unknown identifier {node.id!r}", pos)
+            elif n is not None and int(node.id[1:]) > n:
+                raise UnknownIdentifier(f"{node.id} exceeds the state dimension (n={n})", pos)
+            return Var(node.id)
+        # a call's name must not be parenthesized: "(sin)(x1)" is not a call
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.col_offset == node.col_offset):
+            name = node.func.id
+            if name not in FUNCTIONS:
+                raise UnknownIdentifier(f"unknown function {name!r}", pos)
+            args = node.args + node.keywords  # a keyword is "**x1": convert rejects it
+            if len(args) != 1:
+                raise ArityError(f"{name} takes exactly one argument, got {len(args)}", pos)
+            tail = src[args[0].end_col_offset:node.end_col_offset]
+            if "," in tail:
+                raise ParseError("unexpected trailing ','",
+                                 lead + args[0].end_col_offset + tail.index(","))
+            return Call(name, convert(args[0]))
+        raise ParseError(f"unexpected {src[node.col_offset:node.end_col_offset]!r}", pos)
+
+    return convert(tree.body)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}

@@ -292,8 +292,8 @@ def _cascade_weights(betas, n: int) -> np.ndarray:
     b = np.asarray(betas, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"expected {n} ratios, got shape {b.shape}")
-    if np.any(b <= 0.0):
-        raise DegenerateBeta(f"all ratios must be positive, got {b}")
+    if not np.all((0.0 < b) & (b < np.inf)):
+        raise DegenerateBeta(f"all ratios must be positive and finite, got {b}")
     return np.cumprod(np.concatenate([[1.0], b]))
 
 

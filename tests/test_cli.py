@@ -75,6 +75,9 @@ class TestDesign:
         assert "--gains: all gains must be positive" in capsys.readouterr().err
         assert main(["design", "--gains=1e200,1e200,1e200", "--L", "0.5"]) == EXIT_CONFIG
         assert "overflows" in capsys.readouterr().err
+        assert main(["design", "--pattern", "geometric", "--k", "2", "--n", "2", "--M", "1e200"]) \
+            == EXIT_CONFIG
+        assert "kbar = inf overflows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, name", [
         (["--pattern", "bench3", "--k", "8.6", "--M", "inf"], "M"),
@@ -83,6 +86,12 @@ class TestDesign:
         (["--pattern", "lambda", "--lam", "nan", "--n", "2"], "lam"),
         (["--pattern", "lambda", "--lam", "1", "--n", "2", "--b-lower", "inf"], "b_lower"),
         (["--pattern", "geometric", "--k", "2", "--n", "2", "--b-lower", "nan"], "b_lower"),
+        (["--pattern", "geometric", "--k", "nan", "--n", "2"], "k"),
+        (["--pattern", "lambda", "--lam", "1", "--n", "2", "--k", "nan"], "k"),
+        (["--pattern", "bench3", "--k", "nan"], "k"),
+        # the default ratios underflow, so no finite k clears the threshold
+        (["--pattern", "lambda", "--lam", "1e308", "--n", "2"], "lam"),
+        (["--pattern", "lambda", "--lam", "1e200", "--n", "3"], "lam"),
     ])
     def test_bad_design_constants_are_named(self, capsys, argv, name):
         # NaN and inf fail the range check itself instead of a later overflow check

@@ -157,6 +157,11 @@ class TestGeometricGains:
             first = flags.index(True) if True in flags else len(flags)
             assert all(flags[first:])
 
+    @pytest.mark.parametrize("k", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_k_is_named(self, k):
+        with pytest.raises(ValueError, match="^k must be positive and finite"):
+            geometric_gains(k, 2)
+
 
 class TestLambdaGains:
     def test_override_example(self):
@@ -206,6 +211,23 @@ class TestLambdaGains:
             lambda_gains(1.0, 1.0, 0.0, 2, b_lower=0.5, betas=[0.4, 0.1], k=7500.0)
         g, _ = lambda_gains(1.0, 1.0, 0.0, 2, b_lower=0.5, betas=[0.4, 0.1], k=7501.0)
         assert g.gains[0] == 7501.0
+
+    @pytest.mark.parametrize("args, kwargs, name", [
+        ((1e308, 0.0, 0.0, 2), {}, "lam"),  # the default ratios underflow to 0
+        ((1.0, 1e200, 0.0, 2), {}, "lam"),  # 2*L**2 overflows
+        ((1.0, 0.0, 1e200, 2), {}, "lam"),  # 8*M**2 overflows
+        ((1.0, 0.0, 0.0, 2), {"betas": [1e-200, 1e-201]}, "betas"),
+    ])
+    def test_infinite_threshold_is_named(self, args, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be such that the gain threshold"):
+            lambda_gains(*args, **kwargs)
+
+    def test_explicit_k_against_infinite_threshold(self):
+        with pytest.raises(InvalidBeta, match="must strictly exceed inf"):
+            lambda_gains(1.0, 0.0, 0.0, 2, betas=[1e-200, 1e-201], k=5.0)
+        for k in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="^k must be positive and finite"):
+                lambda_gains(1.0, 1.0, 0.0, 2, betas=[0.4, 0.1], k=k)
 
 
 class TestBoundConstants:

@@ -55,16 +55,52 @@ class TestParsing:
     def test_scientific_notation(self):
         assert eval_expr(parse_expr("1e-3 + 2.5E2"), {}) == pytest.approx(250.001)
 
-    def test_syntax_error_position(self):
+    @pytest.mark.parametrize("text, error, position", [
+        ("1 + $", ParseError, 4),
+        ("x1 % 2", ParseError, 3),
+        ("sin(x=1)", ParseError, 5),
+        ("\uff581", ParseError, 0),  # fullwidth x1, which NFKC would turn into x1
+        ("\u0663", ParseError, 0),  # Arabic-Indic three, a \d digit but not an ASCII one
+        ("x1 ** 2", ParseError, 3),
+        ("  (x1) ** (2)", ParseError, 7),
+        ("x1 // 2", ParseError, 3),
+        ("1_0", ParseError, 0),
+        ("0x10", ParseError, 0),
+        ("1j", ParseError, 0),
+        ("+x1", ParseError, 0),
+        ("True", ParseError, 0),
+        ("x1 if u else 1", ParseError, 0),
+        ("x1.real", ParseError, 0),
+        ("sin(*x1)", ParseError, 4),
+        ("sin(**x1)", ParseError, 4),
+        ("sin(x1,)", ParseError, 6),
+        ("(sin)(x1)", ParseError, 0),
+        ("1,2", ParseError, 0),
+        ("x1 +\u00a0foo", UnknownIdentifier, 5),
+        ("sin()", ArityError, 0),
+        # Python's own syntax errors: only the range of the position is pinned
+        ("", ParseError, None),
+        (" \n ", ParseError, None),
+        ("1 +", ParseError, None),
+        ("(1 + 2", ParseError, None),
+        ("1 2", ParseError, None),
+        ("1if u else 2", ParseError, None),
+    ])
+    def test_syntax_error_position(self, text, error, position):
         with pytest.raises(ParseError) as info:
-            parse_expr("1 + $")
-        assert info.value.position == 4
-        with pytest.raises(ParseError):
-            parse_expr("1 +")
-        with pytest.raises(ParseError):
-            parse_expr("(1 + 2")
-        with pytest.raises(ParseError):
-            parse_expr("1 2")
+            parse_expr(text)
+        assert type(info.value) is error
+        if position is None:
+            assert 0 <= info.value.position <= len(text)
+        else:
+            assert info.value.position == position
+
+    def test_literals_python_spells_differently(self):
+        # whitespace and line breaks anywhere, leading zeros, and an integer
+        # literal too long for a float are all part of the DSL
+        assert parse_expr("\n 007 *\tx1\n") == Bin("*", Num(7.0), Var("x1"))
+        assert parse_expr("00.5e-05 - 1E+007") == Bin("-", Num(0.5e-5), Num(1e7))
+        assert parse_expr("1" * 400 + "*x1") == Bin("*", Num(float("inf")), Var("x1"))
 
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifier):

@@ -208,6 +208,10 @@ class TestZTransform:
             z_transform(y, [0.4, 0.0])
         with pytest.raises(DegenerateBeta):
             z_inverse(z_transform(y, [0.4, 0.1]), [-0.4, 0.1])
+        # NaN and inf fail the one range test instead of propagating
+        for betas in ([np.nan, 0.1], [0.4, np.inf]):
+            with pytest.raises(DegenerateBeta):
+                z_transform(np.ones((3, 1)), betas)
 
 
 class TestAffineDrift:
