@@ -2,19 +2,24 @@
 Monte Carlo simulation, bundled reproduction jobs and parameter sweeps.
 
 `simulate`, `sweep` and `reproduce` run config documents through one path;
-the reproduction jobs are bundled bench3 documents, one per curve.
+the reproduction jobs are bundled bench3 documents, one per curve.  Values
+are checked by the library types that own them; this module checks that
+sections exist and the values that span two sections, and puts the section
+name in front of the library's message.
 
 Exit codes: 0 success, 1 usage/config error, 2 rejected design/certificate
 (or unstable polynomial), 3 trajectory divergence or non-finite plant
-output.  All CSV outputs start with '# key=value' metadata lines followed by
-a header row; run CSVs record the full run configuration.  Reruns with the
-same configuration produce byte-identical files.
+output; `main` alone turns errors into these codes.  All CSV outputs start
+with '# key=value' metadata lines followed by a header row; run CSVs record
+the full run configuration.  Reruns with the same configuration produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,7 +28,6 @@ from typing import Optional
 import numpy as np
 
 from .design import (
-    DesignReport,
     GainVector,
     _require_constant,
     bound_constants,
@@ -32,19 +36,15 @@ from .design import (
     lambda_gains,
 )
 from .lyapunov import CertificateError, verify_certificate
-from .model import NoConvergence, NonFinite, solve_equilibrium
-from .plants import BUILTIN_PLANTS, _is_integer, _is_real, bench3, build_plant
-from .simulate import Diverged, SimConfig, _resolve_workers, bound_envelope, simulate_paths
+from .model import NoConvergence, NonFinite, _as_vec, _is_real, solve_equilibrium
+from .plants import BUILTIN_PLANTS, bench3, build_plant
+from .simulate import Diverged, SimConfig, bound_envelope, simulate_paths
 from .stability import IndeterminateStability, char_coeffs, determining_coeffs, is_hurwitz
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_REJECTED = 2
 EXIT_DIVERGED = 3
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; the message carries the offending field path."""
 
 
 # ---------------------------------------------------------------- helpers
@@ -82,7 +82,7 @@ def _read_json(path: str, where: str):
     try:
         return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _load_gains(args) -> GainVector:
@@ -90,63 +90,38 @@ def _load_gains(args) -> GainVector:
         return _gains_from(_read_json(args.gains_file, "gains file"), "gains file")
     if getattr(args, "gains", None):
         return _gains_from({"kind": args.kind, "gains": args.gains}, "--gains")
-    raise ConfigError("provide --gains-file or --gains")
+    raise ValueError("provide --gains-file or --gains")
 
 
 def _gains_from(doc, where: str) -> GainVector:
-    if not isinstance(doc, dict) or "kind" not in doc or "gains" not in doc:
-        raise ConfigError(f"{where}: expected an object with 'kind' and 'gains'")
+    _require(isinstance(doc, dict) and "kind" in doc and "gains" in doc,
+             f"{where}: expected an object with 'kind' and 'gains'")
+    gains = _as_vec(doc["gains"], None, where)
     try:
-        return GainVector(doc["kind"], np.asarray(doc["gains"], dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        return GainVector(doc["kind"], gains)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _save_gains(path: Path, g: GainVector) -> None:
     path.write_text(json.dumps({"kind": g.kind, "gains": [float(v) for v in g.gains]}) + "\n")
 
 
-def _print_report(report) -> None:
-    verdict = "admissible" if report.admissible else "NOT admissible"
-    print(f"{verdict}: binding term {report.binding_term} = {report.binding_value:.6g}, "
-          f"kbar = {report.kbar:.6g}, margin = {report.margin:.6g}")
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
-def _integer(sim: dict, field: str, default=None) -> int:
-    value = sim.get(field, default)
-    _require(_is_integer(value), f"sim.{field}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def _sim_config(sim: dict) -> tuple[SimConfig, np.ndarray]:
+def _sim_config(sim: dict) -> SimConfig:
+    """The sim section's SimConfig fields, checked by SimConfig itself."""
     _require(isinstance(sim, dict), "sim: expected an object")
     for field in ("dt", "horizon", "paths", "seed"):
         _require(field in sim, f"sim.{field}: required")
-    x0 = sim.get("x0")
-    paths, seed = _integer(sim, "paths"), _integer(sim, "seed")
-    stride = _integer(sim, "record_stride", 1)
+    fields = {f.name: sim[f.name] for f in dataclasses.fields(SimConfig) if f.name in sim}
     try:
-        y_star = np.atleast_1d(np.asarray(sim.get("y_star", 0.0), dtype=float))
-        cfg = SimConfig(
-            dt=float(sim["dt"]),
-            horizon=float(sim["horizon"]),
-            paths=paths,
-            seed=seed,
-            record_stride=stride,
-            controller=sim.get("controller", "pid"),
-            x0=None if x0 is None else np.asarray(x0, dtype=float),
-        )
-    except (TypeError, ValueError) as exc:  # a wrong JSON type, or a value SimConfig rejects
-        raise ConfigError(f"sim: {exc}") from None
-    for field, value in (("x0", cfg.x0), ("y_star", y_star)):
-        if value is not None and not np.all(np.isfinite(value)):
-            raise ConfigError(f"sim.{field}: expected finite numbers, got {sim[field]!r}")
-    return cfg, y_star
+        return SimConfig(**fields)
+    except ValueError as exc:  # SimConfig's messages start with the field name
+        raise ValueError(f"sim.{exc}") from None
 
 
 def _run_metadata(plant_doc: dict, plant, sp, gains, cfg, x0) -> dict:
@@ -167,13 +142,9 @@ def _run_config(doc: dict, workers: Optional[int]):
     _require(isinstance(doc, dict), "config: expected a JSON object")
     _require("plant" in doc, "plant: required section")
     _require("sim" in doc, "sim: required section")
-    try:
-        plant = build_plant(doc["plant"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    cfg, y_star = _sim_config(doc["sim"])
-    _require(y_star.shape == (plant.d,),
-             f"sim.y_star: expected {plant.d} component(s), got {y_star.shape}")
+    plant = build_plant(doc["plant"])
+    cfg = _sim_config(doc["sim"])
+    y_star = _as_vec(doc["sim"].get("y_star", 0.0), plant.d, "sim.y_star")
     _require(cfg.x0 is None or cfg.x0.shape == (plant.state_dim,),
              f"sim.x0: expected {plant.state_dim} entries for this plant")
     gains = None
@@ -186,10 +157,6 @@ def _run_config(doc: dict, workers: Optional[int]):
         _require(gains.n == plant.n,
                  f"gains.gains: {gains.gains.size} {gains.kind} gains are for relative degree "
                  f"{gains.n}, the plant has {plant.n}")
-    try:
-        workers = _resolve_workers(workers)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     bc = None
     if "bounds" in doc:
         bounds = doc["bounds"]
@@ -205,7 +172,7 @@ def _run_config(doc: dict, workers: Optional[int]):
     try:
         sp = solve_equilibrium(plant, y_star)
     except NoConvergence as exc:
-        raise ConfigError(f"sim.y_star: no equilibrium input: {exc}") from None
+        raise ValueError(f"sim.y_star: no equilibrium input: {exc}") from None
     stats = simulate_paths(plant, sp, gains, cfg, workers=workers)
     x0 = sp.z_star if cfg.x0 is None else cfg.x0
 
@@ -225,7 +192,7 @@ def _run_config(doc: dict, workers: Optional[int]):
 # ------------------------------------------------------------ subcommands
 
 
-def _design(args) -> tuple[GainVector, DesignReport]:
+def _cmd_design(args) -> int:
     L = args.L or 0.0
     if args.pattern == "bench3":
         _require(args.k is not None, "--k is required for the bench3 pattern")
@@ -245,16 +212,11 @@ def _design(args) -> tuple[GainVector, DesignReport]:
     else:
         g = _load_gains(args)
     _require(g.kind == "pid" or args.b_lower == 1.0, "--b-lower: the PD inequality has no b term")
-    return g, check_inequality(g, L, args.M, args.b_lower)
-
-
-def _cmd_design(args) -> int:
-    try:
-        g, report = _design(args)
-    except ValueError as exc:  # invalid pattern parameters, or gains that overflow float64
-        raise ConfigError(str(exc)) from None
+    report = check_inequality(g, L, args.M, args.b_lower)
     print(f"gains ({g.kind}): {', '.join(f'{v:.10g}' for v in g.gains)}")
-    _print_report(report)
+    verdict = "admissible" if report.admissible else "NOT admissible"
+    print(f"{verdict}: binding term {report.binding_term} = {report.binding_value:.6g}, "
+          f"kbar = {report.kbar:.6g}, margin = {report.margin:.6g}")
     if args.out:
         _save_gains(Path(args.out), g)
         print(f"wrote {args.out}")
@@ -268,8 +230,6 @@ def _cmd_certify(args) -> int:
     except CertificateError as exc:
         print(f"certificate rejected: {exc}")
         return EXIT_REJECTED
-    except ValueError as exc:  # negative L or M, or gains that overflow float64
-        raise ConfigError(str(exc)) from None
     print(f"certificate valid for (L={args.L:g}, M={args.M:g}), kbar={cert.kbar:.6g}")
     print(f"  min eig P        = {cert.min_eig_P:.6g}")
     print(f"  max eig P        = {cert.max_eig_P:.6g}")
@@ -291,8 +251,6 @@ def _cmd_hurwitz(args) -> int:
     except IndeterminateStability as exc:
         print(f"indeterminate: {exc}")
         return EXIT_REJECTED
-    except ValueError as exc:  # gains whose coefficient products overflow float64
-        raise ConfigError(str(exc)) from None
     print(f"hurwitz: {stable}")
     return EXIT_OK if stable else EXIT_REJECTED
 
@@ -505,12 +463,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:  # OSError: an output path that cannot be written
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (Diverged, NonFinite) as exc:
+    except (Diverged, NonFinite) as exc:  # before ValueError: NonFinite is one
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except (ValueError, OSError) as exc:  # OSError: an output path that cannot be written
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -321,13 +321,14 @@ def bound_constants(
     """
     if g.kind != "pid":
         raise ValueError("bound constants are defined for PID gains")
-    if lam <= 0 or R < 0:
-        raise ValueError("lam must be positive and R nonnegative")
+    _require_constant("lam", lam, positive=True)
+    _require_constant("R", R)
     n = g.n
     k = g.gains
     decay = 4.0 * n ** 3 * k[0] ** 2 / k[-1] ** 2
     floor = 4.0 * n / lam
-    denom = 4.0 * (2.0 + 2.0 * L + M ** 2) * lam + 64.0 * (n + 1) * R ** 2 * float(np.sum(k ** 2))
+    # M*M and R*R: a Python float ** 2 raises OverflowError where * gives inf
+    denom = 4.0 * (2.0 + 2.0 * L + M * M) * lam + 64.0 * (n + 1) * R * R * float(np.sum(k ** 2))
     c3 = lam / denom
 
     cert_decay = cert_floor = cert_rate = None

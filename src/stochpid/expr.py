@@ -5,7 +5,8 @@ x1..xn, the input u, ``+ - * /`` with the usual precedence (left-associative),
 unary minus, parentheses and one-argument calls of sin, cos, tanh, exp, abs.
 :func:`parse_expr` checks the characters, parses with ``ast.parse`` and
 converts a whitelist of Python nodes into the dataclasses below; every other
-node is an error whose position is a character offset in the formula.
+node is an error whose position is a character offset in the formula, as
+is a tree deeper than 200 levels, which bounds every later recursive walk.
 Parsing and printing round-trip.  :func:`fold_constants` evaluates the
 variable-free subtrees once, and :func:`split_affine` separates the affine
 terms of a top-level sum from the rest, which lets a plant apply them as data.
@@ -101,6 +102,8 @@ _LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![0-9.][eE][+-])0+(?=[0-9])")
 _NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _VAR_PATTERN = re.compile(r"x[1-9][0-9]*$")
 _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+# Python's own limit on nested parentheses; it also bounds every later tree walk
+_MAX_DEPTH = 200
 
 
 def parse_expr(text: str, n: Optional[int] = None, allow_u: bool = True) -> Expr:
@@ -118,18 +121,23 @@ def parse_expr(text: str, n: Optional[int] = None, allow_u: bool = True) -> Expr
             tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:  # offset is 1-based, sometimes 0, and varies by version
         raise ParseError(exc.msg, min(max(lead + (exc.offset or 1) - 1, 0), len(text))) from None
+    except (RecursionError, MemoryError):  # how Python's parser gives up on deep nesting
+        raise ParseError(f"formula nested deeper than {_MAX_DEPTH} levels", 0) from None
 
-    def convert(node) -> Expr:
+    def convert(node, depth: int = 1) -> Expr:
         pos = lead + node.col_offset
+        if depth > _MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {_MAX_DEPTH} levels", pos)
         if isinstance(node, ast.BinOp):
             if type(node.op) not in _BINOPS:
                 gap = src[node.left.end_col_offset:node.right.col_offset]
                 op = gap.strip(" ()")
                 raise ParseError(f"unsupported operator {op!r}",
                                  lead + node.left.end_col_offset + gap.index(op))
-            return Bin(_BINOPS[type(node.op)], convert(node.left), convert(node.right))
+            return Bin(_BINOPS[type(node.op)], convert(node.left, depth + 1),
+                       convert(node.right, depth + 1))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return Unary(convert(node.operand))
+            return Unary(convert(node.operand, depth + 1))
         if isinstance(node, ast.Constant):
             literal = src[node.col_offset:node.end_col_offset]
             if _NUMBER.fullmatch(literal):
@@ -156,7 +164,7 @@ def parse_expr(text: str, n: Optional[int] = None, allow_u: bool = True) -> Expr
             if "," in tail:
                 raise ParseError("unexpected trailing ','",
                                  lead + args[0].end_col_offset + tail.index(","))
-            return Call(name, convert(args[0]))
+            return Call(name, convert(args[0], depth + 1))
         raise ParseError(f"unexpected {src[node.col_offset:node.end_col_offset]!r}", pos)
 
     return convert(tree.body)

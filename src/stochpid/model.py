@@ -31,10 +31,14 @@ state (y0, ..., yn) and its cascade transform (z0, ..., zn) are
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+
+from .design import _require_constant
 
 __all__ = [
     "PlantSpec",
@@ -85,10 +89,9 @@ class PlantSpec:
     def __post_init__(self):
         if self.n < 1 or self.d < 1 or self.m < 1:
             raise ValueError("n, d and m must be positive integers")
-        if self.lipschitz_L < 0 or self.lipschitz_M < 0:
-            raise ValueError("Lipschitz constants must be nonnegative")
-        if self.gain_lower_b <= 0:
-            raise ValueError("gain_lower_b must be positive")
+        _require_constant("lipschitz_L", self.lipschitz_L)
+        _require_constant("lipschitz_M", self.lipschitz_M)
+        _require_constant("gain_lower_b", self.gain_lower_b, positive=True)
         if self.affine is not None:
             W = np.array(self.affine, dtype=float)
             shape = (self.d, 1 + self.state_dim + self.d)
@@ -144,11 +147,29 @@ class Setpoint:
     residual: float
 
 
-def _as_vec(v, dim: int, what: str) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(v, dtype=float))
-    if a.shape != (dim,):
-        raise ValueError(f"{what} must have shape ({dim},), got {a.shape}")
-    return a
+def _is_real(value) -> bool:
+    """A real number with a finite float value: not a bool, a string, NaN, inf or 10**400."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    if isinstance(value, numbers.Integral):  # math.isfinite(10**400) raises OverflowError
+        return abs(int(value)) <= sys.float_info.max
+    return math.isfinite(value)
+
+
+def _is_integer(value) -> bool:
+    """An integral number of any size: 4.0 and numpy integers, not 4.7, true or "4"."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            or _is_real(value) and float(value).is_integer())
+
+
+def _as_vec(v, dim: Optional[int], what: str) -> np.ndarray:
+    """``v`` (a scalar or a list) as a float vector of ``dim`` entries, any number when
+    None; ValueError naming ``what`` unless every entry satisfies :func:`_is_real`."""
+    a = np.atleast_1d(np.asarray(v, dtype=object))
+    if a.ndim != 1 or dim not in (None, a.size) or not all(map(_is_real, a)):
+        count = "" if dim is None else f"{dim} "
+        raise ValueError(f"{what}: expected {count}finite number(s), got {v!r}")
+    return a.astype(float)
 
 
 def solve_equilibrium(

@@ -17,14 +17,21 @@ the affine terms of their drift formula become data as well.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
+from .design import _require_constant
 from .expr import eval_expr, fold_constants, parse_expr, split_affine
-from .model import PlantSpec
+from .model import PlantSpec, _is_integer, _is_real
 
 __all__ = ["bench3", "chain", "ou", "expression_plant", "BUILTIN_PLANTS", "build_plant"]
+
+
+def _additive_noise(sigma: float):
+    """Constant diffusion g = sigma: one unbatched (1, 1) matrix, sigma finite."""
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
+    return lambda x: np.array([[float(sigma)]])
 
 
 def bench3(
@@ -36,24 +43,21 @@ def bench3(
     sigma: float = 0.2,
 ) -> PlantSpec:
     """Third-order benchmark plant with additive noise of intensity sigma."""
-    if max(abs(a), abs(b), abs(c)) > 0.5:
-        raise ValueError("|a|, |b|, |c| must not exceed 1/2")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        if not abs(value) <= 0.5:  # false for NaN
+            raise ValueError(f"|{name}| must not exceed 1/2, got {value}")
+    _require_constant("mu", mu)
 
     def residual(x, u):
         x = np.asarray(x, dtype=float)
         return a * np.sin(x[..., 0:1]) + mu * np.tanh(u)
-
-    def diffusion(x):
-        return np.array([[float(sigma)]])
 
     return PlantSpec(
         n=3,
         d=1,
         m=1,
         drift=residual,
-        diffusion=diffusion,
+        diffusion=_additive_noise(sigma),
         lipschitz_L=math.sqrt(3.0) / 2.0,
         lipschitz_M=0.0,
         gain_lower_b=1.0,
@@ -64,16 +68,12 @@ def bench3(
 
 def chain(n: int, sigma: float = 0.0, bias: float = 0.0) -> PlantSpec:
     """Linear integrator chain f = u + bias with additive noise."""
-
-    def diffusion(x):
-        return np.array([[float(sigma)]])
-
     return PlantSpec(
         n=n,
         d=1,
         m=1,
         drift=None,
-        diffusion=diffusion,
+        diffusion=_additive_noise(sigma),
         lipschitz_L=0.0,
         lipschitz_M=0.0,
         gain_lower_b=1.0,
@@ -88,18 +88,13 @@ def ou(theta: float = 1.0, sigma: float = 1.0) -> PlantSpec:
     With u = 0 the stationary second moment is sigma^2/(2*theta), the
     standard simulator oracle.
     """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-
-    def diffusion(x):
-        return np.array([[float(sigma)]])
-
+    _require_constant("theta", theta, positive=True)
     return PlantSpec(
         n=1,
         d=1,
         m=1,
         drift=None,
-        diffusion=diffusion,
+        diffusion=_additive_noise(sigma),
         lipschitz_L=float(theta),
         lipschitz_M=0.0,
         gain_lower_b=1.0,
@@ -181,18 +176,6 @@ def _parse(what: str, text: str, n: int, allow_u: bool):
 
 
 BUILTIN_PLANTS = {"bench3": bench3, "chain": chain, "ou": ou}
-
-
-def _is_real(value) -> bool:
-    """A finite JSON number; true, "4", NaN and Infinity are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, int) or math.isfinite(value)
-
-
-def _is_integer(value) -> bool:
-    """An integral JSON number; 4.0 is accepted, 4.7, true and "4" are not."""
-    return _is_real(value) and (isinstance(value, int) or value.is_integer())
 
 
 def _field(where: str, name: str, value):

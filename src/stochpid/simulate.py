@@ -27,7 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .design import BoundConstants, GainVector
-from .model import PlantSpec, Setpoint, _cascade_weights, require_finite, shifted_to_raw, z_inverse
+from .model import (PlantSpec, Setpoint, _as_vec, _cascade_weights, _is_integer, _is_real,
+                    require_finite, shifted_to_raw, z_inverse)
 
 __all__ = [
     "SimConfig",
@@ -72,7 +73,9 @@ class SimConfig:
 
     ``controller`` is one of ``"pid"``, ``"pd"`` or ``"open_loop"``;
     ``record_stride`` is the number of steps between recorded moments and
-    ``x0`` the shared initial state (defaults to the setpoint z*).
+    ``x0`` the shared initial state (defaults to the setpoint z*).  Real
+    fields are stored as floats and counts as ints, nothing rounded or read
+    from text (see :func:`~stochpid.model._is_real` and ``_is_integer``).
     """
 
     dt: float
@@ -84,22 +87,34 @@ class SimConfig:
     x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not (self.dt > 0.0 and math.inf > self.horizon >= self.dt):
-            raise ValueError("need 0 < dt <= horizon < inf")
+        # each message starts with its field name, so a caller can prefix its section
+        for name in ("dt", "horizon"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name}: expected a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        for name in ("paths", "seed", "record_stride"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name}: expected an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not 0.0 < self.dt <= self.horizon:
+            raise ValueError(f"dt: need 0 < dt <= horizon, got dt={self.dt}, "
+                             f"horizon={self.horizon}")
         ratio = self.horizon / self.dt
         # a relative 1e-9 absorbs the rounding of decimal horizons and steps
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
-            raise ValueError(f"horizon={self.horizon} is not an integer multiple of dt={self.dt}")
+            raise ValueError(f"horizon: {self.horizon} is not an integer multiple of dt={self.dt}")
         if self.paths < 1:
-            raise ValueError("paths must be >= 1")
+            raise ValueError(f"paths: must be >= 1, got {self.paths}")
         if not 0 <= self.seed < 2 ** 64:  # the first word of each chunk's Philox key
-            raise ValueError(f"seed={self.seed} is outside [0, 2**64)")
+            raise ValueError(f"seed: {self.seed} is outside [0, 2**64)")
         if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+            raise ValueError(f"record_stride: must be >= 1, got {self.record_stride}")
         if self.controller not in _CONTROLLERS:
-            raise ValueError(f"controller must be one of {_CONTROLLERS}")
+            raise ValueError(f"controller: must be one of {_CONTROLLERS}, got {self.controller!r}")
         if self.x0 is not None:
-            object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+            object.__setattr__(self, "x0", _as_vec(self.x0, None, "x0"))
 
     @property
     def steps(self) -> int:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stochpid
 from stochpid.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_REJECTED, _run_config, main
 
 
@@ -115,7 +120,7 @@ class TestCertify:
     def test_rejected(self):
         assert main(["certify", "--gains", "1,1,4", "--L", "0"]) == EXIT_REJECTED
 
-    def test_bad_gains_are_config_errors(self, capsys):
+    def test_bad_gains_are_config_errors(self, tmp_path, capsys):
         assert main(["certify", "--gains=-1,2", "--L", "0"]) == EXIT_CONFIG
         assert "--gains: all gains must be positive" in capsys.readouterr().err
         assert main(["certify", "--gains=1e200,1e200,1e200", "--L", "0.5"]) == EXIT_CONFIG
@@ -125,6 +130,12 @@ class TestCertify:
             assert main(argv) == EXIT_CONFIG
             assert f"config error: {flag[2:]} must be nonnegative and finite, got {value}" \
                 in capsys.readouterr().err
+        # gain entries follow the sim section's rule: JSON numbers, not strings or booleans
+        for gains in (["8.6", "21.5", "21.5", "8.6"], [True, 21.5, 21.5, 8.6]):
+            path = tmp_path / "g.json"
+            path.write_text(json.dumps({"kind": "pid", "gains": gains}))
+            assert main(["certify", "--gains-file", str(path), "--L", "0"]) == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith("config error: gains file: ")
 
 
 class TestHurwitz:
@@ -176,6 +187,16 @@ class TestSimulate:
         printed = capsys.readouterr().out
         assert "upper envelope" in printed
         assert "long-run estimate" in printed
+        # M ** 2 would overflow a Python float; the floor's lower bound is then 0
+        cfg = write_config(
+            tmp_path / "big_m.json", bounds={"lambda": 1.0, "R": 1.0},
+            plant={"kind": "expression", "n": 2, "drift": "u - 0.2*x1", "diffusion": "0.1",
+                   "L": 0.2, "M": 1e200},
+            **{"sim.paths": 4})
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert "upper envelope" in printed
+        assert "(floor lower bound 0, ok)" in printed
 
     def test_divergence_exit_code(self, tmp_path):
         cfg = write_config(
@@ -241,6 +262,10 @@ class TestSimulate:
         ("dt", None), ("x0", {"x1": 0.0}), ("paths", 4.7), ("seed", 1.9), ("record_stride", 2.5),
         # non-finite JSON numbers, and a seed outside the 64-bit Philox key word
         ("x0", [float("nan"), 0.0]), ("y_star", float("inf")), ("seed", -1), ("seed", 2 ** 64),
+        # strings and booleans are not numbers, even where float() would read them
+        ("dt", "1e-3"), ("horizon", "0.1"), ("dt", True), ("x0", ["0", "0"]), ("y_star", "1"),
+        ("y_star", [True]),
+        ("seed", 10 ** 400),  # an integer beyond the float range is still an integer
     ])
     def test_wrong_sim_types_are_config_errors(self, tmp_path, capsys, field, value):
         cfg = write_config(tmp_path / "cfg.json", **{f"sim.{field}": value})
@@ -275,6 +300,8 @@ class TestSimulate:
         ({"kind": "bench3", "params": {"sigma": float("inf")}}, "params.sigma"),
         ({"L": float("inf")}, "L"),
         ({"b_lower": float("inf")}, "b_lower"),
+        # a formula tree deeper than 200 levels
+        ({"drift": "u" + " + x1" * 1200}, "drift"),
     ])
     def test_wrong_plant_types_are_config_errors(self, tmp_path, capsys, plant, field):
         doc = {"kind": "expression", "n": 2, "drift": "u - 0.2*x1", "diffusion": "0.1",
@@ -329,6 +356,19 @@ class TestSimulate:
         capsys.readouterr()
         assert main(run) == EXIT_CONFIG
         assert "STOCHPID_WORKERS" in capsys.readouterr().err
+
+    def test_entry_point_reports_one_config_error_line(self, tmp_path):
+        # the installed script's path: python -m stochpid.cli, errors mapped in main alone
+        cfg = write_config(tmp_path / "cfg.json", **{"sim.dt": "1e-3"})
+        env = {**os.environ, "PYTHONPATH": str(Path(stochpid.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "stochpid.cli", "simulate", "--config", str(cfg),
+             "--out", str(tmp_path / "o.csv")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: sim.dt")
 
     def test_expression_plant_config(self, tmp_path):
         cfg = write_config(

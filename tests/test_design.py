@@ -257,6 +257,20 @@ class TestBoundConstants:
         assert bc.cert_floor_coeff > 0
 
 
+    @pytest.mark.parametrize("name", ["lam", "R"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_lam_and_r_are_rejected(self, name, value):
+        g = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
+        args = {"lam": 1.0, "R": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            bound_constants(g, args["lam"], 0.5, 0.0, args["R"])
+
+    def test_huge_diffusion_constant_gives_a_zero_floor(self):
+        # M ** 2 on a Python float raises OverflowError above about 1.3e154
+        g = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
+        assert bound_constants(g, 1.0, 0.5, 1e200, 1.0).floor_lower_coeff == 0.0
+
+
 class TestMarginContinuity:
     def test_finite_difference_lipschitz(self):
         rng = np.random.default_rng(3)

@@ -78,6 +78,11 @@ class TestParsing:
         ("1,2", ParseError, 0),
         ("x1 +\u00a0foo", UnknownIdentifier, 5),
         ("sin()", ArityError, 0),
+        # trees deeper than 200 levels, which no later walk has to recurse through
+        pytest.param("u" + " + x1" * 1200, ParseError, 0, id="sum-of-1201-terms"),
+        pytest.param("-" * 200 + "u", ParseError, 200, id="200-unary-minus"),
+        # deep enough that ast.parse itself gives up
+        pytest.param("u" + " + x1" * 5000, ParseError, 0, id="sum-of-5001-terms"),
         # Python's own syntax errors: only the range of the position is pinned
         ("", ParseError, None),
         (" \n ", ParseError, None),

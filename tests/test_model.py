@@ -249,6 +249,31 @@ class TestAffineDrift:
         assert not plant.affine.flags.writeable
 
 
+def _spec(*constants):
+    return PlantSpec(1, 1, 1, None, lambda x: np.zeros((1, 1)), *constants)
+
+
+@pytest.mark.parametrize("make, name", [
+    # asserted constants that falsify_lipschitz could never refute
+    pytest.param(lambda v: _spec(v, 0.0), "lipschitz_L", id="PlantSpec-L"),
+    pytest.param(lambda v: _spec(0.0, v), "lipschitz_M", id="PlantSpec-M"),
+    pytest.param(lambda v: _spec(0.0, 0.0, v), "gain_lower_b", id="PlantSpec-b"),
+    # builtin parameters, each checked on its own when the plant is built
+    pytest.param(lambda v: bench3(a=v), "|a|", id="bench3-a"),
+    pytest.param(lambda v: bench3(c=v), "|c|", id="bench3-c"),
+    pytest.param(lambda v: bench3(mu=v), "mu", id="bench3-mu"),
+    pytest.param(lambda v: bench3(sigma=v), "sigma", id="bench3-sigma"),
+    pytest.param(lambda v: chain(2, sigma=v), "sigma", id="chain-sigma"),
+    pytest.param(lambda v: ou(theta=v), "theta", id="ou-theta"),
+    pytest.param(lambda v: ou(sigma=v), "sigma", id="ou-sigma"),
+])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_plant_constants_are_rejected(make, name, value):
+    with pytest.raises(ValueError) as info:
+        make(value)
+    assert str(info.value).startswith(name)
+
+
 def understated_bench3() -> PlantSpec:
     """bench3's residual drift with an understated drift constant L = 0.01."""
     plant = bench3()

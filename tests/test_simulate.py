@@ -286,6 +286,21 @@ class TestSimulatePaths:
                 SimConfig(dt=0.1, horizon=1.0, paths=1, seed=seed)
         assert SimConfig(dt=0.1, horizon=1.0, paths=1, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.9), ("paths", 4.7), ("record_stride", 2.5), ("dt", "0.1"),
+        ("horizon", True), ("x0", ["0"]),
+    ])
+    def test_values_of_the_wrong_type_are_named(self, field, value):
+        # nothing is truncated or read from text: a seed of 1.9 once ran as seed 1
+        args = {"dt": 0.1, "horizon": 1.0, "paths": 1, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            SimConfig(**args)
+
+    def test_numbers_are_stored_as_float_and_int(self):
+        cfg = SimConfig(dt=0.1, horizon=1, paths=np.int64(4), seed=4.0)
+        assert type(cfg.paths) is int and type(cfg.seed) is int and cfg.paths == 4
+        assert type(cfg.horizon) is float and cfg.horizon == 1.0
+
     def test_record_stride_times(self):
         plant = chain(1)
         sp = solve_equilibrium(plant, 0.0)
