@@ -317,7 +317,9 @@ def bound_constants(
     ``decay_coeff = 4*n**3*k0**2/kn**2``, ``floor_coeff = 4*n/lam`` and
     ``floor_lower_coeff = lam / (4*(2+2L+M^2)*lam + 64*(n+1)*R^2*sum(k_i^2))``.
     When a :class:`~stochpid.lyapunov.LyapunovCertificate` is supplied the
-    cruder certificate-derived constants are filled in as well.
+    cruder certificate-derived constants are filled in as well.  Raises
+    ``ValueError`` when ``decay_coeff`` overflows float64; a denominator that
+    overflows gives ``floor_lower_coeff = 0``, a valid lower bound.
     """
     if g.kind != "pid":
         raise ValueError("bound constants are defined for PID gains")
@@ -325,10 +327,16 @@ def bound_constants(
     _require_constant("R", R)
     n = g.n
     k = g.gains
-    decay = 4.0 * n ** 3 * k[0] ** 2 / k[-1] ** 2
     floor = 4.0 * n / lam
-    # M*M and R*R: a Python float ** 2 raises OverflowError where * gives inf
-    denom = 4.0 * (2.0 + 2.0 * L + M * M) * lam + 64.0 * (n + 1) * R * R * float(np.sum(k ** 2))
+    # an overflowing decay is raised below; an overflowing denom makes c3 = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = 4.0 * n ** 3 * k[0] ** 2 / k[-1] ** 2
+        # M*M and R*R: a Python float ** 2 raises OverflowError where * gives inf
+        denom = (4.0 * (2.0 + 2.0 * L + M * M) * lam
+                 + 64.0 * (n + 1) * R * R * float(np.sum(k ** 2)))
+    if not np.isfinite(decay):
+        raise ValueError(f"decay_coeff = {decay} overflows float64 for k0={k[0]}, "
+                         f"{g.label(n)}={k[-1]}")
     c3 = lam / denom
 
     cert_decay = cert_floor = cert_rate = None

@@ -282,8 +282,7 @@ def shifted_coordinates(x, integral, sp: Setpoint, k0: float) -> np.ndarray:
     i >= 2 (the raw upper states), so the controller output equals
     -sum(k_i * y_i) + u*.
     """
-    if k0 <= 0:
-        raise ValueError("k0 must be positive")
+    _require_constant("k0", k0, positive=True)
     d = sp.y_star.size
     xa = np.asarray(x, dtype=float).reshape(-1, d)
     n = xa.shape[0]
@@ -300,8 +299,7 @@ def shifted_to_raw(y, sp: Setpoint, k0: float) -> tuple[np.ndarray, np.ndarray]:
     Maps (..., n+1, d) blocks to the raw state (..., n*d) and the
     integral (..., d).
     """
-    if k0 <= 0:
-        raise ValueError("k0 must be positive")
+    _require_constant("k0", k0, positive=True)
     y = np.asarray(y, dtype=float)
     x = y[..., 1:, :].copy()
     x[..., 0, :] += sp.y_star

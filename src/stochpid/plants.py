@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .design import _require_constant
-from .expr import eval_expr, fold_constants, parse_expr, split_affine
+from .expr import compile_expr, eval_expr, fold_constants, parse_expr, split_affine
 from .model import PlantSpec, _is_integer, _is_real
 
 __all__ = ["bench3", "chain", "ou", "expression_plant", "BUILTIN_PLANTS", "build_plant"]
@@ -124,7 +124,8 @@ def expression_plant(
     from the README gives W = [6, 0, -0.3, 0.5, 1] and the residual
     0.4*sin(x1) + 5.2*tanh(u), as ``bench3`` declares.  A diffusion that
     references no variable returns one unbatched (1, 1) matrix, so the
-    simulator treats it as constant.  L, M and b_lower are the caller's
+    simulator treats it as constant.  Each callable runs its formula
+    compiled once here.  L, M and b_lower are the caller's
     assertions about the expressions.  Errors in a formula, including a
     constant that divides by zero or is not finite, name its parameter
     (``drift: ...``).
@@ -132,7 +133,8 @@ def expression_plant(
     if n < 1:
         raise ValueError("n: must be >= 1")
     const, coeffs, drift_ast = split_affine(_parse("drift", drift, n, allow_u=True))
-    diff_ast = _parse("diffusion", diffusion, n, allow_u=False)
+    drift_code = None if drift_ast is None else compile_expr(drift_ast)
+    diff_code = compile_expr(_parse("diffusion", diffusion, n, allow_u=False))
     names = [f"x{i + 1}" for i in range(n)] + ["u"]
     affine = np.array([[const] + [coeffs.get(v, 0.0) for v in names]]) if coeffs or const else None
 
@@ -140,7 +142,7 @@ def expression_plant(
         x = np.asarray(x, dtype=float)
         env = {f"x{i + 1}": x[..., i] for i in range(n)}
         env["u"] = np.asarray(u, dtype=float)[..., 0]
-        out = np.asarray(eval_expr(drift_ast, env), dtype=float)
+        out = np.asarray(eval_expr(drift_code, env), dtype=float)
         if out.shape != x.shape[:-1]:  # a residual of u alone, given one u for many x
             out = np.broadcast_to(out, x.shape[:-1])
         return out[..., None]
@@ -149,13 +151,13 @@ def expression_plant(
         x = np.asarray(x, dtype=float)
         env = {f"x{i + 1}": x[..., i] for i in range(n)}
         # a formula without variables evaluates to a scalar: one unbatched (1, 1) matrix
-        return np.asarray(eval_expr(diff_ast, env), dtype=float)[..., None, None]
+        return np.asarray(eval_expr(diff_code, env), dtype=float)[..., None, None]
 
     return PlantSpec(
         n=n,
         d=1,
         m=1,
-        drift=None if drift_ast is None else drift_fn,
+        drift=None if drift_code is None else drift_fn,
         diffusion=diff_fn,
         lipschitz_L=L,
         lipschitz_M=M,

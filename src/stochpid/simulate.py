@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .design import BoundConstants, GainVector
+from .design import BoundConstants, GainVector, _require_constant
 from .model import (PlantSpec, Setpoint, _as_vec, _cascade_weights, _is_integer, _is_real,
                     require_finite, shifted_to_raw, z_inverse)
 
@@ -102,6 +102,9 @@ class SimConfig:
             raise ValueError(f"dt: need 0 < dt <= horizon, got dt={self.dt}, "
                              f"horizon={self.horizon}")
         ratio = self.horizon / self.dt
+        # above 2**53 every float is an integer, so the multiple check below could not fail
+        if not ratio <= 2.0 ** 53:
+            raise ValueError(f"horizon: {self.horizon} is more than 2**53 steps of dt={self.dt}")
         # a relative 1e-9 absorbs the rounding of decimal horizons and steps
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise ValueError(f"horizon: {self.horizon} is not an integer multiple of dt={self.dt}")
@@ -587,6 +590,9 @@ def dissipativity_probe(
     """
     if samples < 2:
         raise ValueError(f"samples must be at least 2 (one per radius), got {samples}")
+    _require_constant("lam", lam, positive=True)
+    _require_constant("M", M)
+    _require_constant("radius", radius, positive=True)
     betas = np.asarray(betas, dtype=float)
     k = g.gains
     if not np.allclose(k, k[0] * _cascade_weights(betas, plant.n), rtol=1e-8, atol=0.0):

@@ -252,6 +252,14 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o.csv")]) \
             == EXIT_CONFIG
 
+    @pytest.mark.parametrize("dt, horizon", [(5e-324, 1e300), (1e-300, 1.0)])
+    def test_step_count_beyond_2_to_53_is_one_config_error(self, tmp_path, capsys, dt, horizon):
+        cfg = write_config(tmp_path / "cfg.json", **{"sim.dt": dt, "sim.horizon": horizon})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) \
+            == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: sim.horizon: ")
+
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", **{"sim.paths": 4})
         out = tmp_path / "missing" / "run.csv"

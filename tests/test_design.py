@@ -270,6 +270,15 @@ class TestBoundConstants:
         g = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
         assert bound_constants(g, 1.0, 0.5, 1e200, 1.0).floor_lower_coeff == 0.0
 
+    def test_overflowing_gains_are_named(self):
+        # k0**2 / kn**2 is inf/inf here; the suite turns a RuntimeWarning into an error
+        g = GainVector("pid", np.array([1e200] * 4))
+        with pytest.raises(ValueError, match="^decay_coeff = nan overflows float64"):
+            bound_constants(g, 1.0, 0.5, 0.0, 1.0)
+        # gains in range keep the formula's exact value
+        g = GainVector("pid", np.array([3.0, 1.0, 7.0]))
+        assert bound_constants(g, 1.0, 0.5, 0.0, 1.0).decay_coeff == 4.0 * 8 * 3.0 ** 2 / 7.0 ** 2
+
 
 class TestMarginContinuity:
     def test_finite_difference_lipschitz(self):

@@ -1,3 +1,4 @@
+import ast
 import re
 
 import numpy as np
@@ -6,54 +7,75 @@ import pytest
 from stochpid import bench3, expression_plant
 from stochpid.expr import (
     ArityError,
-    Bin,
-    Call,
-    Num,
     ParseError,
-    Unary,
     UnknownIdentifier,
-    Var,
+    compile_expr,
     eval_expr,
     fold_constants,
-    format_expr,
     parse_expr,
     split_affine,
-    variables_of,
 )
 
 BENCH_DRIFT = "0.4*sin(x1) - 0.3*x2 + 0.5*x3 + 6 + u + 5.2*tanh(u)"
+num = ast.Constant
+
+
+def var(name):
+    return ast.Name(name, ast.Load())
+
+
+def neg(operand):
+    return ast.UnaryOp(ast.USub(), operand)
+
+
+def binop(op, left, right):
+    return ast.BinOp(left, {"+": ast.Add, "-": ast.Sub, "*": ast.Mult, "/": ast.Div}[op](), right)
+
+
+def call(func, arg):
+    return ast.Call(var(func), [arg], [])
+
+
+def same(a, b):
+    """Trees are equal when they dump equal (source positions aside)."""
+    return ast.dump(a) == ast.dump(b)
+
+
+def evaluate(tree, env):
+    return eval_expr(compile_expr(tree), env)
 
 
 class TestParsing:
     def test_identity_input(self):
-        assert parse_expr("u") == Var("u")
+        assert same(parse_expr("u"), var("u"))
 
     def test_left_associativity(self):
-        ast = parse_expr("1 - 2 - 3")
-        assert eval_expr(ast, {}) == -4.0
-        assert ast == Bin("-", Bin("-", Num(1.0), Num(2.0)), Num(3.0))
+        tree = parse_expr("1 - 2 - 3")
+        assert evaluate(tree, {}) == -4.0
+        assert same(tree, binop("-", binop("-", num(1.0), num(2.0)), num(3.0)))
 
     def test_precedence(self):
-        assert eval_expr(parse_expr("2 + 3 * 4"), {}) == 14.0
-        assert eval_expr(parse_expr("(2 + 3) * 4"), {}) == 20.0
-        assert eval_expr(parse_expr("2 / 4 / 2"), {}) == 0.25
+        assert evaluate(parse_expr("2 + 3 * 4"), {}) == 14.0
+        assert evaluate(parse_expr("(2 + 3) * 4"), {}) == 20.0
+        assert evaluate(parse_expr("2 / 4 / 2"), {}) == 0.25
 
     def test_unary_minus(self):
-        assert eval_expr(parse_expr("-3 + 1"), {}) == -2.0
-        assert eval_expr(parse_expr("2 * -3"), {}) == -6.0
-        assert parse_expr("-x1") == Unary(Var("x1"))
+        assert evaluate(parse_expr("-3 + 1"), {}) == -2.0
+        assert evaluate(parse_expr("2 * -3"), {}) == -6.0
+        assert same(parse_expr("-x1"), neg(var("x1")))
 
     def test_bench_drift_structure(self):
-        ast = parse_expr(BENCH_DRIFT, n=3)
-        assert variables_of(ast) == {"x1", "x2", "x3", "u"}
+        tree = parse_expr(BENCH_DRIFT, n=3)
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert names == {"x1", "x2", "x3", "u", "sin", "tanh"}
         env = {"x1": 0.5, "x2": -1.0, "x3": 2.0, "u": 0.3}
         expected = (
             0.4 * np.sin(0.5) - 0.3 * -1.0 + 0.5 * 2.0 + 6 + 0.3 + 5.2 * np.tanh(0.3)
         )
-        assert eval_expr(ast, env) == pytest.approx(expected, rel=1e-15)
+        assert evaluate(tree, env) == pytest.approx(expected, rel=1e-15)
 
     def test_scientific_notation(self):
-        assert eval_expr(parse_expr("1e-3 + 2.5E2"), {}) == pytest.approx(250.001)
+        assert evaluate(parse_expr("1e-3 + 2.5E2"), {}) == pytest.approx(250.001)
 
     @pytest.mark.parametrize("text, error, position", [
         ("1 + $", ParseError, 4),
@@ -103,9 +125,9 @@ class TestParsing:
     def test_literals_python_spells_differently(self):
         # whitespace and line breaks anywhere, leading zeros, and an integer
         # literal too long for a float are all part of the DSL
-        assert parse_expr("\n 007 *\tx1\n") == Bin("*", Num(7.0), Var("x1"))
-        assert parse_expr("00.5e-05 - 1E+007") == Bin("-", Num(0.5e-5), Num(1e7))
-        assert parse_expr("1" * 400 + "*x1") == Bin("*", Num(float("inf")), Var("x1"))
+        assert same(parse_expr("\n 007 *\tx1\n"), binop("*", num(7.0), var("x1")))
+        assert same(parse_expr("00.5e-05 - 1E+007"), binop("-", num(0.5e-5), num(1e7)))
+        assert same(parse_expr("1" * 400 + "*x1"), binop("*", num(float("inf")), var("x1")))
 
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifier):
@@ -132,18 +154,18 @@ class TestRoundTrip:
         if depth == 0 or rng.random() < 0.3:
             choice = rng.integers(0, 3)
             if choice == 0:
-                return Num(round(abs(float(rng.standard_normal())), 6))
+                return num(round(abs(float(rng.standard_normal())), 6))
             if choice == 1:
-                return Var(f"x{int(rng.integers(1, 4))}")
-            return Var("u")
+                return var(f"x{int(rng.integers(1, 4))}")
+            return var("u")
         choice = rng.integers(0, 3)
         if choice == 0:
-            return Unary(TestRoundTrip.random_ast(rng, depth - 1))
+            return neg(TestRoundTrip.random_ast(rng, depth - 1))
         if choice == 1:
             fn = ("sin", "cos", "tanh", "exp", "abs")[int(rng.integers(0, 5))]
-            return Call(fn, TestRoundTrip.random_ast(rng, depth - 1))
+            return call(fn, TestRoundTrip.random_ast(rng, depth - 1))
         op = "+-*/"[int(rng.integers(0, 4))]
-        return Bin(
+        return binop(
             op,
             TestRoundTrip.random_ast(rng, depth - 1),
             TestRoundTrip.random_ast(rng, depth - 1),
@@ -152,8 +174,8 @@ class TestRoundTrip:
     def test_parse_print_round_trip(self):
         rng = np.random.default_rng(41)
         for _ in range(500):
-            ast = self.random_ast(rng, int(rng.integers(1, 6)))
-            assert parse_expr(format_expr(ast)) == ast
+            tree = self.random_ast(rng, int(rng.integers(1, 6)))
+            assert same(parse_expr(ast.unparse(tree)), tree)
 
     def test_round_trip_of_parsed_sources(self):
         for text in (
@@ -162,35 +184,45 @@ class TestRoundTrip:
             "-(x1 + x2) * -u / (1 + exp(-x1))",
             "abs(x1)/3 - -2",
         ):
-            ast = parse_expr(text)
-            assert parse_expr(format_expr(ast)) == ast
+            tree = parse_expr(text)
+            assert same(parse_expr(ast.unparse(tree)), tree)
 
 
 class TestEvaluation:
     def test_array_broadcast(self):
-        ast = parse_expr("x1 * u + 1")
-        out = eval_expr(ast, {"x1": np.array([1.0, 2.0]), "u": np.array([3.0, 4.0])})
+        tree = parse_expr("x1 * u + 1")
+        out = evaluate(tree, {"x1": np.array([1.0, 2.0]), "u": np.array([3.0, 4.0])})
         assert np.array_equal(out, [4.0, 9.0])
+
+    @pytest.mark.parametrize("tree", [
+        ast.Attribute(var("x1"), "real", ast.Load()),  # what "x1.real" would parse to
+        binop("+", var("u"), ast.Call(var("sin"), [], [ast.keyword("x", num(1.0))])),
+        ast.BinOp(var("x1"), ast.Pow(), num(2.0)),
+    ])
+    def test_compile_refuses_nodes_outside_the_dsl(self, tree):
+        # the parser's whitelist is the only way outside text reaches compile
+        with pytest.raises(ValueError, match="is not part of a formula$"):
+            compile_expr(tree)
 
     def test_scalar_division_by_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
-            eval_expr(parse_expr("1 / x1"), {"x1": 0.0})
+            evaluate(parse_expr("1 / x1"), {"x1": 0.0})
 
 
 class TestConstantFolding:
     def test_constant_subtrees_become_numbers(self):
-        assert fold_constants(parse_expr("0.1 + exp(0)")) == Num(0.1 + 1.0)
-        assert fold_constants(parse_expr("-0.3*x2")) == Bin("*", Num(-0.3), Var("x2"))
-        assert fold_constants(parse_expr("2*3*x1 + sin(x1)/(1 + 1)")) == parse_expr(
-            "6*x1 + sin(x1)/2")
+        assert same(fold_constants(parse_expr("0.1 + exp(0)")), num(0.1 + 1.0))
+        assert same(fold_constants(parse_expr("-0.3*x2")), binop("*", num(-0.3), var("x2")))
+        assert same(fold_constants(parse_expr("2*3*x1 + sin(x1)/(1 + 1)")),
+                    parse_expr("6*x1 + sin(x1)/2"))
         # left-associative: x1*2*3 has no variable-free subtree
-        assert fold_constants(parse_expr("x1*2*3")) == parse_expr("x1*2*3")
+        assert same(fold_constants(parse_expr("x1*2*3")), parse_expr("x1*2*3"))
 
     def test_folding_keeps_values(self):
         text = "abs(-2)*x1/3 - (1 - 4)*tanh(u) + exp(-1)*cos(x1)"
         env = {"x1": np.linspace(-2.0, 2.0, 9), "u": np.linspace(1.0, -1.0, 9)}
-        assert np.array_equal(eval_expr(fold_constants(parse_expr(text)), env),
-                              eval_expr(parse_expr(text), env))
+        assert np.array_equal(evaluate(fold_constants(parse_expr(text)), env),
+                              evaluate(parse_expr(text), env))
 
     @pytest.mark.parametrize("text, message", [
         ("u + 1/0", "1.0 / 0.0 divides by zero"),
@@ -214,7 +246,7 @@ class TestAffineSplit:
     def test_bench_formula(self):
         const, coeffs, residual = self.split(BENCH_DRIFT)
         assert (const, coeffs) == (6.0, {"x2": -0.3, "x3": 0.5, "u": 1.0})
-        assert residual == parse_expr("0.4*sin(x1) + 5.2*tanh(u)")
+        assert same(residual, parse_expr("0.4*sin(x1) + 5.2*tanh(u)"))
         plant = expression_plant(3, BENCH_DRIFT, "0.2", L=np.sqrt(3) / 2, M=0.0)
         assert np.array_equal(plant.affine, [[6.0, 0.0, -0.3, 0.5, 1.0]])
 
@@ -228,16 +260,18 @@ class TestAffineSplit:
     def test_nonlinear_terms_stay_residual(self, term):
         const, coeffs, residual = self.split(f"u + {term} - 1")
         assert (const, coeffs) == (-1.0, {"u": 1.0})
-        assert residual == fold_constants(parse_expr(term))
+        assert same(residual, fold_constants(parse_expr(term)))
         plant = expression_plant(2, f"{term} - 1", "0.1", L=1.0, M=0.0)
         assert np.array_equal(plant.affine, [[-1.0, 0.0, 0.0, 0.0]])
 
     def test_terms_through_unary_minus_and_repeats(self):
         assert self.split("x1 + 2*x1") == (0.0, {"x1": 3.0}, None)
-        assert self.split("-(x1/4 - 3) - -u*2 - sin(x2)") == (
-            3.0, {"x1": -0.25, "u": 2.0}, Unary(Call("sin", Var("x2"))))
-        assert self.split("sin(x1) - cos(x2)") == (
-            0.0, {}, Bin("-", Call("sin", Var("x1")), Call("cos", Var("x2"))))
+        const, coeffs, residual = self.split("-(x1/4 - 3) - -u*2 - sin(x2)")
+        assert (const, coeffs) == (3.0, {"x1": -0.25, "u": 2.0})
+        assert same(residual, neg(call("sin", var("x2"))))
+        const, coeffs, residual = self.split("sin(x1) - cos(x2)")
+        assert (const, coeffs) == (0.0, {})
+        assert same(residual, binop("-", call("sin", var("x1")), call("cos", var("x2"))))
         assert expression_plant(2, "sin(x1) + tanh(u)", "0.1", L=1.0, M=0.0).affine is None
 
     @pytest.mark.parametrize("text", [
@@ -248,11 +282,11 @@ class TestAffineSplit:
     ])
     def test_split_plant_evaluates_the_unsplit_formula(self, text):
         plant = expression_plant(3, text, "0.2", L=1.0, M=0.0)
-        ast = parse_expr(text, n=3)
+        tree = parse_expr(text, n=3)
         rng = np.random.default_rng(43)
         x, u = rng.standard_normal((256, 3)), rng.standard_normal((256, 1))
         env = {"x1": x[:, 0], "x2": x[:, 1], "x3": x[:, 2], "u": u[:, 0]}
-        want = eval_expr(ast, env)[:, None]
+        want = evaluate(tree, env)[:, None]
         assert np.allclose(plant.eval_drift(x, u), want, rtol=1e-14, atol=1e-14)
         assert np.allclose(plant.eval_drift(x[0], u[0]), want[0], rtol=1e-14, atol=1e-14)
 

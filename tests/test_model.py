@@ -145,6 +145,15 @@ class TestShiftedCoordinates:
         with pytest.raises(ValueError):
             shifted_coordinates(np.array([1.0]), np.zeros(1), sp, 0.0)
 
+    @pytest.mark.parametrize("k0", [float("nan"), float("inf"), -1.0])
+    def test_k0_must_be_positive_and_finite(self, k0):
+        # NaN passes a plain k0 <= 0 test and would fill the blocks with NaN
+        sp = solve_equilibrium(chain(1), 0.0)
+        with pytest.raises(ValueError, match="^k0 must be positive and finite"):
+            shifted_coordinates(np.array([1.0]), np.zeros(1), sp, k0)
+        with pytest.raises(ValueError, match="^k0 must be positive and finite"):
+            shifted_to_raw(np.zeros((2, 1)), sp, k0)
+
 
 class TestZTransform:
     def test_zero_maps_to_zero(self):

@@ -5,6 +5,13 @@ import pytest
 import stochpid
 
 
+@pytest.mark.parametrize("module", ["design", "expr", "lyapunov", "model", "plants",
+                                    "simulate", "stability"])
+def test_public_names_exist(module):
+    module = importlib.import_module(f"stochpid.{module}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
 @pytest.mark.parametrize("module", ["design", "lyapunov", "model", "plants", "simulate",
                                     "stability"])
 def test_public_names_are_reexported(module):

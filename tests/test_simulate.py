@@ -276,6 +276,11 @@ class TestSimulatePaths:
             SimConfig(dt=0.3, horizon=1.0, paths=1, seed=1)
         with pytest.raises(ValueError):
             SimConfig(dt=1e-3, horizon=math.inf, paths=1, seed=1)
+        # an infinite step count, and one so large that every float is an integer multiple
+        for dt, horizon in ((5e-324, 1e300), (1e-300, 1.0)):
+            with pytest.raises(ValueError, match=r"^horizon: .* more than 2\*\*53 steps"):
+                SimConfig(dt=dt, horizon=horizon, paths=1, seed=1)
+        assert SimConfig(dt=1.0, horizon=2.0 ** 53, paths=1, seed=1).steps == 2 ** 53
         assert SimConfig(dt=1e-3, horizon=30.0, paths=1, seed=1).steps == 30000
         assert SimConfig(dt=0.1, horizon=0.3, paths=1, seed=1).steps == 3
 
@@ -570,6 +575,20 @@ class TestDissipativityProbe:
         g, betas = lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4, 0.1], k=4000.0)
         with pytest.raises(ValueError, match="samples"):
             dissipativity_probe(plant, sp, g, betas, 1.0, 0.0, samples=samples)
+
+    @pytest.mark.parametrize("name, value", [
+        # NaN made every margin NaN, so the probe reported no violation
+        ("lam", float("nan")), ("M", float("nan")), ("radius", float("nan")),
+        ("lam", 0.0), ("lam", math.inf), ("M", -1.0), ("radius", 0.0), ("radius", -1.0),
+    ])
+    def test_bad_constants_rejected(self, name, value):
+        plant = chain(2)
+        sp = solve_equilibrium(plant, 1.0)
+        g, betas = lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4, 0.1], k=4000.0)
+        args = {"lam": 1.0, "M": 0.0, "radius": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            dissipativity_probe(plant, sp, g, betas, args["lam"], args["M"], samples=10,
+                                radius=args["radius"])
 
     def test_nonlinear_plant_dissipative_inside_class(self):
         # drift with true L = 0.3 <= asserted design L
