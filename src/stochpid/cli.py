@@ -27,16 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from .design import (
-    GainVector,
-    _require_constant,
-    bound_constants,
-    check_inequality,
-    geometric_gains,
-    lambda_gains,
-)
+from .design import GainVector, bound_constants, check_inequality, geometric_gains, lambda_gains
 from .lyapunov import CertificateError, verify_certificate
-from .model import NoConvergence, NonFinite, _as_vec, _is_real, solve_equilibrium
+from .model import (NoConvergence, NonFinite, _as_vec, _is_real, _require_constant,
+                    solve_equilibrium)
 from .plants import BUILTIN_PLANTS, bench3, build_plant
 from .simulate import Diverged, SimConfig, bound_envelope, simulate_paths
 from .stability import IndeterminateStability, char_coeffs, determining_coeffs, is_hurwitz
@@ -168,7 +162,10 @@ def _run_config(doc: dict, workers: Optional[int]):
         _require(_is_real(lam) and lam > 0,
                  f"bounds.lambda: expected a positive number, got {lam!r}")
         _require(_is_real(R) and R >= 0, f"bounds.R: expected a nonnegative number, got {R!r}")
-        bc = bound_constants(gains, float(lam), plant.lipschitz_L, plant.lipschitz_M, float(R))
+        try:
+            bc = bound_constants(gains, float(lam), plant.lipschitz_L, plant.lipschitz_M, float(R))
+        except ValueError as exc:
+            raise ValueError(f"bounds: {exc}") from None
     try:
         sp = solve_equilibrium(plant, y_star)
     except NoConvergence as exc:

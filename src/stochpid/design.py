@@ -23,6 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .model import _require_constant, _require_count
+
 __all__ = [
     "GainVector",
     "DesignReport",
@@ -43,16 +45,6 @@ class NonPositiveGain(ValueError):
 
 class InvalidBeta(ValueError):
     """Ratio overrides violate the strict design inequalities."""
-
-
-def _require_constant(name: str, value: float, positive: bool = False) -> None:
-    """Raise ``ValueError`` naming ``name`` unless 0 <= value < inf (0 < value with ``positive``).
-
-    The chained comparison is false for NaN, so NaN is rejected with inf.
-    """
-    if not (0 < value < math.inf if positive else 0 <= value < math.inf):
-        kind = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be {kind} and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -199,8 +191,7 @@ def geometric_gains(k: float, n: int) -> GainVector:
     large enough; admissibility is monotone in ``k``.
     """
     _require_constant("k", k, positive=True)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _require_count("n", n)
     gains = np.array([3.0 ** (-i * (i + 1) / 2.0) * k for i in range(n + 1)])
     return GainVector("pid", gains)
 
@@ -264,8 +255,7 @@ def lambda_gains(
     _require_constant("L", L)
     _require_constant("M", M)
     _require_constant("b_lower", b_lower, positive=True)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _require_count("n", n)
 
     b1_bound = _beta_bounds(lam, M, n)
     if betas is None:

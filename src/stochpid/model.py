@@ -38,8 +38,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .design import _require_constant
-
 __all__ = [
     "PlantSpec",
     "Setpoint",
@@ -87,18 +85,19 @@ class PlantSpec:
     affine: Optional[np.ndarray] = field(default=None, compare=False)  # == on arrays is elementwise
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1 or self.m < 1:
-            raise ValueError("n, d and m must be positive integers")
+        for name in ("n", "d", "m"):
+            object.__setattr__(self, name, _require_count(name, getattr(self, name)))
         _require_constant("lipschitz_L", self.lipschitz_L)
         _require_constant("lipschitz_M", self.lipschitz_M)
         _require_constant("gain_lower_b", self.gain_lower_b, positive=True)
         if self.affine is not None:
-            W = np.array(self.affine, dtype=float)
+            W = np.array(self.affine)  # no dtype=float, which would read numbers from text
             shape = (self.d, 1 + self.state_dim + self.d)
             if W.shape != shape:
                 raise ValueError(f"affine must have shape {shape}, got {W.shape}")
-            if not np.all(np.isfinite(W)):
-                raise ValueError("affine weights must be finite")
+            if W.dtype.kind not in "iuf" or not np.all(np.isfinite(W)):
+                raise ValueError(f"affine weights must be finite numbers, got {W}")
+            W = W.astype(float)
             W.flags.writeable = False
             object.__setattr__(self, "affine", W)
 
@@ -149,6 +148,8 @@ class Setpoint:
 
 def _is_real(value) -> bool:
     """A real number with a finite float value: not a bool, a string, NaN, inf or 10**400."""
+    if isinstance(value, float):  # a fast path for the common case, np.float64 included
+        return math.isfinite(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     if isinstance(value, numbers.Integral):  # math.isfinite(10**400) raises OverflowError
@@ -160,6 +161,22 @@ def _is_integer(value) -> bool:
     """An integral number of any size: 4.0 and numpy integers, not 4.7, true or "4"."""
     return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             or _is_real(value) and float(value).is_integer())
+
+
+def _require_constant(name: str, value, positive: bool = False) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` satisfies :func:`_is_real`
+    and is nonnegative (positive with ``positive``)."""
+    if not (_is_real(value) and (value > 0 if positive else value >= 0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be {kind} and finite, got {value!r}")
+
+
+def _require_count(name: str, value) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless it satisfies
+    :func:`_is_integer` and is at least 1."""
+    if not (_is_integer(value) and value >= 1):
+        raise ValueError(f"{name}: expected a positive integer, got {value!r}")
+    return int(value)
 
 
 def _as_vec(v, dim: Optional[int], what: str) -> np.ndarray:
@@ -349,8 +366,7 @@ def falsify_lipschitz(
     worst offending pair (the first one, on ties).  Absence of a
     counterexample proves nothing; the constants remain user assertions.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    samples = _require_count("samples", samples)
     rng = np.random.default_rng(seed)
     nd, d = plant.state_dim, plant.d
     draws = rng.uniform(-radius, radius, (samples, 2 * nd + d))  # rows (x1, x2, u)

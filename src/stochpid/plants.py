@@ -20,17 +20,16 @@ import math
 
 import numpy as np
 
-from .design import _require_constant
 from .expr import compile_expr, eval_expr, fold_constants, parse_expr, split_affine
-from .model import PlantSpec, _is_integer, _is_real
+from .model import PlantSpec, _is_real, _require_constant, _require_count
 
 __all__ = ["bench3", "chain", "ou", "expression_plant", "BUILTIN_PLANTS", "build_plant"]
 
 
 def _additive_noise(sigma: float):
     """Constant diffusion g = sigma: one unbatched (1, 1) matrix, sigma finite."""
-    if not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite, got {sigma}")
+    if not _is_real(sigma):
+        raise ValueError(f"sigma must be a finite number, got {sigma!r}")
     return lambda x: np.array([[float(sigma)]])
 
 
@@ -44,8 +43,8 @@ def bench3(
 ) -> PlantSpec:
     """Third-order benchmark plant with additive noise of intensity sigma."""
     for name, value in (("a", a), ("b", b), ("c", c)):
-        if not abs(value) <= 0.5:  # false for NaN
-            raise ValueError(f"|{name}| must not exceed 1/2, got {value}")
+        if not (_is_real(value) and abs(value) <= 0.5):
+            raise ValueError(f"|{name}| must not exceed 1/2, got {value!r}")
     _require_constant("mu", mu)
 
     def residual(x, u):
@@ -68,6 +67,7 @@ def bench3(
 
 def chain(n: int, sigma: float = 0.0, bias: float = 0.0) -> PlantSpec:
     """Linear integrator chain f = u + bias with additive noise."""
+    n = _require_count("n", n)
     return PlantSpec(
         n=n,
         d=1,
@@ -130,8 +130,7 @@ def expression_plant(
     constant that divides by zero or is not finite, name its parameter
     (``drift: ...``).
     """
-    if n < 1:
-        raise ValueError("n: must be >= 1")
+    n = _require_count("n", n)
     const, coeffs, drift_ast = split_affine(_parse("drift", drift, n, allow_u=True))
     drift_code = None if drift_ast is None else compile_expr(drift_ast)
     diff_code = compile_expr(_parse("diffusion", diffusion, n, allow_u=False))
@@ -185,9 +184,7 @@ def _field(where: str, name: str, value):
     formulas strings, the Lipschitz constants ``L`` and ``M`` nonnegative,
     ``b_lower`` positive, the rest numbers."""
     if name == "n":
-        if not (_is_integer(value) and value >= 1):
-            raise ValueError(f"{where}.{name}: expected a positive integer, got {value!r}")
-        return int(value)
+        return _require_count(f"{where}.{name}", value)
     if name in ("drift", "diffusion"):
         if not isinstance(value, str):
             raise ValueError(f"{where}.{name}: expected a formula string, got {value!r}")

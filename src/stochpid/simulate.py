@@ -26,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .design import BoundConstants, GainVector, _require_constant
+from .design import BoundConstants, GainVector
 from .model import (PlantSpec, Setpoint, _as_vec, _cascade_weights, _is_integer, _is_real,
-                    require_finite, shifted_to_raw, z_inverse)
+                    _require_constant, _require_count, require_finite, shifted_to_raw, z_inverse)
 
 __all__ = [
     "SimConfig",
@@ -93,11 +93,11 @@ class SimConfig:
             if not _is_real(value):
                 raise ValueError(f"{name}: expected a finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
-        for name in ("paths", "seed", "record_stride"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name}: expected an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed: expected an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
+        for name in ("paths", "record_stride"):
+            object.__setattr__(self, name, _require_count(name, getattr(self, name)))
         if not 0.0 < self.dt <= self.horizon:
             raise ValueError(f"dt: need 0 < dt <= horizon, got dt={self.dt}, "
                              f"horizon={self.horizon}")
@@ -108,12 +108,8 @@ class SimConfig:
         # a relative 1e-9 absorbs the rounding of decimal horizons and steps
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise ValueError(f"horizon: {self.horizon} is not an integer multiple of dt={self.dt}")
-        if self.paths < 1:
-            raise ValueError(f"paths: must be >= 1, got {self.paths}")
         if not 0 <= self.seed < 2 ** 64:  # the first word of each chunk's Philox key
             raise ValueError(f"seed: {self.seed} is outside [0, 2**64)")
-        if self.record_stride < 1:
-            raise ValueError(f"record_stride: must be >= 1, got {self.record_stride}")
         if self.controller not in _CONTROLLERS:
             raise ValueError(f"controller: must be one of {_CONTROLLERS}, got {self.controller!r}")
         if self.x0 is not None:
@@ -588,6 +584,7 @@ def dissipativity_probe(
     k_i = (beta_1..beta_i)*k0; positive margins are reported, not raised (a
     failed probe is a diagnostic about the sampled region, not a disproof).
     """
+    samples = _require_count("samples", samples)
     if samples < 2:
         raise ValueError(f"samples must be at least 2 (one per radius), got {samples}")
     _require_constant("lam", lam, positive=True)
@@ -598,7 +595,9 @@ def dissipativity_probe(
     if not np.allclose(k, k[0] * _cascade_weights(betas, plant.n), rtol=1e-8, atol=0.0):
         raise ValueError("gains do not follow the supplied ratio pattern")
 
-    threshold = 0.5 * (lam + 8.0 * M ** 2)
+    threshold = 0.5 * (lam + 8.0 * M * M)  # a Python float ** 2 raises OverflowError
+    if not threshold < math.inf:  # an infinite threshold would count no violation
+        raise ValueError(f"threshold (lam + 8*M**2)/2 overflows float64 for lam={lam}, M={M}")
     dim = (plant.n + 1) * plant.d
     rng = np.random.default_rng(seed)
     per_radius = samples // 2

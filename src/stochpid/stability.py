@@ -2,15 +2,15 @@
 
 Coefficients are stored ascending, ``a[0] + a[1]*s + ... + a[N]*s**N``.
 ``routh_hurwitz`` decides stability for every degree with one Routh row
-recursion, and ``is_hurwitz`` applies it to the companion matrix of a gain
-vector.  ``nie_stable`` is a separate determining-coefficient *sufficient*
+recursion, run on floats and, when a float entry overflows, once more on the
+exact rationals, and ``is_hurwitz`` applies it to the companion matrix of a
+gain vector.  ``nie_stable`` is a separate determining-coefficient *sufficient*
 test for degree >= 5: True proves stability, False decides nothing.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -97,67 +97,49 @@ def nie_stable(p) -> bool:
 
 
 def _routh(desc: list) -> bool:
-    """Routh verdict of descending coefficients; OverflowError on a non-finite entry."""
-    prev, row = desc[0::2], desc[1::2] + [0.0] * (len(desc) % 2)
+    """Routh verdict of descending float or ``Fraction`` coefficients (rows padded with
+    the int 0, which keeps a ``Fraction`` row exact); OverflowError on a non-finite float."""
+    prev, row = desc[0::2], desc[1::2] + [0] * (len(desc) % 2)
     positive = True
     for r in range(1, len(desc) - 1):
         pivot = row[0]
-        if pivot == 0.0:
+        if pivot == 0:
             raise IndeterminateStability(f"zero pivot in Routh row {r}")
-        positive = positive and pivot > 0.0
+        positive = positive and pivot > 0
         prev, row = row, [(pivot * prev[j + 1] - prev[0] * row[j + 1]) / pivot
-                          for j in range(len(prev) - 1)] + [0.0]
-        # Python float arithmetic overflows to inf (and inf - inf to nan) silently
-        if not all(map(math.isfinite, row)):
+                          for j in range(len(prev) - 1)] + [0]
+        # Python float arithmetic overflows to inf (and inf - inf to nan) silently;
+        # math.isfinite of a huge Fraction would itself raise OverflowError
+        if isinstance(pivot, float) and not all(map(math.isfinite, row)):
             raise OverflowError
-    if row[0] == 0.0:
+    if row[0] == 0:
         raise IndeterminateStability("zero entry in Routh first column")
-    return positive and row[0] > 0.0
-
-
-def _balanced(desc: list) -> list:
-    """``desc[j] * 2**(j*k - e)``: p(2**-k * t) times a power of two, with centred exponents.
-
-    s = 2**-k * t keeps the sign of every root's real part, and each Routh
-    entry of the scaled polynomial is the original one times a power of two,
-    so it rounds alike.  OverflowError when a scaled coefficient would leave
-    the normal float range, where the scaling is no longer exact.
-    """
-    exps = [(j, math.frexp(c)[1]) for j, c in enumerate(desc) if c != 0.0]
-    (j0, e0), (j1, e1) = exps[0], exps[-1]
-    k = round((e0 - e1) / (j1 - j0)) if j1 > j0 else 0
-    scaled = [e + j * k for j, e in exps]
-    e = (max(scaled) + min(scaled)) // 2
-    if min(scaled) - e < sys.float_info.min_exp:
-        raise OverflowError
-    return [math.ldexp(c, j * k - e) for j, c in enumerate(desc)]
+    return positive and row[0] > 0
 
 
 def routh_hurwitz(p) -> bool:
     """Exact stability via the Routh array (first column all positive), any degree.
 
-    One row recursion on Python floats.  When an entry overflows, the
-    recursion runs once more on the polynomial rescaled exactly by powers of
-    two.  Raises :class:`IndeterminateStability` when a pivot is exactly zero
-    rather than guessing, and ValueError when an entry overflows float64
-    either way.
+    One row recursion on Python floats; when an entry overflows, it runs again on
+    the coefficients as exact ``Fraction``s (floats are dyadic rationals).  Raises
+    :class:`IndeterminateStability` on an exactly zero pivot rather than
+    guessing, and ValueError for a non-finite coefficient.
     """
     a = _coeffs(p)
     if a[-1] < 0.0:
         raise ValueError("leading coefficient must be positive")
     desc = a[::-1].tolist()
+    if not all(map(math.isfinite, desc)):
+        raise ValueError(f"Routh array needs finite coefficients, got {a}")
     if len(desc) == 2:
         return desc[1] > 0.0
-    if all(map(math.isfinite, desc)):
-        try:
-            return _routh(desc)
-        except OverflowError:
-            pass
-        try:
-            return _routh(_balanced(desc))
-        except OverflowError:
-            pass
-    raise ValueError("Routh array entries overflow float64")
+    try:
+        return _routh(desc)
+    except OverflowError:
+        pass
+    # imported here: fractions (with decimal) adds 2-3 ms to `import stochpid`
+    from fractions import Fraction
+    return _routh(list(map(Fraction, desc)))
 
 
 def is_hurwitz(g: GainVector) -> bool:

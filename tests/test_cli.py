@@ -142,7 +142,7 @@ class TestHurwitz:
     def test_stable(self, capsys):
         assert main(["hurwitz", "--gains", "8.6,21.5,21.5,8.6"]) == EXIT_OK
         assert "hurwitz: True" in capsys.readouterr().out
-        # the Routh recursion overflows here unless the polynomial is rescaled
+        # the float Routh recursion overflows here; the exact rational re-run decides it
         assert main(["hurwitz", "--gains=1e200,1e200"]) == EXIT_OK
         assert "hurwitz: True" in capsys.readouterr().out
 
@@ -329,6 +329,8 @@ class TestSimulate:
         ({"bounds": {"lambda": 1.0}, "sim.controller": "open_loop"}, "bounds"),
         ({"bounds": {"lambda": float("inf")}}, "bounds.lambda"),
         ({"bounds": {"lambda": 1.0, "R": float("inf")}}, "bounds.R"),
+        # decay_coeff = 4*n**3*k0**2/kn**2 overflows to inf/inf
+        ({"bounds": {"lambda": 1.0}, "gains": {"kind": "pid", "gains": [1e200] * 3}}, "bounds"),
     ])
     def test_bad_bounds_fail_before_the_run(self, tmp_path, capsys, monkeypatch, overrides,
                                            field):

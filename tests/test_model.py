@@ -11,7 +11,11 @@ from stochpid import (
     Setpoint,
     bench3,
     chain,
+    check_inequality,
+    expression_plant,
     falsify_lipschitz,
+    geometric_gains,
+    lambda_gains,
     ou,
     shifted_coordinates,
     shifted_to_raw,
@@ -281,6 +285,36 @@ def test_non_finite_plant_constants_are_rejected(make, name, value):
     with pytest.raises(ValueError) as info:
         make(value)
     assert str(info.value).startswith(name)
+
+
+@pytest.mark.parametrize("call, name", [
+    # each ended in a TypeError traceback, ran with lam = 1 or kept a fractional n
+    pytest.param(lambda: check_inequality(GainVector("pid", np.ones(2)), "1", 0.0), "L",
+                 id="check_inequality-L-str"),
+    pytest.param(lambda: bench3(sigma="0.2"), "sigma", id="bench3-sigma-str"),
+    pytest.param(lambda: lambda_gains(True, 0.0, 0.0, 2), "lam", id="lambda_gains-lam-bool"),
+    pytest.param(lambda: PlantSpec(1.5, 1, 1, None, lambda x: np.zeros((1, 1)), 0.0, 0.0), "n",
+                 id="PlantSpec-n"),
+    pytest.param(lambda: geometric_gains(10.0, 2.5), "n", id="geometric_gains-n"),
+    pytest.param(lambda: lambda_gains(1.0, 0.0, 0.0, 2.5), "n", id="lambda_gains-n"),
+    pytest.param(lambda: expression_plant(2.5, "u", "0", 0.0, 0.0), "n", id="expression_plant-n"),
+    pytest.param(lambda: chain(2.5), "n", id="chain-n"),
+    # the affine weights were read from text
+    pytest.param(lambda: bench3(d="6.5"), "affine", id="bench3-d-str"),
+    pytest.param(lambda: chain(2, bias="0.5"), "affine", id="chain-bias-str"),
+    pytest.param(lambda: falsify_lipschitz(bench3(), samples=2.5), "samples",
+                 id="falsify_lipschitz-samples"),
+])
+def test_one_number_rule_names_the_value(call, name):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value).startswith(name)
+
+
+def test_counts_are_stored_as_int():
+    plant = PlantSpec(2.0, np.int64(1), 1, None, lambda x: np.zeros((1, 1)), 0.0, 0.0)
+    assert (type(plant.n), type(plant.d), plant.state_dim) == (int, int, 2)
+    assert geometric_gains(10.0, 2.0).n == 2
 
 
 def understated_bench3() -> PlantSpec:

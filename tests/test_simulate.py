@@ -567,7 +567,7 @@ class TestDissipativityProbe:
         with pytest.raises(ValueError):
             dissipativity_probe(plant, sp, g, [0.4, 0.1], 1.0, 0.0, samples=10)
 
-    @pytest.mark.parametrize("samples", [0, 1])
+    @pytest.mark.parametrize("samples", [0, 1, 10.5])
     def test_too_few_samples_rejected(self, samples):
         # one point per radius is the least the probe can draw
         plant = chain(2)
@@ -589,6 +589,14 @@ class TestDissipativityProbe:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             dissipativity_probe(plant, sp, g, betas, args["lam"], args["M"], samples=10,
                                 radius=args["radius"])
+
+    def test_overflowing_threshold_rejected(self):
+        # an infinite threshold would give infinite margins and tolerances: no violation
+        plant = chain(2)
+        sp = solve_equilibrium(plant, 1.0)
+        g, betas = lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4, 0.1], k=4000.0)
+        with pytest.raises(ValueError, match=r"^threshold .* lam=1.0, M=1e\+200"):
+            dissipativity_probe(plant, sp, g, betas, 1.0, 1e200, samples=10)
 
     def test_nonlinear_plant_dissipative_inside_class(self):
         # drift with true L = 0.3 <= asserted design L

@@ -126,6 +126,12 @@ class TestRouthHurwitz:
         with pytest.raises(IndeterminateStability):
             routh_hurwitz([1.0, 2.0, 2.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("coeffs", [[float("nan"), 1.0], [1.0, float("inf"), 1.0],
+                                        [1.0, 2.0, float("-inf"), 1.0]])
+    def test_non_finite_coefficient_raises(self, coeffs):
+        with pytest.raises(ValueError, match="finite coefficients"):
+            routh_hurwitz(coeffs)
+
     def test_oracle_agreement_random(self):
         rng = np.random.default_rng(24)
         checked = 0
@@ -143,8 +149,7 @@ class TestRouthHurwitz:
             checked += 1
         assert checked > 300
 
-
-    def test_rescaled_verdicts_match_exact_routh(self):
+    def test_overflowing_verdicts_match_exact_routh(self):
         def exact_first_column(coeffs):
             desc = [Fraction(float(c)) for c in coeffs[::-1]]
             prev, row = desc[0::2], desc[1::2] + [Fraction(0)] * (len(desc) % 2)
@@ -156,23 +161,20 @@ class TestRouthHurwitz:
             return first
 
         rng = np.random.default_rng(28)
-        decided = 0
+        overflowing = 0
         for _ in range(400):
             coeffs = 10.0 ** rng.uniform(-150.0, 250.0, int(rng.integers(3, 11)))
             try:
                 _routh(coeffs[::-1].tolist())
-                continue  # the raw recursion decides it
+                continue  # the float recursion decides it
             except OverflowError:
                 pass
             except IndeterminateStability:
                 continue
-            try:
-                verdict = routh_hurwitz(coeffs)
-            except (ValueError, IndeterminateStability):
-                continue
-            assert verdict == all(f > 0 for f in exact_first_column(coeffs))
-            decided += 1
-        assert decided > 50
+            # every overflowing draw is decided, and exactly
+            assert routh_hurwitz(coeffs) == all(f > 0 for f in exact_first_column(coeffs))
+            overflowing += 1
+        assert overflowing == 268
 
 
 class TestIsHurwitz:
@@ -202,15 +204,18 @@ class TestIsHurwitz:
             assert verdict == (top < 0.0)
 
     def test_overflow_raises(self):
-        # the raw recursion overflows on these; the power-of-two rescaling decides them
+        # the float recursion overflows on these; the exact rational re-run decides them
         for gains in ([1e200] * 2, [1e200] * 3):
             assert is_hurwitz(GainVector("pid", np.array(gains)))
-        # a float pivot cancels to exactly 0 after the rescaling
-        for gains in ([1e200] * 4, [1e200] * 5):
-            with pytest.raises(IndeterminateStability):
-                is_hurwitz(GainVector("pid", np.array(gains)))
-        with pytest.raises(ValueError, match="Routh array entries overflow float64"):
-            routh_hurwitz([1.0, 1.0, 1e300, 1.0, 1e-300, 1.0])
+        assert not is_hurwitz(GainVector("pid", np.array([1e200] * 4)))
+        assert not routh_hurwitz([1.0, 1.0, 1e300, 1.0, 1e-300, 1.0])
+        # an exact zero pivot: the rational re-run does not guess either
+        with pytest.raises(IndeterminateStability) as info:
+            is_hurwitz(GainVector("pid", np.array([1e200] * 5)))
+        assert info.value.__context__ is None  # not raised while handling the overflow
+        exact = [Fraction(1e200)] * 5 + [Fraction(1)]
+        with pytest.raises(IndeterminateStability):
+            _routh(exact[::-1])
 
     def test_admissible_implies_hurwitz(self):
         rng = np.random.default_rng(27)
