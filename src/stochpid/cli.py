@@ -23,7 +23,6 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -131,7 +130,7 @@ def _run_metadata(plant_doc: dict, plant, sp, gains, cfg, x0) -> dict:
     return metadata
 
 
-def _run_config(doc: dict, workers: Optional[int]):
+def _run_config(doc: dict, workers: int):
     """Run one config document; returns its stats, envelope report (or None) and CSV metadata."""
     _require(isinstance(doc, dict), "config: expected a JSON object")
     _require("plant" in doc, "plant: required section")
@@ -429,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo run from a JSON config; exit 3 on divergence")
     p.add_argument("--config", required=True, help="JSON config (plant/gains/sim[/bounds])")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--workers", type=_positive_int, default=None,
-                   help="worker threads (default: STOCHPID_WORKERS or 1)")
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="worker threads (default: 1)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("reproduce", help="bundled benchmark study jobs")
@@ -441,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=20240901)
     p.add_argument("--stride", type=int, default=25)
-    p.add_argument("--workers", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("sweep", help="steady-state error grid over sigma or a gain scale")
@@ -449,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vary", choices=("sigma", "gain-scale"), required=True)
     p.add_argument("--values", type=_float_list, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

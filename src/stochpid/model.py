@@ -8,7 +8,10 @@ with x in R^(n*d), u in R^d and an m-dimensional Brownian motion.  The user
 asserts the Lipschitz constants L (drift in x, uniform in u) and M
 (diffusion, Hilbert-Schmidt norm) plus a lower bound b on the symmetrized
 control gain matrix; these are inputs, not derived quantities, and can only
-be refuted by sampling (see :func:`falsify_lipschitz`).
+be refuted by sampling (see :func:`falsify_lipschitz`).  The bound b makes
+the setpoint input u* unique for every d; :func:`solve_equilibrium` finds it
+by one damped Newton iteration and rejects a root farther from the origin
+than b allows.
 
 The drift splits into an affine part given as data and a residual callable:
 f(x; u) = W @ [1; x; u] + drift(x, u), with the weights W = ``affine`` of
@@ -195,14 +198,17 @@ def solve_equilibrium(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> Setpoint:
-    """Solve f(z*; u) = 0 for the equilibrium input u*.
+    """Solve f(z*; u) = 0 for the equilibrium input u* by one damped Newton iteration.
 
-    For d = 1 the root is bracketed by expansion (monotonicity of f in u
-    guarantees a sign change) and refined by bisection; for d > 1 a damped
-    Newton iteration with a finite-difference Jacobian is used, which is
-    safe because the symmetrized Jacobian is bounded below by b*I.
-    Raises :class:`NoConvergence` when the residual tolerance is not met
-    within the budget and :class:`NonFinite` on NaN/Inf plant output.
+    The same iteration, with a finite-difference Jacobian and a halving line
+    search from u = 0, serves every input dimension d; it is safe because the
+    symmetrized Jacobian is bounded below by b*I.  That bound also confines
+    the root: (f(u) - f(0))'u >= b|u|^2 puts every u with |f(u)| <= tol
+    within (|f(0)| + tol)/b of the origin, so a converged u beyond that reach
+    (up to a 1e-9 relative rounding allowance) refutes the plant's asserted
+    b.  Raises :class:`NoConvergence` naming b in that case, or when the
+    residual tolerance is not met within ``max_iter`` steps, and
+    :class:`NonFinite` on NaN/Inf plant output.
     """
     y = _as_vec(y_star, plant.d, "y_star")
     z = np.zeros(plant.state_dim)
@@ -211,83 +217,48 @@ def solve_equilibrium(
     def f(u: np.ndarray) -> np.ndarray:
         return plant.eval_drift(z, u)
 
-    if plant.d == 1:
-        u = _bisect_scalar(f, plant.gain_lower_b, tol, max_iter)
-    else:
-        u = _damped_newton(f, plant.d, tol, max_iter)
-    res = float(np.linalg.norm(f(u)))
-    if res > tol:
-        raise NoConvergence(f"equilibrium residual {res:.3e} above tolerance {tol:.1e}")
-    return Setpoint(y_star=y, z_star=z, u_star=u, residual=res)
-
-
-def _bisect_scalar(f, b_lower: float, tol: float, max_iter: int) -> np.ndarray:
-    f0 = float(f(np.zeros(1))[0])
-    if abs(f0) <= tol:
-        return np.zeros(1)
-    # slope >= b_lower puts the root within |f(0)|/b_lower of the origin
-    reach = abs(f0) / b_lower
-    lo, hi = (-reach - 1.0, 0.0) if f0 > 0 else (0.0, reach + 1.0)
-    flo = float(f(np.array([lo]))[0])
-    fhi = float(f(np.array([hi]))[0])
+    u = np.zeros(plant.d)
+    fu = f(u)
+    res = float(np.linalg.norm(fu))
+    reach = (res + tol) / plant.gain_lower_b
     for _ in range(max_iter):
-        if flo <= 0.0 <= fhi:
+        if res <= tol:
             break
-        lo, hi = lo - reach, hi + reach
-        flo = float(f(np.array([lo]))[0])
-        fhi = float(f(np.array([hi]))[0])
-    else:
-        raise NoConvergence("failed to bracket the equilibrium input")
-    mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        fm = float(f(np.array([mid]))[0])
-        if abs(fm) <= tol:
-            return np.array([mid])
-        if fm > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
-    raise NoConvergence(f"bisection exhausted {max_iter} iterations")
-
-
-def _fd_jacobian(f, u: np.ndarray) -> np.ndarray:
-    d = u.size
-    J = np.empty((d, d))
-    fu = f(u)
-    for j in range(d):
-        h = math.sqrt(np.finfo(float).eps) * (1.0 + abs(u[j]))
-        up = u.copy()
-        up[j] += h
-        J[:, j] = (f(up) - fu) / h
-    return J
-
-
-def _damped_newton(f, d: int, tol: float, max_iter: int) -> np.ndarray:
-    u = np.zeros(d)
-    fu = f(u)
-    for _ in range(max_iter):
-        norm = float(np.linalg.norm(fu))
-        if norm <= tol:
-            return u
-        J = _fd_jacobian(f, u)
         try:
-            step = np.linalg.solve(J, -fu)
+            step = np.linalg.solve(_fd_jacobian(f, u, fu), -fu)
         except np.linalg.LinAlgError:
             step = -fu  # gradient-like fallback; J >= b*I makes this a descent direction
         alpha = 1.0
         while alpha > 1e-12:
             cand = u + alpha * step
             fc = f(cand)
-            if float(np.linalg.norm(fc)) < norm:
-                u, fu = cand, fc
+            rc = float(np.linalg.norm(fc))
+            if rc < res:
+                u, fu, res = cand, fc, rc
                 break
             alpha *= 0.5
         else:
-            raise NoConvergence("Newton line search stalled")
-    if float(np.linalg.norm(fu)) <= tol:
-        return u
-    raise NoConvergence(f"Newton exhausted {max_iter} iterations")
+            raise NoConvergence(f"Newton line search stalled at residual {res:.3e}")
+    if res > tol:
+        raise NoConvergence(f"equilibrium residual {res:.3e} above tolerance {tol:.1e} "
+                            f"after {max_iter} Newton steps")
+    dist = float(np.linalg.norm(u))
+    if dist > reach * (1.0 + 1e-9):
+        raise NoConvergence(
+            f"root |u| = {dist:.6g} lies beyond (|f(0)| + tol)/b = {reach:.6g}, so the plant "
+            f"violates its asserted gain_lower_b b = {plant.gain_lower_b!r}")
+    return Setpoint(y_star=y, z_star=z, u_star=u, residual=res)
+
+
+def _fd_jacobian(f, u: np.ndarray, fu: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian of ``f`` at ``u``, given ``fu = f(u)``."""
+    J = np.empty((u.size, u.size))
+    for j in range(u.size):
+        h = math.sqrt(np.finfo(float).eps) * (1.0 + abs(u[j]))
+        up = u.copy()
+        up[j] += h
+        J[:, j] = (f(up) - fu) / h
+    return J
 
 
 def shifted_coordinates(x, integral, sp: Setpoint, k0: float) -> np.ndarray:
@@ -367,8 +338,11 @@ def falsify_lipschitz(
     counterexample proves nothing; the constants remain user assertions.
     """
     samples = _require_count("samples", samples)
-    rng = np.random.default_rng(seed)
+    _require_constant("radius", radius, positive=True)
     nd, d = plant.state_dim, plant.d
+    if not 4.0 * radius * radius * nd < math.inf:  # an infinite distance would hide violations
+        raise ValueError(f"radius={radius!r}: squared distances across the box overflow float64")
+    rng = np.random.default_rng(seed)
     draws = rng.uniform(-radius, radius, (samples, 2 * nd + d))  # rows (x1, x2, u)
     x1, x2, u = draws[:, :nd], draws[:, nd:2 * nd], draws[:, 2 * nd:]
     dist = np.linalg.norm(x1 - x2, axis=-1)

@@ -19,7 +19,6 @@ the chunks.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -48,7 +47,6 @@ __all__ = [
 _CHUNK_PATHS = 4096  # fixed regardless of worker count (determinism contract)
 _RECORD_BYTES = 1 << 16  # cap on the [x; u] rows a chunk buffers before reducing them
 _DIVERGENCE_LIMIT = 1e12
-_WORKERS_ENV = "STOCHPID_WORKERS"
 
 _CONTROLLERS = ("pid", "pd", "open_loop")
 
@@ -235,14 +233,6 @@ def _chunk_stream(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _resolve_workers(workers: Optional[int]) -> int:
-    where = "workers" if workers is not None else _WORKERS_ENV
-    text = str(workers) if workers is not None else os.environ.get(_WORKERS_ENV, "1")
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise ValueError(f"{where}={text!r}: expected a positive integer")
-    return int(text)
-
-
 def _law_weights(controller: str, g: Optional[GainVector], plant: PlantSpec,
                  y_star) -> Optional[np.ndarray]:
     """Control-law weights for the configured controller; None for the open loop."""
@@ -403,7 +393,7 @@ def simulate_paths(
     sp: Setpoint,
     g: Optional[GainVector],
     cfg: SimConfig,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> EnsembleStats:
     """Monte Carlo moments of the closed loop under the configured controller.
 
@@ -411,9 +401,9 @@ def simulate_paths(
     :class:`Diverged` carrying the first offending path and time (diverged
     paths are never silently dropped, which would bias the moments).  For a
     fixed config the output is bitwise reproducible for any worker count;
-    ``workers`` threads (a positive integer, else ValueError) default to
-    the STOCHPID_WORKERS environment variable.  Plant callables must be
-    pure functions as they run on multiple workers concurrently.
+    ``workers`` is the number of threads (a positive integer, else
+    ValueError; default 1).  Plant callables must be pure functions as they
+    run on multiple workers concurrently.
     """
     K = _law_weights(cfg.controller, g, plant, sp.y_star)
     x0 = sp.z_star if cfg.x0 is None else cfg.x0
@@ -427,7 +417,7 @@ def simulate_paths(
     chunks = [(c, min(_CHUNK_PATHS, cfg.paths - c * _CHUNK_PATHS))
               for c in range(-(-cfg.paths // _CHUNK_PATHS))]
 
-    nworkers = _resolve_workers(workers)
+    nworkers = _require_count("workers", workers)
     if nworkers == 1 or len(chunks) == 1:
         results = [_run_chunk(plant, sp, K, cfg, x0, *chunk, rec_count) for chunk in chunks]
     else:
@@ -598,6 +588,8 @@ def dissipativity_probe(
     threshold = 0.5 * (lam + 8.0 * M * M)  # a Python float ** 2 raises OverflowError
     if not threshold < math.inf:  # an infinite threshold would count no violation
         raise ValueError(f"threshold (lam + 8*M**2)/2 overflows float64 for lam={lam}, M={M}")
+    if not 100.0 * radius * radius * max(1.0, threshold) < math.inf:  # margins at 10*radius
+        raise ValueError(f"radius={radius!r}: the margins at 10*radius overflow float64")
     dim = (plant.n + 1) * plant.d
     rng = np.random.default_rng(seed)
     per_radius = samples // 2
@@ -610,8 +602,8 @@ def dissipativity_probe(
         pts *= r / np.linalg.norm(pts, axis=1, keepdims=True)
         b = _z_drift(plant, sp, k[0], betas, pts)
         zdot = np.einsum("ij,ij->i", pts, b)
-        margins = zdot + threshold * r ** 2
-        tol = 1e-9 * r ** 2 * max(1.0, threshold)
+        margins = zdot + threshold * (r * r)
+        tol = 1e-9 * (r * r) * max(1.0, threshold)
         violations += int(np.sum(margins > tol))
         worst = max(worst, float(margins.max()))
         total += per_radius

@@ -355,17 +355,13 @@ class TestSimulate:
             == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: sim.y_star:")
 
-    def test_usage_errors_exit_config(self, tmp_path, capsys, monkeypatch):
+    def test_usage_errors_exit_config(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", **{"sim.paths": 4})
         run = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
         for argv in (["hurwitz", "--gains", "1,2,x"], run + ["--workers", "0"]):
             with pytest.raises(SystemExit) as exit_info:
                 main(argv)
             assert exit_info.value.code == EXIT_CONFIG
-        monkeypatch.setenv("STOCHPID_WORKERS", "two")
-        capsys.readouterr()
-        assert main(run) == EXIT_CONFIG
-        assert "STOCHPID_WORKERS" in capsys.readouterr().err
 
     def test_entry_point_reports_one_config_error_line(self, tmp_path):
         # the installed script's path: python -m stochpid.cli, errors mapped in main alone

@@ -97,6 +97,44 @@ class TestSolveEquilibrium:
         assert sp.residual <= 1e-10
         assert np.linalg.norm(drift(sp.z_star, sp.u_star)) <= 1e-10
 
+    @pytest.mark.parametrize("family, shape", [
+        ("tanh", np.tanh), ("arctan", np.arctan), ("cubic", lambda u: u ** 3),
+    ])
+    def test_scalar_sweep_matches_bisection(self, family, shape):
+        # f(u) = b*u + a*shape(u) + c with an increasing odd shape: f' >= b, the true bound
+        rng = np.random.default_rng(sum(map(ord, family)))
+        for _ in range(40):
+            b, a, c = rng.uniform(0.05, 3.0), rng.uniform(0.0, 5.0), rng.uniform(-30.0, 30.0)
+
+            def f(u, b=b, a=a, c=c):
+                return b * u + a * shape(u) + c
+
+            plant = PlantSpec(1, 1, 1, lambda x, u: f(np.asarray(u, dtype=float)),
+                              lambda x: np.zeros((1, 1)), 0.0, 0.0, gain_lower_b=b)
+            sp = solve_equilibrium(plant, 0.0)
+            reach = (abs(c) + 1.0) / b  # f(-reach) < 0 < f(reach)
+            assert sp.u_star[0] == pytest.approx(bisect_u_star(f, -reach, reach), abs=1e-6)
+            assert sp.residual <= 1e-10 and abs(f(sp.u_star[0])) <= 1e-10
+
+    def test_root_beyond_reach_of_b_raises(self):
+        # f = 0.01u + 5 has its root at -500, beyond (|f(0)| + tol)/b = 5 for b = 1
+        def plant(b):
+            return PlantSpec(1, 1, 1, None, lambda x: np.zeros((1, 1)), 0.0, 0.0,
+                             gain_lower_b=b, affine=[[5.0, 0.0, 0.01]])
+
+        with pytest.raises(NoConvergence, match=r"gain_lower_b b = 1\.0"):
+            solve_equilibrium(plant(1.0), 0.0)
+        assert solve_equilibrium(plant(0.01), 0.0).u_star[0] == pytest.approx(-500.0, rel=1e-12)
+
+    @pytest.mark.parametrize("b, c", [(0.25984289611516703, 16942705.43560432),
+                                      (1.7887687946450876, -54529547.286303595)])
+    def test_linear_root_on_the_reach_is_kept(self, b, c):
+        # f = b*u + c with its exact b puts the root on the reach; the rounded Newton
+        # iterate lands an ulp beyond it, inside the relative rounding allowance
+        plant = PlantSpec(1, 1, 1, None, lambda x: np.zeros((1, 1)), 0.0, 0.0,
+                          gain_lower_b=b, affine=[[c, 0.0, b]])
+        assert solve_equilibrium(plant, 0.0).u_star[0] == pytest.approx(-c / b, rel=1e-14)
+
 
 def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -391,3 +429,10 @@ class TestFalsifyLipschitz:
     def test_samples_must_be_positive(self):
         with pytest.raises(ValueError, match="samples"):
             falsify_lipschitz(bench3(), samples=0)
+
+    @pytest.mark.parametrize("radius", [0.0, -10.0, np.nan, np.inf, 1e154, 1e308])
+    def test_radius_must_be_positive_and_bounded(self, radius):
+        # 0 gave a vacuous None, -10 a numpy "high - low < 0", NaN and inf an OverflowError;
+        # 1e154 overflows the squared distances to inf tolerances, 1e308 even the box width
+        with pytest.raises(ValueError, match="^radius"):
+            falsify_lipschitz(understated_bench3(), samples=10, radius=radius)

@@ -34,3 +34,27 @@ def test_no_unused_imports(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _own_names(node) -> set:
+    """The names a top-level statement defines: a function, a class or assigned constants."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def test_no_orphan_private_names():
+    # a private top-level name that nothing in the package references beyond its own
+    # definition is dead code: a helper left behind when its caller went away
+    defined, referenced = set(), set()
+    for path in sorted(Path(stochpid.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            own = _own_names(node)
+            defined.update((path.stem, n) for n in own if n.startswith("_") and n[:2] != "__")
+            names = {sub.id for sub in ast.walk(node)
+                     if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)}
+            names.update(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+            names.update(sub.name for sub in ast.walk(node) if isinstance(sub, ast.alias))
+            referenced |= names - own
+    assert sorted(f"{m}.{n}" for m, n in defined if n not in referenced) == []

@@ -197,7 +197,7 @@ class TestSimulatePaths:
         c = simulate_paths(plant, sp, None, cfg, workers=4)
         assert np.array_equal(a.table(), b.table())
         assert np.array_equal(a.table(), c.table())
-        with pytest.raises(ValueError, match="workers='0': expected a positive integer"):
+        with pytest.raises(ValueError, match="workers: expected a positive integer, got 0"):
             simulate_paths(plant, sp, None, cfg, workers=0)
 
     def test_zero_noise_matches_rk4_reference(self):
@@ -597,6 +597,14 @@ class TestDissipativityProbe:
         g, betas = lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4, 0.1], k=4000.0)
         with pytest.raises(ValueError, match=r"^threshold .* lam=1.0, M=1e\+200"):
             dissipativity_probe(plant, sp, g, betas, 1.0, 1e200, samples=10)
+
+    def test_overflowing_radius_rejected(self):
+        # r ** 2 raised OverflowError; r * r alone gives infinite margins: no violation
+        plant = chain(2)
+        sp = solve_equilibrium(plant, 1.0)
+        g, betas = lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4, 0.1], k=4000.0)
+        with pytest.raises(ValueError, match=r"^radius=1e\+160: "):
+            dissipativity_probe(plant, sp, g, betas, 1.0, 0.0, samples=10, radius=1e160)
 
     def test_nonlinear_plant_dissipative_inside_class(self):
         # drift with true L = 0.3 <= asserted design L
