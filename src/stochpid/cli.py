@@ -32,7 +32,7 @@ from .model import (NoConvergence, NonFinite, _as_vec, _is_real, _require_consta
                     solve_equilibrium)
 from .plants import BUILTIN_PLANTS, bench3, build_plant
 from .simulate import Diverged, SimConfig, bound_envelope, simulate_paths
-from .stability import IndeterminateStability, char_coeffs, determining_coeffs, is_hurwitz
+from .stability import char_coeffs, determining_coeffs, is_hurwitz
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -239,14 +239,10 @@ def _cmd_hurwitz(args) -> int:
     coeffs = char_coeffs(g)
     print(f"characteristic coefficients (ascending): "
           f"{', '.join(f'{c:.10g}' for c in coeffs)}")
-    try:
-        if coeffs.size - 1 >= 3:
-            alphas = determining_coeffs(coeffs)
-            print(f"determining coefficients: {', '.join(f'{a:.6g}' for a in alphas)}")
-        stable = is_hurwitz(g)
-    except IndeterminateStability as exc:
-        print(f"indeterminate: {exc}")
-        return EXIT_REJECTED
+    if coeffs.size - 1 >= 3:
+        alphas = determining_coeffs(coeffs)
+        print(f"determining coefficients: {', '.join(f'{a:.6g}' for a in alphas)}")
+    stable = is_hurwitz(g)
     print(f"hurwitz: {stable}")
     return EXIT_OK if stable else EXIT_REJECTED
 

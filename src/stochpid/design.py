@@ -132,8 +132,7 @@ def _terms(gains: np.ndarray, b_lower: float, labels) -> list[tuple[str, float]]
     g = gains
     N = g.size
     b = "*b" if b_lower != 1.0 else ""
-    # g[i] * g[i] is correctly rounded, like the certificate's array k ** 2;
-    # a numpy scalar g[i] ** 2 goes through libm pow, which is not
+    # g[i] * g[i] is correctly rounded; a numpy scalar g[i] ** 2 goes through libm pow
     terms = [(f"{labels(0)}^2{b}", g[0] * g[0] * b_lower)]
     for i in range(1, N - 1):
         name = f"{labels(i)}^2-2*{labels(i - 1)}*{labels(i + 1)}"

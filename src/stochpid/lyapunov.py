@@ -1,19 +1,21 @@
 """Lyapunov matrix construction and certificate verification.
 
 For positive gains the companion matrix A (superdiagonal ones, last row the
-negated gains) admits a unique symmetric P whose last column equals the gain
-vector and for which P*A + A'*P = -diag(q) exactly.  The entries follow the
-recursion
+negated gains) admits a symmetric P whose last column equals the gain vector
+and with P*A + A'*P = -diag(q) exactly, given by the recursion
 
     p[0,j] = 2*g0*g[j+1]  (j < N-1),   p[i,N-1] = g[i],
     p[i,j] = 2*g[i]*g[j+1] - p[i-1,j+1]  (i <= j < N-1),
 
 mirrored to the lower triangle; PID gains (k0..kn) give the (n+1)x(n+1)
 matrix P and PD gains (k1..kn) the n x n matrix P0 by the same recursion.
+It runs on exact ints, D**2*P and D**2*q for gains c/D over their common
+power-of-two denominator D, and P and q are returned correctly rounded.
 A certificate for constants (L, M) holds when P is positive definite and
-P*A + A'*P + 2*kbar*I is negative definite.  The first condition is decided
-by the symmetric eigenvalues of P; the second matrix is diag(2*kbar - q), so
-the second condition is exactly min(q) > 2*kbar and needs no eigen-solve.
+P*A + A'*P + 2*kbar*I = diag(2*kbar - q) is negative definite.  The second
+condition, min(q) > 2*kbar, is decided on ints; it makes diag(q) positive
+definite, and then (Lyapunov's theorem) P is positive definite exactly when A
+is Hurwitz, which the exact Routh test decides.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import GainVector
+from .stability import _dyadic, _routh
 
 __all__ = [
     "CertificateError",
@@ -84,57 +87,63 @@ def companion(g: GainVector) -> np.ndarray:
     return A
 
 
+def _scaled_lyapunov(g: GainVector) -> tuple[list[int], int, list[list[int]], list[int]]:
+    """The gains as ints c over their power-of-two denominator D, and D**2*P and D**2*q."""
+    c, D = _dyadic(g.gains.tolist())
+    N = len(c)
+    p = [[0] * N for _ in range(N)]
+    for i in range(N):
+        p[i][N - 1] = p[N - 1][i] = c[i] * D
+        for j in range(i, N - 1):
+            p[i][j] = p[j][i] = 2 * c[i] * c[j + 1] - (p[i - 1][j + 1] if i else 0)
+    q = [2 * (c[i] * c[i] - (p[i - 1][i] if i else 0)) for i in range(N)]
+    return c, D, p, q
+
+
+def _rounded(g: GainVector, ints, scale: int) -> np.ndarray:
+    """The exact ``ints / scale`` correctly rounded; ValueError when it overflows float64."""
+    try:
+        return np.asarray(np.array(ints, dtype=object) / scale, dtype=float)
+    except OverflowError:
+        raise ValueError(f"the Lyapunov matrix of gains {g.gains} overflows float64") from None
+
+
 def build_P(g: GainVector) -> np.ndarray:
     """Diagonalizing Lyapunov matrix: (n+1)x(n+1) for PID gains, n x n for PD."""
-    k = g.gains
-    N = k.size
-    p = np.zeros((N, N))
-    for j in range(N - 1):
-        p[0, j] = 2.0 * k[0] * k[j + 1]
-    p[0, N - 1] = k[0]
-    for i in range(1, N):
-        for j in range(i, N - 1):
-            p[i, j] = 2.0 * k[i] * k[j + 1] - p[i - 1, j + 1]
-        p[i, N - 1] = k[i]
-    lower = np.tril_indices(N, -1)
-    p[lower] = p.T[lower]
-    return p
-
-
-def _q_from(k: np.ndarray, P: np.ndarray) -> np.ndarray:
-    return 2.0 * (k ** 2 - np.append(0.0, np.diag(P, 1)))
+    _, D, p, _ = _scaled_lyapunov(g)
+    return _rounded(g, p, D * D)
 
 
 def q_diagonal(g: GainVector) -> np.ndarray:
     """Diagonal of Q = -(P*A + A'*P): (2*g0^2, 2*(g_i^2 - p[i-1,i]), ...)."""
-    return _q_from(g.gains, build_P(g))
+    _, D, _, q = _scaled_lyapunov(g)
+    return _rounded(g, q, D * D)
 
 
 def verify_certificate(g: GainVector, L: float, M: float) -> LyapunovCertificate:
-    """Build P for the gains and verify the two certificate conditions.
+    """Build P for the gains and decide the two certificate conditions exactly.
 
-    Raises :class:`NotPositiveDefinite` when P has a nonpositive eigenvalue
-    and :class:`NotNegativeDefinite` when min(q) <= 2*kbar, i.e. when
-    P*A + A'*P + 2*kbar*I has a nonnegative eigenvalue; each error names the
-    violated condition and the offending eigenvalue.  Raises ``ValueError``
-    when kbar, P or q overflows float64, where neither condition can be
-    decided.
+    Raises :class:`NotNegativeDefinite` when min(q) <= 2*kbar, and otherwise
+    :class:`NotPositiveDefinite` when A is not Hurwitz, i.e. P is not positive
+    definite; each error names the violated condition and the offending
+    eigenvalue.  Raises ``ValueError`` when kbar, P, q or min(q) - 2*kbar
+    overflows float64.
     """
     kbar = g.kbar(L, M)
-    with np.errstate(over="ignore", invalid="ignore"):
-        P = build_P(g)
-        q = _q_from(g.gains, P)
-    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(q))):
-        raise ValueError(f"the Lyapunov matrix of gains {g.gains} overflows float64")
-    eigs_P = np.linalg.eigvalsh(P)
-    if eigs_P[0] <= 0.0:
-        raise NotPositiveDefinite(eigs_P[0])
-    margin = float(q.min()) - 2.0 * kbar
-    if margin <= 0.0:
+    c, D, p, q = _scaled_lyapunov(g)
+    D2 = D * D
+    P, Q = _rounded(g, p, D2), _rounded(g, q, D2)
+    num, den = kbar.as_integer_ratio()
+    excess = min(q) * den - 2 * num * D2  # (min(q) - 2*kbar) * den * D**2
+    margin = float(_rounded(g, excess, den * D2))
+    if excess <= 0:
         raise NotNegativeDefinite(-margin)
+    eigs_P = np.linalg.eigvalsh(P)
+    if not _routh([D] + c[::-1]):  # the characteristic polynomial D*(s**N + ... + k0)
+        raise NotPositiveDefinite(eigs_P[0])
     return LyapunovCertificate(
         P=P,
-        Q=q,
+        Q=Q,
         min_eig_P=float(eigs_P[0]),
         max_eig_P=float(eigs_P[-1]),
         min_eig_negdef=margin,

@@ -208,8 +208,12 @@ def solve_equilibrium(
     (up to a 1e-9 relative rounding allowance) refutes the plant's asserted
     b.  Raises :class:`NoConvergence` naming b in that case, or when the
     residual tolerance is not met within ``max_iter`` steps, and
-    :class:`NonFinite` on NaN/Inf plant output.
+    :class:`NonFinite` on NaN/Inf plant output.  Raises ``ValueError`` naming
+    ``tol`` or ``max_iter`` unless they are a positive finite number and a
+    positive integer.
     """
+    _require_constant("tol", tol, positive=True)
+    max_iter = _require_count("max_iter", max_iter)
     y = _as_vec(y_star, plant.d, "y_star")
     z = np.zeros(plant.state_dim)
     z[: plant.d] = y

@@ -1,10 +1,9 @@
 """Polynomial stability tests for the closed-loop characteristic polynomial.
 
 Coefficients are stored ascending, ``a[0] + a[1]*s + ... + a[N]*s**N``.
-``routh_hurwitz`` decides stability for every degree with one Routh row
-recursion, run on floats and, when a float entry overflows, once more on the
-exact rationals, and ``is_hurwitz`` applies it to the companion matrix of a
-gain vector.  ``nie_stable`` is a separate determining-coefficient *sufficient*
+``routh_hurwitz`` decides stability exactly for every degree with one
+fraction-free Routh recursion on Python ints (floats are dyadic rationals),
+and ``is_hurwitz`` applies it to the companion matrix of a gain vector.  ``nie_stable`` is a separate determining-coefficient *sufficient*
 test for degree >= 5: True proves stability, False decides nothing.
 """
 
@@ -37,13 +36,15 @@ class DegreeTooLow(ValueError):
 
 
 class IndeterminateStability(ArithmeticError):
-    """A Routh pivot is exactly zero; the array does not decide stability."""
+    """No longer raised: the exact Routh test decides every polynomial.  Kept for importers."""
 
 
 def _coeffs(p) -> np.ndarray:
     a = np.asarray(p, dtype=float)
     if a.ndim != 1 or a.size < 2:
         raise ValueError("expected ascending coefficients of a degree >= 1 polynomial")
+    if not np.isfinite(a).all():
+        raise ValueError(f"expected finite coefficients, got {a}")
     if a[-1] == 0.0:
         raise ValueError("leading coefficient must be nonzero")
     return a
@@ -96,50 +97,39 @@ def nie_stable(p) -> bool:
     return True
 
 
-def _routh(desc: list) -> bool:
-    """Routh verdict of descending float or ``Fraction`` coefficients (rows padded with
-    the int 0, which keeps a ``Fraction`` row exact); OverflowError on a non-finite float."""
-    prev, row = desc[0::2], desc[1::2] + [0] * (len(desc) % 2)
-    positive = True
-    for r in range(1, len(desc) - 1):
+def _dyadic(values) -> tuple[list[int], int]:
+    """Finite floats as ints over their common power-of-two denominator D:
+    ``values[i] == c[i] / D`` exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    D = max(d for _, d in ratios)
+    return [n * (D // d) for n, d in ratios], D
+
+
+def _routh(c: list[int]) -> bool:
+    """Routh verdict of descending int coefficients with a positive leading one."""
+    prev, row = c[0::2], c[1::2] + [0] * (len(c) % 2)
+    for _ in range(len(c) - 2):
         pivot = row[0]
-        if pivot == 0:
-            raise IndeterminateStability(f"zero pivot in Routh row {r}")
-        positive = positive and pivot > 0
-        prev, row = row, [(pivot * prev[j + 1] - prev[0] * row[j + 1]) / pivot
-                          for j in range(len(prev) - 1)] + [0]
-        # Python float arithmetic overflows to inf (and inf - inf to nan) silently;
-        # math.isfinite of a huge Fraction would itself raise OverflowError
-        if isinstance(pivot, float) and not all(map(math.isfinite, row)):
-            raise OverflowError
-    if row[0] == 0:
-        raise IndeterminateStability("zero entry in Routh first column")
-    return positive and row[0] > 0
+        if pivot <= 0:
+            return False
+        new = [pivot * prev[j + 1] - prev[0] * row[j + 1] for j in range(len(prev) - 1)]
+        g = math.gcd(*new) or 1
+        prev, row = row, [v // g for v in new] + [0]
+    return row[0] > 0
 
 
 def routh_hurwitz(p) -> bool:
     """Exact stability via the Routh array (first column all positive), any degree.
 
-    One row recursion on Python floats; when an entry overflows, it runs again on
-    the coefficients as exact ``Fraction``s (floats are dyadic rationals).  Raises
-    :class:`IndeterminateStability` on an exactly zero pivot rather than
-    guessing, and ValueError for a non-finite coefficient.
+    The coefficients are scaled to ints (:func:`_dyadic`), and each new row is
+    ``pivot*prev[j+1] - prev[0]*row[j+1]`` divided by its gcd: a positive
+    multiple of the rational Routh row while every earlier pivot is positive.
+    A first-column entry <= 0 means "not Hurwitz", so every polynomial is decided.
     """
     a = _coeffs(p)
     if a[-1] < 0.0:
         raise ValueError("leading coefficient must be positive")
-    desc = a[::-1].tolist()
-    if not all(map(math.isfinite, desc)):
-        raise ValueError(f"Routh array needs finite coefficients, got {a}")
-    if len(desc) == 2:
-        return desc[1] > 0.0
-    try:
-        return _routh(desc)
-    except OverflowError:
-        pass
-    # imported here: fractions (with decimal) adds 2-3 ms to `import stochpid`
-    from fractions import Fraction
-    return _routh(list(map(Fraction, desc)))
+    return _routh(_dyadic(a[::-1].tolist())[0])
 
 
 def is_hurwitz(g: GainVector) -> bool:

@@ -142,12 +142,14 @@ class TestHurwitz:
     def test_stable(self, capsys):
         assert main(["hurwitz", "--gains", "8.6,21.5,21.5,8.6"]) == EXIT_OK
         assert "hurwitz: True" in capsys.readouterr().out
-        # the float Routh recursion overflows here; the exact rational re-run decides it
         assert main(["hurwitz", "--gains=1e200,1e200"]) == EXIT_OK
         assert "hurwitz: True" in capsys.readouterr().out
 
-    def test_unstable(self):
+    def test_unstable(self, capsys):
         assert main(["hurwitz", "--gains", "100,1,0.01"]) == EXIT_REJECTED
+        # k0 = fl(0.1*3) exceeds the exact product k1*k2 by 2**-55, where floats saw a zero pivot
+        assert main(["hurwitz", "--gains", "0.30000000000000004,0.1,3"]) == EXIT_REJECTED
+        assert "hurwitz: False" in capsys.readouterr().out
 
     def test_bad_gains_are_config_errors(self, capsys):
         assert main(["hurwitz", "--gains=0,1"]) == EXIT_CONFIG

@@ -12,6 +12,7 @@ from stochpid import (
     build_P,
     check_inequality,
     companion,
+    is_hurwitz,
     lambda_gains,
     q_diagonal,
     verify_certificate,
@@ -149,6 +150,21 @@ class TestQDiagonal:
             P, A = build_P(g), companion(g)
             assert np.allclose(q_diagonal(g), -np.diag(P @ A + A.T @ P), rtol=1e-12, atol=1e-12)
 
+    def test_closed_form_convolution(self):
+        # independent of the P recursion: q_i = 2*(-1)^i*[kt(s)*kt(-s)]_{2i} with
+        # kt = (k_first, ..., k_last, 1/2); a float sum of at most N+1 products is within
+        # (N+1)*u of the sum of their magnitudes, and q itself within u of its value
+        rng = np.random.default_rng(12)
+        for trial in range(2000):
+            n = int(rng.integers(1, 9))
+            g = random_positive_gains(rng, n, "pid" if trial % 2 else "pd")
+            q = q_diagonal(g)
+            kt = np.append(g.gains, 0.5)
+            sign = (-1.0) ** np.arange(kt.size)
+            closed = 2.0 * sign[: q.size] * np.convolve(kt, kt * sign)[0::2][: q.size]
+            scale = 2.0 * np.convolve(kt, kt)[0::2][: q.size]
+            assert np.all(np.abs(closed - q) <= (q.size + 2) * 2.0 ** -53 * scale), g
+
 
 def exact_lyapunov(k):
     """P and q of the recursion in rational arithmetic (float gains are exact dyadics)."""
@@ -192,7 +208,9 @@ class TestClosedFormCondition:
                 for i in range(N):
                     for j in range(N):
                         assert PA[i][j] + PA[j][i] == (-q[i] if i == j else 0)
-                assert np.allclose(q_diagonal(g), [float(v) for v in q], rtol=1e-12, atol=0.0)
+                # correctly rounded from the exact values (float(Fraction) rounds correctly)
+                assert np.array_equal(q_diagonal(g), [float(v) for v in q])
+                assert np.array_equal(build_P(g), [[float(v) for v in row] for row in P])
                 if check_inequality(g, L, M).admissible:
                     admissible += 1
                     kbar = sum(k) * Fraction(L) + k[-1] * Fraction(M) ** 2
@@ -217,6 +235,15 @@ class TestVerifyCertificate:
         g = GainVector("pid", np.array([1.0, 3.0, 4.0]))
         with pytest.raises(NotNegativeDefinite):
             verify_certificate(g, 10.0, 0.0)
+
+    def test_condition_ii_is_decided_first(self):
+        # both conditions fail: q_1 = -2 and k1*k2 < k0, so A is not Hurwitz and P is
+        # indefinite; condition (ii) is decided first, exactly, and names itself
+        g = GainVector("pid", np.array([100.0, 1.0, 0.01]))
+        assert not is_hurwitz(g) and np.linalg.eigvalsh(build_P(g))[0] < 0.0
+        with pytest.raises(NotNegativeDefinite) as info:
+            verify_certificate(g, 0.0, 0.0)
+        assert info.value.eigenvalue == 2.0
 
     def test_margin_relation(self):
         g = GainVector("pid", np.array([1.0, 3.0, 4.0]))

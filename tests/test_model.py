@@ -135,6 +135,16 @@ class TestSolveEquilibrium:
                           gain_lower_b=b, affine=[[c, 0.0, b]])
         assert solve_equilibrium(plant, 0.0).u_star[0] == pytest.approx(-c / b, rel=1e-14)
 
+    @pytest.mark.parametrize("kwargs, name", [({"tol": float("nan")}, "tol"),
+                                              ({"tol": -1.0}, "tol"),
+                                              ({"max_iter": 0}, "max_iter"),
+                                              ({"max_iter": 2.5}, "max_iter")])
+    def test_tolerance_and_iteration_count_checked(self, kwargs, name):
+        # tol=nan ran the whole iteration and ended in NoConvergence
+        with pytest.raises(ValueError) as info:
+            solve_equilibrium(bench3(), 1.0, **kwargs)
+        assert str(info.value).startswith(name)
+
 
 def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

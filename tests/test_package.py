@@ -27,7 +27,7 @@ def test_public_names_are_reexported(module):
 def test_no_unused_imports(path):
     tree = ast.parse((Path(stochpid.__file__).parent / path).read_text())
     imported = set()
-    for node in tree.body:
+    for node in ast.walk(tree):  # a function-level import is checked like a top-level one
         if isinstance(node, ast.Import):
             imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":

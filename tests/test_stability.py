@@ -7,7 +7,6 @@ import helpers
 from stochpid import (
     DegreeTooLow,
     GainVector,
-    IndeterminateStability,
     NonPositiveCoefficient,
     char_coeffs,
     check_inequality,
@@ -16,7 +15,6 @@ from stochpid import (
     nie_stable,
     routh_hurwitz,
 )
-from stochpid.stability import _routh
 
 BENCH_QUARTIC = np.array([8.6, 21.5, 21.5, 8.6, 1.0])
 
@@ -60,6 +58,8 @@ class TestDeterminingCoeffs:
             determining_coeffs([1.0, -2.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="overflow float64"):
             determining_coeffs([1e200, 1e200, 1e200, 1.0])
+        with pytest.raises(ValueError, match="finite coefficients"):  # not an "overflow"
+            determining_coeffs([1.0, float("nan"), 1.0, 1.0])
 
 
 class TestNieStable:
@@ -92,6 +92,20 @@ class TestNieStable:
             assert nie_stable(coeffs)
 
 
+def exact_first_column(coeffs):
+    """First column of the Routh array on exact rationals (floats are dyadic)."""
+    desc = [Fraction(float(c)) for c in coeffs[::-1]]
+    prev, row = desc[0::2], desc[1::2] + [Fraction(0)] * (len(desc) % 2)
+    first = [prev[0]]
+    for _ in range(len(desc) - 1):
+        first.append(row[0])
+        if row[0] == 0:
+            break
+        prev, row = row, [(row[0] * prev[j + 1] - prev[0] * row[j + 1]) / row[0]
+                          for j in range(len(prev) - 1)] + [Fraction(0)]
+    return first
+
+
 class TestRouthHurwitz:
     def test_bench_quartic_true(self):
         assert routh_hurwitz(BENCH_QUARTIC)
@@ -122,9 +136,10 @@ class TestRouthHurwitz:
         assert agree == 1000
 
     def test_zero_pivot_indeterminate(self):
-        # s^4 + s^3 + 2s^2 + 2s + 1: second Routh row eliminates the third
-        with pytest.raises(IndeterminateStability):
-            routh_hurwitz([1.0, 2.0, 2.0, 1.0, 1.0])
+        # s^4 + s^3 + 2s^2 + 2s + 1: second Routh row eliminates the third; an exact zero
+        # in the first column means a root on or right of the imaginary axis
+        assert not routh_hurwitz([1.0, 2.0, 2.0, 1.0, 1.0])
+        assert helpers.max_real_root([1.0, 2.0, 2.0, 1.0, 1.0]) > -1e-6
 
     @pytest.mark.parametrize("coeffs", [[float("nan"), 1.0], [1.0, float("inf"), 1.0],
                                         [1.0, 2.0, float("-inf"), 1.0]])
@@ -141,40 +156,32 @@ class TestRouthHurwitz:
             top = helpers.max_real_root(coeffs)
             if abs(top) <= helpers.INDETERMINATE_BAND:
                 continue
-            try:
-                verdict = routh_hurwitz(coeffs)
-            except IndeterminateStability:
-                continue
-            assert verdict == (top < 0.0), (coeffs, top)
+            assert routh_hurwitz(coeffs) == (top < 0.0), (coeffs, top)
             checked += 1
         assert checked > 300
 
     def test_overflowing_verdicts_match_exact_routh(self):
-        def exact_first_column(coeffs):
-            desc = [Fraction(float(c)) for c in coeffs[::-1]]
-            prev, row = desc[0::2], desc[1::2] + [Fraction(0)] * (len(desc) % 2)
-            first = [prev[0]]
-            for _ in range(len(desc) - 1):
-                first.append(row[0])
-                prev, row = row, [(row[0] * prev[j + 1] - prev[0] * row[j + 1]) / row[0]
-                                  for j in range(len(prev) - 1)] + [Fraction(0)]
-            return first
-
         rng = np.random.default_rng(28)
-        overflowing = 0
         for _ in range(400):
             coeffs = 10.0 ** rng.uniform(-150.0, 250.0, int(rng.integers(3, 11)))
-            try:
-                _routh(coeffs[::-1].tolist())
-                continue  # the float recursion decides it
-            except OverflowError:
-                pass
-            except IndeterminateStability:
-                continue
-            # every overflowing draw is decided, and exactly
             assert routh_hurwitz(coeffs) == all(f > 0 for f in exact_first_column(coeffs))
-            overflowing += 1
-        assert overflowing == 268
+
+    def test_cubics_at_the_boundary_match_exact_sign(self):
+        # s^3 + k2 s^2 + k1 s + k0 is Hurwitz iff k1*k2 > k0; k0 = fl(k1*k2) and its two
+        # float neighbours put the exact sign of k1*k2 - k0 a rounding error from zero;
+        # every other draw has 24-bit gains, whose product is exact
+        rng = np.random.default_rng(29)
+        signs = set()
+        for trial in range(700):
+            k1, k2 = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+            if trial % 2:
+                k1, k2 = float(np.float32(k1)), float(np.float32(k2))
+            fl = k1 * k2
+            for k0 in (np.nextafter(fl, 0.0), fl, np.nextafter(fl, np.inf)):
+                diff = Fraction(k1) * Fraction(k2) - Fraction(float(k0))
+                assert routh_hurwitz([k0, k1, k2, 1.0]) == (diff > 0), (k0, k1, k2)
+                signs.add((diff > 0) - (diff < 0))
+        assert signs == {-1, 0, 1}
 
 
 class TestIsHurwitz:
@@ -197,25 +204,17 @@ class TestIsHurwitz:
             top = helpers.max_real_root(coeffs)
             if abs(top) <= helpers.INDETERMINATE_BAND:
                 continue
-            try:
-                verdict = is_hurwitz(g)
-            except IndeterminateStability:
-                continue
-            assert verdict == (top < 0.0)
+            assert is_hurwitz(g) == (top < 0.0)
 
     def test_overflow_raises(self):
-        # the float recursion overflows on these; the exact rational re-run decides them
+        # a float Routh recursion overflows on these; the int recursion decides them
         for gains in ([1e200] * 2, [1e200] * 3):
             assert is_hurwitz(GainVector("pid", np.array(gains)))
         assert not is_hurwitz(GainVector("pid", np.array([1e200] * 4)))
         assert not routh_hurwitz([1.0, 1.0, 1e300, 1.0, 1e-300, 1.0])
-        # an exact zero pivot: the rational re-run does not guess either
-        with pytest.raises(IndeterminateStability) as info:
-            is_hurwitz(GainVector("pid", np.array([1e200] * 5)))
-        assert info.value.__context__ is None  # not raised while handling the overflow
-        exact = [Fraction(1e200)] * 5 + [Fraction(1)]
-        with pytest.raises(IndeterminateStability):
-            _routh(exact[::-1])
+        # an exact zero in the first column: not Hurwitz
+        assert exact_first_column([1e200] * 5 + [1.0])[-1] == 0
+        assert not is_hurwitz(GainVector("pid", np.array([1e200] * 5)))
 
     def test_admissible_implies_hurwitz(self):
         rng = np.random.default_rng(27)
