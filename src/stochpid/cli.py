@@ -3,9 +3,10 @@ Monte Carlo simulation, bundled reproduction jobs and parameter sweeps.
 
 `simulate`, `sweep` and `reproduce` run config documents through one path;
 the reproduction jobs are bundled bench3 documents, one per curve.  Values
-are checked by the library types that own them; this module checks that
-sections exist and the values that span two sections, and puts the section
-name in front of the library's message.
+are checked by the library types that own them; this module checks each
+section's keys with the one section rule (``model._section``: every
+required key, no unknown one) and the values that span two sections, and
+puts the section name in front of the library's message.
 
 Exit codes: 0 success, 1 usage/config error, 2 rejected design/certificate
 (or unstable polynomial), 3 trajectory divergence or non-finite plant
@@ -28,7 +29,7 @@ import numpy as np
 
 from .design import GainVector, bound_constants, check_inequality, geometric_gains, lambda_gains
 from .lyapunov import CertificateError, verify_certificate
-from .model import (NoConvergence, NonFinite, _as_vec, _is_real, _require_constant,
+from .model import (NoConvergence, NonFinite, _as_vec, _is_real, _require_constant, _section,
                     solve_equilibrium)
 from .plants import BUILTIN_PLANTS, bench3, build_plant
 from .simulate import Diverged, SimConfig, bound_envelope, simulate_paths
@@ -44,10 +45,10 @@ EXIT_DIVERGED = 3
 
 
 def _float_list(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+    try:  # float("") raises, so an empty entry is an error, not a skipped one
+        return [float(v) for v in text.split(",")]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise argparse.ArgumentTypeError(f"{exc} in {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -87,9 +88,7 @@ def _load_gains(args) -> GainVector:
 
 
 def _gains_from(doc, where: str) -> GainVector:
-    _require(isinstance(doc, dict) and "kind" in doc and "gains" in doc,
-             f"{where}: expected an object with 'kind' and 'gains'")
-    gains = _as_vec(doc["gains"], None, where)
+    gains = _as_vec(_section(where, doc, ("kind", "gains"))["gains"], None, where)
     try:
         return GainVector(doc["kind"], gains)
     except ValueError as exc:
@@ -107,12 +106,11 @@ def _require(cond: bool, message: str) -> None:
 
 def _sim_config(sim: dict) -> SimConfig:
     """The sim section's SimConfig fields, checked by SimConfig itself."""
-    _require(isinstance(sim, dict), "sim: expected an object")
-    for field in ("dt", "horizon", "paths", "seed"):
-        _require(field in sim, f"sim.{field}: required")
-    fields = {f.name: sim[f.name] for f in dataclasses.fields(SimConfig) if f.name in sim}
+    fields = dataclasses.fields(SimConfig)
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+    _section("sim", sim, required, [f.name for f in fields if f.name not in required] + ["y_star"])
     try:
-        return SimConfig(**fields)
+        return SimConfig(**{name: v for name, v in sim.items() if name != "y_star"})
     except ValueError as exc:  # SimConfig's messages start with the field name
         raise ValueError(f"sim.{exc}") from None
 
@@ -132,9 +130,7 @@ def _run_metadata(plant_doc: dict, plant, sp, gains, cfg, x0) -> dict:
 
 def _run_config(doc: dict, workers: int):
     """Run one config document; returns its stats, envelope report (or None) and CSV metadata."""
-    _require(isinstance(doc, dict), "config: expected a JSON object")
-    _require("plant" in doc, "plant: required section")
-    _require("sim" in doc, "sim: required section")
+    _section("config", doc, ("plant", "sim"), ("gains", "bounds"))
     plant = build_plant(doc["plant"])
     cfg = _sim_config(doc["sim"])
     y_star = _as_vec(doc["sim"].get("y_star", 0.0), plant.d, "sim.y_star")
@@ -152,11 +148,9 @@ def _run_config(doc: dict, workers: int):
                  f"{gains.n}, the plant has {plant.n}")
     bc = None
     if "bounds" in doc:
-        bounds = doc["bounds"]
-        _require(isinstance(bounds, dict), "bounds: expected an object")
+        bounds = _section("bounds", doc["bounds"], ("lambda",), ("R",))
         _require(gains is not None and gains.kind == "pid",
                  "bounds: the envelope constants are defined for PID gains")
-        _require("lambda" in bounds, "bounds.lambda: required")
         lam, R = bounds["lambda"], bounds.get("R", 1.0)
         _require(_is_real(lam) and lam > 0,
                  f"bounds.lambda: expected a positive number, got {lam!r}")
@@ -340,13 +334,13 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_sweep(args) -> int:
     doc = _read_json(args.config, "config")
-    _require(isinstance(doc, dict), "config: expected a JSON object")
+    _section("config", doc, ("plant", "sim"), ("gains", "bounds"))
     rows = []
     for value in args.values:
         sweep_doc = copy.deepcopy(doc)
         if args.vary == "sigma":
             plant_sec = sweep_doc.get("plant", {})
-            _require(isinstance(plant_sec, dict) and plant_sec.get("kind") in BUILTIN_PLANTS,
+            _require(isinstance(plant_sec, dict) and plant_sec.get("kind") in tuple(BUILTIN_PLANTS),
                      "plant.kind: sigma sweeps need a builtin plant")
             params = plant_sec.setdefault("params", {})
             _require(isinstance(params, dict), "plant.params: expected an object")

@@ -12,7 +12,8 @@ gain vector of either kind is *admissible* for asserted Lipschitz constants
 :func:`check_inequality`, exceeds the aggregate disturbance constant
 kbar = sum(k_i)*L + k_last*M**2.  Admissibility guarantees a Lyapunov
 certificate (see :mod:`stochpid.lyapunov`) and hence mean-square stability
-of the closed loop with an explicit tracking-error bound.
+of the closed loop with an explicit tracking-error bound.  The smallest
+admissible scale of a gain pattern is read off the inequality's own terms.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class GainVector:
         _require_constant("L", L)
         _require_constant("M", M)
         with np.errstate(over="ignore", invalid="ignore"):
-            kbar = float(np.sum(self.gains) * L + self.gains[-1] * M * M)
+            kbar = _kbar(self.gains, L, M)
         if not np.isfinite(kbar):
             raise ValueError(f"kbar = {kbar} overflows float64 for L={L}, M={M}")
         return kbar
@@ -127,22 +128,25 @@ class BoundConstants:
     cert_rate: Optional[float] = None
 
 
-def _terms(gains: np.ndarray, b_lower: float, labels) -> list[tuple[str, float]]:
-    """Left-hand terms of the min-inequality for a raw gain list."""
+def _kbar(gains: np.ndarray, L: float, M: float) -> float:  # inf when it overflows
+    return float(np.sum(gains) * L + gains[-1] * M * M)
+
+
+def _terms(gains: np.ndarray, b_lower: float, labels):
+    """Left-hand terms (name, q, l) of the min-inequality for a raw gain list: the
+    term is q - l, with q quadratic and l linear in the gains."""
     g = gains
     N = g.size
     b = "*b" if b_lower != 1.0 else ""
     # g[i] * g[i] is correctly rounded; a numpy scalar g[i] ** 2 goes through libm pow
-    terms = [(f"{labels(0)}^2{b}", g[0] * g[0] * b_lower)]
+    yield f"{labels(0)}^2{b}", g[0] * g[0] * b_lower, 0.0
     for i in range(1, N - 1):
         name = f"{labels(i)}^2-2*{labels(i - 1)}*{labels(i + 1)}"
         if b:
             name = f"({name}){b}"
-        terms.append((name, (g[i] * g[i] - 2.0 * g[i - 1] * g[i + 1]) * b_lower))
+        yield name, (g[i] * g[i] - 2.0 * g[i - 1] * g[i + 1]) * b_lower, 0.0
     if N >= 2:
-        last = g[N - 1] * g[N - 1] * b_lower - g[N - 2]
-        terms.append((f"{labels(N - 1)}^2{b}-{labels(N - 2)}", last))
-    return terms
+        yield f"{labels(N - 1)}^2{b}-{labels(N - 2)}", g[N - 1] * g[N - 1] * b_lower, g[N - 2]
 
 
 def check_inequality(g: GainVector, L: float, M: float, b_lower: float = 1.0) -> DesignReport:
@@ -160,7 +164,7 @@ def check_inequality(g: GainVector, L: float, M: float, b_lower: float = 1.0) ->
     kbar = g.kbar(L, M)
     _require_constant("b_lower", b_lower, positive=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = _terms(g.gains, b_lower, g.label)
+        terms = [(name, q - l) for name, q, l in _terms(g.gains, b_lower, g.label)]
     for name, value in terms:
         if not np.isfinite(value):
             raise ValueError(f"term {name} = {value} overflows float64")
@@ -206,23 +210,17 @@ def _k_threshold(betas: np.ndarray, lam: float, L: float, M: float, b_lower: flo
     return (1.0 + 3.0 * L + 2.0 * L * L / (lam + 8.0 * M * M)) / scale if scale > 0 else math.inf
 
 
-def _k_admissible_threshold(betas: np.ndarray, L: float, M: float, b_lower: float) -> float:
-    """Smallest k above which the ratio-pattern gains pass check_inequality.
+def _k_admissible_threshold(w: np.ndarray, L: float, M: float, b_lower: float) -> float:
+    """Smallest k above which the gains k*w pass check_inequality.
 
-    For gains k_i = (beta_1..beta_i)*k every left-hand term is a positive
-    quadratic in k (beta_{i+1} < beta_i/n < beta_i/2 keeps the middle
-    coefficients positive) while kbar is linear, so admissibility is
-    monotone in k with an explicit per-family threshold.
+    The gains k*w have the terms k**2*q - k*l and kbar k*kbar(w), so a term
+    beats kbar exactly when k > (l + kbar(w))/q, and never when q <= 0.  The
+    ratio pattern w = (1, beta_1, beta_1*beta_2, ...) has every q > 0, as
+    beta_{i+1} < beta_i/n <= beta_i/2.
     """
-    prods = np.concatenate([[1.0], np.cumprod(betas)])
-    c = L * float(np.sum(prods)) + prods[-1] * M * M  # kbar = c*k
-    thresholds = [c / b_lower]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # underflow gives inf
-        for i in range(1, prods.size - 1):
-            quad = prods[i - 1] * prods[i] * (betas[i - 1] - 2.0 * betas[i]) * b_lower
-            thresholds.append(c / quad)
-        thresholds.append((prods[-2] + c) / (prods[-1] ** 2 * b_lower))
-    return max(thresholds)
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny q gives inf
+        c = _kbar(w, L, M)
+        return max((l + c) / q if q > 0 else math.inf for _, q, l in _terms(w, b_lower, str))
 
 
 def lambda_gains(
@@ -272,11 +270,12 @@ def lambda_gains(
             if not (0.0 < b[i] < b[i - 1] / n):
                 raise InvalidBeta(f"beta_{i + 1}={b[i]} outside (0, beta_{i}/n)")
 
+    w = np.concatenate([[1.0], np.cumprod(b)])
     k_min = _k_threshold(b, lam, L, M, b_lower)
     if k is None:
         # also clear the exact admissibility threshold: the design condition
         # alone does not imply the quadratic inequality when n < 3
-        k_val = 1.1 * max(k_min, _k_admissible_threshold(b, L, M, b_lower))
+        k_val = 1.1 * max(k_min, _k_admissible_threshold(w, L, M, b_lower))
         if not k_val < math.inf:
             raise ValueError(
                 f"{'lam' if betas is None else 'betas'} must be such that the gain threshold "
@@ -289,8 +288,7 @@ def lambda_gains(
         if not k_val > k_min * (1.0 + 1e-12):
             raise InvalidBeta(f"k={k_val} must strictly exceed {k_min}")
 
-    gains = k_val * np.concatenate([[1.0], np.cumprod(b)])
-    return GainVector("pid", gains), b
+    return GainVector("pid", k_val * w), b
 
 
 def bound_constants(

@@ -192,6 +192,21 @@ def _as_vec(v, dim: Optional[int], what: str) -> np.ndarray:
     return a.astype(float)
 
 
+def _section(where: str, value, required, optional=()) -> dict:
+    """``value`` if it is an object (a dict) with every ``required`` key and no other
+    key than those and ``optional``; ValueError naming ``where`` otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: expected an object, got {type(value).__name__}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ValueError(f"{where}: missing {missing}")
+    keys = [*required, *optional]
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}, expected keys from {keys}")
+    return value
+
+
 def solve_equilibrium(
     plant: PlantSpec,
     y_star,

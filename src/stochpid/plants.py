@@ -16,12 +16,13 @@ the affine terms of their drift formula become data as well.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
 
 from .expr import compile_expr, eval_expr, fold_constants, parse_expr, split_affine
-from .model import PlantSpec, _is_real, _require_constant, _require_count
+from .model import PlantSpec, _is_real, _require_constant, _require_count, _section
 
 __all__ = ["bench3", "chain", "ou", "expression_plant", "BUILTIN_PLANTS", "build_plant"]
 
@@ -141,10 +142,7 @@ def expression_plant(
         x = np.asarray(x, dtype=float)
         env = {f"x{i + 1}": x[..., i] for i in range(n)}
         env["u"] = np.asarray(u, dtype=float)[..., 0]
-        out = np.asarray(eval_expr(drift_code, env), dtype=float)
-        if out.shape != x.shape[:-1]:  # a residual of u alone, given one u for many x
-            out = np.broadcast_to(out, x.shape[:-1])
-        return out[..., None]
+        return np.asarray(eval_expr(drift_code, env), dtype=float)[..., None]
 
     def diff_fn(x):
         x = np.asarray(x, dtype=float)
@@ -199,29 +197,32 @@ def _field(where: str, name: str, value):
 
 
 def build_plant(spec: dict, where: str = "plant") -> PlantSpec:
-    """Construct a plant from a config mapping; errors carry field paths."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{where}: expected an object")
-    kind = spec.get("kind")
-    if kind in BUILTIN_PLANTS:
-        params = spec.get("params", {})
-        if not isinstance(params, dict):
-            raise ValueError(f"{where}.params: expected an object")
+    """Construct a plant from a config mapping; errors carry field paths.
+
+    A builtin plant is ``{"kind", "params"}`` with the builtin's keyword
+    arguments as params; an expression plant has the fields of
+    :func:`expression_plant` but ``name``.  Any other key is an error."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind in tuple(BUILTIN_PLANTS):  # a tuple: an unhashable kind compares unequal
+        make = BUILTIN_PLANTS[kind]
+        args = inspect.signature(make).parameters
+        params = _section(where, spec, ("kind",), ("params",)).get("params", {})
+        _section(f"{where}.params", params,
+                 [a for a in args if args[a].default is inspect.Parameter.empty], list(args))
         params = {name: _field(f"{where}.params", name, v) for name, v in params.items()}
         try:
-            return BUILTIN_PLANTS[kind](**params)
-        except (TypeError, ValueError) as exc:
+            return make(**params)
+        except ValueError as exc:
             raise ValueError(f"{where}.params: {exc}") from None
     if kind == "expression":
-        missing = [k for k in ("n", "drift", "diffusion", "L", "M") if k not in spec]
-        if missing:
-            raise ValueError(f"{where}: missing fields {missing} for an expression plant")
-        fields = {name: _field(where, name, spec[name])
-                  for name in ("n", "drift", "diffusion", "L", "M", "b_lower") if name in spec}
+        _section(where, spec, ("kind", "n", "drift", "diffusion", "L", "M"), ("b_lower",))
+        fields = {name: _field(where, name, v) for name, v in spec.items() if name != "kind"}
         try:
             return expression_plant(**fields)
         except ValueError as exc:  # a formula error, named by its field
             raise ValueError(f"{where}.{exc}") from None
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where}: expected an object, got {type(spec).__name__}")
     raise ValueError(
         f"{where}.kind: expected one of {sorted(BUILTIN_PLANTS)} or 'expression', got {kind!r}"
     )

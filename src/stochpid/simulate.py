@@ -3,17 +3,17 @@
 Drift, diffusion and the error-integral accumulator all use the left
 endpoint of each step, so the discrete controller matches the shifted
 coordinate identity exactly at grid points.  The controller is one linear
-map, u = K @ [1; integral; x] with K from :func:`_control_law`.
-:func:`em_step` is the single-step reference, given u; :func:`simulate_paths`
-runs a fused kernel that keeps each chunk of paths as one (state, paths)
-buffer and advances it in place.  The plant's affine drift part and a
-constant diffusion are folded into the kernel's step matrix, so per step
-it calls only the residual drift and a state-dependent diffusion.  Paths
-are processed in fixed chunks of 4096; each chunk draws its noise from one
-counter-based Philox stream keyed by (seed, chunk index), sequentially step
-by step, and chunk moments are merged in chunk order, which makes the
-resulting moments bitwise identical no matter how many worker threads run
-the chunks.
+map, u = K @ [1; integral; x] with K from :func:`_control_law`; the open
+loop is K = 0.  :func:`em_step` is the single-step reference, given u;
+:func:`simulate_paths` runs one fused kernel for every controller that
+keeps each chunk of paths as one (state, paths) buffer and advances it in
+place.  The plant's affine drift part and a constant diffusion are folded
+into the kernel's step matrix, so per step it calls only the residual
+drift and a state-dependent diffusion.  Paths are processed in fixed
+chunks of 4096; each chunk draws its noise from one counter-based Philox
+stream keyed by (seed, chunk index), sequentially step by step, and chunk
+moments are merged in chunk order, which makes the resulting moments
+bitwise identical no matter how many worker threads run the chunks.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ class SimConfig:
     """Monte Carlo run description.
 
     ``controller`` is one of ``"pid"``, ``"pd"`` or ``"open_loop"``;
-    ``record_stride`` is the number of steps between recorded moments and
+    ``record_stride`` is the number of steps between recorded moments (a
+    divisor of ``steps``, so the last record is at the horizon) and
     ``x0`` the shared initial state (defaults to the setpoint z*).  Real
     fields are stored as floats and counts as ints, nothing rounded or read
     from text (see :func:`~stochpid.model._is_real` and ``_is_integer``).
@@ -106,6 +107,9 @@ class SimConfig:
         # a relative 1e-9 absorbs the rounding of decimal horizons and steps
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise ValueError(f"horizon: {self.horizon} is not an integer multiple of dt={self.dt}")
+        if self.steps % self.record_stride:  # the last record falls on the horizon
+            raise ValueError(f"record_stride: {self.record_stride} does not divide "
+                             f"{self.steps} steps")
         if not 0 <= self.seed < 2 ** 64:  # the first word of each chunk's Philox key
             raise ValueError(f"seed: {self.seed} is outside [0, 2**64)")
         if self.controller not in _CONTROLLERS:
@@ -234,10 +238,10 @@ def _chunk_stream(seed: int, chunk: int) -> np.random.Generator:
 
 
 def _law_weights(controller: str, g: Optional[GainVector], plant: PlantSpec,
-                 y_star) -> Optional[np.ndarray]:
-    """Control-law weights for the configured controller; None for the open loop."""
+                 y_star) -> np.ndarray:
+    """Control-law weights K for the configured controller; the open loop is K = 0."""
     if controller == "open_loop":
-        return None
+        return np.zeros((plant.d, 1 + (plant.n + 1) * plant.d))
     if g is None:
         raise ValueError(f"{controller} controller requires gains")
     expected_kind = "pid" if controller == "pid" else "pd"
@@ -248,10 +252,10 @@ def _law_weights(controller: str, g: Optional[GainVector], plant: PlantSpec,
     return _control_law(g, y_star)
 
 
-def _step_matrix(plant: PlantSpec, dt: float, y_star: np.ndarray, K: Optional[np.ndarray],
+def _step_matrix(plant: PlantSpec, dt: float, y_star: np.ndarray, K: np.ndarray,
                  noise_gain: np.ndarray) -> np.ndarray:
-    """M with M @ [1; integral; x; u; f; w] = the next [1; integral; x] and, given
-    the control-law weights K, the next u = K @ [1; integral; x].
+    """M with M @ [1; integral; x; u; f; w] = the next [1; integral; x] and the
+    next u = K @ [1; integral; x] of the control-law weights K.
 
     Blocks of d rows: integral += dt*(y* - x1), x_i += dt*x_{i+1} (i < n) and
     x_n += dt*(W @ [1; x; u] + f) + sqrt(dt)*noise_gain @ w, where W is the
@@ -277,7 +281,7 @@ def _step_matrix(plant: PlantSpec, dt: float, y_star: np.ndarray, K: Optional[np
     if f_rows:
         A[blk(n), S + d:S + 2 * d] = dt * I
     A[blk(n), S + d + f_rows:] = math.sqrt(dt) * noise_gain
-    return A if K is None else np.vstack([A, K @ A])
+    return np.vstack([A, K @ A])
 
 
 def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_count: int):
@@ -321,8 +325,7 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     views = [(B[: M.shape[0]], B[1:S], B[1 + d:S], B[S:S + d], B[S + d:F], B[F:]) for B in bufs]
     bufs[0][0] = 1.0
     bufs[0][1 + d:S] = x0[:, None]
-    if K is not None:
-        np.matmul(K, bufs[0][:S], out=views[0][3])
+    np.matmul(K, bufs[0][:S], out=views[0][3])
     rng = _chunk_stream(cfg.seed, chunk)
     z = None if constant else np.empty((m, size))
 
@@ -383,8 +386,7 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
                 bad = ~np.all(np.abs(box) <= _DIVERGENCE_LIMIT, axis=0)
                 return ("diverged", (s + 1) * dt, chunk * _CHUNK_PATHS + int(np.argmax(bad)))
             cur = 1 - cur
-    if steps % stride == 0:
-        record(bufs[cur], rec_count - 1)
+    record(bufs[cur], rec_count - 1)
     return ("ok", means, C)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +76,18 @@ class TestDesign:
     def test_missing_gains_is_config_error(self):
         assert main(["design"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["design", "--gains", "8.6,,21.5,21.5,8.6"],  # once read as four gains
+        ["design", "--gains", "8.6,21.5,21.5,8.6,"],
+        ["design", "--pattern", "lambda", "--lam", "1", "--n", "2", "--betas", "0.4, ,0.1"],
+        ["sweep", "--config", "c.json", "--vary", "sigma", "--values", ",0.2", "--out", "o.csv"],
+    ])
+    def test_empty_list_entries_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "could not convert string to float" in capsys.readouterr().err
+
     def test_bad_gains_are_config_errors(self, capsys):
         assert main(["design", "--gains=-1,2"]) == EXIT_CONFIG
         assert "--gains: all gains must be positive" in capsys.readouterr().err
@@ -134,6 +147,11 @@ class TestCertify:
         for gains in (["8.6", "21.5", "21.5", "8.6"], [True, 21.5, 21.5, 8.6]):
             path = tmp_path / "g.json"
             path.write_text(json.dumps({"kind": "pid", "gains": gains}))
+            assert main(["certify", "--gains-file", str(path), "--L", "0"]) == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith("config error: gains file: ")
+        # a gains file has exactly the keys kind and gains
+        for doc in ({"kind": "pid", "gains": [8.6, 21.5], "L": 0.5}, {"gains": [8.6, 21.5]}):
+            path.write_text(json.dumps(doc))
             assert main(["certify", "--gains-file", str(path), "--L", "0"]) == EXIT_CONFIG
             assert capsys.readouterr().err.startswith("config error: gains file: ")
 
@@ -316,7 +334,9 @@ class TestSimulate:
     def test_wrong_plant_types_are_config_errors(self, tmp_path, capsys, plant, field):
         doc = {"kind": "expression", "n": 2, "drift": "u - 0.2*x1", "diffusion": "0.1",
                "L": 0.2, "M": 0.0}
-        cfg = write_config(tmp_path / "cfg.json", plant={**doc, **plant}, **{"sim.paths": 4})
+        # a builtin plant has only kind and params: expression fields would be unknown keys
+        plant = plant if "params" in plant else {**doc, **plant}
+        cfg = write_config(tmp_path / "cfg.json", plant=plant, **{"sim.paths": 4})
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) \
             == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: plant.{field}: ")
@@ -344,6 +364,54 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) \
             == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"sim.record_strid": 100}, "sim: unknown keys ['record_strid']"),  # ran at stride 1
+        ({"bound": {"lambda": 1.0}}, "config: unknown keys ['bound']"),  # skipped the check
+        ({"plant": {"kind": "expression", "n": 2, "drift": "u - 0.2*x1", "diffusion": "0.1",
+                    "L": 0.2, "M": 0.0, "b_lowr": 5}}, "plant: unknown keys ['b_lowr']"),
+        ({"plant": {"kind": "chain", "params": {"n": 2}, "sigma": 0.2}},
+         "plant: unknown keys ['sigma']"),
+        ({"plant": {"kind": "chain", "params": {"n": 2, "sigm": 0.2}}},
+         "plant.params: unknown keys ['sigm']"),
+        ({"plant": {"kind": "chain", "params": {"sigma": 0.2}}}, "plant.params: missing ['n']"),
+        ({"plant": {"kind": "expression", "n": 2, "drift": "u", "diffusion": "0.1", "L": 0.2}},
+         "plant: missing ['M']"),
+        ({"plant": {"kind": ["chain"], "params": {"n": 2}}}, "plant.kind: expected one of"),
+        ({"plant": [2, 0.2]}, "plant: expected an object"),
+        ({"gains.gain": [1, 2, 3]}, "gains: unknown keys ['gain']"),
+        ({"bounds": {"lambda": 1.0, "r": 1.0}}, "bounds: unknown keys ['r']"),
+        ({"bounds": {"R": 1.0}}, "bounds: missing ['lambda']"),
+        ({"sim": {"dt": 1e-3, "horizon": 1.0, "paths": 4}}, "sim: missing ['seed']"),
+        ({"sim": [1e-3, 1.0, 4, 1]}, "sim: expected an object"),
+    ])
+    def test_unknown_and_missing_keys_are_config_errors(self, tmp_path, capsys, monkeypatch,
+                                                        overrides, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulate_paths ran on a config with a bad key")
+
+        monkeypatch.setattr("stochpid.cli.simulate_paths", no_run)
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    def test_readme_config_examples_run(self, tmp_path, capsys):
+        """The README's config document and expression plant, shrunk, are valid configs."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+        doc = next(b for b in blocks if "sim" in b)
+        plant = next(b for b in blocks if b.get("kind") == "expression")
+        sim = doc["sim"]
+        sim["paths"] = 20
+        sim["horizon"] = 2 * sim["record_stride"] * sim["dt"]  # two records past t = 0
+        out = tmp_path / "run.csv"
+        for config in (doc, {**doc, "plant": plant}):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+            assert "upper envelope" in capsys.readouterr().out
+            assert len([l for l in out.read_text().splitlines() if l[:1].isdigit()]) == 3
 
     def test_no_equilibrium_is_config_error(self, tmp_path, capsys):
         cfg = write_config(
@@ -439,6 +507,13 @@ class TestReproduce:
                      "--horizon", "0.3", "--stride", "100"]) == EXIT_OK
         assert (tmp_path / "fig3_mean_sq_u.gp").exists()
         assert (tmp_path / "fig3_var_u.gp").exists()
+
+    def test_stride_must_divide_the_steps(self, tmp_path, capsys):
+        # 10 steps at the default stride 25: the table would end before the horizon
+        args = ["reproduce", "fig2", "--outdir", str(tmp_path), "--paths", "4",
+                "--horizon", "0.01"]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: sim.record_stride: 25 ")
 
 
     def test_outdir_that_is_a_file_is_config_error(self, tmp_path, capsys):

@@ -15,6 +15,7 @@ from stochpid import (
     is_hurwitz,
     lambda_gains,
 )
+from stochpid.design import _k_admissible_threshold
 
 L_BENCH = math.sqrt(3.0) / 2.0
 
@@ -101,7 +102,7 @@ class TestCheckInequality:
 
         rng = np.random.default_rng(62)
         for k0, k1, k2 in rng.uniform(1e9, 1e10, (5000, 3)):
-            values = [v for _, v in _terms(np.array([k0, k1, k2]), 1.0, str)]
+            values = [q - l for _, q, l in _terms(np.array([k0, k1, k2]), 1.0, str)]
             assert values == [square(k0), square(k1) - 2.0 * k0 * k2, square(k2) - k1]
 
 
@@ -211,6 +212,21 @@ class TestLambdaGains:
             lambda_gains(1.0, 1.0, 0.0, 2, b_lower=0.5, betas=[0.4, 0.1], k=7500.0)
         g, _ = lambda_gains(1.0, 1.0, 0.0, 2, b_lower=0.5, betas=[0.4, 0.1], k=7501.0)
         assert g.gains[0] == 7501.0
+
+    def test_admissible_threshold_is_tight(self):
+        # the default ratio vectors w: check_inequality flips within 1e-9 of the scale t
+        rng = np.random.default_rng(77)
+        for _ in range(2000):
+            n = int(rng.integers(1, 9))
+            lam = 10.0 ** rng.uniform(-2.0, 1.5)
+            L, M = (float(v) for v in rng.uniform(0.0, 2.0, 2))
+            b_lower = 10.0 ** rng.uniform(-1.0, 1.0) if rng.random() < 0.5 else 1.0
+            _, betas = lambda_gains(lam, L, M, n, b_lower)
+            w = np.concatenate([[1.0], np.cumprod(betas)])
+            t = _k_admissible_threshold(w, L, M, b_lower)
+            for scale, admissible in ((1.0 + 1e-9, True), (1.0 - 1e-9, False)):
+                report = check_inequality(GainVector("pid", scale * t * w), L, M, b_lower)
+                assert report.admissible == admissible, (n, lam, L, M, b_lower, scale)
 
     @pytest.mark.parametrize("args, kwargs, name", [
         ((1e308, 0.0, 0.0, 2), {}, "lam"),  # the default ratios underflow to 0

@@ -12,11 +12,14 @@ from stochpid import (
     build_P,
     check_inequality,
     companion,
+    geometric_gains,
     is_hurwitz,
     lambda_gains,
     q_diagonal,
     verify_certificate,
 )
+from stochpid.design import _k_admissible_threshold
+from stochpid.lyapunov import _scaled_lyapunov
 
 BENCH_GAINS = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
 
@@ -272,6 +275,41 @@ class TestVerifyCertificate:
             assert q[0] / 2.0 == pytest.approx(k[0] ** 2)
             for i in range(1, n):
                 assert q[i] / 2.0 >= binding - 1e-9 * max(1.0, abs(binding))
+
+    def test_min_eig_P_brackets_the_exact_eigenvalue(self):
+        # graded P (min/max eigenvalue down to 6e-104): an exact LDL' inertia count of
+        # P - sigma*I finds no eigenvalue below min_eig_P*(1 - 1e-6) and one below
+        # min_eig_P*(1 + 1e-6)
+        def eigenvalues_below(p, D2, sigma):
+            N = len(p)
+            a = [[Fraction(p[i][j], D2) - (sigma if i == j else 0) for j in range(N)]
+                 for i in range(N)]
+            count = 0
+            for k in range(N):
+                assert a[k][k] != 0
+                count += a[k][k] < 0
+                for i in range(k + 1, N):
+                    f = a[i][k] / a[k][k]
+                    for j in range(k + 1, N):
+                        a[i][j] -= f * a[k][j]
+            return count
+
+        rng = np.random.default_rng(43)
+        for family in ("lambda", "geometric"):
+            for n in (6, 7, 8):
+                L, M = (float(v) for v in rng.uniform(0.0, 1.0, 2))
+                if family == "lambda":
+                    g, _ = lambda_gains(10.0 ** rng.uniform(-1.0, 0.7), L, M, n)
+                else:
+                    w = 3.0 ** (-np.arange(n + 1) * (np.arange(n + 1) + 1) / 2.0)
+                    g = geometric_gains(rng.uniform(1.001, 8.0)
+                                        * _k_admissible_threshold(w, L, M, 1.0), n)
+                cert = verify_certificate(g, L, M)
+                assert cert.min_eig_P / cert.max_eig_P < 1e-30
+                _, D, p, _ = _scaled_lyapunov(g)
+                lo = Fraction(cert.min_eig_P)
+                assert eigenvalues_below(p, D * D, lo * (1 - Fraction(1, 10 ** 6))) == 0
+                assert eigenvalues_below(p, D * D, lo * (1 + Fraction(1, 10 ** 6))) == 1
 
     def test_overflow_is_not_certified(self):
         with pytest.raises(ValueError, match="overflows"):

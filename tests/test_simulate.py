@@ -294,6 +294,7 @@ class TestSimulatePaths:
     @pytest.mark.parametrize("field, value", [
         ("seed", 1.9), ("paths", 4.7), ("record_stride", 2.5), ("dt", "0.1"),
         ("horizon", True), ("x0", ["0"]),
+        ("record_stride", 3),  # does not divide the 10 steps: the last record would be t = 0.9
     ])
     def test_values_of_the_wrong_type_are_named(self, field, value):
         # nothing is truncated or read from text: a seed of 1.9 once ran as seed 1
