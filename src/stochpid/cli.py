@@ -32,7 +32,7 @@ from .lyapunov import CertificateError, verify_certificate
 from .model import (NoConvergence, NonFinite, _as_vec, _is_real, _require_constant, _section,
                     solve_equilibrium)
 from .plants import BUILTIN_PLANTS, bench3, build_plant
-from .simulate import Diverged, SimConfig, bound_envelope, simulate_paths
+from .simulate import _NOISE_STREAM, Diverged, SimConfig, bound_envelope, simulate_paths
 from .stability import char_coeffs, determining_coeffs, is_hurwitz
 
 EXIT_OK = 0
@@ -116,12 +116,12 @@ def _sim_config(sim: dict) -> SimConfig:
 
 
 def _run_metadata(plant_doc: dict, plant, sp, gains, cfg, x0) -> dict:
-    """CSV metadata of a run: the plant, its builtin params and the resolved sim settings."""
+    """CSV metadata of a run: plant, builtin params, resolved sim settings, noise stream."""
     metadata = dict(plant_doc.get("params", {})) if plant_doc["kind"] in BUILTIN_PLANTS else {}
     metadata.update(
         plant=plant.name, controller=cfg.controller, dt=cfg.dt, horizon=cfg.horizon,
         paths=cfg.paths, seed=cfg.seed, record_stride=cfg.record_stride, x0=_csv_list(x0),
-        y_star=_csv_list(sp.y_star), u_star=_csv_list(sp.u_star),
+        y_star=_csv_list(sp.y_star), u_star=_csv_list(sp.u_star), noise=_NOISE_STREAM,
     )
     if gains is not None:
         metadata.update(gains=_csv_list(gains.gains), gain_kind=gains.kind)
@@ -136,10 +136,12 @@ def _run_config(doc: dict, workers: int):
     y_star = _as_vec(doc["sim"].get("y_star", 0.0), plant.d, "sim.y_star")
     _require(cfg.x0 is None or cfg.x0.shape == (plant.state_dim,),
              f"sim.x0: expected {plant.state_dim} entries for this plant")
-    gains = None
-    if cfg.controller != "open_loop":
-        _require("gains" in doc, "gains: required section for a closed-loop run")
-        gains = _gains_from(doc["gains"], "gains")
+    # an open-loop run checks a gains section it is given, then runs without it
+    gains = _gains_from(doc["gains"], "gains") if "gains" in doc else None
+    if cfg.controller == "open_loop":
+        gains = None
+    else:
+        _require(gains is not None, "gains: required section for a closed-loop run")
         _require(gains.kind == cfg.controller,
                  f"gains.kind: a {cfg.controller} controller needs {cfg.controller} gains, "
                  f"got {gains.kind}")

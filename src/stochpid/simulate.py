@@ -10,10 +10,11 @@ keeps each chunk of paths as one (state, paths) buffer and advances it in
 place.  The plant's affine drift part and a constant diffusion are folded
 into the kernel's step matrix, so per step it calls only the residual
 drift and a state-dependent diffusion.  Paths are processed in fixed
-chunks of 4096; each chunk draws its noise from one counter-based Philox
-stream keyed by (seed, chunk index), sequentially step by step, and chunk
-moments are merged in chunk order, which makes the resulting moments
-bitwise identical no matter how many worker threads run the chunks.
+chunks of 4096; each chunk draws its noise from one SFC64 stream seeded
+by ``SeedSequence(seed, spawn_key=(chunk index,))``, sequentially step by
+step, and chunk moments are merged in chunk order, which makes the
+resulting moments bitwise identical no matter how many worker threads run
+the chunks.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class SimConfig:
         if self.steps % self.record_stride:  # the last record falls on the horizon
             raise ValueError(f"record_stride: {self.record_stride} does not divide "
                              f"{self.steps} steps")
-        if not 0 <= self.seed < 2 ** 64:  # the first word of each chunk's Philox key
+        if not 0 <= self.seed < 2 ** 64:  # the run entropy of each chunk's SeedSequence
             raise ValueError(f"seed: {self.seed} is outside [0, 2**64)")
         if self.controller not in _CONTROLLERS:
             raise ValueError(f"controller: must be one of {_CONTROLLERS}, got {self.controller!r}")
@@ -232,9 +233,18 @@ def em_step(
     return ClosedLoopState(x=new_x, integral=new_integral, t=t_next)
 
 
+# names the generator and keying of _chunk_stream in run metadata
+_NOISE_STREAM = f"SFC64 per chunk of {_CHUNK_PATHS} paths; SeedSequence(seed, spawn_key=(chunk,))"
+
+
 def _chunk_stream(seed: int, chunk: int) -> np.random.Generator:
-    key = np.array([seed, chunk], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """SFC64 noise of one chunk, seeded like ``SeedSequence(seed).spawn(chunk + 1)[chunk]``.
+
+    The chunk goes into the spawn key, not the entropy: ``SeedSequence([seed,
+    chunk])`` would read seed 5 / chunk 7 and seed 5 + 7*2**32 / chunk 0 as
+    the same words and draw the same normals.
+    """
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(chunk,))))
 
 
 def _law_weights(controller: str, g: Optional[GainVector], plant: PlantSpec,
@@ -293,12 +303,14 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     and applies the control law to the result; plants see the transposed
     (size, n*d) view of x.  The diffusion is evaluated once at x0 first: an
     unbatched (d, m) result G is constant and sqrt(dt)*G goes into the step
-    matrix, so each step draws its m standard normals straight into w;
-    otherwise g is evaluated every step, the normals z go to one (m, size)
-    scratch and w = g(x) z.  A non-finite residual drift or diffusion value
-    reaches x_n at the same step, so the per-step box guard on the new state
-    also finds it; the plant output is then checked to raise
-    :class:`NonFinite` exactly where :func:`em_step` would.
+    matrix, so each step draws its m standard normals straight into w (none
+    when G is exactly zero: w stays zero, and M keeps its shape, so the
+    matmul sums the same terms); otherwise g is evaluated every step, the
+    normals z go to one (m, size) scratch and w = g(x) z.  A non-finite
+    residual drift or diffusion value reaches x_n at the same step, so the
+    per-step box guard on the new state also finds it; the plant output is
+    then checked to raise :class:`NonFinite` exactly where :func:`em_step`
+    would.
 
     A record only copies the adjacent [x; u] rows into a record buffer of at
     most ``_RECORD_BYTES`` (a few dozen records of a narrow chunk, one of a
@@ -328,6 +340,7 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     np.matmul(K, bufs[0][:S], out=views[0][3])
     rng = _chunk_stream(cfg.seed, chunk)
     z = None if constant else np.empty((m, size))
+    draw_w = constant and bool(g.any())  # a zero G leaves w at zero: no draw
 
     means = np.empty((rec_count, 3 + d))
     C = np.empty((rec_count, 3 + d, 3 + d))
@@ -368,9 +381,9 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
                 if f.shape != (size, d):
                     f = np.broadcast_to(f, (size, d))
                 f_row[...] = f.T
-            if constant:
+            if draw_w:
                 rng.standard_normal(out=w_row)
-            else:  # one (d, m) matrix per path
+            elif not constant:  # one (d, m) matrix per path
                 if s:
                     g = np.asarray(plant.diffusion(x.T), dtype=float)
                 if g.shape != (size, d, m):

@@ -288,7 +288,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("field, value", [
         ("dt", None), ("x0", {"x1": 0.0}), ("paths", 4.7), ("seed", 1.9), ("record_stride", 2.5),
-        # non-finite JSON numbers, and a seed outside the 64-bit Philox key word
+        # non-finite JSON numbers, and a seed outside [0, 2**64)
         ("x0", [float("nan"), 0.0]), ("y_star", float("inf")), ("seed", -1), ("seed", 2 ** 64),
         # strings and booleans are not numbers, even where float() would read them
         ("dt", "1e-3"), ("horizon", "0.1"), ("dt", True), ("x0", ["0", "0"]), ("y_star", "1"),
@@ -364,6 +364,45 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) \
             == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+    @pytest.mark.parametrize("gains, message", [
+        ({"kind": "pid", "gains": "not gains"}, "gains: expected finite number(s)"),  # ran
+        ({"kind": "pi", "gains": [1, 2]}, "gains: kind must be 'pid' or 'pd'"),
+        ({"kind": "pid"}, "gains: missing ['gains']"),
+        ({"kind": "pid", "gains": [4000, 1600, 160], "gain": 1}, "gains: unknown keys ['gain']"),
+    ])
+    def test_open_loop_gains_section_is_checked(self, tmp_path, capsys, monkeypatch, gains,
+                                                message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulate_paths ran on a bad gains section")
+
+        monkeypatch.setattr("stochpid.cli.simulate_paths", no_run)
+        cfg = write_config(tmp_path / "cfg.json", gains=gains, **{"sim.controller": "open_loop"})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    def test_open_loop_runs_without_its_gains(self, tmp_path):
+        # valid gains of another kind and degree are checked, not used: the open
+        # loop writes the table and metadata of a run without a gains section
+        cfg = write_config(tmp_path / "cfg.json", gains={"kind": "pd", "gains": [3, 4, 5]},
+                           **{"sim.controller": "open_loop", "sim.paths": 20})
+        outs = [tmp_path / "with.csv", tmp_path / "without.csv"]
+        assert main(["simulate", "--config", str(cfg), "--out", str(outs[0])]) == EXIT_OK
+        doc = json.loads(cfg.read_text())
+        del doc["gains"]
+        cfg.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(cfg), "--out", str(outs[1])]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_metadata_names_the_noise_stream(self, tmp_path):
+        # output bits depend on the generator and its keying, so the CSV says which
+        cfg = write_config(tmp_path / "cfg.json", **{"sim.paths": 4})
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        noise = [l for l in out.read_text().splitlines() if l.startswith("# noise=")]
+        assert noise == ["# noise=SFC64 per chunk of 4096 paths; "
+                         "SeedSequence(seed, spawn_key=(chunk,))"]
 
     @pytest.mark.parametrize("overrides, message", [
         ({"sim.record_strid": 100}, "sim: unknown keys ['record_strid']"),  # ran at stride 1

@@ -284,12 +284,30 @@ class TestSimulatePaths:
         assert SimConfig(dt=1e-3, horizon=30.0, paths=1, seed=1).steps == 30000
         assert SimConfig(dt=0.1, horizon=0.3, paths=1, seed=1).steps == 3
 
-    def test_seed_must_fit_the_philox_key(self):
-        # the seed is the first 64-bit word of each chunk's key, taken as is
+    def test_seed_must_fit_64_bits(self):
+        # the seed is the run entropy of each chunk's SeedSequence, taken as is
         for seed in (-1, 2 ** 64):
             with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
                 SimConfig(dt=0.1, horizon=1.0, paths=1, seed=seed)
-        assert SimConfig(dt=0.1, horizon=1.0, paths=1, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+        cfg = SimConfig(dt=0.1, horizon=1.0, paths=1, seed=2 ** 64 - 1, controller="open_loop")
+        assert cfg.seed == 2 ** 64 - 1
+        plant = ou(1.0, 1.0)
+        stats = simulate_paths(plant, solve_equilibrium(plant, 0.0), None, cfg)
+        assert np.all(np.isfinite(stats.table()))
+        # the largest seed keys a stream for chunk indices far beyond any run
+        for chunk in (2 ** 32, 2 ** 63):
+            assert np.all(np.isfinite(_chunk_stream(2 ** 64 - 1, chunk).standard_normal(4)))
+
+    def test_chunk_streams_are_keyed_apart(self):
+        # SeedSequence([seed, chunk]) reads both pairs as the 32-bit words [5, 7]
+        # (a missing word is zero) and would draw the same normals for both
+        a = _chunk_stream(5, 7).standard_normal(8)
+        assert not np.array_equal(a, _chunk_stream(5 + 7 * 2 ** 32, 0).standard_normal(8))
+        assert not np.array_equal(a, _chunk_stream(5, 8).standard_normal(8))
+        assert np.array_equal(a, _chunk_stream(5, 7).standard_normal(8))
+        # the stream of chunk c is the c-th spawned child of the run's SeedSequence
+        child = np.random.SeedSequence(5).spawn(8)[7]
+        assert np.array_equal(a, np.random.Generator(np.random.SFC64(child)).standard_normal(8))
 
     @pytest.mark.parametrize("field, value", [
         ("seed", 1.9), ("paths", 4.7), ("record_stride", 2.5), ("dt", "0.1"),
@@ -370,6 +388,22 @@ class TestKernelMatchesEmStep:
         for want, have in zip(ref, stats.table().T):
             assert have == pytest.approx(want, rel=1e-9, abs=1e-12)
         assert np.array_equal(stats.table(), simulate_paths(plant, sp, g, cfg, workers=2).table())
+
+    def test_noise_free_run_draws_no_normals(self, monkeypatch):
+        # a zero constant diffusion leaves the noise rows at zero: no chunk draws,
+        # and the moments are those of em_step fed the usual normals times zero
+        class NoDraws:
+            def standard_normal(self, *args, **kwargs):
+                raise AssertionError("a noise-free run drew normals")
+
+        plant, g = bench3(sigma=0.0), BENCH
+        sp = solve_equilibrium(plant, 1.0)
+        cfg = SimConfig(dt=0.01, horizon=0.3, paths=4100, seed=12, record_stride=3,
+                        controller="pid", x0=np.array([0.9, 0.0, 0.1]))
+        ref = em_reference(plant, sp, g, cfg)
+        monkeypatch.setattr("stochpid.simulate._chunk_stream", lambda seed, chunk: NoDraws())
+        for want, have in zip(ref, simulate_paths(plant, sp, g, cfg, workers=2).table().T):
+            assert have == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_chunk_moments_merge_like_one_sample(self):
         # two chunks, the second of 4 paths, merged by Chan's update
