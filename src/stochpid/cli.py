@@ -8,6 +8,11 @@ section's keys with the one section rule (``model._section``: every
 required key, no unknown one) and the values that span two sections, and
 puts the section name in front of the library's message.
 
+`main` parses with one parser per process, built on its first call: the
+tree depends on nothing `main` is given, and each command looks up the
+library functions it calls when it runs.  ``build_parser()`` builds a fresh
+one.
+
 Exit codes: 0 success, 1 usage/config error, 2 rejected design/certificate
 (or unstable polynomial), 3 trajectory divergence or non-finite plant
 output; `main` alone turns errors into these codes.  All CSV outputs start
@@ -21,6 +26,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -446,9 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the one parser `main` uses: the tree is the same for every argv
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (Diverged, NonFinite) as exc:  # before ValueError: NonFinite is one

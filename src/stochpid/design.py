@@ -216,11 +216,27 @@ def _k_admissible_threshold(w: np.ndarray, L: float, M: float, b_lower: float) -
     The gains k*w have the terms k**2*q - k*l and kbar k*kbar(w), so a term
     beats kbar exactly when k > (l + kbar(w))/q, and never when q <= 0.  The
     ratio pattern w = (1, beta_1, beta_1*beta_2, ...) has every q > 0, as
-    beta_{i+1} < beta_i/n <= beta_i/2.
+    beta_{i+1} < beta_i/n <= beta_i/2, but a middle term's q cancels as
+    beta_2 nears beta_1/2 at n = 2; a q within its rounding error counts as
+    unreachable, so no finite k is returned for it.
     """
+    # Rounding bound.  With u = 2**-53, a middle term q = (w_i**2 -
+    # 2*w_{i-1}*w_{i+1})*b is computed within 3u*s of its exact value, where
+    # s = (w_i**2 + 2*w_{i-1}*w_{i+1})*b <= 2*w_i**2*b up to rounding (the
+    # ratio bounds give 2*w_{i-1}*w_{i+1} < w_i**2).  check_inequality's term
+    # of the rounded gains fl(k*w_j) = k*w_j*(1 + d_j), |d_j| <= u, is within
+    # 5u*k**2*s of k**2 times the exact value (gamma_3 for the products and
+    # gains, gamma_2 for the difference and b), so at least
+    # k**2*(q - 16u*w_i**2*b).  A default k is 1.1 times the threshold,
+    # k*q >= 1.1*(l + kbar(w)); if q > 2**-45*w_i**2*b = 256u*w_i**2*b, the
+    # term keeps k**2*q*15/16 >= 1.03*k*kbar(w), which clears the kbar of the
+    # rounded gains (within (n + 4)u of k*kbar(w)).  The end terms are
+    # q = w_i**2*b, clear unless 0.
+    clear = 2.0 ** -45 * b_lower * (w * w)
     with np.errstate(over="ignore", invalid="ignore"):  # a tiny q gives inf
         c = _kbar(w, L, M)
-        return max((l + c) / q if q > 0 else math.inf for _, q, l in _terms(w, b_lower, str))
+        return max((l + c) / q if q > err else math.inf
+                   for (_, q, l), err in zip(_terms(w, b_lower, str), clear))
 
 
 def lambda_gains(

@@ -16,6 +16,7 @@ the affine terms of their drift formula become data as well.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import math
 
@@ -126,27 +127,32 @@ def expression_plant(
     0.4*sin(x1) + 5.2*tanh(u), as ``bench3`` declares.  A diffusion that
     references no variable returns one unbatched (1, 1) matrix, so the
     simulator treats it as constant.  Each callable runs its formula
-    compiled once here.  L, M and b_lower are the caller's
-    assertions about the expressions.  Errors in a formula, including a
-    constant that divides by zero or is not finite, name its parameter
-    (``drift: ...``).
+    compiled once here and binds only the variables the formula's tree
+    reads, found once here: the residual above binds x1 and u.  L, M and
+    b_lower are the caller's assertions about the expressions.  Errors in
+    a formula, including a constant that divides by zero or is not finite,
+    name its parameter (``drift: ...``).
     """
     n = _require_count("n", n)
     const, coeffs, drift_ast = split_affine(_parse("drift", drift, n, allow_u=True))
     drift_code = None if drift_ast is None else compile_expr(drift_ast)
-    diff_code = compile_expr(_parse("diffusion", diffusion, n, allow_u=False))
+    diff_ast = _parse("diffusion", diffusion, n, allow_u=False)
+    diff_code = compile_expr(diff_ast)
     names = [f"x{i + 1}" for i in range(n)] + ["u"]
     affine = np.array([[const] + [coeffs.get(v, 0.0) for v in names]]) if coeffs or const else None
+    drift_x, drift_u = _columns(drift_ast, n)
+    diff_x, _ = _columns(diff_ast, n)
 
     def drift_fn(x, u):
         x = np.asarray(x, dtype=float)
-        env = {f"x{i + 1}": x[..., i] for i in range(n)}
-        env["u"] = np.asarray(u, dtype=float)[..., 0]
+        env = {v: x[..., i] for v, i in drift_x}
+        if drift_u:
+            env["u"] = np.asarray(u, dtype=float)[..., 0]
         return np.asarray(eval_expr(drift_code, env), dtype=float)[..., None]
 
     def diff_fn(x):
         x = np.asarray(x, dtype=float)
-        env = {f"x{i + 1}": x[..., i] for i in range(n)}
+        env = {v: x[..., i] for v, i in diff_x}
         # a formula without variables evaluates to a scalar: one unbatched (1, 1) matrix
         return np.asarray(eval_expr(diff_code, env), dtype=float)[..., None, None]
 
@@ -162,6 +168,14 @@ def expression_plant(
         name=name,
         affine=affine,
     )
+
+
+def _columns(tree, n: int) -> tuple[list[tuple[str, int]], bool]:
+    """(name, column) of each of x1..xn that a formula tree reads, and whether it reads u."""
+    if tree is None:
+        return [], False
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(f"x{i + 1}", i) for i in range(n) if f"x{i + 1}" in used], "u" in used
 
 
 def _parse(what: str, text: str, n: int, allow_u: bool):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import stochpid
+from stochpid import cli
 from stochpid.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_REJECTED, _run_config, main
 
 
@@ -484,6 +485,49 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: sim.dt")
+
+    def test_main_reuses_one_parser(self, tmp_path, capsys, monkeypatch):
+        # usage errors, help and runs in one process go through one parser and
+        # write the bytes a fresh process writes
+        builds = []
+        init = cli._Parser.__init__
+
+        def counted_init(self, *args, **kwargs):
+            builds.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted_init)
+        cli.build_parser()
+        per_build = len(builds)  # the subcommand parsers are _Parsers too
+        builds.clear()
+        cli._parser.cache_clear()
+
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            plant={"kind": "expression", "n": 3, "L": 0.87, "M": 0.0, "diffusion": "0.2",
+                   "drift": "0.4*sin(x1) - 0.3*x2 + 0.5*x3 + 6 + u + 5.2*tanh(u)"},
+            gains={"kind": "pid", "gains": [8.6, 21.5, 21.5, 8.6]},
+            **{"sim.x0": [0.9, 0.0, 0.1], "sim.horizon": 0.25, "sim.paths": 48,
+               "sim.record_stride": 1})
+        run = ["simulate", "--config", str(cfg), "--out"]
+        with pytest.raises(SystemExit) as usage:
+            main(run + [str(tmp_path / "x.csv"), "--workers", "0"])
+        assert usage.value.code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("usage: stochpid simulate")
+        with pytest.raises(SystemExit) as help_exit:
+            main(["--help"])
+        assert help_exit.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: stochpid")
+        outs = [tmp_path / f"{name}.csv" for name in ("one", "two", "default")]
+        for out, workers in zip(outs, (["--workers", "1"], ["--workers", "2"], [])):
+            assert main(run + [str(out)] + workers) == EXIT_OK
+        assert len(builds) == per_build
+
+        env = {**os.environ, "PYTHONPATH": str(Path(stochpid.__file__).parents[1])}
+        fresh = tmp_path / "fresh.csv"
+        subprocess.run([sys.executable, "-m", "stochpid.cli"] + run + [str(fresh)],
+                       check=True, capture_output=True, env=env, timeout=120)
+        assert all(out.read_bytes() == fresh.read_bytes() for out in outs)
 
     def test_expression_plant_config(self, tmp_path):
         cfg = write_config(

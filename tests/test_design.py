@@ -238,6 +238,36 @@ class TestLambdaGains:
         with pytest.raises(ValueError, match=f"^{name} must be such that the gain threshold"):
             lambda_gains(*args, **kwargs)
 
+    @pytest.mark.parametrize("beta2", [np.nextafter(0.2, 0.0), 0.2 * (1.0 - 1e-15)])
+    def test_cancelled_middle_term_raises(self, beta2):
+        # k1^2 - 2*k0*k2 cancels to rounding noise as beta_2 nears beta_1/2
+        with pytest.raises(ValueError, match="^betas must be such that the gain threshold"):
+            lambda_gains(1.0, 1.0, 0.0, 2, betas=[0.4, beta2])
+
+    def test_near_boundary_overrides_are_admissible_or_raise(self):
+        # every ratio just inside its bound: a default k either passes the check
+        # it was derived from or is refused
+        rng = np.random.default_rng(19)
+        raised = 0
+        for _ in range(2000):
+            n = int(rng.integers(2, 5))
+            lam = 10.0 ** rng.uniform(-1.0, 1.0)
+            L, M = float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 0.5))
+            b_lower = 10.0 ** rng.uniform(-1.0, 1.0) if rng.random() < 0.5 else 1.0
+            betas, bound = [], min(1.0, 1.0 / (n * (lam + 8.0 * M * M)))
+            for _ in range(n):
+                eps = 10.0 ** rng.uniform(-16.0, -6.0)
+                betas.append(min(bound * (1.0 - eps), np.nextafter(bound, 0.0)))
+                bound = betas[-1] / n
+            try:
+                g, _ = lambda_gains(lam, L, M, n, b_lower, betas)
+            except ValueError as exc:
+                assert str(exc).startswith("betas must be such that the gain threshold")
+                raised += 1
+                continue
+            assert check_inequality(g, L, M, b_lower).admissible, (n, lam, L, M, b_lower, betas)
+        assert 0 < raised < 500
+
     def test_explicit_k_against_infinite_threshold(self):
         with pytest.raises(InvalidBeta, match="must strictly exceed inf"):
             lambda_gains(1.0, 0.0, 0.0, 2, betas=[1e-200, 1e-201], k=5.0)

@@ -327,6 +327,65 @@ class TestExpressionPlant:
         assert np.array_equal(plant.diffusion(np.ones((5, 2))), [[1.1]])
         assert plant.eval_diffusion(np.ones((5, 2))).shape == (5, 1, 1)
 
+    @staticmethod
+    def random_formula(rng, names, depth=3):
+        """A seeded formula over ``names`` (constants only when it is empty)."""
+        if depth == 0 or rng.random() < 0.3:
+            if names and rng.random() < 0.7:
+                return str(rng.choice(names))
+            return f"{rng.uniform(0.1, 2.0):.3f}"
+        left = TestExpressionPlant.random_formula(rng, names, depth - 1)
+        if rng.random() < 0.3:
+            return f"{rng.choice(['sin', 'cos', 'tanh', 'abs'])}({left})"
+        right = TestExpressionPlant.random_formula(rng, names, depth - 1)
+        return f"({left} {rng.choice(['+', '-', '*'])} {right})"
+
+    @pytest.mark.parametrize("n, names", [
+        (3, []),                     # no variable: constant diffusion, affine drift
+        (3, ["u"]),                  # u only
+        (4, ["x4"]),                 # xn only
+        (12, ["x10", "x2"]),         # a two-digit index
+        (2, ["x1", "x1", "u", "u"]),  # repeated variables
+    ])
+    def test_callables_bind_only_the_variables_they_read(self, n, names, monkeypatch):
+        # outputs are bitwise those of the same code with every variable bound,
+        # and eval_expr receives exactly the names the folded formula reads
+        seen = []
+
+        def recording(code, env):
+            seen.append(set(env))
+            return eval_expr(code, env)
+
+        monkeypatch.setattr("stochpid.plants.eval_expr", recording)
+        rng = np.random.default_rng(sum(map(ord, "".join(names))) + n)
+        state = [v for v in names if v != "u"]
+        x, u = rng.standard_normal((32, n)), rng.standard_normal((32, 1))
+        every = {**{f"x{i + 1}": x[:, i] for i in range(n)}, "u": u[:, 0]}
+        residuals = 0
+        for _ in range(20):
+            drift = self.random_formula(rng, names)
+            diffusion = self.random_formula(rng, state)
+            plant = expression_plant(n, drift, diffusion, L=1.0, M=1.0)
+            residual = split_affine(fold_constants(parse_expr(drift, n=n)))[2]
+            for tree, call_fn, shape in (
+                (residual, lambda: plant.drift(x, u), (32, 1)),
+                (fold_constants(parse_expr(diffusion, n=n, allow_u=False)),
+                 lambda: plant.diffusion(x), (32, 1, 1)),
+            ):
+                if tree is None:
+                    assert plant.drift is None
+                    continue
+                text = ast.unparse(tree)
+                reads = set(re.findall(r"\b(?:x[0-9]+|u)\b", text))
+                want = np.asarray(evaluate(tree, every), dtype=float)
+                want = want.reshape(shape if reads else (1,) * (len(shape) - 1))
+                seen.clear()
+                got = call_fn()
+                assert seen == [reads], text
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), text
+                residuals += tree is residual
+        assert residuals >= (10 if names else 0)
+
     def test_formula_errors_name_the_formula(self):
         with pytest.raises(UnknownIdentifier, match="^drift: unknown identifier 'foo'"):
             expression_plant(1, "u + foo", "0.1", L=0.0, M=0.0)
