@@ -393,8 +393,9 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="stochpid",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Design, certify and simulate extended PID/PD control of stochastic systems.",
+        epilog="exit codes: 0 success, 1 usage or config error, 2 rejected design, certificate "
+               "or unstable polynomial, 3 diverged run or non-finite plant output",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,12 +49,35 @@ class InvalidBeta(ValueError):
     """Ratio overrides violate the strict design inequalities."""
 
 
+def _dyadic(values) -> tuple[list[int], int]:
+    """Finite floats as ints over their common power-of-two denominator D:
+    ``values[i] == c[i] / D`` exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    D = max(d for _, d in ratios)
+    return [n * (D // d) for n, d in ratios], D
+
+
+def _routh(c: list[int]) -> bool:
+    """Routh verdict of descending int coefficients with a positive leading one."""
+    prev, row = c[0::2], c[1::2] + [0] * (len(c) % 2)
+    for _ in range(len(c) - 2):
+        pivot = row[0]
+        if pivot <= 0:
+            return False
+        new = [pivot * prev[j + 1] - prev[0] * row[j + 1] for j in range(len(prev) - 1)]
+        g = math.gcd(*new) or 1
+        prev, row = row, [v // g for v in new] + [0]
+    return row[0] > 0
+
+
 @dataclass(frozen=True)
 class GainVector:
     """Extended PID gains (k0..kn) or PD gains (k1..kn).
 
     ``kind`` is ``"pid"`` or ``"pd"``; ``gains`` holds n+1 entries for PID
-    and n entries for PD, all strictly positive.
+    and n entries for PD, all strictly positive.  ``gains`` is a read-only
+    copy of the values passed in, so the exact form and the verdicts cached
+    on the vector cannot go stale.
     """
 
     kind: str
@@ -62,12 +86,31 @@ class GainVector:
     def __post_init__(self):
         if self.kind not in ("pid", "pd"):
             raise ValueError(f"kind must be 'pid' or 'pd', got {self.kind!r}")
-        g = np.asarray(self.gains, dtype=float)
+        g = np.array(self.gains, dtype=float)
         if g.ndim != 1 or g.size < 1:
             raise ValueError("gains must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
+        if not all(0.0 < v < math.inf for v in g.tolist()):  # NaN fails too
             raise NonPositiveGain(f"all gains must be positive and finite, got {g}")
+        g.flags.writeable = False
         object.__setattr__(self, "gains", g)
+
+    def __reduce__(self):  # copies and pickles are validated afresh and start uncached
+        return GainVector, (self.kind, self.gains)
+
+    @cached_property
+    def _ints(self) -> tuple[list[int], int]:
+        """The gains as ints c over their common power-of-two denominator D."""
+        return _dyadic(self.gains.tolist())
+
+    @cached_property
+    def _hurwitz(self) -> bool:
+        """Exact Routh verdict of the characteristic polynomial D*(s**N + ... + k_first)."""
+        c, D = self._ints
+        return _routh([D] + c[::-1])
+
+    @cached_property
+    def _sum(self) -> float:
+        return _gain_sum(self.gains)
 
     def kbar(self, L: float, M: float) -> float:
         """Disturbance constant ``sum(k_i)*L + k_last*M**2`` the admissible set must beat.
@@ -77,9 +120,8 @@ class GainVector:
         """
         _require_constant("L", L)
         _require_constant("M", M)
-        with np.errstate(over="ignore", invalid="ignore"):
-            kbar = _kbar(self.gains, L, M)
-        if not np.isfinite(kbar):
+        kbar = _kbar(self._sum, float(self.gains[-1]), float(L), float(M))
+        if not math.isfinite(kbar):
             raise ValueError(f"kbar = {kbar} overflows float64 for L={L}, M={M}")
         return kbar
 
@@ -128,25 +170,40 @@ class BoundConstants:
     cert_rate: Optional[float] = None
 
 
-def _kbar(gains: np.ndarray, L: float, M: float) -> float:  # inf when it overflows
-    return float(np.sum(gains) * L + gains[-1] * M * M)
+def _gain_sum(gains: np.ndarray) -> float:
+    """numpy's sum of the gains, inf when it overflows; its pairwise sum rounds unlike
+    a sequential one from 8 entries on, so the sum stays numpy's."""
+    with np.errstate(over="ignore"):
+        return float(gains.sum())
 
 
-def _terms(gains: np.ndarray, b_lower: float, labels):
-    """Left-hand terms (name, q, l) of the min-inequality for a raw gain list: the
-    term is q - l, with q quadratic and l linear in the gains."""
-    g = gains
-    N = g.size
-    b = "*b" if b_lower != 1.0 else ""
+def _kbar(total: float, last: float, L: float, M: float) -> float:
+    """``total*L + last*M*M`` on Python floats: inf or nan when it overflows, no warning."""
+    return total * L + last * M * M
+
+
+def _terms(g, b_lower: float):
+    """Left-hand terms (i, q, l) of the min-inequality for a raw gain list: term i
+    is q - l, with q quadratic and l linear in the gains."""
+    N = len(g)
     # g[i] * g[i] is correctly rounded; a numpy scalar g[i] ** 2 goes through libm pow
-    yield f"{labels(0)}^2{b}", g[0] * g[0] * b_lower, 0.0
+    yield 0, g[0] * g[0] * b_lower, 0.0
     for i in range(1, N - 1):
-        name = f"{labels(i)}^2-2*{labels(i - 1)}*{labels(i + 1)}"
-        if b:
-            name = f"({name}){b}"
-        yield name, (g[i] * g[i] - 2.0 * g[i - 1] * g[i + 1]) * b_lower, 0.0
+        yield i, (g[i] * g[i] - 2.0 * g[i - 1] * g[i + 1]) * b_lower, 0.0
     if N >= 2:
-        yield f"{labels(N - 1)}^2{b}-{labels(N - 2)}", g[N - 1] * g[N - 1] * b_lower, g[N - 2]
+        yield N - 1, g[N - 1] * g[N - 1] * b_lower, g[N - 2]
+
+
+def _term_name(g: GainVector, i: int, b_lower: float) -> str:
+    """Display name of left-hand term ``i`` of :func:`_terms` for the gains ``g``."""
+    k, N = g.label, g.gains.size
+    b = "*b" if b_lower != 1.0 else ""
+    if i == 0:
+        return f"{k(0)}^2{b}"
+    if i == N - 1:
+        return f"{k(i)}^2{b}-{k(i - 1)}"
+    name = f"{k(i)}^2-2*{k(i - 1)}*{k(i + 1)}"
+    return f"({name}){b}" if b else name
 
 
 def check_inequality(g: GainVector, L: float, M: float, b_lower: float = 1.0) -> DesignReport:
@@ -163,20 +220,19 @@ def check_inequality(g: GainVector, L: float, M: float, b_lower: float = 1.0) ->
         raise ValueError("b_lower: the PD inequality has no b term")
     kbar = g.kbar(L, M)
     _require_constant("b_lower", b_lower, positive=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = [(name, q - l) for name, q, l in _terms(g.gains, b_lower, g.label)]
-    for name, value in terms:
-        if not np.isfinite(value):
-            raise ValueError(f"term {name} = {value} overflows float64")
-    binding_term, binding_value = min(terms, key=lambda t: t[1])
-    margin = binding_value - kbar
+    terms = [q - l for _, q, l in _terms(g.gains.tolist(), float(b_lower))]
+    for i, value in enumerate(terms):
+        if not math.isfinite(value):
+            raise ValueError(f"term {_term_name(g, i, b_lower)} = {value} overflows float64")
+    binding = min(range(len(terms)), key=terms.__getitem__)
+    margin = terms[binding] - kbar
     # the stability conditions are strict: a zero margin counts as failure
     return DesignReport(
-        admissible=bool(margin > 0.0),
-        binding_term=binding_term,
-        binding_value=float(binding_value),
+        admissible=margin > 0.0,
+        binding_term=_term_name(g, binding, b_lower),
+        binding_value=terms[binding],
         kbar=kbar,
-        margin=float(margin),
+        margin=margin,
     )
 
 
@@ -232,11 +288,11 @@ def _k_admissible_threshold(w: np.ndarray, L: float, M: float, b_lower: float) -
     # term keeps k**2*q*15/16 >= 1.03*k*kbar(w), which clears the kbar of the
     # rounded gains (within (n + 4)u of k*kbar(w)).  The end terms are
     # q = w_i**2*b, clear unless 0.
-    clear = 2.0 ** -45 * b_lower * (w * w)
-    with np.errstate(over="ignore", invalid="ignore"):  # a tiny q gives inf
-        c = _kbar(w, L, M)
-        return max((l + c) / q if q > err else math.inf
-                   for (_, q, l), err in zip(_terms(w, b_lower, str), clear))
+    b, v = float(b_lower), w.tolist()
+    c = _kbar(_gain_sum(w), v[-1], float(L), float(M))
+    # on Python floats a tiny q gives inf without a warning
+    return max((l + c) / q if q > 2.0 ** -45 * b * (vi * vi) else math.inf
+               for (_, q, l), vi in zip(_terms(v, b), v))
 
 
 def lambda_gains(

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import GainVector
-from .stability import _dyadic, _routh
 
 __all__ = [
     "CertificateError",
@@ -87,9 +86,9 @@ def companion(g: GainVector) -> np.ndarray:
     return A
 
 
-def _scaled_lyapunov(g: GainVector) -> tuple[list[int], int, list[list[int]], list[int]]:
-    """The gains as ints c over their power-of-two denominator D, and D**2*P and D**2*q."""
-    c, D = _dyadic(g.gains.tolist())
+def _scaled_lyapunov(g: GainVector) -> tuple[int, list[list[int]], list[int]]:
+    """The gains' power-of-two denominator D, and D**2*P and D**2*q on ints."""
+    c, D = g._ints
     N = len(c)
     p = [[0] * N for _ in range(N)]
     for i in range(N):
@@ -97,7 +96,7 @@ def _scaled_lyapunov(g: GainVector) -> tuple[list[int], int, list[list[int]], li
         for j in range(i, N - 1):
             p[i][j] = p[j][i] = 2 * c[i] * c[j + 1] - (p[i - 1][j + 1] if i else 0)
     q = [2 * (c[i] * c[i] - (p[i - 1][i] if i else 0)) for i in range(N)]
-    return c, D, p, q
+    return D, p, q
 
 
 def _rounded(g: GainVector, ints, scale: int) -> np.ndarray:
@@ -110,13 +109,13 @@ def _rounded(g: GainVector, ints, scale: int) -> np.ndarray:
 
 def build_P(g: GainVector) -> np.ndarray:
     """Diagonalizing Lyapunov matrix: (n+1)x(n+1) for PID gains, n x n for PD."""
-    _, D, p, _ = _scaled_lyapunov(g)
+    D, p, _ = _scaled_lyapunov(g)
     return _rounded(g, p, D * D)
 
 
 def q_diagonal(g: GainVector) -> np.ndarray:
     """Diagonal of Q = -(P*A + A'*P): (2*g0^2, 2*(g_i^2 - p[i-1,i]), ...)."""
-    _, D, _, q = _scaled_lyapunov(g)
+    D, _, q = _scaled_lyapunov(g)
     return _rounded(g, q, D * D)
 
 
@@ -130,7 +129,7 @@ def verify_certificate(g: GainVector, L: float, M: float) -> LyapunovCertificate
     overflows float64.
     """
     kbar = g.kbar(L, M)
-    c, D, p, q = _scaled_lyapunov(g)
+    D, p, q = _scaled_lyapunov(g)
     D2 = D * D
     P, Q = _rounded(g, p, D2), _rounded(g, q, D2)
     num, den = kbar.as_integer_ratio()
@@ -139,7 +138,7 @@ def verify_certificate(g: GainVector, L: float, M: float) -> LyapunovCertificate
     if excess <= 0:
         raise NotNegativeDefinite(-margin)
     eigs_P = np.linalg.eigvalsh(P)
-    if not _routh([D] + c[::-1]):  # the characteristic polynomial D*(s**N + ... + k0)
+    if not g._hurwitz:
         raise NotPositiveDefinite(eigs_P[0])
     return LyapunovCertificate(
         P=P,

@@ -2,9 +2,11 @@
 
 Coefficients are stored ascending, ``a[0] + a[1]*s + ... + a[N]*s**N``.
 ``routh_hurwitz`` decides stability exactly for every degree with one
-fraction-free Routh recursion on Python ints (floats are dyadic rationals),
-and ``is_hurwitz`` applies it to the companion matrix of a gain vector.  ``nie_stable`` is a separate determining-coefficient *sufficient*
-test for degree >= 5: True proves stability, False decides nothing.
+fraction-free Routh recursion on Python ints (floats are dyadic rationals,
+:func:`stochpid.design._dyadic`), and ``is_hurwitz`` applies it to the
+companion matrix of a gain vector, once per vector.  ``nie_stable`` is a
+separate determining-coefficient *sufficient* test for degree >= 5: True
+proves stability, False decides nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from .design import GainVector
+from .design import GainVector, _dyadic, _routh
 
 __all__ = [
     "NonPositiveCoefficient",
@@ -97,27 +99,6 @@ def nie_stable(p) -> bool:
     return True
 
 
-def _dyadic(values) -> tuple[list[int], int]:
-    """Finite floats as ints over their common power-of-two denominator D:
-    ``values[i] == c[i] / D`` exactly."""
-    ratios = [v.as_integer_ratio() for v in values]
-    D = max(d for _, d in ratios)
-    return [n * (D // d) for n, d in ratios], D
-
-
-def _routh(c: list[int]) -> bool:
-    """Routh verdict of descending int coefficients with a positive leading one."""
-    prev, row = c[0::2], c[1::2] + [0] * (len(c) % 2)
-    for _ in range(len(c) - 2):
-        pivot = row[0]
-        if pivot <= 0:
-            return False
-        new = [pivot * prev[j + 1] - prev[0] * row[j + 1] for j in range(len(prev) - 1)]
-        g = math.gcd(*new) or 1
-        prev, row = row, [v // g for v in new] + [0]
-    return row[0] > 0
-
-
 def routh_hurwitz(p) -> bool:
     """Exact stability via the Routh array (first column all positive), any degree.
 
@@ -133,5 +114,6 @@ def routh_hurwitz(p) -> bool:
 
 
 def is_hurwitz(g: GainVector) -> bool:
-    """Stability of the companion matrix: ``routh_hurwitz`` of its characteristic polynomial."""
-    return routh_hurwitz(char_coeffs(g))
+    """Stability of the companion matrix: ``routh_hurwitz`` of its characteristic polynomial,
+    decided once per gain vector and cached on it (``verify_certificate`` reads it too)."""
+    return g._hurwitz

@@ -38,6 +38,17 @@ def write_config(path, **overrides):
     return path
 
 
+def test_help_lists_the_commands_and_no_private_name(capsys):
+    with pytest.raises(SystemExit) as help_exit:
+        main(["--help"])
+    assert help_exit.value.code == EXIT_OK
+    out = capsys.readouterr().out
+    for command in ("design", "certify", "hurwitz", "simulate", "reproduce", "sweep"):
+        assert re.search(rf"^ +{command} +\S", out, re.M), command
+    # the module docstring is a developer note: none of its names belong in --help
+    assert not re.search(r"\b_\w|\w\._|build_parser|\bmain\b|``", out), out
+
+
 class TestDesign:
     def test_bench_pattern_admissible(self, tmp_path, capsys):
         out = tmp_path / "gains.json"

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,13 +18,31 @@ from stochpid import (
     is_hurwitz,
     lambda_gains,
 )
-from stochpid.design import _k_admissible_threshold
+from stochpid.design import _k_admissible_threshold, _terms
 
 L_BENCH = math.sqrt(3.0) / 2.0
 
 
 def bench_pattern(k):
     return GainVector("pid", np.array([k, 2.5 * k, 2.5 * k, k]))
+
+
+class TestGainVector:
+    def test_gains_are_a_read_only_copy(self):
+        a = np.array([1.0, 2.0])
+        g = GainVector("pd", a)
+        a[0] = -1.0
+        assert g.gains.tolist() == [1.0, 2.0]
+        assert not np.shares_memory(g.gains, a)
+        with pytest.raises(ValueError, match="read-only"):
+            g.gains[0] = -1.0
+
+    def test_copies_and_pickles_are_read_only_copies(self):
+        g = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
+        assert is_hurwitz(g) and check_inequality(g, L_BENCH, 0.0).admissible  # fill the cache
+        for h in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert (h.kind, h.gains.tolist()) == (g.kind, g.gains.tolist())
+            assert not h.gains.flags.writeable
 
 
 class TestCheckInequality:
@@ -93,16 +114,53 @@ class TestCheckInequality:
         with pytest.raises(ValueError, match="kbar"):
             check_inequality(GainVector("pid", np.array([1.0, 1e308, 1e308])), 1.0, 0.0)
 
+    @pytest.mark.parametrize("kind, gains, b_lower, term", [
+        ("pid", [1.0, 4.0, 4.0], 1.0, "k0^2"),
+        ("pid", [2.0, 3.0, 4.0], 1.0, "k1^2-2*k0*k2"),
+        ("pid", [10.0, 10.0, 3.0, 10.0], 1.0, "k2^2-2*k1*k3"),
+        ("pid", [3.0, 4.0, 2.0], 1.0, "k2^2-k1"),
+        ("pid", [2.0, 1.0], 1.0, "k1^2-k0"),
+        ("pid", [1.0, 4.0, 4.0], 0.5, "k0^2*b"),
+        ("pid", [2.0, 3.0, 4.0], 0.5, "(k1^2-2*k0*k2)*b"),
+        ("pid", [10.0, 10.0, 3.0, 10.0], 0.5, "(k2^2-2*k1*k3)*b"),
+        ("pid", [3.0, 4.0, 2.0], 0.5, "k2^2*b-k1"),
+        ("pid", [2.0, 1.0], 0.5, "k1^2*b-k0"),
+        ("pd", [1.0, 4.0, 4.0], 1.0, "k1^2"),
+        ("pd", [2.0, 3.0, 4.0], 1.0, "k2^2-2*k1*k3"),
+        ("pd", [10.0, 10.0, 3.0, 10.0], 1.0, "k3^2-2*k2*k4"),
+        ("pd", [3.0, 4.0, 2.0], 1.0, "k3^2-k2"),
+        ("pd", [2.0], 1.0, "k1^2"),
+        ("pid", [1.0, 3.0, 4.0], 1.0, "k0^2"),  # k0^2 = k1^2 - 2*k0*k2: a tie binds the first
+    ])
+    def test_binding_term_names(self, kind, gains, b_lower, term):
+        report = check_inequality(GainVector(kind, np.array(gains)), 0.0, 0.0, b_lower)
+        assert report.binding_term == term
+        g, b = gains, b_lower
+        values = [g[0] * g[0] * b] + [(g[i] * g[i] - 2.0 * g[i - 1] * g[i + 1]) * b
+                                      for i in range(1, len(g) - 1)]
+        if len(g) >= 2:
+            values.append(g[-1] * g[-1] * b - g[-2])
+        assert report.binding_value == min(values)
+
+    @pytest.mark.parametrize("kind, gains, b_lower, term, value", [
+        ("pid", [1e200, 1.0, 1.0], 1.0, "k0^2", "inf"),
+        ("pid", [1.0, 1e200, 1.0], 0.5, "(k1^2-2*k0*k2)*b", "inf"),
+        ("pid", [1e150, 1e200, 1e300], 1.0, "k1^2-2*k0*k2", "nan"),
+        ("pid", [1.0, 1e200], 0.5, "k1^2*b-k0", "inf"),
+        ("pd", [1.0, 1.0, 1e200], 1.0, "k3^2-k2", "inf"),
+    ])
+    def test_overflowing_term_is_named(self, kind, gains, b_lower, term, value):
+        with pytest.raises(ValueError, match=f"^term {re.escape(term)} = {value} overflows float64$"):
+            check_inequality(GainVector(kind, np.array(gains)), 0.0, 0.0, b_lower)
+
     def test_terms_use_correctly_rounded_squares(self):
         # libm pow behind numpy scalar ** 2 misrounds about 7 in 10^4 of these
-        from stochpid.design import _terms
-
         def square(v):
             return float(Fraction(float(v)) ** 2)
 
         rng = np.random.default_rng(62)
         for k0, k1, k2 in rng.uniform(1e9, 1e10, (5000, 3)):
-            values = [q - l for _, q, l in _terms(np.array([k0, k1, k2]), 1.0, str)]
+            values = [q - l for _, q, l in _terms([k0, k1, k2], 1.0)]
             assert values == [square(k0), square(k1) - 2.0 * k0 * k2, square(k2) - k1]
 
 

@@ -306,7 +306,7 @@ class TestVerifyCertificate:
                                         * _k_admissible_threshold(w, L, M, 1.0), n)
                 cert = verify_certificate(g, L, M)
                 assert cert.min_eig_P / cert.max_eig_P < 1e-30
-                _, D, p, _ = _scaled_lyapunov(g)
+                D, p, _ = _scaled_lyapunov(g)
                 lo = Fraction(cert.min_eig_P)
                 assert eigenvalues_below(p, D * D, lo * (1 - Fraction(1, 10 ** 6))) == 0
                 assert eigenvalues_below(p, D * D, lo * (1 + Fraction(1, 10 ** 6))) == 1

@@ -36,6 +36,17 @@ def test_no_unused_imports(path):
     assert sorted(imported - used) == []
 
 
+@pytest.mark.parametrize("path", sorted(p.name for p in Path(stochpid.__file__).parent.glob("*.py")))
+def test_no_function_level_imports(path):
+    # every import runs at module level, so the import graph between the modules
+    # (design -> stability, lyapunov) stays acyclic without a lazy import
+    tree = ast.parse((Path(stochpid.__file__).parent / path).read_text())
+    nested = [f"{fn.name}:{node.lineno}"
+              for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []
+
+
 def _own_names(node) -> set:
     """The names a top-level statement defines: a function, a class or assigned constants."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):

@@ -5,15 +5,20 @@ import pytest
 
 import helpers
 from stochpid import (
+    CertificateError,
     DegreeTooLow,
     GainVector,
     NonPositiveCoefficient,
+    build_P,
     char_coeffs,
     check_inequality,
     determining_coeffs,
     is_hurwitz,
+    lambda_gains,
     nie_stable,
+    q_diagonal,
     routh_hurwitz,
+    verify_certificate,
 )
 
 BENCH_QUARTIC = np.array([8.6, 21.5, 21.5, 8.6, 1.0])
@@ -205,6 +210,35 @@ class TestIsHurwitz:
             if abs(top) <= helpers.INDETERMINATE_BAND:
                 continue
             assert is_hurwitz(g) == (top < 0.0)
+
+    def test_cached_verdict_matches_routh_hurwitz(self):
+        # is_hurwitz reads the verdict cached on the vector, which verify_certificate
+        # may have filled first; both orders must give routh_hurwitz's verdict
+        rng = np.random.default_rng(28)
+        vectors = [("pid", np.array([0.1 * 3, 0.1, 3.0]))]  # fl(0.1*3) > 0.1*3: not Hurwitz
+        for n in range(1, 9):
+            vectors.append(("pid", lambda_gains(1.0, 0.5, 0.2, n)[0].gains))
+            for _ in range(30):
+                kind = "pid" if rng.random() < 0.5 else "pd"
+                vectors.append((kind, 10.0 ** rng.uniform(-1.0, 1.5, n + 1 if kind == "pid" else n)))
+        verdicts, certified = [], 0
+        for kind, gains in vectors:
+            expected = routh_hurwitz(char_coeffs(GainVector(kind, gains)))
+            first, later = GainVector(kind, gains), GainVector(kind, gains)
+            assert is_hurwitz(first) == expected
+            for g in (first, later):
+                try:
+                    cert = verify_certificate(g, 0.5, 0.2)
+                except CertificateError:
+                    continue
+                certified += 1
+                assert cert.P.tobytes() == build_P(g).tobytes()
+                assert cert.Q.tobytes() == q_diagonal(g).tobytes()
+            assert is_hurwitz(first) == is_hurwitz(later) == expected
+            verdicts.append(expected)
+        assert not verdicts[0]
+        assert 0 < sum(verdicts) < len(verdicts)
+        assert certified >= 16
 
     def test_overflow_raises(self):
         # a float Routh recursion overflows on these; the int recursion decides them
