@@ -226,6 +226,9 @@ def check_inequality(g: GainVector, L: float, M: float, b_lower: float = 1.0) ->
             raise ValueError(f"term {_term_name(g, i, b_lower)} = {value} overflows float64")
     binding = min(range(len(terms)), key=terms.__getitem__)
     margin = terms[binding] - kbar
+    if not math.isfinite(margin):  # a finite term minus a finite kbar can still overflow
+        raise ValueError(f"margin {_term_name(g, binding, b_lower)} - kbar = {terms[binding]} - "
+                         f"{kbar} overflows float64")
     # the stability conditions are strict: a zero margin counts as failure
     return DesignReport(
         admissible=margin > 0.0,

@@ -4,17 +4,22 @@ Drift, diffusion and the error-integral accumulator all use the left
 endpoint of each step, so the discrete controller matches the shifted
 coordinate identity exactly at grid points.  The controller is one linear
 map, u = K @ [1; integral; x] with K from :func:`_control_law`; the open
-loop is K = 0.  :func:`em_step` is the single-step reference, given u;
-:func:`simulate_paths` runs one fused kernel for every controller that
-keeps each chunk of paths as one (state, paths) buffer and advances it in
-place.  The plant's affine drift part and a constant diffusion are folded
-into the kernel's step matrix, so per step it calls only the residual
-drift and a state-dependent diffusion.  Paths are processed in fixed
-chunks of 4096; each chunk draws its noise from one SFC64 stream seeded
-by ``SeedSequence(seed, spawn_key=(chunk index,))``, sequentially step by
-step, and chunk moments are merged in chunk order, which makes the
-resulting moments bitwise identical no matter how many worker threads run
-the chunks.
+loop is K = 0.  :func:`simulate_paths` runs one fused kernel for every
+controller and every chunk width.  A chunk of paths lives in two
+(state rows, block, paths) arrays that take turns, and one matmul per step
+writes the next state slot in place.  The plant's affine drift part and a
+constant diffusion are folded into the kernel's step matrix, so per step
+it calls only the residual drift and a state-dependent diffusion.  The
+block is as many steps as fit one 64 KB budget per array (``_BLOCK_BYTES``):
+a few dozen for a narrow chunk, one for a full one.  Per block the kernel
+makes one noise draw, one divergence check over every state the block
+wrote, and one moment reduction of its recorded states.  Paths are
+processed in fixed chunks of 4096; each chunk draws its noise from one
+SFC64 stream seeded by ``SeedSequence(seed, spawn_key=(chunk index,))``,
+sequentially in (step, noise dimension, path) order whatever the block,
+and chunk moments are merged in chunk order, which makes the resulting
+moments bitwise identical no matter how many worker threads run the
+chunks.
 """
 
 from __future__ import annotations
@@ -32,13 +37,11 @@ from .model import (PlantSpec, Setpoint, _as_vec, _cascade_weights, _is_integer,
 
 __all__ = [
     "SimConfig",
-    "ClosedLoopState",
     "EnsembleStats",
     "EnvelopeReport",
     "DissipativityReport",
     "Diverged",
     "DimensionMismatch",
-    "em_step",
     "simulate_paths",
     "bound_envelope",
     "dissipativity_probe",
@@ -46,7 +49,7 @@ __all__ = [
 ]
 
 _CHUNK_PATHS = 4096  # fixed regardless of worker count (determinism contract)
-_RECORD_BYTES = 1 << 16  # cap on the [x; u] rows a chunk buffers before reducing them
+_BLOCK_BYTES = 1 << 16  # budget of each of a chunk's two (rows, block, paths) arrays
 _DIVERGENCE_LIMIT = 1e12
 
 _CONTROLLERS = ("pid", "pd", "open_loop")
@@ -124,20 +127,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class ClosedLoopState:
-    """State of the closed loop: plant state, error integral, time.
-
-    ``x`` has shape (..., n*d) and ``integral`` (..., d); a leading batch
-    axis carries independent paths.  ``integral`` accumulates the regulation
-    error e = y* - x1 (left-point rule).
-    """
-
-    x: np.ndarray
-    integral: np.ndarray
-    t: float
-
-
-@dataclass(frozen=True)
 class EnsembleStats:
     """Across-path moment time series with standard-error bands.
 
@@ -188,49 +177,6 @@ def _control_law(g: GainVector, y_star) -> np.ndarray:
     k = g.gains if g.kind == "pid" else np.concatenate([[0.0], g.gains])
     blocks = np.kron(np.concatenate([k[:1], -k[1:]]), np.eye(y_star.size))
     return np.hstack([(k[1] * y_star)[:, None], blocks])
-
-
-def _check_finite_box(x: np.ndarray, integral: np.ndarray, t: float):
-    ok_x = np.abs(x) <= _DIVERGENCE_LIMIT
-    ok_i = np.abs(integral) <= _DIVERGENCE_LIMIT
-    if np.all(ok_x) and np.all(ok_i):
-        return
-    if x.ndim == 1:
-        raise Diverged(t)
-    bad = ~(np.all(ok_x, axis=-1) & np.all(ok_i, axis=-1))
-    raise Diverged(t, path=int(np.argmax(bad)))
-
-
-def em_step(
-    state: ClosedLoopState,
-    plant: PlantSpec,
-    u: np.ndarray,
-    dW: np.ndarray,
-    dt: float,
-    y_star,
-) -> ClosedLoopState:
-    """One Euler-Maruyama step with left-point drift, diffusion and integral.
-
-    ``dW`` must be N(0, dt*I_m) increments.  The integrator chain advances
-    as x_i += x_{i+1}*dt (i < n) and x_n += f(x;u)*dt + g(x)*dW; the error
-    integral accumulates (y* - x1)*dt evaluated before the update.  Raises
-    :class:`Diverged` when any entry leaves [-1e12, 1e12].
-    """
-    d = plant.d
-    x = state.x
-    u = np.asarray(u, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    f_val = plant.eval_drift(x, u)
-    g_val = plant.eval_diffusion(x)
-    noise = np.einsum("...jk,...k->...j", g_val, dW)
-    new_x = np.empty_like(x)
-    head = x.shape[-1] - d
-    new_x[..., :head] = x[..., :head] + dt * x[..., d:]
-    new_x[..., head:] = x[..., head:] + dt * f_val + noise
-    new_integral = state.integral + dt * (np.asarray(y_star, dtype=float) - x[..., :d])
-    t_next = state.t + dt
-    _check_finite_box(new_x, new_integral, t_next)
-    return ClosedLoopState(x=new_x, integral=new_integral, t=t_next)
 
 
 # names the generator and keying of _chunk_stream in run metadata
@@ -297,26 +243,38 @@ def _step_matrix(plant: PlantSpec, dt: float, y_star: np.ndarray, K: np.ndarray,
 def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_count: int):
     """Simulate one fixed chunk of paths; returns its moments or a divergence marker.
 
-    The chunk lives in two (rows, size) buffers [1; integral; x; u; f; w]
-    that take turns as the current and the next state.  One matmul per step
-    advances the integral and the chain, adds the affine drift and the noise
-    and applies the control law to the result; plants see the transposed
-    (size, n*d) view of x.  The diffusion is evaluated once at x0 first: an
-    unbatched (d, m) result G is constant and sqrt(dt)*G goes into the step
-    matrix, so each step draws its m standard normals straight into w (none
-    when G is exactly zero: w stays zero, and M keeps its shape, so the
-    matmul sums the same terms); otherwise g is evaluated every step, the
-    normals z go to one (m, size) scratch and w = g(x) z.  A non-finite
-    residual drift or diffusion value reaches x_n at the same step, so the
-    per-step box guard on the new state also finds it; the plant output is
-    then checked to raise :class:`NonFinite` exactly where :func:`em_step`
-    would.
+    The chunk lives in two (rows, block, size) arrays whose slots are states
+    [1; integral; x; u; f; w], with block = max(1, ``_BLOCK_BYTES`` //
+    (8*rows*size)) steps, at most the step count: a few dozen for a narrow
+    chunk, one for a full 4096-path one, which so does exactly one step's
+    work per block.  The arrays take turns: a block starts at slot 0 of one,
+    each step's matmul writes the next slot, and the block's last step
+    writes slot 0 of the other.  The matmul advances the integral and the
+    chain, adds the affine drift and the noise and applies the control law
+    to the result; plants see the transposed (size, n*d) view of a slot's x.
+    The diffusion is evaluated once at x0 first: an unbatched (d, m) result
+    G is constant and sqrt(dt)*G goes into the step matrix, so one draw per
+    block writes the block's standard normals straight into its w rows,
+    which are contiguous and in stream order when m = 1 or block = 1 (else
+    they go through a (block, m, size) scratch; there is no draw at all when
+    G is exactly zero: w stays zero, and M keeps its shape, so the matmul
+    sums the same terms).  Otherwise g is evaluated every step, the block's
+    normals z go to the scratch and w = g(x) z.
 
-    A record only copies the adjacent [x; u] rows into a record buffer of at
-    most ``_RECORD_BYTES`` (a few dozen records of a narrow chunk, one of a
-    full one).  When the buffer is full, and after the last record, the
-    moments of all its records are computed at once, vectorized over the
-    record axis.  Per record it returns the chunk means of the rows
+    After a block's steps one box guard covers the [integral; x] rows of its
+    whole array, whose other states were guarded before (or are x0), and
+    slot 0 of the other.  A non-finite residual drift or diffusion value
+    reaches x_n at the same step, so the guard also finds it.  The first
+    state the block wrote outside the box, and the first path in it, locate
+    the divergence; the drift (its f row) and the diffusion (evaluated
+    again, as w keeps g(x) z) at the step that produced that state are
+    checked first, to raise :class:`NonFinite` where a step-by-step
+    reference would.  Within a block a plant may see a state outside the
+    box before the guard runs, so a plant error is raised only when the
+    states the block wrote before it are all inside.
+
+    Each block's recorded slots are reduced to moments at once, vectorized
+    over the record axis: per record the chunk means of the rows
     mom = [|e|^2; |x - z*|^2; |u|^2; u] over its paths and their centred
     co-moment matrix C, the sums over paths of the products of the rows'
     deviations from those means.  Centring within the chunk keeps the
@@ -331,75 +289,121 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     if constant:
         g = require_finite(np.broadcast_to(g, (d, m)), "diffusion")
     M = _step_matrix(plant, dt, sp.y_star, K, g if constant else np.eye(d))
-    F = M.shape[1] - (m if constant else d)  # first row of w
-    bufs = [np.zeros((M.shape[1], size)) for _ in range(2)]
-    # per buffer: the rows M writes, the guarded [integral; x], x, u, f and w
-    views = [(B[: M.shape[0]], B[1:S], B[1 + d:S], B[S:S + d], B[S + d:F], B[F:]) for B in bufs]
-    bufs[0][0] = 1.0
-    bufs[0][1 + d:S] = x0[:, None]
-    np.matmul(K, bufs[0][:S], out=views[0][3])
+    Rm, R = M.shape  # the rows a step writes, the rows of a slot
+    F = R - (m if constant else d)  # first row of w
+    block = max(1, min(steps, _BLOCK_BYTES // (8 * R * size)))
+    arrays = [np.zeros((R, block, size)) for _ in range(2)]
+    # the first u from a contiguous [1; integral; x]: a narrow strided one rounds differently
+    start = np.zeros((S, size))
+    start[0] = 1.0
+    start[1 + d:] = x0[:, None]
+    arrays[0][:S, 0] = start
+    np.matmul(K, start, out=arrays[0][S:S + d, 0])
     rng = _chunk_stream(cfg.seed, chunk)
-    z = None if constant else np.empty((m, size))
-    draw_w = constant and bool(g.any())  # a zero G leaves w at zero: no draw
+    draw = not constant or bool(g.any())  # a zero G leaves w at zero: no draw
+    # a block's w rows hold its normals in stream order (step, noise dimension, path) when
+    # m = 1 or block = 1; otherwise, and for w = g(x) z, the normals are drawn into z
+    z = None if constant and (m == 1 or block == 1 or not draw) else np.empty((block, m, size))
+
+    def layout(k: int):
+        """Views of a block that starts in arrays[k]: per slot x and u as the plant
+        sees them, the f and w rows, the slot's normals (or None), the matmul input
+        and output; the arrays the guard covers; where the block's normals are
+        drawn, and the w rows they are then copied to (or None)."""
+        A, B = arrays[k], arrays[1 - k]
+        out = [A[:Rm, j] for j in range(1, block)] + [B[:Rm, 0]]
+        slots = [(A[1 + d:S, j].T, A[S:S + d, j].T, A[S + d:F, j], A[F:, j],
+                  None if z is None else z[j], A[:, j], out[j]) for j in range(block)]
+        # every state in A but the ones the block writes is already guarded (or x0)
+        box = [A[1:S], B[1:S, 0]] if block > 1 else [B[1:S, 0]]
+        return slots, box, A[F:] if z is None else z, A[F:] if constant and z is not None else None
+
+    def locate(k: int, s0: int, nb: int, written: int):
+        """Divergence marker of the first of the ``written`` states after the start
+        of the block (s0, arrays[k], nb steps) that is outside the box, else None."""
+        A, B = arrays[k], arrays[1 - k]
+        for j in range(1, written + 1):
+            bad = ~np.all(np.abs(A[1:S, j] if j < nb else B[1:S, 0]) <= _DIVERGENCE_LIMIT, axis=0)
+            if bad.any():
+                if plant.drift is not None:
+                    require_finite(A[S + d:F, j - 1], "drift")
+                if not constant:  # w keeps g(x) z, not g
+                    require_finite(np.asarray(plant.diffusion(A[1 + d:S, j - 1].T), dtype=float),
+                                   "diffusion")
+                return ("diverged", (s0 + j) * dt, chunk * _CHUNK_PATHS + int(np.argmax(bad)))
+        return None
 
     means = np.empty((rec_count, 3 + d))
     C = np.empty((rec_count, 3 + d, 3 + d))
-    # recorded [x; u] rows, reduced to moments a batch at a time
-    batch = max(1, _RECORD_BYTES // (8 * (n + 1) * d * size))
-    rec = np.empty((min(batch, rec_count), (n + 1) * d, size))
-    z_col = sp.z_star[:, None]
+    z_col = sp.z_star[:, None, None]
 
-    def reduce(r: int, k: int):
-        """Moments of the k buffered records, the last of which is record r."""
-        x, u = rec[:k, :n * d], rec[:k, n * d:]
+    def reduce(A, rec: slice, r: int):
+        """Moments of the states in slots ``rec`` of A, the first of which is record r."""
+        x, u = A[1 + d:S, rec], A[S:S + d, rec]
+        k = x.shape[1]
         dev = x - z_col
         dev *= dev
         mom = np.empty((k, 3 + d, size))
-        dev[:, :d].sum(axis=1, out=mom[:, 0])  # |e|^2 with e = y* - x1
-        dev.sum(axis=1, out=mom[:, 1])  # |x - z*|^2
-        np.einsum("rip,rip->rp", u, u, out=mom[:, 2])
-        mom[:, 3:] = u
-        rows = slice(r + 1 - k, r + 1)
+        dev[:d].sum(axis=0, out=mom[:, 0])  # |e|^2 with e = y* - x1
+        dev.sum(axis=0, out=mom[:, 1])  # |x - z*|^2
+        np.einsum("ikp,ikp->kp", u, u, out=mom[:, 2])
+        mom[:, 3:] = u.transpose(1, 0, 2)
+        rows = slice(r, r + k)
         np.divide(mom.sum(axis=2), size, out=means[rows])
         mom -= means[rows, :, None]
         np.matmul(mom, mom.transpose(0, 2, 1), out=C[rows])
 
-    def record(B, r: int):
-        rec[r % batch] = B[1 + d:S + d]
-        if r % batch == batch - 1 or r == rec_count - 1:
-            reduce(r, r % batch + 1)
-
-    cur = 0
+    blocks = [layout(0), layout(1)]
+    k = 0
     # overflow and NaN reach the box guard and require_finite; warnings would repeat them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for s in range(steps):
-            _, _, x, u, f_row, w_row = views[cur]
-            if s % stride == 0:
-                record(bufs[cur], s // stride)
-            if plant.drift is not None:
-                f = np.asarray(plant.drift(x.T, u.T), dtype=float)
-                if f.shape != (size, d):
-                    f = np.broadcast_to(f, (size, d))
-                f_row[...] = f.T
-            if draw_w:
-                rng.standard_normal(out=w_row)
-            elif not constant:  # one (d, m) matrix per path
-                if s:
-                    g = np.asarray(plant.diffusion(x.T), dtype=float)
-                if g.shape != (size, d, m):
-                    g = np.broadcast_to(g, (size, d, m))
-                rng.standard_normal(out=z)
-                np.einsum("pjk,kp->jp", g, z, out=w_row)
-            out, box = views[1 - cur][:2]
-            np.matmul(M, bufs[cur], out=out)
-            if not (box.max() <= _DIVERGENCE_LIMIT and box.min() >= -_DIVERGENCE_LIMIT):
-                if plant.drift is not None:
-                    require_finite(f, "drift")
-                require_finite(g, "diffusion")
-                bad = ~np.all(np.abs(box) <= _DIVERGENCE_LIMIT, axis=0)
-                return ("diverged", (s + 1) * dt, chunk * _CHUNK_PATHS + int(np.argmax(bad)))
-            cur = 1 - cur
-    record(bufs[cur], rec_count - 1)
+        for s0 in range(0, steps, block):
+            slots, box, normals, w_rows = blocks[k]
+            nb = block
+            if s0 + block > steps:  # the last block: its last step writes slot 0 of the other array
+                nb = steps - s0
+                *_, out = slots[-1]
+                slots = slots[:nb - 1] + [slots[nb - 1][:-1] + (out,)]
+                normals = normals[:nb] if z is not None else normals[:, :nb]
+                w_rows = None if w_rows is None else w_rows[:, :nb]
+            s = s0
+            try:
+                for x, u, f_row, w_row, z_j, state, out in slots:
+                    if plant.drift is not None:
+                        f = np.asarray(plant.drift(x, u), dtype=float)
+                        if f.shape != (size, d):
+                            f = np.broadcast_to(f, (size, d))
+                        f_row[...] = f.T
+                    # the block's normals come after its first drift call: drawn before it,
+                    # two workers ran 8192 bench3 paths about 3% slower
+                    if s == s0 and draw:
+                        rng.standard_normal(out=normals)
+                        if w_rows is not None:
+                            w_rows[...] = normals.transpose(1, 0, 2)
+                    if not constant:  # one (d, m) matrix per path
+                        if s:
+                            g = np.asarray(plant.diffusion(x), dtype=float)
+                        if g.shape != (size, d, m):
+                            g = np.broadcast_to(g, (size, d, m))
+                        np.einsum("pjk,kp->jp", g, z_j, out=w_row)
+                    np.matmul(M, state, out=out)
+                    s += 1
+            except Exception:  # an earlier state outside the box comes first
+                marker = locate(k, s0, nb, s - s0)
+                if marker is None:
+                    raise
+                return marker
+            for v in box:
+                if not (v.max() <= _DIVERGENCE_LIMIT and v.min() >= -_DIVERGENCE_LIMIT):
+                    marker = locate(k, s0, nb, nb)
+                    if marker is not None:
+                        return marker
+                    break  # only x0 is outside the box
+            j = -s0 % stride  # the block's first recorded slot
+            if j < nb:
+                reduce(arrays[k], slice(j, nb, stride), (s0 + j) // stride)
+            k = 1 - k
+    reduce(arrays[k], slice(0, 1), rec_count - 1)
     return ("ok", means, C)
 
 

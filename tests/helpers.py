@@ -1,10 +1,15 @@
-"""Shared test utilities: admissible-gain sampling, root oracle, RK4 reference."""
+"""Shared test utilities: admissible-gain sampling, root oracle, RK4 reference and
+the single-step Euler-Maruyama reference the simulator's kernel is tested against."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from stochpid import GainVector, check_inequality, geometric_gains, lambda_gains
+from stochpid import (Diverged, GainVector, PlantSpec, check_inequality, geometric_gains,
+                      lambda_gains)
+from stochpid.simulate import _DIVERGENCE_LIMIT
 
 # polynomials whose extreme root real part is this close to zero are not
 # classified by the oracle comparisons
@@ -113,6 +118,65 @@ def sample_admissible(rng: np.random.Generator, n: int):
 
     assert check_inequality(g, L, M).admissible
     return g, L, M
+
+
+@dataclass(frozen=True)
+class ClosedLoopState:
+    """State of the closed loop: plant state, error integral, time.
+
+    ``x`` has shape (..., n*d) and ``integral`` (..., d); a leading batch
+    axis carries independent paths.  ``integral`` accumulates the regulation
+    error e = y* - x1 (left-point rule).
+    """
+
+    x: np.ndarray
+    integral: np.ndarray
+    t: float
+
+
+def check_finite_box(x: np.ndarray, integral: np.ndarray, t: float):
+    """Raise Diverged, with the first offending path of a batch, if an entry of x
+    or the integral leaves [-1e12, 1e12]."""
+    ok_x = np.abs(x) <= _DIVERGENCE_LIMIT
+    ok_i = np.abs(integral) <= _DIVERGENCE_LIMIT
+    if np.all(ok_x) and np.all(ok_i):
+        return
+    if x.ndim == 1:
+        raise Diverged(t)
+    bad = ~(np.all(ok_x, axis=-1) & np.all(ok_i, axis=-1))
+    raise Diverged(t, path=int(np.argmax(bad)))
+
+
+def em_step(
+    state: ClosedLoopState,
+    plant: PlantSpec,
+    u: np.ndarray,
+    dW: np.ndarray,
+    dt: float,
+    y_star,
+) -> ClosedLoopState:
+    """One Euler-Maruyama step with left-point drift, diffusion and integral.
+
+    ``dW`` must be N(0, dt*I_m) increments.  The integrator chain advances
+    as x_i += x_{i+1}*dt (i < n) and x_n += f(x;u)*dt + g(x)*dW; the error
+    integral accumulates (y* - x1)*dt evaluated before the update.  Raises
+    :class:`Diverged` when any entry leaves [-1e12, 1e12].
+    """
+    d = plant.d
+    x = state.x
+    u = np.asarray(u, dtype=float)
+    dW = np.asarray(dW, dtype=float)
+    f_val = plant.eval_drift(x, u)
+    g_val = plant.eval_diffusion(x)
+    noise = np.einsum("...jk,...k->...j", g_val, dW)
+    new_x = np.empty_like(x)
+    head = x.shape[-1] - d
+    new_x[..., :head] = x[..., :head] + dt * x[..., d:]
+    new_x[..., head:] = x[..., head:] + dt * f_val + noise
+    new_integral = state.integral + dt * (np.asarray(y_star, dtype=float) - x[..., :d])
+    t_next = state.t + dt
+    check_finite_box(new_x, new_integral, t_next)
+    return ClosedLoopState(x=new_x, integral=new_integral, t=t_next)
 
 
 def law_input(state) -> np.ndarray:

@@ -153,6 +153,14 @@ class TestCheckInequality:
         with pytest.raises(ValueError, match=f"^term {re.escape(term)} = {value} overflows float64$"):
             check_inequality(GainVector(kind, np.array(gains)), 0.0, 0.0, b_lower)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_margin_is_named(self):
+        # every term and kbar are finite, but the binding term minus kbar is not
+        g = GainVector("pid", np.array([9e153, 1.0, 9e153]))
+        with pytest.raises(ValueError, match=r"^margin k1\^2-2\*k0\*k2 - kbar = -1\.62e\+308 - "
+                                             r"9e\+307 overflows float64$"):
+            check_inequality(g, 5e153, 0.0)
+
     def test_terms_use_correctly_rounded_squares(self):
         # libm pow behind numpy scalar ** 2 misrounds about 7 in 10^4 of these
         def square(v):

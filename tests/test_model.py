@@ -23,7 +23,8 @@ from stochpid import (
     z_inverse,
     z_transform,
 )
-from stochpid.simulate import ClosedLoopState, _control_law
+from helpers import ClosedLoopState
+from stochpid.simulate import _control_law
 
 
 def bisect_u_star(f, lo, hi, tol=1e-6):

@@ -19,7 +19,6 @@ from stochpid import (
     bound_envelope,
     chain,
     dissipativity_probe,
-    em_step,
     expression_plant,
     generator_eval,
     lambda_gains,
@@ -27,7 +26,8 @@ from stochpid import (
     simulate_paths,
     solve_equilibrium,
 )
-from stochpid.simulate import ClosedLoopState, _chunk_stream, _control_law, _z_drift
+from helpers import ClosedLoopState, em_step
+from stochpid.simulate import _chunk_stream, _control_law, _z_drift
 
 BENCH = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
 BENCH_DRIFT = "0.4*sin(x1) - 0.3*x2 + 0.5*x3 + 6 + u + 5.2*tanh(u)"
@@ -454,11 +454,12 @@ class TestKernelMatchesEmStep:
         expr_calls = drift_calls + diffusion_calls if plant.name == "expression" else 0
         assert next(counters["expr"]) == expr_calls
 
-    def test_divergence_located_like_em_step(self):
+    def test_divergence_located_like_em_step(self, monkeypatch):
         # an undamped oscillator, x1 = A*cos(w*t) and x2 = -w*A*sin(w*t) with
         # A = 0.9e12 and w*A = 1.1e12: x2 leaves the box at about step 93 and
         # is back inside well before step 256, so a guard that looked only at
-        # the ends of long stretches of steps could miss the excursion
+        # the ends of blocks of 256 steps (slots [1; integral; x1; x2; u; w]
+        # have 6 rows) would miss the excursion
         plant = chain(2, sigma=1e9)
         sp = solve_equilibrium(plant, 0.0)
         g = GainVector("pd", np.array([1.5, 1e-6]))
@@ -466,11 +467,14 @@ class TestKernelMatchesEmStep:
                         controller="pd", x0=np.array([0.9e12, 0.0]))
         with pytest.raises(Diverged) as ref:
             em_reference(plant, sp, g, cfg)
-        with pytest.raises(Diverged) as got:
-            simulate_paths(plant, sp, g, cfg)
-        assert got.value.path == ref.value.path
-        assert got.value.t == pytest.approx(ref.value.t, rel=1e-12)
-        assert 0.8 < got.value.t < 1.0
+        for block in (None, 256):  # the default blocks are 34 steps
+            if block:
+                monkeypatch.setattr("stochpid.simulate._BLOCK_BYTES", block_budget(block, 6, 40))
+            with pytest.raises(Diverged) as got:
+                simulate_paths(plant, sp, g, cfg)
+            assert got.value.path == ref.value.path
+            assert got.value.t == pytest.approx(ref.value.t, rel=1e-12)
+            assert 0.8 < got.value.t < 1.0
 
         # the same loop scaled by 1e-12 never meets the box: its excursion
         # past 1 ends inside the block
@@ -514,6 +518,178 @@ class TestKernelMatchesEmStep:
             state = em_step(state, plant, np.zeros((1, 1)), math.sqrt(0.1) * z[s].T, 0.1, 0.0)
         last = b.mean_sq_state_dev[-1] * 4097 - a.mean_sq_state_dev[-1] * 4096
         assert last == pytest.approx(state.x[0, 0] ** 2, abs=1e-9)
+
+
+def block_budget(block: int, rows: int, paths: int) -> int:
+    """The ``_BLOCK_BYTES`` that gives a chunk of ``paths`` paths, whose slots have
+    ``rows`` rows, blocks of ``block`` steps."""
+    return block * 8 * rows * paths
+
+
+class CountingStream:
+    """A chunk's noise generator that counts its ``standard_normal`` calls."""
+
+    def __init__(self, seed: int, chunk: int):
+        self.rng = _chunk_stream(seed, chunk)
+        self.calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def doubling_plant(residual=None, diffusion=None) -> PlantSpec:
+    """f = 100*x + u (+ a residual), run open loop at dt = 0.01: each step doubles
+    x and adds 0.1 z, so a path leaves the box about 43 steps in, at a step and
+    in a path set by the seed.  Slots have [1; integral; x; u; (f;) w] rows."""
+    return PlantSpec(1, 1, 1, residual, diffusion or (lambda x: np.array([[1.0]])), 100.0, 0.0,
+                     affine=[[0.0, 100.0, 1.0]])
+
+
+class TestBlocks:
+    """The kernel steps a chunk a block at a time (see ``simulate._run_chunk``)."""
+
+    SIN_DIFFUSION = expression_plant(3, BENCH_DRIFT, "0.4*sin(x1 - 1) + 0.01", L=0.87, M=0.4)
+    # case: plant, gains, x0 and the rows of a slot
+    CASES = {
+        "bench3_pid": (bench3(sigma=0.3), BENCH, [0.9, 0.0, 0.1], 8),
+        "sin_diffusion": (SIN_DIFFUSION, BENCH, [0.9, 0.0, 0.1], 8),
+        "open_loop": (ou(theta=2.0, sigma=0.7), None, [0.5], 5),
+    }
+
+    @pytest.mark.parametrize("stride", [1, 4])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_block_size_leaves_moments_bitwise_equal(self, case, stride, monkeypatch):
+        # the default budget gives 48 paths blocks of 21 (8 rows) or 34 (5 rows)
+        # steps; 7 does not divide the 100 steps, so the last block is partial
+        plant, g, x0, rows = self.CASES[case]
+        sp = solve_equilibrium(plant, 1.0 if g else 0.0)
+        cfg = SimConfig(dt=0.01, horizon=1.0, paths=48, seed=31, record_stride=stride,
+                        controller=g.kind if g else "open_loop", x0=np.array(x0))
+        default = simulate_paths(plant, sp, g, cfg).table()
+        for block in (1, 7):
+            monkeypatch.setattr("stochpid.simulate._BLOCK_BYTES", block_budget(block, rows, 48))
+            assert np.array_equal(simulate_paths(plant, sp, g, cfg).table(), default)
+
+    def test_full_and_narrow_chunks_share_a_run(self, monkeypatch):
+        # 4100 paths: a 4096-path chunk of one-step blocks beside a 4-path chunk of
+        # one 30-step block (the default), of 7-step blocks or of one-step blocks
+        plant = self.SIN_DIFFUSION
+        sp = solve_equilibrium(plant, 1.0)
+        cfg = SimConfig(dt=0.01, horizon=0.3, paths=4100, seed=32, record_stride=3,
+                        controller="pid", x0=np.array([0.9, 0.0, 0.1]))
+        default = simulate_paths(plant, sp, BENCH, cfg, workers=1).table()
+        assert np.array_equal(simulate_paths(plant, sp, BENCH, cfg, workers=2).table(), default)
+        for block in (1, 7):
+            monkeypatch.setattr("stochpid.simulate._BLOCK_BYTES", block_budget(block, 8, 4))
+            for workers in (1, 2):
+                assert np.array_equal(simulate_paths(plant, sp, BENCH, cfg, workers).table(),
+                                      default)
+
+    @pytest.mark.parametrize("paths, draws", [(48, [5]), (4096, [100]), (4100, [100, 1])])
+    def test_one_noise_draw_per_block(self, paths, draws, monkeypatch):
+        # bench3 slots have 8 rows: 48 paths take blocks of 65536 // (8*8*48) = 21 of
+        # the 100 steps, a full chunk blocks of one step and a 4-path chunk one block
+        plant = bench3(sigma=0.3)
+        sp = solve_equilibrium(plant, 1.0)
+        cfg = SimConfig(dt=0.01, horizon=1.0, paths=paths, seed=33, record_stride=5,
+                        controller="pid", x0=np.array([0.9, 0.0, 0.1]))
+        plain = simulate_paths(plant, sp, BENCH, cfg).table()
+        streams = {}
+
+        def counting_stream(seed, chunk):
+            streams[chunk] = CountingStream(seed, chunk)
+            return streams[chunk]
+
+        monkeypatch.setattr("stochpid.simulate._chunk_stream", counting_stream)
+        assert np.array_equal(simulate_paths(plant, sp, BENCH, cfg).table(), plain)
+        assert [streams[c].calls for c in sorted(streams)] == draws
+
+    @pytest.mark.parametrize("where", ["first", "interior", "last", "partial"])
+    def test_divergence_located_in_any_slot(self, where, monkeypatch):
+        plant = doubling_plant()
+        sp = solve_equilibrium(plant, 0.0)
+        cfg = SimConfig(dt=0.01, horizon=0.6, paths=40, seed=22, record_stride=1,
+                        controller="open_loop", x0=np.zeros(1))
+        with pytest.raises(Diverged) as ref:
+            em_reference(plant, sp, None, cfg)
+        k = round(ref.value.t / cfg.dt)  # the first state outside the box, written by step k - 1
+        assert 30 < k < 58 and ref.value.path > 0
+        # a block of b steps starting at step s0 writes slots 1..b-1 and then slot 0
+        # of the other array: step k - 1 is the block's first step (b = k - 1), an
+        # interior one, its last one (b = k), or the second of a final 4-step block
+        block, steps = {"first": (k - 1, 60), "interior": (k + 5, 60), "last": (k, 60),
+                        "partial": (k - 2, k + 2)}[where]
+        cfg = dataclasses.replace(cfg, horizon=steps * cfg.dt)
+        monkeypatch.setattr("stochpid.simulate._BLOCK_BYTES", block_budget(block, 5, 40))
+        with pytest.raises(Diverged) as got:
+            simulate_paths(plant, sp, None, cfg)
+        assert got.value.path == ref.value.path
+        assert got.value.t == pytest.approx(ref.value.t, rel=1e-12)
+
+    @pytest.mark.parametrize("what", ["drift", "diffusion"])
+    def test_non_finite_plant_output_at_an_interior_slot(self, what, monkeypatch):
+        # only path 5 returns NaN, once, when it passes 1e6: the plant output at the
+        # state it produces is finite, so the NaN is found at the step that made it
+        calls = []  # one drift call per reference step
+
+        def nan_at(x, value):
+            x = np.asarray(x, dtype=float)
+            path = np.arange(x.size).reshape(x.shape)  # x is (paths, 1) but for the setpoint
+            return np.where((np.abs(x) > 1e6) & (path == 5), np.nan, value)
+
+        def residual(x, u):
+            calls.append(None)
+            return nan_at(x, 0.0) if what == "drift" else np.zeros(np.shape(x))
+
+        def diffusion(x):  # one (1, 1) matrix per path
+            return (nan_at(x, 1.0) if what == "diffusion" else np.ones(np.shape(x)))[..., None]
+
+        plant = doubling_plant(residual, diffusion)
+        sp = solve_equilibrium(plant, 0.0)
+        cfg = SimConfig(dt=0.01, horizon=0.6, paths=40, seed=23, record_stride=1,
+                        controller="open_loop", x0=np.zeros(1))
+        calls.clear()
+        with pytest.raises(NonFinite, match=what):
+            em_reference(plant, sp, None, cfg)
+        step = len(calls) - 1  # far inside the box: about 20 steps in
+        assert step > 10
+        # slots have [1; integral; x; u; f; w] rows; the step is interior to the first block
+        monkeypatch.setattr("stochpid.simulate._BLOCK_BYTES", block_budget(step + 3, 6, 40))
+        with pytest.raises(NonFinite, match=what):
+            simulate_paths(plant, sp, None, cfg)
+
+    def test_plant_error_after_a_divergence_in_the_block(self, monkeypatch):
+        # the kernel calls the drift on the state that left the box before the
+        # block's guard runs; the divergence, which comes first, is reported
+        def residual(x, u):
+            if np.any(np.abs(x) > 1e12):
+                raise ValueError("drift evaluated outside the box")
+            return np.zeros(np.shape(x))
+
+        plant = doubling_plant(residual)
+        sp = solve_equilibrium(plant, 0.0)
+        cfg = SimConfig(dt=0.01, horizon=0.6, paths=40, seed=22, record_stride=1,
+                        controller="open_loop", x0=np.zeros(1))
+        with pytest.raises(Diverged) as ref:
+            em_reference(plant, sp, None, cfg)
+        k = round(ref.value.t / cfg.dt)
+        monkeypatch.setattr("stochpid.simulate._BLOCK_BYTES", block_budget(k + 5, 6, 40))
+        with pytest.raises(Diverged) as got:
+            simulate_paths(plant, sp, None, cfg)
+        assert got.value.path == ref.value.path
+        assert got.value.t == pytest.approx(ref.value.t, rel=1e-12)
+
+        # an error with every state inside the box is the plant's own
+        calls = itertools.count()
+
+        def failing(x, u):
+            if next(calls) == 5:
+                raise ValueError("plant failure")
+            return np.zeros(np.shape(x))
+
+        with pytest.raises(ValueError, match="plant failure"):
+            simulate_paths(doubling_plant(failing), sp, None, cfg)
 
 
 class TestPidVsPdOffset:
