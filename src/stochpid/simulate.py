@@ -374,8 +374,9 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
                         if f.shape != (size, d):
                             f = np.broadcast_to(f, (size, d))
                         f_row[...] = f.T
-                    # the block's normals come after its first drift call: drawn before it,
-                    # two workers ran 8192 bench3 paths about 3% slower
+                    # the block's normals come after its first drift call, as in a one-step
+                    # loop: drawn before it, two workers on 2 vCPUs ran 8192 bench3 paths
+                    # about 3% slower
                     if s == s0 and draw:
                         rng.standard_normal(out=normals)
                         if w_rows is not None:
