@@ -157,17 +157,13 @@ class BoundConstants:
     ``decay_coeff * (|x0 - z*|^2 + |u*|^2) * exp(-rate*t) + floor_coeff * |g(z*)|^2``
     upper-bounds E|x(t)-z*|^2 for rate-designed gains, and
     ``floor_lower_coeff * |g(z*)|^2`` lower-bounds its liminf when the control
-    gain matrix is bounded by ``R``.  The ``cert_*`` variants are the cruder
-    constants recoverable from a Lyapunov certificate's eigenvalue ratios.
+    gain matrix is bounded by ``R``.
     """
 
     decay_coeff: float
     floor_coeff: float
     rate: float
     floor_lower_coeff: float
-    cert_decay_coeff: Optional[float] = None
-    cert_floor_coeff: Optional[float] = None
-    cert_rate: Optional[float] = None
 
 
 def _gain_sum(gains: np.ndarray) -> float:
@@ -263,9 +259,10 @@ def _beta_bounds(lam: float, M: float, n: int) -> float:
     return min(1.0, 1.0 / (n * (lam + 8.0 * M * M)))
 
 
-def _k_threshold(betas: np.ndarray, lam: float, L: float, M: float, b_lower: float) -> float:
-    """The design condition's bound on k; inf when prod(betas)**2 * b_lower underflows."""
-    scale = float(np.prod(betas)) ** 2 * b_lower
+def _k_threshold(prod: float, lam: float, L: float, M: float, b_lower: float) -> float:
+    """The design condition's bound on k for ratios whose product is ``prod``; inf when
+    prod**2 * b_lower underflows."""
+    scale = float(prod) ** 2 * b_lower
     return (1.0 + 3.0 * L + 2.0 * L * L / (lam + 8.0 * M * M)) / scale if scale > 0 else math.inf
 
 
@@ -331,10 +328,9 @@ def lambda_gains(
 
     b1_bound = _beta_bounds(lam, M, n)
     if betas is None:
-        b = np.empty(n)
-        b[0] = 0.9 * b1_bound
-        for i in range(1, n):
-            b[i] = 0.9 * b[i - 1] / n
+        b = [0.9 * b1_bound]
+        for _ in range(1, n):
+            b.append(0.9 * b[-1] / n)
     else:
         b = np.asarray(betas, dtype=float)
         if b.shape != (n,):
@@ -344,17 +340,23 @@ def lambda_gains(
         for i in range(1, n):
             if not (0.0 < b[i] < b[i - 1] / n):
                 raise InvalidBeta(f"beta_{i + 1}={b[i]} outside (0, beta_{i}/n)")
+        b = b.tolist()
 
-    w = np.concatenate([[1.0], np.cumprod(b)])
-    k_min = _k_threshold(b, lam, L, M, b_lower)
+    # w = (1, cumprod(b)) on Python floats: the sequential products np.cumprod and
+    # np.prod form, as 1.0*b[0] == b[0]
+    w = [1.0]
+    for beta in b:
+        w.append(w[-1] * beta)
+    k_min = _k_threshold(w[-1], lam, L, M, b_lower)
     if k is None:
         # also clear the exact admissibility threshold: the design condition
         # alone does not imply the quadratic inequality when n < 3
-        k_val = 1.1 * max(k_min, _k_admissible_threshold(w, L, M, b_lower))
+        k_val = 1.1 * max(k_min, _k_admissible_threshold(np.array(w), L, M, b_lower))
         if not k_val < math.inf:
             raise ValueError(
                 f"{'lam' if betas is None else 'betas'} must be such that the gain threshold "
-                f"is finite, got inf for lam={lam}, L={L}, M={M}, b_lower={b_lower} and ratios {b}")
+                f"is finite, got inf for lam={lam}, L={L}, M={M}, b_lower={b_lower} and ratios "
+                f"{np.array(b)}")
     else:
         _require_constant("k", k, positive=True)
         k_val = float(k)
@@ -363,7 +365,7 @@ def lambda_gains(
         if not k_val > k_min * (1.0 + 1e-12):
             raise InvalidBeta(f"k={k_val} must strictly exceed {k_min}")
 
-    return GainVector("pid", k_val * w), b
+    return GainVector("pid", [k_val * v for v in w]), np.array(b)
 
 
 def bound_constants(
@@ -372,16 +374,13 @@ def bound_constants(
     L: float,
     M: float,
     R: float,
-    certificate=None,
 ) -> BoundConstants:
     """Explicit envelope constants for rate-designed PID gains.
 
     ``decay_coeff = 4*n**3*k0**2/kn**2``, ``floor_coeff = 4*n/lam`` and
     ``floor_lower_coeff = lam / (4*(2+2L+M^2)*lam + 64*(n+1)*R^2*sum(k_i^2))``.
-    When a :class:`~stochpid.lyapunov.LyapunovCertificate` is supplied the
-    cruder certificate-derived constants are filled in as well.  Raises
-    ``ValueError`` when ``decay_coeff`` overflows float64; a denominator that
-    overflows gives ``floor_lower_coeff = 0``, a valid lower bound.
+    Raises ``ValueError`` when ``decay_coeff`` overflows float64; a denominator
+    that overflows gives ``floor_lower_coeff = 0``, a valid lower bound.
     """
     if g.kind != "pid":
         raise ValueError("bound constants are defined for PID gains")
@@ -401,20 +400,9 @@ def bound_constants(
                          f"{g.label(n)}={k[-1]}")
     c3 = lam / denom
 
-    cert_decay = cert_floor = cert_rate = None
-    if certificate is not None:
-        lo, hi = certificate.min_eig_P, certificate.max_eig_P
-        rate = certificate.min_eig_negdef / hi
-        cert_rate = rate
-        cert_decay = (hi / lo) * max(1.0, 1.0 / k[0] ** 2)
-        cert_floor = 2.0 * k[-1] / (rate * lo)
-
     return BoundConstants(
         decay_coeff=float(decay),
         floor_coeff=float(floor),
         rate=float(lam),
         floor_lower_coeff=float(c3),
-        cert_decay_coeff=cert_decay,
-        cert_floor_coeff=cert_floor,
-        cert_rate=cert_rate,
     )

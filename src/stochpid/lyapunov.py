@@ -15,12 +15,15 @@ A certificate for constants (L, M) holds when P is positive definite and
 P*A + A'*P + 2*kbar*I = diag(2*kbar - q) is negative definite.  The second
 condition, min(q) > 2*kbar, is decided on ints; it makes diag(q) positive
 definite, and then (Lyapunov's theorem) P is positive definite exactly when A
-is Hurwitz, which the exact Routh test decides.
+is Hurwitz, which the exact Routh test decides.  No verdict reads an
+eigenvalue of P: the extreme eigenvalues a certificate reports are
+diagnostics, computed by ``numpy.linalg.eigvalsh`` on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,20 +66,33 @@ class NotNegativeDefinite(CertificateError):
 
 @dataclass(frozen=True)
 class LyapunovCertificate:
-    """Certificate data: P, the diagonal of Q = -(PA + A'P), and margins.
+    """Certificate data: P, the diagonal of Q = -(PA + A'P), and the margin.
 
     ``min_eig_negdef`` is the smallest eigenvalue of -(PA + A'P + 2*kbar*I),
-    which is min(Q) - 2*kbar because that matrix is diagonal; margins are
-    reported as raw eigenvalues because downstream envelope constants use
-    the ratio max_eig_P/min_eig_P directly.
+    which is min(Q) - 2*kbar because that matrix is diagonal.  The extreme
+    eigenvalues ``min_eig_P`` and ``max_eig_P`` of P are diagnostics that no
+    verdict uses: one ``numpy.linalg.eigvalsh(P)`` computes both on first
+    read.  On graded P its smallest eigenvalue is only resolved to about
+    1e-16 of the largest.  P and Q are read-only, so the cached eigenvalues
+    cannot go stale.
     """
 
     P: np.ndarray
     Q: np.ndarray
-    min_eig_P: float
-    max_eig_P: float
     min_eig_negdef: float
     kbar: float
+
+    @cached_property
+    def _eigs_P(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.P)
+
+    @property
+    def min_eig_P(self) -> float:
+        return float(self._eigs_P[0])
+
+    @property
+    def max_eig_P(self) -> float:
+        return float(self._eigs_P[-1])
 
 
 def companion(g: GainVector) -> np.ndarray:
@@ -99,24 +115,34 @@ def _scaled_lyapunov(g: GainVector) -> tuple[int, list[list[int]], list[int]]:
     return D, p, q
 
 
-def _rounded(g: GainVector, ints, scale: int) -> np.ndarray:
-    """The exact ``ints / scale`` correctly rounded; ValueError when it overflows float64."""
+def _rounded(g: GainVector, ints, scale: int):
+    """The exact ``ints / scale`` correctly rounded, for an int or a list of ints;
+    ValueError when it overflows float64.
+
+    Python's int / int is correctly rounded and raises OverflowError exactly
+    where the quotient overflows float64.
+    """
     try:
-        return np.asarray(np.array(ints, dtype=object) / scale, dtype=float)
+        return ints / scale if isinstance(ints, int) else [x / scale for x in ints]
     except OverflowError:
         raise ValueError(f"the Lyapunov matrix of gains {g.gains} overflows float64") from None
+
+
+def _matrix(g: GainVector, p: list[list[int]], scale: int) -> np.ndarray:
+    """The exact ``p / scale`` of an int matrix, correctly rounded (see :func:`_rounded`)."""
+    return np.array([_rounded(g, row, scale) for row in p])
 
 
 def build_P(g: GainVector) -> np.ndarray:
     """Diagonalizing Lyapunov matrix: (n+1)x(n+1) for PID gains, n x n for PD."""
     D, p, _ = _scaled_lyapunov(g)
-    return _rounded(g, p, D * D)
+    return _matrix(g, p, D * D)
 
 
 def q_diagonal(g: GainVector) -> np.ndarray:
     """Diagonal of Q = -(P*A + A'*P): (2*g0^2, 2*(g_i^2 - p[i-1,i]), ...)."""
     D, _, q = _scaled_lyapunov(g)
-    return _rounded(g, q, D * D)
+    return np.array(_rounded(g, q, D * D))
 
 
 def verify_certificate(g: GainVector, L: float, M: float) -> LyapunovCertificate:
@@ -131,20 +157,13 @@ def verify_certificate(g: GainVector, L: float, M: float) -> LyapunovCertificate
     kbar = g.kbar(L, M)
     D, p, q = _scaled_lyapunov(g)
     D2 = D * D
-    P, Q = _rounded(g, p, D2), _rounded(g, q, D2)
+    P, Q = _matrix(g, p, D2), np.array(_rounded(g, q, D2))
     num, den = kbar.as_integer_ratio()
     excess = min(q) * den - 2 * num * D2  # (min(q) - 2*kbar) * den * D**2
-    margin = float(_rounded(g, excess, den * D2))
+    margin = _rounded(g, excess, den * D2)
     if excess <= 0:
         raise NotNegativeDefinite(-margin)
-    eigs_P = np.linalg.eigvalsh(P)
     if not g._hurwitz:
-        raise NotPositiveDefinite(eigs_P[0])
-    return LyapunovCertificate(
-        P=P,
-        Q=Q,
-        min_eig_P=float(eigs_P[0]),
-        max_eig_P=float(eigs_P[-1]),
-        min_eig_negdef=margin,
-        kbar=kbar,
-    )
+        raise NotPositiveDefinite(np.linalg.eigvalsh(P)[0])
+    P.flags.writeable = Q.flags.writeable = False
+    return LyapunovCertificate(P=P, Q=Q, min_eig_negdef=margin, kbar=kbar)

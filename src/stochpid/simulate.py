@@ -41,11 +41,9 @@ __all__ = [
     "EnvelopeReport",
     "DissipativityReport",
     "Diverged",
-    "DimensionMismatch",
     "simulate_paths",
     "bound_envelope",
     "dissipativity_probe",
-    "generator_eval",
 ]
 
 _CHUNK_PATHS = 4096  # fixed regardless of worker count (determinism contract)
@@ -63,10 +61,6 @@ class Diverged(RuntimeError):
         self.path = path
         where = f"path {path} " if path is not None else ""
         super().__init__(f"trajectory diverged ({where}at t={t:.6g})")
-
-
-class DimensionMismatch(ValueError):
-    """Operands of the generator evaluation have inconsistent shapes."""
 
 
 @dataclass(frozen=True)
@@ -635,24 +629,3 @@ def dissipativity_probe(
         samples=total,
     )
 
-
-def generator_eval(V: np.ndarray, b: np.ndarray, sigma: np.ndarray, point: np.ndarray) -> float:
-    """Ito generator of the quadratic form x'Vx at a point.
-
-    Returns (dV/dx) b + 0.5*tr(sigma' (d^2V/dx^2) sigma)
-    = 2*point'V b + tr(sigma' V sigma).
-    """
-    V = np.asarray(V, dtype=float)
-    b = np.asarray(b, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    point = np.asarray(point, dtype=float)
-    if V.ndim != 2 or V.shape[0] != V.shape[1]:
-        raise DimensionMismatch("V must be a square matrix")
-    N = V.shape[0]
-    if b.shape != (N,) or point.shape != (N,):
-        raise DimensionMismatch("b and point must be length-N vectors")
-    if sigma.ndim != 2 or sigma.shape[0] != N:
-        raise DimensionMismatch("sigma must be an N x m matrix")
-    if not np.allclose(V, V.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(V).max())):
-        raise ValueError("V must be symmetric")
-    return float(2.0 * point @ V @ b + np.sum(sigma * (V @ sigma)))

@@ -244,6 +244,31 @@ class TestLambdaGains:
         with pytest.raises(InvalidBeta):
             lambda_gains(1.0, 1.0, 0.0, 2, betas=[0.4, 0.1], k=3750.0)
 
+    def test_matches_the_numpy_formula_bitwise(self):
+        # oracle: the ratios, weights and k of the default design as numpy forms them
+        rng = np.random.default_rng(24)
+        for trial in range(600):
+            n = int(rng.integers(1, 9))
+            lam = 10.0 ** rng.uniform(-2.0, 1.5)
+            L = float(rng.uniform(0.0, 2.0))
+            M = float(rng.uniform(0.0, 2.0)) if trial % 3 else 0.0
+            b_lower = 10.0 ** rng.uniform(-1.0, 1.0) if trial % 2 else 1.0
+            b = np.empty(n)
+            b[0] = 0.9 * min(1.0, 1.0 / (n * (lam + 8.0 * M * M)))
+            for i in range(1, n):
+                b[i] = 0.9 * b[i - 1] / n
+            w = np.concatenate([[1.0], np.cumprod(b)])
+            k_min = (1.0 + 3.0 * L + 2.0 * L * L / (lam + 8.0 * M * M)) / (
+                float(np.prod(b)) ** 2 * b_lower)
+            k = 1.1 * max(k_min, _k_admissible_threshold(w, L, M, b_lower))
+            g, betas = lambda_gains(lam, L, M, n, b_lower)
+            assert betas.dtype == np.float64 and betas.tobytes() == b.tobytes()
+            assert g.gains.tobytes() == (k * w).tobytes(), (n, lam, L, M, b_lower)
+            # explicit ratios and k take the same products
+            g, used = lambda_gains(lam, L, M, n, b_lower, betas=list(b), k=1.5 * k)
+            assert used.tobytes() == b.tobytes()
+            assert g.gains.tobytes() == (float(1.5 * k) * w).tobytes()
+
     def test_bad_betas_rejected(self):
         with pytest.raises(InvalidBeta):
             lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.6, 0.1])  # beta1 >= 1/2
@@ -357,17 +382,6 @@ class TestBoundConstants:
         g = GainVector("pid", np.array([4000.0, 1600.0, 160.0]))
         bc = bound_constants(g, 1.0, 0.0, 0.0, 0.0)
         assert bc.floor_lower_coeff == pytest.approx(1.0 / 8.0)
-
-    def test_certificate_constants_attached(self):
-        from stochpid import verify_certificate
-
-        g = GainVector("pid", np.array([1.0, 3.0, 4.0]))
-        cert = verify_certificate(g, 0.0, 0.0)
-        bc = bound_constants(g, 1.0, 0.0, 0.0, 1.0, certificate=cert)
-        assert bc.cert_rate == pytest.approx(cert.min_eig_negdef / cert.max_eig_P)
-        assert bc.cert_decay_coeff >= cert.max_eig_P / cert.min_eig_P
-        assert bc.cert_floor_coeff > 0
-
 
     @pytest.mark.parametrize("name", ["lam", "R"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -19,9 +19,10 @@ from stochpid import (
     verify_certificate,
 )
 from stochpid.design import _k_admissible_threshold
-from stochpid.lyapunov import _scaled_lyapunov
+from stochpid.lyapunov import _rounded, _scaled_lyapunov
 
 BENCH_GAINS = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
+EIGVALSH = np.linalg.eigvalsh
 
 
 def random_positive_gains(rng, n, kind="pid"):
@@ -318,3 +319,116 @@ class TestVerifyCertificate:
             verify_certificate(GainVector("pd", np.array([1e200])), 0.0, 0.0)  # q = 2*k1^2
         with pytest.raises(ValueError, match="overflows"):
             verify_certificate(GainVector("pd", np.array([1e308, 1e308])), 1.0, 0.0)  # kbar
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Count the calls of ``np.linalg.eigvalsh`` made inside a test."""
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return EIGVALSH(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def seeded_certificates(seed, count_per_n=6):
+    """Accepted certificates of seeded PID and PD vectors, n = 1..8: (g, cert)."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 9):
+        for kind in ("pid", "pd"):
+            for _ in range(count_per_n):
+                L, M = (float(v) for v in rng.uniform(0.0, 1.0, 2))
+                pid, _ = lambda_gains(10.0 ** rng.uniform(-1.0, 0.7), L, M, n)
+                g = GainVector(kind, pid.gains if kind == "pid" else pid.gains[1:])
+                yield g, verify_certificate(g, L, M)
+
+
+class TestEigenvaluesOnFirstRead:
+    """No verdict reads an eigenvalue of P; the diagnostics are computed when read."""
+
+    def test_accepted_certificate_computes_none(self, eigvalsh_calls):
+        for _ in seeded_certificates(50, 1):
+            pass
+        assert eigvalsh_calls == []
+
+    @pytest.mark.parametrize("first", ["min_eig_P", "max_eig_P"])
+    def test_first_read_computes_both_once(self, eigvalsh_calls, first):
+        cert = verify_certificate(BENCH_GAINS, 0.5, 0.1)
+        assert eigvalsh_calls == []
+        getattr(cert, first)
+        assert eigvalsh_calls == [(4, 4)]
+        for _ in range(3):
+            cert.min_eig_P, cert.max_eig_P
+        assert eigvalsh_calls == [(4, 4)]
+
+    def test_values_are_those_of_eigvalsh(self):
+        for g, cert in seeded_certificates(51):
+            eigs = EIGVALSH(cert.P)
+            assert type(cert.min_eig_P) is float and type(cert.max_eig_P) is float
+            assert np.float64(cert.min_eig_P).tobytes() == eigs[0].tobytes(), g
+            assert np.float64(cert.max_eig_P).tobytes() == eigs[-1].tobytes(), g
+
+    def test_certificate_matrices_are_read_only(self):
+        cert = verify_certificate(BENCH_GAINS, 0.5, 0.1)
+        for a in (cert.P, cert.Q):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_not_positive_definite_keeps_its_eigenvalue(self, eigvalsh_calls):
+        # min(q) > 2*kbar = 0 but A is not Hurwitz, so P is indefinite: the error
+        # carries the smallest eigenvalue of P, from one eigvalsh call
+        rng = np.random.default_rng(52)
+        seen = 0
+        for _ in range(20000):
+            n = int(rng.integers(3, 9))
+            g = random_positive_gains(rng, n, "pid" if rng.random() < 0.5 else "pd")
+            if min(_scaled_lyapunov(g)[2]) <= 0 or is_hurwitz(g):
+                continue
+            del eigvalsh_calls[:]
+            with pytest.raises(NotPositiveDefinite) as info:
+                verify_certificate(g, 0.0, 0.0)
+            assert len(eigvalsh_calls) == 1
+            assert info.value.eigenvalue == float(EIGVALSH(build_P(g))[0]) < 0.0
+            seen += 1
+            if seen == 20:
+                break
+        assert seen == 20
+
+
+class TestRounded:
+    """``_rounded`` divides Python ints, which round correctly and name an overflow."""
+
+    def test_matches_fraction_and_the_object_array_division(self):
+        rng = np.random.default_rng(53)
+        for _ in range(2000):
+            scale = (2 ** int(rng.integers(0, 1200))) * (1 if rng.random() < 0.5
+                                                          else int(rng.integers(1, 2 ** 62)))
+            ints = [int(rng.integers(-2 ** 62, 2 ** 62)) << int(rng.integers(0, 1200))
+                    for _ in range(int(rng.integers(1, 10)))]
+            fits = [abs(Fraction(x, scale)) < 2 ** 1023 for x in ints]
+            if not all(fits):
+                continue
+            expected = [float(Fraction(x, scale)) for x in ints]
+            got = _rounded(BENCH_GAINS, ints, scale)
+            assert got == expected and all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == np.asarray(
+                np.array(ints, dtype=object) / scale, dtype=float).tobytes()
+            assert _rounded(BENCH_GAINS, ints[0], scale) == expected[0]
+
+    def test_overflow_is_a_named_value_error(self):
+        for ints in (2 ** 1024, [1, 2 ** 1030]):
+            with pytest.raises(ValueError, match=r"Lyapunov matrix of gains .* overflows float64"):
+                _rounded(BENCH_GAINS, ints, 1)
+
+    @pytest.mark.parametrize("kind, gains, L", [
+        ("pid", [1e200, 1e200, 1e200], 0.0),  # P: p[0][0] = 2*k0*k1
+        ("pd", [1e200], 0.0),  # q = 2*k1^2, while P = (k1)
+        ("pd", [1.0, 1.0], 6e307),  # the margin min(q) - 2*kbar, kbar = 1.2e308
+    ])
+    def test_certificate_overflow_names_the_gains(self, kind, gains, L):
+        g = GainVector(kind, np.array(gains))
+        with pytest.raises(ValueError, match=r"Lyapunov matrix of gains .* overflows float64"):
+            verify_certificate(g, L, 0.0)

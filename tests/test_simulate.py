@@ -8,7 +8,6 @@ import pytest
 import helpers
 import stochpid.plants
 from stochpid import (
-    DimensionMismatch,
     Diverged,
     GainVector,
     NonFinite,
@@ -20,7 +19,6 @@ from stochpid import (
     chain,
     dissipativity_probe,
     expression_plant,
-    generator_eval,
     lambda_gains,
     ou,
     simulate_paths,
@@ -825,50 +823,3 @@ class TestDissipativityProbe:
         report = dissipativity_probe(plant, sp, g, betas, 1.0, 0.0,
                                      samples=6000, radius=2.0, seed=6)
         assert report.violations == 0
-
-
-class TestGeneratorEval:
-    def test_trace_only(self):
-        sigma = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-        val = generator_eval(np.eye(3), np.zeros(3), sigma, np.zeros(3))
-        assert val == pytest.approx(np.sum(sigma * sigma))
-
-    def test_linear_drift(self):
-        pt = np.array([1.0, -2.0, 0.5])
-        val = generator_eval(np.eye(3), -pt, np.zeros((3, 1)), pt)
-        assert val == pytest.approx(-2.0 * np.dot(pt, pt))
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(52)
-        for _ in range(20):
-            N, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
-            V = rng.standard_normal((N, N))
-            V = 0.5 * (V + V.T)
-            b = rng.standard_normal(N)
-            sigma = rng.standard_normal((N, m))
-            pt = rng.standard_normal(N)
-
-            def quad(x):
-                return float(x @ V @ x)
-
-            # h balances second-difference round-off (eps/h^2) vs truncation
-            h = 1e-4
-            grad = np.array([
-                (quad(pt + h * e) - quad(pt - h * e)) / (2 * h) for e in np.eye(N)
-            ])
-            hess = np.empty((N, N))
-            for i in range(N):
-                for j in range(N):
-                    pp = quad(pt + h * np.eye(N)[i] + h * np.eye(N)[j])
-                    pm = quad(pt + h * np.eye(N)[i] - h * np.eye(N)[j])
-                    mp = quad(pt - h * np.eye(N)[i] + h * np.eye(N)[j])
-                    mm = quad(pt - h * np.eye(N)[i] - h * np.eye(N)[j])
-                    hess[i, j] = (pp - pm - mp + mm) / (4 * h * h)
-            expected = grad @ b + 0.5 * np.trace(sigma.T @ hess @ sigma)
-            assert generator_eval(V, b, sigma, pt) == pytest.approx(expected, rel=1e-6, abs=1e-6)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            generator_eval(np.eye(3), np.zeros(2), np.zeros((3, 1)), np.zeros(3))
-        with pytest.raises(DimensionMismatch):
-            generator_eval(np.eye(3), np.zeros(3), np.zeros((2, 1)), np.zeros(3))
