@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,6 +46,23 @@ class NonPositiveGain(ValueError):
 
 class InvalidBeta(ValueError):
     """Ratio overrides violate the strict design inequalities."""
+
+
+class _cached:
+    """A property computed on first read and stored in the instance ``__dict__``,
+    where later reads find it first: ``functools.cached_property`` without the
+    lock it takes on every first read (Python 3.11).  The values cached are
+    deterministic and immutable, so two threads that compute one at the same
+    time store equal values and nothing goes wrong."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
 
 
 def _dyadic(values) -> tuple[list[int], int]:
@@ -97,18 +113,18 @@ class GainVector:
     def __reduce__(self):  # copies and pickles are validated afresh and start uncached
         return GainVector, (self.kind, self.gains)
 
-    @cached_property
+    @_cached
     def _ints(self) -> tuple[list[int], int]:
         """The gains as ints c over their common power-of-two denominator D."""
         return _dyadic(self.gains.tolist())
 
-    @cached_property
+    @_cached
     def _hurwitz(self) -> bool:
         """Exact Routh verdict of the characteristic polynomial D*(s**N + ... + k_first)."""
         c, D = self._ints
         return _routh([D] + c[::-1])
 
-    @cached_property
+    @_cached
     def _sum(self) -> float:
         return _gain_sum(self.gains)
 

@@ -11,23 +11,26 @@ mirrored to the lower triangle; PID gains (k0..kn) give the (n+1)x(n+1)
 matrix P and PD gains (k1..kn) the n x n matrix P0 by the same recursion.
 It runs on exact ints, D**2*P and D**2*q for gains c/D over their common
 power-of-two denominator D, and P and q are returned correctly rounded.
+Each q_i = 2*(g_i**2 - p[i-1,i]) needs one anti-diagonal of the recursion
+only, so q is computed without P.
 A certificate for constants (L, M) holds when P is positive definite and
 P*A + A'*P + 2*kbar*I = diag(2*kbar - q) is negative definite.  The second
 condition, min(q) > 2*kbar, is decided on ints; it makes diag(q) positive
 definite, and then (Lyapunov's theorem) P is positive definite exactly when A
-is Hurwitz, which the exact Routh test decides.  No verdict reads an
-eigenvalue of P: the extreme eigenvalues a certificate reports are
-diagnostics, computed by ``numpy.linalg.eigvalsh`` on first read.
+is Hurwitz, which the exact Routh test decides.  So the verdict reads only q
+and the Routh verdict: a certificate builds P from its gains on first read,
+and the extreme eigenvalues it reports, diagnostics computed by
+``numpy.linalg.eigvalsh``, on first read too.  A P that overflows float64 is
+still reported by :func:`verify_certificate`, ahead of condition (ii).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .design import GainVector
+from .design import GainVector, _cached
 
 __all__ = [
     "CertificateError",
@@ -66,23 +69,32 @@ class NotNegativeDefinite(CertificateError):
 
 @dataclass(frozen=True)
 class LyapunovCertificate:
-    """Certificate data: P, the diagonal of Q = -(PA + A'P), and the margin.
+    """Certificate data: the gains, the diagonal of Q = -(PA + A'P), and the margin.
 
     ``min_eig_negdef`` is the smallest eigenvalue of -(PA + A'P + 2*kbar*I),
-    which is min(Q) - 2*kbar because that matrix is diagonal.  The extreme
-    eigenvalues ``min_eig_P`` and ``max_eig_P`` of P are diagnostics that no
-    verdict uses: one ``numpy.linalg.eigvalsh(P)`` computes both on first
-    read.  On graded P its smallest eigenvalue is only resolved to about
+    which is min(Q) - 2*kbar because that matrix is diagonal.  The verdict
+    reads only Q and the Routh verdict of the gains, so P is built from the
+    gains by :func:`build_P` on first read; it is finite, since
+    :func:`verify_certificate` reports a P that overflows float64.  The
+    extreme eigenvalues ``min_eig_P`` and ``max_eig_P`` of P are diagnostics
+    that no verdict uses: one ``numpy.linalg.eigvalsh(P)`` computes both on
+    first read.  On graded P its smallest eigenvalue is only resolved to about
     1e-16 of the largest.  P and Q are read-only, so the cached eigenvalues
     cannot go stale.
     """
 
-    P: np.ndarray
+    gains: GainVector
     Q: np.ndarray
     min_eig_negdef: float
     kbar: float
 
-    @cached_property
+    @_cached
+    def P(self) -> np.ndarray:
+        P = build_P(self.gains)
+        P.flags.writeable = False
+        return P
+
+    @_cached
     def _eigs_P(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.P)
 
@@ -102,8 +114,8 @@ def companion(g: GainVector) -> np.ndarray:
     return A
 
 
-def _scaled_lyapunov(g: GainVector) -> tuple[int, list[list[int]], list[int]]:
-    """The gains' power-of-two denominator D, and D**2*P and D**2*q on ints."""
+def _scaled_P(g: GainVector) -> tuple[int, list[list[int]]]:
+    """The gains' power-of-two denominator D, and D**2*P on ints."""
     c, D = g._ints
     N = len(c)
     p = [[0] * N for _ in range(N)]
@@ -111,8 +123,26 @@ def _scaled_lyapunov(g: GainVector) -> tuple[int, list[list[int]], list[int]]:
         p[i][N - 1] = p[N - 1][i] = c[i] * D
         for j in range(i, N - 1):
             p[i][j] = p[j][i] = 2 * c[i] * c[j + 1] - (p[i - 1][j + 1] if i else 0)
-    q = [2 * (c[i] * c[i] - (p[i - 1][i] if i else 0)) for i in range(N)]
-    return D, p, q
+    return D, p
+
+
+def _scaled_q(c: list[int], D: int) -> list[int]:
+    """D**2*q for the gain ints c over D: q_i = 2*(c_i**2 - p[i-1][i]).
+
+    The recursion unrolls p[i-1][i] along its anti-diagonal into the
+    alternating sum 2*c[i-1]*c[i+1] - 2*c[i-2]*c[i+2] + ..., which ends at
+    row 0 or at a boundary entry p[a][N-1] = c[a]*D; ``e[b]`` is the factor
+    at column b, 2*c[b+1] or D, and the sum is taken from its far end.
+    """
+    N = len(c)
+    e = [2 * v for v in c[1:]] + [D]
+    q = []
+    for i in range(N):
+        s = 0
+        for t in range(min(i, N - i) - 1, -1, -1):
+            s = c[i - 1 - t] * e[i + t] - s
+        q.append(2 * (c[i] * c[i] - s))
+    return q
 
 
 def _rounded(g: GainVector, ints, scale: int):
@@ -128,42 +158,46 @@ def _rounded(g: GainVector, ints, scale: int):
         raise ValueError(f"the Lyapunov matrix of gains {g.gains} overflows float64") from None
 
 
-def _matrix(g: GainVector, p: list[list[int]], scale: int) -> np.ndarray:
-    """The exact ``p / scale`` of an int matrix, correctly rounded (see :func:`_rounded`)."""
-    return np.array([_rounded(g, row, scale) for row in p])
-
-
 def build_P(g: GainVector) -> np.ndarray:
     """Diagonalizing Lyapunov matrix: (n+1)x(n+1) for PID gains, n x n for PD."""
-    D, p, _ = _scaled_lyapunov(g)
-    return _matrix(g, p, D * D)
+    D, p = _scaled_P(g)
+    return np.array([_rounded(g, row, D * D) for row in p])
 
 
 def q_diagonal(g: GainVector) -> np.ndarray:
     """Diagonal of Q = -(P*A + A'*P): (2*g0^2, 2*(g_i^2 - p[i-1,i]), ...)."""
-    D, _, q = _scaled_lyapunov(g)
-    return np.array(_rounded(g, q, D * D))
+    c, D = g._ints
+    return np.array(_rounded(g, _scaled_q(c, D), D * D))
 
 
 def verify_certificate(g: GainVector, L: float, M: float) -> LyapunovCertificate:
-    """Build P for the gains and decide the two certificate conditions exactly.
+    """Decide the two certificate conditions exactly, from q and the Routh verdict.
 
     Raises :class:`NotNegativeDefinite` when min(q) <= 2*kbar, and otherwise
     :class:`NotPositiveDefinite` when A is not Hurwitz, i.e. P is not positive
     definite; each error names the violated condition and the offending
     eigenvalue.  Raises ``ValueError`` when kbar, P, q or min(q) - 2*kbar
-    overflows float64.
+    overflows float64, an overflowing P ahead of condition (ii).
     """
     kbar = g.kbar(L, M)
-    D, p, q = _scaled_lyapunov(g)
+    c, D = g._ints
     D2 = D * D
-    P, Q = _matrix(g, p, D2), np.array(_rounded(g, q, D2))
+    # Unrolled along its anti-diagonal, each D**2*p[i][j] is an alternating sum of
+    # at most N terms 2*c_a*c_b or c_a*D, each at most 2*top**2 in size.  So when
+    # 2*N*top**2 < 2**1023*D**2, every entry of P is below 2**1023 in size and
+    # rounds to a finite float; only gains of about 1e153 or more fail this
+    # bound, and they build P here so that its overflow is raised first.
+    top = max(max(c), D)
+    if 2 * len(c) * top * top >= D2 << 1023:
+        build_P(g)
+    q = _scaled_q(c, D)
+    Q = np.array(_rounded(g, q, D2))
     num, den = kbar.as_integer_ratio()
     excess = min(q) * den - 2 * num * D2  # (min(q) - 2*kbar) * den * D**2
     margin = _rounded(g, excess, den * D2)
     if excess <= 0:
         raise NotNegativeDefinite(-margin)
     if not g._hurwitz:
-        raise NotPositiveDefinite(np.linalg.eigvalsh(P)[0])
-    P.flags.writeable = Q.flags.writeable = False
-    return LyapunovCertificate(P=P, Q=Q, min_eig_negdef=margin, kbar=kbar)
+        raise NotPositiveDefinite(np.linalg.eigvalsh(build_P(g))[0])
+    Q.flags.writeable = False
+    return LyapunovCertificate(gains=g, Q=Q, min_eig_negdef=margin, kbar=kbar)

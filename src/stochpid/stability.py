@@ -20,7 +20,6 @@ from .design import GainVector, _dyadic, _routh
 __all__ = [
     "NonPositiveCoefficient",
     "DegreeTooLow",
-    "IndeterminateStability",
     "char_coeffs",
     "determining_coeffs",
     "nie_stable",
@@ -35,10 +34,6 @@ class NonPositiveCoefficient(ValueError):
 
 class DegreeTooLow(ValueError):
     """Polynomial degree below the test's scope."""
-
-
-class IndeterminateStability(ArithmeticError):
-    """No longer raised: the exact Routh test decides every polynomial.  Kept for importers."""
 
 
 def _coeffs(p) -> np.ndarray:

@@ -2,11 +2,14 @@ import copy
 import math
 import pickle
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import stochpid.design
 from stochpid import (
     GainVector,
     InvalidBeta,
@@ -43,6 +46,54 @@ class TestGainVector:
         for h in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
             assert (h.kind, h.gains.tolist()) == (g.kind, g.gains.tolist())
             assert not h.gains.flags.writeable
+
+    def test_exact_form_is_computed_once_on_first_read(self, monkeypatch):
+        # each cached value is stored in the instance __dict__, where later reads
+        # find it without calling the descriptor again
+        calls = []
+
+        def counting(values):
+            calls.append(values)
+            return dyadic(values)
+
+        dyadic = stochpid.design._dyadic
+        monkeypatch.setattr(stochpid.design, "_dyadic", counting)
+        g = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
+        assert "_ints" not in vars(g) and calls == []
+        ints = g._ints
+        assert vars(g)["_ints"] is ints and len(calls) == 1
+        assert g._ints is ints and is_hurwitz(g) and is_hurwitz(g) and len(calls) == 1
+        assert vars(g)["_hurwitz"] is True
+
+    def test_first_reads_racing_on_threads_agree(self):
+        # the cache takes no lock: threads that read a fresh vector at once may each
+        # compute a value, and every one of them must be the single-thread value
+        rng = np.random.default_rng(70)
+        gains = [10.0 ** rng.uniform(-2.0, 3.0, int(rng.integers(2, 10))) for _ in range(200)]
+        expected = []
+        for k in gains:
+            h = GainVector("pid", k)
+            expected.append((h._ints, h._hurwitz, h._sum))
+        vectors = [GainVector("pid", k) for k in gains]
+        seen = [[] for _ in range(8)]
+        barrier = threading.Barrier(8)
+
+        def read(out):
+            barrier.wait(timeout=10)
+            out.extend((g._ints, g._hurwitz, g._sum) for g in vectors)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(out,)) for out in seen]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(out == expected for out in seen)
 
 
 class TestCheckInequality:

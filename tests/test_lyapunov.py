@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+import stochpid.lyapunov
 from stochpid import (
     CertificateError,
     GainVector,
@@ -19,7 +20,7 @@ from stochpid import (
     verify_certificate,
 )
 from stochpid.design import _k_admissible_threshold
-from stochpid.lyapunov import _rounded, _scaled_lyapunov
+from stochpid.lyapunov import _rounded, _scaled_P, _scaled_q
 
 BENCH_GAINS = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
 EIGVALSH = np.linalg.eigvalsh
@@ -307,7 +308,7 @@ class TestVerifyCertificate:
                                         * _k_admissible_threshold(w, L, M, 1.0), n)
                 cert = verify_certificate(g, L, M)
                 assert cert.min_eig_P / cert.max_eig_P < 1e-30
-                D, p, _ = _scaled_lyapunov(g)
+                D, p = _scaled_P(g)
                 lo = Fraction(cert.min_eig_P)
                 assert eigenvalues_below(p, D * D, lo * (1 - Fraction(1, 10 ** 6))) == 0
                 assert eigenvalues_below(p, D * D, lo * (1 + Fraction(1, 10 ** 6))) == 1
@@ -385,7 +386,7 @@ class TestEigenvaluesOnFirstRead:
         for _ in range(20000):
             n = int(rng.integers(3, 9))
             g = random_positive_gains(rng, n, "pid" if rng.random() < 0.5 else "pd")
-            if min(_scaled_lyapunov(g)[2]) <= 0 or is_hurwitz(g):
+            if min(_scaled_q(*g._ints)) <= 0 or is_hurwitz(g):
                 continue
             del eigvalsh_calls[:]
             with pytest.raises(NotPositiveDefinite) as info:
@@ -396,6 +397,107 @@ class TestEigenvaluesOnFirstRead:
             if seen == 20:
                 break
         assert seen == 20
+
+
+def seeded_vectors(seed, count_per_n=6):
+    """Seeded PID and PD vectors, n = 1..8: λ-designed, jittered off the design, and
+    random positive."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 9):
+        for kind in ("pid", "pd"):
+            for trial in range(count_per_n):
+                if trial % 3 == 2:
+                    yield random_positive_gains(rng, n, kind)
+                    continue
+                L, M = (float(v) for v in rng.uniform(0.0, 1.0, 2))
+                gains = lambda_gains(10.0 ** rng.uniform(-1.0, 0.7), L, M, n)[0].gains
+                if trial % 3 == 1:
+                    gains = gains * 10.0 ** rng.uniform(-0.3, 0.3, n + 1)
+                yield GainVector(kind, gains if kind == "pid" else gains[1:])
+
+
+@pytest.fixture
+def build_P_calls(monkeypatch):
+    """Count the calls of ``build_P`` made by the lyapunov module inside a test."""
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return build_P(g)
+
+    monkeypatch.setattr(stochpid.lyapunov, "build_P", counting)
+    return calls
+
+
+class TestPOnFirstRead:
+    """The verdict reads q and the Routh verdict only; a certificate builds P when read."""
+
+    def test_verdicts_build_no_P(self, build_P_calls):
+        # only NotPositiveDefinite builds P, for the eigenvalue it carries
+        seen = {"accepted": 0, "NotNegativeDefinite": 0, "NotPositiveDefinite": 0}
+        for g in seeded_vectors(60):
+            for L in (0.0, 0.5, 1e3):
+                del build_P_calls[:]
+                try:
+                    verify_certificate(g, L, 0.1)
+                    verdict = "accepted"
+                except CertificateError as exc:
+                    verdict = type(exc).__name__
+                seen[verdict] += 1
+                assert len(build_P_calls) == (verdict == "NotPositiveDefinite"), (g, L)
+        assert all(seen.values()), seen
+
+    def test_first_read_builds_P_once(self, build_P_calls):
+        for g, cert in seeded_certificates(61, 1):
+            del build_P_calls[:]
+            P = cert.P
+            assert len(build_P_calls) == 1 and build_P_calls[0] is g
+            for _ in range(3):
+                assert cert.P is P
+            cert.min_eig_P, cert.max_eig_P
+            assert len(build_P_calls) == 1
+
+    def test_P_is_read_only_and_that_of_build_P(self):
+        for g, cert in seeded_certificates(62):
+            assert cert.gains is g
+            assert cert.P.tobytes() == build_P(g).tobytes() and cert.P.shape == build_P(g).shape
+            with pytest.raises(ValueError):
+                cert.P[0, 0] = 1.0
+
+    def test_q_is_minus_the_diagonal_of_PA_plus_AtP(self):
+        # exact on ints: D*A has D on its superdiagonal and -c in its last row, so
+        # D**2*P @ D*A + its transpose is D**3*(PA + A'P), which must be -D**3*diag(q)
+        for g in seeded_vectors(63):
+            c, D = g._ints
+            N = len(c)
+            _, p = _scaled_P(g)
+            DA = [[D if j == i + 1 else 0 for j in range(N)] for i in range(N - 1)]
+            DA.append([-v for v in c])
+            S = [[sum(p[i][m] * DA[m][j] for m in range(N)) for j in range(N)] for i in range(N)]
+            q = _scaled_q(c, D)
+            for i in range(N):
+                for j in range(N):
+                    assert S[i][j] + S[j][i] == (-D * q[i] if i == j else 0), g
+            assert np.array_equal(q_diagonal(g), [float(Fraction(v, D * D)) for v in q])
+
+    def test_overflowing_P_is_reported_ahead_of_condition_ii(self):
+        # q and the margin are finite, min(q) > 0 = 2*kbar and A is Hurwitz, but P
+        # overflows: the named ValueError, not a certificate
+        g = GainVector("pid", np.array([2.92223139890357e+151, 9.06214050516075e+153,
+                                        1.365010545868131e+154, 7.253913393709432e+153]))
+        q = q_diagonal(g)
+        assert np.all(np.isfinite(q)) and q.min() > 0.0 and is_hurwitz(g)
+        with pytest.raises(ValueError, match=r"Lyapunov matrix of gains .* overflows float64"):
+            build_P(g)
+        with pytest.raises(ValueError, match=r"Lyapunov matrix of gains .* overflows float64"):
+            verify_certificate(g, 0.0, 0.0)
+
+    def test_finite_P_past_the_bound_is_certified(self):
+        # k1 = 7e153 fails the O(N) bound 2*N*k1**2 < 2**1023, so P is built eagerly;
+        # it is finite, and so are q = 2*k1**2 and the margin
+        g = GainVector("pd", np.array([7e153]))
+        cert = verify_certificate(g, 0.0, 0.0)
+        assert np.array_equal(cert.P, [[7e153]]) and cert.Q[0] == 2.0 * 7e153 * 7e153
 
 
 class TestRounded:
