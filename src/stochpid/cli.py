@@ -191,6 +191,13 @@ def _run_config(doc: dict, workers: int):
 
 
 def _cmd_design(args) -> int:
+    # the flags each pattern reads besides --L, --M, --b-lower and --out; None: no --pattern
+    reads = {"bench3": ("k",), "geometric": ("k", "n"), "lambda": ("lam", "n", "betas", "k"),
+             None: ("gains", "gains_file")}
+    pattern = f"the {args.pattern} pattern" if args.pattern else "design without --pattern"
+    for name in sum(reads.values(), ()):
+        _require(name in reads[args.pattern] or getattr(args, name) is None,
+                 f"--{name.replace('_', '-')}: {pattern} does not read it")
     L = args.L or 0.0
     if args.pattern == "bench3":
         _require(args.k is not None, "--k is required for the bench3 pattern")
@@ -242,8 +249,11 @@ def _cmd_hurwitz(args) -> int:
     print(f"characteristic coefficients (ascending): "
           f"{', '.join(f'{c:.10g}' for c in coeffs)}")
     if coeffs.size - 1 >= 3:
-        alphas = determining_coeffs(coeffs)
-        print(f"determining coefficients: {', '.join(f'{a:.6g}' for a in alphas)}")
+        try:
+            alphas = determining_coeffs(coeffs)
+            print(f"determining coefficients: {', '.join(f'{a:.6g}' for a in alphas)}")
+        except ValueError as exc:  # they overflow; the exact verdict below does not
+            print(exc)
     stable = is_hurwitz(g)
     print(f"hurwitz: {stable}")
     return EXIT_OK if stable else EXIT_REJECTED
@@ -343,6 +353,8 @@ def _cmd_reproduce(args) -> int:
 def _cmd_sweep(args) -> int:
     doc = _read_json(args.config, "config")
     _section("config", doc, ("plant", "sim"), ("gains", "bounds"))
+    _require(args.vary != "gain-scale" or _sim_config(doc["sim"]).controller != "open_loop",
+             "sim.controller: an open_loop run ignores its gains, so it has no gain scale")
     rows = []
     for value in args.values:
         sweep_doc = copy.deepcopy(doc)

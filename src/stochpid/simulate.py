@@ -32,18 +32,16 @@ from typing import Optional
 import numpy as np
 
 from .design import BoundConstants, GainVector
-from .model import (PlantSpec, Setpoint, _as_vec, _cascade_weights, _is_integer, _is_real,
-                    _require_constant, _require_count, require_finite, shifted_to_raw, z_inverse)
+from .model import (PlantSpec, Setpoint, _as_vec, _is_integer, _is_real, _require_count,
+                    require_finite)
 
 __all__ = [
     "SimConfig",
     "EnsembleStats",
     "EnvelopeReport",
-    "DissipativityReport",
     "Diverged",
     "simulate_paths",
     "bound_envelope",
-    "dissipativity_probe",
 ]
 
 _CHUNK_PATHS = 4096  # fixed regardless of worker count (determinism contract)
@@ -538,94 +536,3 @@ def bound_envelope(
         lower_bound=float(lower),
         lower_ok=bool(tail_estimate >= lower - 3.0 * tail_err),
     )
-
-
-@dataclass(frozen=True)
-class DissipativityReport:
-    """Sampled check of the transformed-coordinate drift inequality.
-
-    ``margins`` holds z'b(z) + threshold*|z|^2 per sample; nonpositive
-    margins everywhere support weak dissipativity at the sampled radii.
-    """
-
-    threshold: float
-    radii: tuple
-    worst_margin: float
-    violations: int
-    samples: int
-
-
-def _z_drift(plant: PlantSpec, sp: Setpoint, k0: float, betas: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Closed-loop drift of the cascade coordinates, batched over rows of z."""
-    n, d = plant.n, plant.d
-    w = _cascade_weights(betas, n)
-    zb = z.reshape(-1, n + 1, d)
-    x, _ = shifted_to_raw(z_inverse(zb, betas), sp, k0)
-    diffs = (zb[:, 1:] - zb[:, :-1]) / betas[None, :, None]  # term j: w_j*y_{j+1}
-    cum = np.cumsum(diffs, axis=1)
-    f_last = w[-1] * plant.eval_drift(x, -k0 * zb[:, n] + sp.u_star)
-    b = np.empty_like(zb)
-    b[:, : n] = cum
-    b[:, n] = cum[:, n - 1] + f_last
-    return b.reshape(z.shape)
-
-
-def dissipativity_probe(
-    plant: PlantSpec,
-    sp: Setpoint,
-    g: GainVector,
-    betas,
-    lam: float,
-    M: float,
-    samples: int = 10000,
-    radius: float = 1.0,
-    seed: int = 0,
-) -> DissipativityReport:
-    """Sample the cascade-coordinate drift inequality z'b(z) <= -((lam+8M^2)/2)|z|^2.
-
-    Points are drawn uniformly on spheres of the given radius and 10x that
-    radius, ``samples // 2`` on each.  Gains must follow the ratio pattern
-    k_i = (beta_1..beta_i)*k0; positive margins are reported, not raised (a
-    failed probe is a diagnostic about the sampled region, not a disproof).
-    """
-    samples = _require_count("samples", samples)
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2 (one per radius), got {samples}")
-    _require_constant("lam", lam, positive=True)
-    _require_constant("M", M)
-    _require_constant("radius", radius, positive=True)
-    betas = np.asarray(betas, dtype=float)
-    k = g.gains
-    if not np.allclose(k, k[0] * _cascade_weights(betas, plant.n), rtol=1e-8, atol=0.0):
-        raise ValueError("gains do not follow the supplied ratio pattern")
-
-    threshold = 0.5 * (lam + 8.0 * M * M)  # a Python float ** 2 raises OverflowError
-    if not threshold < math.inf:  # an infinite threshold would count no violation
-        raise ValueError(f"threshold (lam + 8*M**2)/2 overflows float64 for lam={lam}, M={M}")
-    if not 100.0 * radius * radius * max(1.0, threshold) < math.inf:  # margins at 10*radius
-        raise ValueError(f"radius={radius!r}: the margins at 10*radius overflow float64")
-    dim = (plant.n + 1) * plant.d
-    rng = np.random.default_rng(seed)
-    per_radius = samples // 2
-    worst = -math.inf
-    violations = 0
-    total = 0
-    radii = (radius, 10.0 * radius)
-    for r in radii:
-        pts = rng.standard_normal((per_radius, dim))
-        pts *= r / np.linalg.norm(pts, axis=1, keepdims=True)
-        b = _z_drift(plant, sp, k[0], betas, pts)
-        zdot = np.einsum("ij,ij->i", pts, b)
-        margins = zdot + threshold * (r * r)
-        tol = 1e-9 * (r * r) * max(1.0, threshold)
-        violations += int(np.sum(margins > tol))
-        worst = max(worst, float(margins.max()))
-        total += per_radius
-    return DissipativityReport(
-        threshold=threshold,
-        radii=radii,
-        worst_margin=worst,
-        violations=violations,
-        samples=total,
-    )
-

@@ -128,6 +128,23 @@ class TestDesign:
         assert main(["design"] + argv) == EXIT_CONFIG
         assert f"config error: {name} must be " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag, pattern", [
+        # each was ignored: the bench3 case checked the n = 3 bench3 gains and exited 0
+        (["--pattern", "bench3", "--k", "8.6", "--n", "5", "--lam", "3", "--gains", "1,2,3"],
+         "--n", "the bench3 pattern"),
+        (["--pattern", "bench3", "--k", "8.6", "--gains-file", "g.json"],
+         "--gains-file", "the bench3 pattern"),
+        (["--pattern", "geometric", "--k", "1300", "--n", "2", "--betas", "0.4,0.1"],
+         "--betas", "the geometric pattern"),
+        (["--pattern", "lambda", "--lam", "1", "--n", "2", "--gains", "1,2,3"],
+         "--gains", "the lambda pattern"),
+        (["--gains", "3,4", "--kind", "pd", "--k", "2"], "--k", "design without --pattern"),
+        (["--gains", "1,2,3", "--lam", "1"], "--lam", "design without --pattern"),
+    ])
+    def test_unread_flags_are_config_errors(self, capsys, argv, flag, pattern):
+        assert main(["design"] + argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {flag}: {pattern} does not read it\n"
+
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "g.json"
         assert main(["design", "--pattern", "bench3", "--k", "8.6", "--out", str(out)]) \
@@ -174,18 +191,25 @@ class TestHurwitz:
         assert "hurwitz: True" in capsys.readouterr().out
         assert main(["hurwitz", "--gains=1e200,1e200"]) == EXIT_OK
         assert "hurwitz: True" in capsys.readouterr().out
+        # the determining coefficients overflow, the exact verdict does not
+        for gains in ("1e200,1e200,1e200", "1e200,3e200,3e200,1e200"):
+            assert main(["hurwitz", f"--gains={gains}"]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert "determining coefficients overflow float64\nhurwitz: True\n" in out
 
     def test_unstable(self, capsys):
         assert main(["hurwitz", "--gains", "100,1,0.01"]) == EXIT_REJECTED
         # k0 = fl(0.1*3) exceeds the exact product k1*k2 by 2**-55, where floats saw a zero pivot
         assert main(["hurwitz", "--gains", "0.30000000000000004,0.1,3"]) == EXIT_REJECTED
         assert "hurwitz: False" in capsys.readouterr().out
+        # the determining coefficients underflow to a zero denominator
+        assert main(["hurwitz", "--gains=1e-200,3e-200,3e-200,1e-200"]) == EXIT_REJECTED
+        assert "determining coefficients overflow float64\nhurwitz: False\n" \
+            in capsys.readouterr().out
 
     def test_bad_gains_are_config_errors(self, capsys):
         assert main(["hurwitz", "--gains=0,1"]) == EXIT_CONFIG
         assert "--gains: all gains must be positive" in capsys.readouterr().err
-        assert main(["hurwitz", "--gains=1e200,1e200,1e200"]) == EXIT_CONFIG
-        assert "overflow float64" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -639,6 +663,15 @@ class TestSweep:
         code = main(["sweep", "--config", str(cfg), "--vary", "gain-scale",
                      "--values", "1,2", "--out", str(out)])
         assert code == EXIT_OK
+
+    def test_gain_scale_sweep_rejects_open_loop(self, tmp_path, capsys):
+        # an open-loop run ignores its gains: every row would be the same run
+        cfg = write_config(tmp_path / "cfg.json", **{"sim.controller": "open_loop"})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--vary", "gain-scale",
+                     "--values", "1,10,100", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: sim.controller: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("vary, override, field", [
         ("gain-scale", {"gains": {"kind": "pid"}}, "gains"),

@@ -17,7 +17,6 @@ from stochpid import (
     bound_constants,
     bound_envelope,
     chain,
-    dissipativity_probe,
     expression_plant,
     lambda_gains,
     ou,
@@ -25,7 +24,7 @@ from stochpid import (
     solve_equilibrium,
 )
 from helpers import ClosedLoopState, em_step
-from stochpid.simulate import _chunk_stream, _control_law, _z_drift
+from stochpid.simulate import _chunk_stream, _control_law
 
 BENCH = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
 BENCH_DRIFT = "0.4*sin(x1) - 0.3*x2 + 0.5*x3 + 6 + u + 5.2*tanh(u)"
@@ -740,86 +739,3 @@ class TestBoundEnvelope:
         assert not report.upper_ok
         assert report.violations.size > 0
 
-
-class TestDissipativityProbe:
-    def test_admissible_design_all_nonpositive(self):
-        plant = chain(2)
-        sp = solve_equilibrium(plant, 1.0)
-        g, betas = lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4, 0.1], k=4000.0)
-        report = dissipativity_probe(plant, sp, g, betas, 1.0, 0.0,
-                                     samples=10000, radius=1.0, seed=5)
-        assert report.violations == 0
-        assert report.worst_margin <= 0.0
-        assert report.threshold == pytest.approx(0.5)
-
-    def test_drift_vanishes_at_origin(self):
-        # bench3's drift depends on x1, so z = 0 must map to x = z* != 0; b(0) is
-        # then the drift at the solved equilibrium, as small as its residual
-        for plant, k0, betas in ((chain(2), 4000.0, [0.4, 0.1]), (bench3(), 8.6, [2.5, 1.0, 0.4])):
-            sp = solve_equilibrium(plant, 1.0)
-            b = _z_drift(plant, sp, k0, np.asarray(betas), np.zeros((1, plant.n + 1)))
-            assert np.allclose(b, 0.0, atol=1e-12 + np.prod(betas) * sp.residual)
-
-    def test_weak_gains_report_positive_margins(self):
-        plant = chain(2)
-        sp = solve_equilibrium(plant, 1.0)
-        g = GainVector("pid", np.array([50.0, 20.0, 2.0]))
-        report = dissipativity_probe(plant, sp, g, [0.4, 0.1], 1.0, 0.0,
-                                     samples=4000, radius=1.0, seed=5)
-        assert report.violations > 0
-        assert report.worst_margin > 0.0
-
-    def test_mismatched_ratio_pattern_rejected(self):
-        plant = chain(2)
-        sp = solve_equilibrium(plant, 1.0)
-        g = GainVector("pid", np.array([4000.0, 1600.0, 100.0]))
-        with pytest.raises(ValueError):
-            dissipativity_probe(plant, sp, g, [0.4, 0.1], 1.0, 0.0, samples=10)
-
-    @pytest.mark.parametrize("samples", [0, 1, 10.5])
-    def test_too_few_samples_rejected(self, samples):
-        # one point per radius is the least the probe can draw
-        plant = chain(2)
-        sp = solve_equilibrium(plant, 1.0)
-        g, betas = lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4, 0.1], k=4000.0)
-        with pytest.raises(ValueError, match="samples"):
-            dissipativity_probe(plant, sp, g, betas, 1.0, 0.0, samples=samples)
-
-    @pytest.mark.parametrize("name, value", [
-        # NaN made every margin NaN, so the probe reported no violation
-        ("lam", float("nan")), ("M", float("nan")), ("radius", float("nan")),
-        ("lam", 0.0), ("lam", math.inf), ("M", -1.0), ("radius", 0.0), ("radius", -1.0),
-    ])
-    def test_bad_constants_rejected(self, name, value):
-        plant = chain(2)
-        sp = solve_equilibrium(plant, 1.0)
-        g, betas = lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4, 0.1], k=4000.0)
-        args = {"lam": 1.0, "M": 0.0, "radius": 1.0, name: value}
-        with pytest.raises(ValueError, match=f"^{name} must be"):
-            dissipativity_probe(plant, sp, g, betas, args["lam"], args["M"], samples=10,
-                                radius=args["radius"])
-
-    def test_overflowing_threshold_rejected(self):
-        # an infinite threshold would give infinite margins and tolerances: no violation
-        plant = chain(2)
-        sp = solve_equilibrium(plant, 1.0)
-        g, betas = lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4, 0.1], k=4000.0)
-        with pytest.raises(ValueError, match=r"^threshold .* lam=1.0, M=1e\+200"):
-            dissipativity_probe(plant, sp, g, betas, 1.0, 1e200, samples=10)
-
-    def test_overflowing_radius_rejected(self):
-        # r ** 2 raised OverflowError; r * r alone gives infinite margins: no violation
-        plant = chain(2)
-        sp = solve_equilibrium(plant, 1.0)
-        g, betas = lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4, 0.1], k=4000.0)
-        with pytest.raises(ValueError, match=r"^radius=1e\+160: "):
-            dissipativity_probe(plant, sp, g, betas, 1.0, 0.0, samples=10, radius=1e160)
-
-    def test_nonlinear_plant_dissipative_inside_class(self):
-        # drift with true L = 0.3 <= asserted design L
-        plant = expression_plant(2, "0.3*sin(x1) + u", "0", L=0.3, M=0.0)
-        sp = solve_equilibrium(plant, 0.5)
-        g, betas = lambda_gains(1.0, 0.3, 0.0, 2)
-        report = dissipativity_probe(plant, sp, g, betas, 1.0, 0.0,
-                                     samples=6000, radius=2.0, seed=6)
-        assert report.violations == 0
