@@ -86,10 +86,11 @@ def _read_json(path: str, where: str):
 
 
 def _load_gains(args) -> GainVector:
-    if getattr(args, "gains_file", None):
+    if args.gains_file:
+        _require(args.kind is None, "--kind: a gains file names its own kind")
         return _gains_from(_read_json(args.gains_file, "gains file"), "gains file")
-    if getattr(args, "gains", None):
-        return _gains_from({"kind": args.kind, "gains": args.gains}, "--gains")
+    if args.gains:
+        return _gains_from({"kind": args.kind or "pid", "gains": args.gains}, "--gains")
     raise ValueError("provide --gains-file or --gains")
 
 
@@ -193,7 +194,7 @@ def _run_config(doc: dict, workers: int):
 def _cmd_design(args) -> int:
     # the flags each pattern reads besides --L, --M, --b-lower and --out; None: no --pattern
     reads = {"bench3": ("k",), "geometric": ("k", "n"), "lambda": ("lam", "n", "betas", "k"),
-             None: ("gains", "gains_file")}
+             None: ("gains", "gains_file", "kind")}
     pattern = f"the {args.pattern} pattern" if args.pattern else "design without --pattern"
     for name in sum(reads.values(), ()):
         _require(name in reads[args.pattern] or getattr(args, name) is None,
@@ -390,10 +391,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _add_gain_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gains-file", help="JSON gains file ({'kind':..., 'gains':[...]})")
-    p.add_argument("--gains", type=_float_list, help="comma-separated gain values")
-    p.add_argument("--kind", choices=("pid", "pd"), default="pid",
-                   help="gain kind when --gains is used")
+    source = p.add_mutually_exclusive_group()  # a second source would be ignored
+    source.add_argument("--gains-file", help="JSON gains file ({'kind':..., 'gains':[...]})")
+    source.add_argument("--gains", type=_float_list, help="comma-separated gain values")
+    p.add_argument("--kind", choices=("pid", "pd"),
+                   help="gain kind of --gains (default: pid)")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -1,4 +1,4 @@
-"""Plant description, equilibrium solving and the proof coordinate systems.
+"""Plant description, equilibrium solving and the Lipschitz falsifier.
 
 A plant of relative degree n is the n-chain of integrators
 
@@ -24,11 +24,6 @@ diffusion(x) maps (..., n*d) -> (..., d, m).  A diffusion that returns one
 unbatched (d, m) matrix is constant: it is broadcast over the batch, and
 the simulator evaluates it once per chunk of paths.  All builtin plants
 satisfy this.
-
-The proof coordinates are plain arrays of blocks: the equilibrium-shifted
-state (y0, ..., yn) and its cascade transform (z0, ..., zn) are
-(..., n+1, d) arrays, and :func:`shifted_to_raw`, :func:`z_transform` and
-:func:`z_inverse` are batched over the leading axes.
 """
 
 from __future__ import annotations
@@ -46,12 +41,7 @@ __all__ = [
     "Setpoint",
     "NoConvergence",
     "NonFinite",
-    "DegenerateBeta",
     "solve_equilibrium",
-    "shifted_coordinates",
-    "shifted_to_raw",
-    "z_transform",
-    "z_inverse",
     "falsify_lipschitz",
 ]
 
@@ -62,10 +52,6 @@ class NoConvergence(RuntimeError):
 
 class NonFinite(ValueError):
     """The plant returned NaN or Inf for a finite input."""
-
-
-class DegenerateBeta(ValueError):
-    """A coordinate-transform ratio is zero or negative."""
 
 
 @dataclass(frozen=True)
@@ -278,67 +264,6 @@ def _fd_jacobian(f, u: np.ndarray, fu: np.ndarray) -> np.ndarray:
         up[j] += h
         J[:, j] = (f(up) - fu) / h
     return J
-
-
-def shifted_coordinates(x, integral, sp: Setpoint, k0: float) -> np.ndarray:
-    """Shift a raw state into the equilibrium blocks (y0, ..., yn), an (n+1, d) array.
-
-    ``integral`` is the accumulated output error int (x1 - y*) dt (note the
-    sign: output minus setpoint, the negative of the controller's error
-    accumulator).  Then y0 = integral + u*/k0, y1 = x1 - y*, and yi = xi for
-    i >= 2 (the raw upper states), so the controller output equals
-    -sum(k_i * y_i) + u*.
-    """
-    _require_constant("k0", k0, positive=True)
-    d = sp.y_star.size
-    xa = np.asarray(x, dtype=float).reshape(-1, d)
-    n = xa.shape[0]
-    blocks = np.empty((n + 1, d))
-    blocks[0] = _as_vec(integral, d, "integral") + sp.u_star / k0
-    blocks[1] = xa[0] - sp.y_star
-    blocks[2:] = xa[1:]
-    return blocks
-
-
-def shifted_to_raw(y, sp: Setpoint, k0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Invert :func:`shifted_coordinates`, batched over leading axes.
-
-    Maps (..., n+1, d) blocks to the raw state (..., n*d) and the
-    integral (..., d).
-    """
-    _require_constant("k0", k0, positive=True)
-    y = np.asarray(y, dtype=float)
-    x = y[..., 1:, :].copy()
-    x[..., 0, :] += sp.y_star
-    return x.reshape(y.shape[:-2] + (-1,)), y[..., 0, :] - sp.u_star / k0
-
-
-def _cascade_weights(betas, n: int) -> np.ndarray:
-    """Cascade weights w = (1, beta_1, beta_1*beta_2, ..., beta_1*...*beta_n)."""
-    b = np.asarray(betas, dtype=float)
-    if b.shape != (n,):
-        raise ValueError(f"expected {n} ratios, got shape {b.shape}")
-    if not np.all((0.0 < b) & (b < np.inf)):
-        raise DegenerateBeta(f"all ratios must be positive and finite, got {b}")
-    return np.cumprod(np.concatenate([[1.0], b]))
-
-
-def z_transform(y, betas) -> np.ndarray:
-    """Cascade transform z_i = w_0*y_0 + ... + w_i*y_i of (..., n+1, d) blocks.
-
-    The weights w are the cumulative ratio products (see
-    :func:`_cascade_weights`), so z0 = y0 and z_i = z_{i-1} + (beta_1*...*beta_i) * y_i.
-    """
-    y = np.asarray(y, dtype=float)
-    w = _cascade_weights(betas, y.shape[-2] - 1)
-    return np.cumsum(w[:, None] * y, axis=-2)
-
-
-def z_inverse(z, betas) -> np.ndarray:
-    """Invert :func:`z_transform` up to floating-point round-off: y_i = (z_i - z_{i-1})/w_i."""
-    z = np.asarray(z, dtype=float)
-    w = _cascade_weights(betas, z.shape[-2] - 1)
-    return np.diff(z, axis=-2, prepend=0.0) / w[:, None]
 
 
 def falsify_lipschitz(

@@ -270,7 +270,10 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     mom = [|e|^2; |x - z*|^2; |u|^2; u] over its paths and their centred
     co-moment matrix C, the sums over paths of the products of the rows'
     deviations from those means.  Centring within the chunk keeps the
-    spreads free of cancellation against the means.
+    spreads free of cancellation against the means.  The one-pass mean
+    sum/size is rounded, so the rows are centred twice: the mean of the
+    centred rows is added to the means and taken from the rows, and equal
+    paths give exactly zero co-moments.
     """
     steps, stride, dt = cfg.steps, cfg.record_stride, cfg.dt
     n, d, m = plant.n, plant.d, plant.m
@@ -341,8 +344,11 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
         np.einsum("ikp,ikp->kp", u, u, out=mom[:, 2])
         mom[:, 3:] = u.transpose(1, 0, 2)
         rows = slice(r, r + k)
-        np.divide(mom.sum(axis=2), size, out=means[rows])
-        mom -= means[rows, :, None]
+        mean = np.divide(mom.sum(axis=2), size, out=means[rows])
+        mom -= mean[:, :, None]
+        shift = mom.sum(axis=2) / size
+        mean += shift
+        mom -= shift[:, :, None]
         np.matmul(mom, mom.transpose(0, 2, 1), out=C[rows])
 
     blocks = [layout(0), layout(1)]

@@ -140,6 +140,8 @@ class TestDesign:
          "--gains", "the lambda pattern"),
         (["--gains", "3,4", "--kind", "pd", "--k", "2"], "--k", "design without --pattern"),
         (["--gains", "1,2,3", "--lam", "1"], "--lam", "design without --pattern"),
+        # this printed "gains (pid)" and exited 0
+        (["--pattern", "bench3", "--k", "8.6", "--kind", "pd"], "--kind", "the bench3 pattern"),
     ])
     def test_unread_flags_are_config_errors(self, capsys, argv, flag, pattern):
         assert main(["design"] + argv) == EXIT_CONFIG
@@ -210,6 +212,32 @@ class TestHurwitz:
     def test_bad_gains_are_config_errors(self, capsys):
         assert main(["hurwitz", "--gains=0,1"]) == EXIT_CONFIG
         assert "--gains: all gains must be positive" in capsys.readouterr().err
+
+
+GAIN_COMMANDS = [["design"], ["certify", "--L", "0.87"], ["hurwitz"]]
+
+
+@pytest.mark.parametrize("argv", GAIN_COMMANDS)
+def test_kind_beside_a_gains_file_is_config_error(tmp_path, capsys, argv):
+    # the file names its own kind: --kind pd was ignored and the file's pid gains were used
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"kind": "pid", "gains": [8.6, 21.5, 21.5, 8.6]}))
+    assert main(argv + ["--gains-file", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    for kind in ("pd", "pid"):
+        assert main(argv + ["--gains-file", str(path), "--kind", kind]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: --kind: a gains file names its own kind\n"
+
+
+@pytest.mark.parametrize("argv", GAIN_COMMANDS)
+def test_two_gain_sources_are_a_usage_error(tmp_path, capsys, argv):
+    # the file won and --gains was ignored: hurwitz called these unstable gains stable
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"kind": "pid", "gains": [8.6, 21.5, 21.5, 8.6]}))
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--gains-file", str(path), "--gains", "100,1,0.01"])
+    assert info.value.code == EXIT_CONFIG
+    assert "argument --gains: not allowed with argument --gains-file" in capsys.readouterr().err
 
 
 class TestSimulate:

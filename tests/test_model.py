@@ -3,12 +3,10 @@ import pytest
 
 import helpers
 from stochpid import (
-    DegenerateBeta,
     GainVector,
     NoConvergence,
     NonFinite,
     PlantSpec,
-    Setpoint,
     bench3,
     chain,
     check_inequality,
@@ -17,11 +15,7 @@ from stochpid import (
     geometric_gains,
     lambda_gains,
     ou,
-    shifted_coordinates,
-    shifted_to_raw,
     solve_equilibrium,
-    z_inverse,
-    z_transform,
 )
 from helpers import ClosedLoopState
 from stochpid.simulate import _control_law
@@ -147,27 +141,12 @@ class TestSolveEquilibrium:
         assert str(info.value).startswith(name)
 
 
-def same_bits(a, b) -> bool:
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 class TestShiftedCoordinates:
-    def test_equilibrium_state(self):
-        plant = bench3(a=0.0, mu=0.0)
-        sp = solve_equilibrium(plant, 1.0)
-        y = shifted_coordinates(sp.z_star, np.zeros(1), sp, 8.6)
-        assert y.shape == (4, 1)
-        assert y[0] == pytest.approx(sp.u_star / 8.6)
-        assert np.all(y[1:] == 0.0)
-
-    def test_direct_substitution(self):
-        sp = solve_equilibrium(chain(1), 1.0)  # u* = 0
-        y = shifted_coordinates(np.array([3.0]), np.array([2.0]), sp, 5.0)
-        assert np.array_equal(y.ravel(), [2.0, 2.0])
+    """The proof's equilibrium-shifted blocks y0 = -acc + u*/k0, y1 = x1 - y*, yi = xi."""
 
     def test_controller_identity(self):
-        # PID output equals -sum(k_i y_i) + u* when the shifted integral is
-        # the negative of the controller's error accumulator
+        # PID output equals -sum(k_i y_i) + u*, where acc is the controller's
+        # error accumulator, the integral of e = y* - x1
         rng = np.random.default_rng(31)
         plant = bench3()
         sp = solve_equilibrium(plant, 1.0)
@@ -175,105 +154,12 @@ class TestShiftedCoordinates:
         K = _control_law(g, sp.y_star)
         for _ in range(50):
             x = rng.standard_normal(3)
-            acc = rng.standard_normal(1)  # accumulated e = y* - x1
+            acc = rng.standard_normal(1)
             state = ClosedLoopState(x=x, integral=acc, t=0.0)
             u = K @ helpers.law_input(state)
-            y = shifted_coordinates(x, -acc, sp, g.gains[0])
-            via_shift = -np.sum(g.gains[:, None] * y, axis=0) + sp.u_star
+            y = np.concatenate([-acc + sp.u_star / g.gains[0], x[:1] - sp.y_star, x[1:]])
+            via_shift = -np.sum(g.gains * y) + sp.u_star
             assert np.allclose(u, via_shift, rtol=1e-10, atol=1e-10)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(32)
-        sp = solve_equilibrium(bench3(), 0.7)
-        for _ in range(20):
-            x = rng.standard_normal(3)
-            acc = rng.standard_normal(1)
-            y = shifted_coordinates(x, acc, sp, 8.6)
-            x2, acc2 = shifted_to_raw(y, sp, 8.6)
-            assert np.allclose(x2, x, atol=1e-14)
-            assert np.allclose(acc2, acc, atol=1e-14)
-
-    def test_k0_positive_required(self):
-        sp = solve_equilibrium(chain(1), 0.0)
-        with pytest.raises(ValueError):
-            shifted_coordinates(np.array([1.0]), np.zeros(1), sp, 0.0)
-
-    @pytest.mark.parametrize("k0", [float("nan"), float("inf"), -1.0])
-    def test_k0_must_be_positive_and_finite(self, k0):
-        # NaN passes a plain k0 <= 0 test and would fill the blocks with NaN
-        sp = solve_equilibrium(chain(1), 0.0)
-        with pytest.raises(ValueError, match="^k0 must be positive and finite"):
-            shifted_coordinates(np.array([1.0]), np.zeros(1), sp, k0)
-        with pytest.raises(ValueError, match="^k0 must be positive and finite"):
-            shifted_to_raw(np.zeros((2, 1)), sp, k0)
-
-
-class TestZTransform:
-    def test_zero_maps_to_zero(self):
-        z = z_transform(np.zeros((3, 1)), [0.4, 0.1])
-        assert np.all(z == 0.0)
-
-    def test_direct_substitution(self):
-        z = z_transform(np.ones((3, 1)), [0.4, 0.1])
-        assert np.allclose(z.ravel(), [1.0, 1.4, 1.44])
-
-    def test_round_trip_z_domain(self):
-        # z_transform(z_inverse(z)) recovers z to 1e-12 relative error even
-        # for tiny cumulative ratios
-        rng = np.random.default_rng(33)
-        worst = 0.0
-        for _ in range(1000):
-            n = int(rng.integers(1, 7))
-            d = int(rng.integers(1, 3))
-            blocks = rng.standard_normal((n + 1, d))
-            betas = 10.0 ** rng.uniform(-2.0, 0.5, n)
-            back = z_transform(z_inverse(blocks, betas), betas)
-            scale = max(1.0, np.abs(blocks).max())
-            worst = max(worst, np.abs(back - blocks).max() / scale)
-        assert worst < 1e-12
-
-    def test_round_trip_y_domain(self):
-        # the reverse composition is exact up to round-off amplified by the
-        # inverse cumulative ratio; with moderate ratios it sits below 1e-12
-        rng = np.random.default_rng(34)
-        worst = 0.0
-        for _ in range(1000):
-            n = int(rng.integers(1, 4))
-            blocks = rng.standard_normal((n + 1, 1))
-            betas = rng.uniform(0.3, 0.95, n)
-            back = z_inverse(z_transform(blocks, betas), betas)
-            scale = max(1.0, np.abs(blocks).max())
-            worst = max(worst, np.abs(back - blocks).max() / scale)
-        assert worst < 1e-12
-
-    def test_batches_match_single_points(self):
-        # every leading axis is a batch axis: a (S, n+1, d) batch gives
-        # bitwise the per-point results
-        rng = np.random.default_rng(35)
-        for n, d in ((1, 1), (3, 1), (4, 2)):
-            blocks = rng.standard_normal((20, n + 1, d))
-            betas = 10.0 ** rng.uniform(-2.0, 0.5, n)
-            y_star = rng.standard_normal(d)
-            sp = Setpoint(y_star=y_star, z_star=np.r_[y_star, np.zeros((n - 1) * d)],
-                          u_star=rng.standard_normal(d), residual=0.0)
-            for transform in (z_transform, z_inverse):
-                batch = transform(blocks, betas)
-                assert same_bits(batch, np.stack([transform(y, betas) for y in blocks]))
-            x, integral = shifted_to_raw(blocks, sp, 2.5)
-            singles = [shifted_to_raw(y, sp, 2.5) for y in blocks]
-            assert same_bits(x, np.stack([single[0] for single in singles]))
-            assert same_bits(integral, np.stack([single[1] for single in singles]))
-
-    def test_degenerate_beta(self):
-        y = np.zeros((3, 1))
-        with pytest.raises(DegenerateBeta):
-            z_transform(y, [0.4, 0.0])
-        with pytest.raises(DegenerateBeta):
-            z_inverse(z_transform(y, [0.4, 0.1]), [-0.4, 0.1])
-        # NaN and inf fail the one range test instead of propagating
-        for betas in ([np.nan, 0.1], [0.4, np.inf]):
-            with pytest.raises(DegenerateBeta):
-                z_transform(np.ones((3, 1)), betas)
 
 
 class TestAffineDrift:

@@ -55,17 +55,45 @@ def _own_names(node) -> set:
     return {t.id for t in targets if isinstance(t, ast.Name)}
 
 
+def _referenced(path: Path) -> set:
+    """The names the top-level statements of a file reference beyond their own definitions."""
+    referenced = set()
+    for node in ast.parse(path.read_text()).body:
+        names = {sub.id for sub in ast.walk(node)
+                 if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)}
+        names.update(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+        names.update(sub.name for sub in ast.walk(node) if isinstance(sub, ast.alias))
+        referenced |= names - _own_names(node)
+    return referenced
+
+
 def test_no_orphan_private_names():
     # a private top-level name that nothing in the package references beyond its own
     # definition is dead code: a helper left behind when its caller went away
     defined, referenced = set(), set()
     for path in sorted(Path(stochpid.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            own = _own_names(node)
-            defined.update((path.stem, n) for n in own if n.startswith("_") and n[:2] != "__")
-            names = {sub.id for sub in ast.walk(node)
-                     if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)}
-            names.update(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
-            names.update(sub.name for sub in ast.walk(node) if isinstance(sub, ast.alias))
-            referenced |= names - own
+            defined.update((path.stem, n) for n in _own_names(node)
+                           if n.startswith("_") and n[:2] != "__")
+        referenced |= _referenced(path)
     assert sorted(f"{m}.{n}" for m, n in defined if n not in referenced) == []
+
+
+# public names with no caller yet, each with the reason it stays
+UNCALLED_PUBLIC = {
+    "q_diagonal": "gives q for a rejected vector too, which LyapunovCertificate.Q cannot",
+    "falsify_lipschitz": "the in-class plant generator of the uncertainty-class test will call it",
+}
+
+
+def test_no_uncalled_public_names():
+    # a public name that neither the package, the benchmark nor the acceptance gate
+    # references beyond its own definition is dead API
+    package = Path(stochpid.__file__).parent
+    root = package.parents[1]
+    public = {name for path in package.glob("*.py") if path.stem != "__init__"
+              for name in getattr(importlib.import_module(f"stochpid.{path.stem}"), "__all__", ())}
+    referenced = set().union(*map(_referenced, [*package.glob("*.py"),
+                                                *(root / "perfbench").glob("*.py"),
+                                                root / "tests" / "test_acceptance.py"]))
+    assert sorted(public - referenced) == sorted(UNCALLED_PUBLIC)
