@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import _require_constant, _require_count
+from .model import _as_floats, _require_constant, _require_count
 
 __all__ = [
     "GainVector",
@@ -102,7 +102,7 @@ class GainVector:
     def __post_init__(self):
         if self.kind not in ("pid", "pd"):
             raise ValueError(f"kind must be 'pid' or 'pd', got {self.kind!r}")
-        g = np.array(self.gains, dtype=float)
+        g = _as_floats(self.gains, "gains")
         if g.ndim != 1 or g.size < 1:
             raise ValueError("gains must be a non-empty 1-D vector")
         if not all(0.0 < v < math.inf for v in g.tolist()):  # NaN fails too
@@ -348,7 +348,7 @@ def lambda_gains(
         for _ in range(1, n):
             b.append(0.9 * b[-1] / n)
     else:
-        b = np.asarray(betas, dtype=float)
+        b = _as_floats(betas, "betas")
         if b.shape != (n,):
             raise InvalidBeta(f"expected {n} ratios, got shape {b.shape}")
         if not (0.0 < b[0] < b1_bound):
@@ -381,7 +381,7 @@ def lambda_gains(
         if not k_val > k_min * (1.0 + 1e-12):
             raise InvalidBeta(f"k={k_val} must strictly exceed {k_min}")
 
-    return GainVector("pid", [k_val * v for v in w]), np.array(b)
+    return GainVector("pid", np.array([k_val * v for v in w])), np.array(b)
 
 
 def bound_constants(
@@ -395,12 +395,16 @@ def bound_constants(
 
     ``decay_coeff = 4*n**3*k0**2/kn**2``, ``floor_coeff = 4*n/lam`` and
     ``floor_lower_coeff = lam / (4*(2+2L+M^2)*lam + 64*(n+1)*R^2*sum(k_i^2))``.
-    Raises ``ValueError`` when ``decay_coeff`` overflows float64; a denominator
-    that overflows gives ``floor_lower_coeff = 0``, a valid lower bound.
+    Raises ``ValueError`` naming ``lam``, ``L``, ``M`` or ``R`` unless it is
+    finite and positive (``lam``) or nonnegative, and when ``decay_coeff``
+    overflows float64; a denominator that overflows gives
+    ``floor_lower_coeff = 0``, a valid lower bound.
     """
     if g.kind != "pid":
         raise ValueError("bound constants are defined for PID gains")
     _require_constant("lam", lam, positive=True)
+    _require_constant("L", L)
+    _require_constant("M", M)
     _require_constant("R", R)
     n = g.n
     k = g.gains

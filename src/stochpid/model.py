@@ -16,7 +16,7 @@ than b allows.
 The drift splits into an affine part given as data and a residual callable:
 f(x; u) = W @ [1; x; u] + drift(x, u), with the weights W = ``affine`` of
 shape (d, 1 + n*d + d) (absent means zero) and ``drift`` None when f is
-affine.  The simulator folds W into its step matrix, so only the residual
+affine.  The simulator folds W into its loop matrix, so only the residual
 is evaluated per step; :meth:`PlantSpec.eval_drift` returns the full f.
 Drift and diffusion callables must be pure functions, vectorized over a
 leading batch axis: drift(x, u) maps (..., n*d) x (..., d) -> (..., d) and
@@ -80,13 +80,12 @@ class PlantSpec:
         _require_constant("lipschitz_M", self.lipschitz_M)
         _require_constant("gain_lower_b", self.gain_lower_b, positive=True)
         if self.affine is not None:
-            W = np.array(self.affine)  # no dtype=float, which would read numbers from text
+            W = _as_floats(self.affine, "affine")
             shape = (self.d, 1 + self.state_dim + self.d)
             if W.shape != shape:
                 raise ValueError(f"affine must have shape {shape}, got {W.shape}")
-            if W.dtype.kind not in "iuf" or not np.all(np.isfinite(W)):
+            if not np.all(np.isfinite(W)):
                 raise ValueError(f"affine weights must be finite numbers, got {W}")
-            W = W.astype(float)
             W.flags.writeable = False
             object.__setattr__(self, "affine", W)
 
@@ -175,6 +174,19 @@ def _as_vec(v, dim: Optional[int], what: str) -> np.ndarray:
     if a.ndim != 1 or dim not in (None, a.size) or not all(map(_is_real, a)):
         count = "" if dim is None else f"{dim} "
         raise ValueError(f"{what}: expected {count}finite number(s), got {v!r}")
+    return a.astype(float)
+
+
+def _as_floats(v, what: str) -> np.ndarray:
+    """``v`` as a float array of any shape, read from numbers only: an int or float
+    ndarray passes on its dtype alone, any other value when each entry is a float or
+    satisfies :func:`_is_real`, else ValueError naming ``what``.  Text, bools and ints
+    beyond float64 are refused; NaN and inf are left to the caller's own checks."""
+    if isinstance(v, np.ndarray) and v.dtype.kind in "iuf":
+        return v.astype(float)
+    a = np.asarray(v, dtype=object)
+    if not all(isinstance(x, float) or _is_real(x) for x in a.flat):
+        raise ValueError(f"{what}: expected numbers, got {v!r}")
     return a.astype(float)
 
 

@@ -121,7 +121,7 @@ def expression_plant(
     constant subexpressions folded once here.  The drift is then split at
     its top-level sum: the constant terms and the constant multiples or
     quotients of one variable become the affine weights W, which the
-    simulator folds into its step matrix, and the remaining terms are the
+    simulator folds into its loop matrix, and the remaining terms are the
     residual callable (None when every term is affine), so the formula
     from the README gives W = [6, 0, -0.3, 0.5, 1] and the residual
     0.4*sin(x1) + 5.2*tanh(u), as ``bench3`` declares.  A diffusion that

@@ -1,25 +1,27 @@
 """Monte Carlo simulation of the closed loop by Euler-Maruyama stepping.
 
-Drift, diffusion and the error-integral accumulator all use the left
-endpoint of each step, so the discrete controller matches the shifted
-coordinate identity exactly at grid points.  The controller is one linear
-map, u = K @ [1; integral; x] with K from :func:`_control_law`; the open
-loop is K = 0.  :func:`simulate_paths` runs one fused kernel for every
-controller and every chunk width.  A chunk of paths lives in two
-(state rows, block, paths) arrays that take turns, and one matmul per step
-writes the next state slot in place.  The plant's affine drift part and a
-constant diffusion are folded into the kernel's step matrix, so per step
-it calls only the residual drift and a state-dependent diffusion.  The
-block is as many steps as fit one 64 KB budget per array (``_BLOCK_BYTES``):
-a few dozen for a narrow chunk, one for a full one.  Per block the kernel
-makes one noise draw, one divergence check over every state the block
-wrote, and one moment reduction of its recorded states.  Paths are
-processed in fixed chunks of 4096; each chunk draws its noise from one
-SFC64 stream seeded by ``SeedSequence(seed, spawn_key=(chunk index,))``,
-sequentially in (step, noise dimension, path) order whatever the block,
-and chunk moments are merged in chunk order, which makes the resulting
-moments bitwise identical no matter how many worker threads run the
-chunks.
+The controller is one linear map, u = K @ [1; integral; x] with K from
+:func:`_control_law`; the open loop is K = 0.  :func:`_closed_loop`
+describes the loop once in continuous time, with the plant's affine drift
+part and a constant diffusion as data; the homogeneous part of the chain
+loop under the law is the companion matrix ``lyapunov.companion(g)`` that
+the certificate reads.  :func:`_euler_maruyama` discretizes it into the
+one-step matrix M, with drift, diffusion and error integral all taken at
+the left endpoint of the step; it is the only code that applies dt.
+:func:`simulate_paths` runs one fused kernel for every controller and every
+chunk width.  A chunk of paths lives in two (state rows, block, paths)
+arrays that take turns, and one matmul by M per step writes the next state
+slot in place, so per step the kernel calls only the residual drift and a
+state-dependent diffusion.  The block is as many steps as fit one 64 KB
+budget per array (``_BLOCK_BYTES``): a few dozen for a narrow chunk, one
+for a full one.  Per block the kernel makes one noise draw, one divergence
+check over every state the block wrote, and one moment reduction of its
+recorded states.  Paths are processed in fixed chunks of 4096; each chunk
+draws its noise from one SFC64 stream seeded by ``SeedSequence(seed,
+spawn_key=(chunk index,))``, sequentially in (step, noise dimension, path)
+order whatever the block, and chunk moments are merged in chunk order,
+which makes the resulting moments bitwise identical no matter how many
+worker threads run the chunks.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import Optional
 import numpy as np
 
 from .design import BoundConstants, GainVector
-from .model import (PlantSpec, Setpoint, _as_vec, _is_integer, _is_real, _require_count,
-                    require_finite)
+from .model import (PlantSpec, Setpoint, _as_vec, _is_integer, _is_real, _require_constant,
+                    _require_count, require_finite)
 
 __all__ = [
     "SimConfig",
@@ -200,36 +202,38 @@ def _law_weights(controller: str, g: Optional[GainVector], plant: PlantSpec,
     return _control_law(g, y_star)
 
 
-def _step_matrix(plant: PlantSpec, dt: float, y_star: np.ndarray, K: np.ndarray,
-                 noise_gain: np.ndarray) -> np.ndarray:
-    """M with M @ [1; integral; x; u; f; w] = the next [1; integral; x] and the
-    next u = K @ [1; integral; x] of the control-law weights K.
+def _closed_loop(plant: PlantSpec, y_star: np.ndarray, noise_gain: np.ndarray):
+    """(A, G) of the loop d[1; integral; x] = A @ [1; integral; x; u; f] dt + G @ w.
 
-    Blocks of d rows: integral += dt*(y* - x1), x_i += dt*x_{i+1} (i < n) and
-    x_n += dt*(W @ [1; x; u] + f) + sqrt(dt)*noise_gain @ w, where W is the
-    plant's affine drift part and f its residual drift (no rows when it has
-    none).  w holds either the step's m standard normals z, with the constant
-    diffusion G as noise_gain, or the d-row term g(x) z, with noise_gain = I.
+    Row by row: the integral reads y* - x1, x_i reads x_{i+1} (i < n), and x_n
+    reads W @ [1; x; u] + f, W the plant's affine drift part and f its
+    residual drift (no column when it has none), plus noise_gain @ w.  w is
+    either m standard normals, with a constant diffusion as noise_gain, or
+    the d-row term g(x) z, with noise_gain = I.
     """
     n, d = plant.n, plant.d
     S = 1 + (n + 1) * d
-    f_rows = 0 if plant.drift is None else d
-    A = np.eye(S, S + d + f_rows + noise_gain.shape[1])
-    I = np.eye(d)
-
-    def blk(j):  # block 0 is the integral, 1..n the chain
-        return slice(1 + j * d, 1 + (j + 1) * d)
-
-    A[blk(0), 0] = dt * y_star
-    A[blk(0), blk(1)] = -dt * I
-    for j in range(1, n):
-        A[blk(j), blk(j + 1)] = dt * I
+    A = np.zeros((S, S + d + (0 if plant.drift is None else d)))
+    A[1:1 + d, 0] = y_star
+    A[1:1 + d, 1 + d:1 + 2 * d] = -np.eye(d)
+    A[1 + d:S - d, 1 + 2 * d:S] = np.eye((n - 1) * d)
     if plant.affine is not None:  # W acts on [1; x; u], every column but the integral's
-        A[blk(n), np.r_[0, 1 + d:S + d]] += dt * plant.affine
-    if f_rows:
-        A[blk(n), S + d:S + 2 * d] = dt * I
-    A[blk(n), S + d + f_rows:] = math.sqrt(dt) * noise_gain
-    return np.vstack([A, K @ A])
+        A[S - d:, np.r_[0, 1 + d:S + d]] += plant.affine
+    if plant.drift is not None:
+        A[S - d:, S + d:] = np.eye(d)
+    G = np.zeros((S, noise_gain.shape[1]))
+    G[S - d:] = noise_gain
+    return A, G
+
+
+def _euler_maruyama(A: np.ndarray, G: np.ndarray, K: np.ndarray, dt: float) -> np.ndarray:
+    """M = [I + dt*A | sqrt(dt)*G] over K times itself: M @ [1; integral; x; u; f; w]
+    is the next [1; integral; x] and its u = K @ [1; integral; x].  The 1.0 goes on
+    the diagonal of dt*A alone, which keeps the -0.0 entries of dt*A."""
+    step = np.hstack([dt * A, math.sqrt(dt) * G])
+    diagonal = np.arange(A.shape[0])
+    step[diagonal, diagonal] += 1.0
+    return np.vstack([step, K @ step])
 
 
 def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_count: int):
@@ -237,43 +241,33 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
 
     The chunk lives in two (rows, block, size) arrays whose slots are states
     [1; integral; x; u; f; w], with block = max(1, ``_BLOCK_BYTES`` //
-    (8*rows*size)) steps, at most the step count: a few dozen for a narrow
-    chunk, one for a full 4096-path one, which so does exactly one step's
-    work per block.  The arrays take turns: a block starts at slot 0 of one,
-    each step's matmul writes the next slot, and the block's last step
-    writes slot 0 of the other.  The matmul advances the integral and the
-    chain, adds the affine drift and the noise and applies the control law
-    to the result; plants see the transposed (size, n*d) view of a slot's x.
-    The diffusion is evaluated once at x0 first: an unbatched (d, m) result
-    G is constant and sqrt(dt)*G goes into the step matrix, so one draw per
-    block writes the block's standard normals straight into its w rows,
-    which are contiguous and in stream order when m = 1 or block = 1 (else
-    they go through a (block, m, size) scratch; there is no draw at all when
-    G is exactly zero: w stays zero, and M keeps its shape, so the matmul
-    sums the same terms).  Otherwise g is evaluated every step, the block's
-    normals z go to the scratch and w = g(x) z.
+    (8*rows*size)) steps, at most the step count.  The arrays take turns: a
+    block starts at slot 0 of one, each step's matmul by M writes the next
+    slot, and the block's last step writes slot 0 of the other; plants see
+    the transposed (size, n*d) view of a slot's x.  The diffusion is
+    evaluated at x0 first: an unbatched (d, m) result is constant, the noise
+    gain G, and each block's one draw writes its normals into the w rows
+    (through a (block, m, size) scratch unless m = 1 or block = 1, and not
+    at all when G is zero).  Otherwise g is evaluated every step, the
+    block's normals z go to the scratch and w = g(x) z.
 
     After a block's steps one box guard covers the [integral; x] rows of its
     whole array, whose other states were guarded before (or are x0), and
-    slot 0 of the other.  A non-finite residual drift or diffusion value
-    reaches x_n at the same step, so the guard also finds it.  The first
-    state the block wrote outside the box, and the first path in it, locate
-    the divergence; the drift (its f row) and the diffusion (evaluated
-    again, as w keeps g(x) z) at the step that produced that state are
-    checked first, to raise :class:`NonFinite` where a step-by-step
-    reference would.  Within a block a plant may see a state outside the
-    box before the guard runs, so a plant error is raised only when the
-    states the block wrote before it are all inside.
+    slot 0 of the other; a non-finite residual drift or diffusion reaches x_n
+    at the same step, so the guard finds it too.  The first state the block
+    wrote outside the box, and the first path in it, locate the divergence;
+    the drift (its f row) and the diffusion (evaluated again, as w keeps
+    g(x) z) at the step that produced it are checked first, to raise
+    :class:`NonFinite` where a step-by-step reference would.  A plant may see
+    a state outside the box before the guard runs, so a plant error is
+    raised only when the states the block wrote before it are all inside.
 
-    Each block's recorded slots are reduced to moments at once, vectorized
-    over the record axis: per record the chunk means of the rows
-    mom = [|e|^2; |x - z*|^2; |u|^2; u] over its paths and their centred
-    co-moment matrix C, the sums over paths of the products of the rows'
-    deviations from those means.  Centring within the chunk keeps the
-    spreads free of cancellation against the means.  The one-pass mean
-    sum/size is rounded, so the rows are centred twice: the mean of the
-    centred rows is added to the means and taken from the rows, and equal
-    paths give exactly zero co-moments.
+    Each block's recorded slots are reduced at once, over the record axis,
+    to the chunk means of the rows mom = [|e|^2; |x - z*|^2; |u|^2; u] and
+    their co-moment matrix C, the sums over paths of the products of the
+    rows' deviations from those means: centring within the chunk keeps the
+    spreads free of cancellation.  The rounded mean sum/size is corrected by
+    the mean of the centred rows, so equal paths give zero co-moments.
     """
     steps, stride, dt = cfg.steps, cfg.record_stride, cfg.dt
     n, d, m = plant.n, plant.d, plant.m
@@ -283,9 +277,10 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     constant = g.ndim <= 2
     if constant:
         g = require_finite(np.broadcast_to(g, (d, m)), "diffusion")
-    M = _step_matrix(plant, dt, sp.y_star, K, g if constant else np.eye(d))
+    A, G = _closed_loop(plant, sp.y_star, g if constant else np.eye(d))
+    M = _euler_maruyama(A, G, K, dt)
     Rm, R = M.shape  # the rows a step writes, the rows of a slot
-    F = R - (m if constant else d)  # first row of w
+    F = R - G.shape[1]  # first row of w
     block = max(1, min(steps, _BLOCK_BYTES // (8 * R * size)))
     arrays = [np.zeros((R, block, size)) for _ in range(2)]
     # the first u from a contiguous [1; integral; x]: a narrow strided one rounds differently
@@ -295,7 +290,7 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     arrays[0][:S, 0] = start
     np.matmul(K, start, out=arrays[0][S:S + d, 0])
     rng = _chunk_stream(cfg.seed, chunk)
-    draw = not constant or bool(g.any())  # a zero G leaves w at zero: no draw
+    draw = bool(G.any())  # a zero noise gain leaves w at zero: no draw
     # a block's w rows hold its normals in stream order (step, noise dimension, path) when
     # m = 1 or block = 1; otherwise, and for w = g(x) z, the normals are drawn into z
     z = None if constant and (m == 1 or block == 1 or not draw) else np.empty((block, m, size))
@@ -520,8 +515,12 @@ def bound_envelope(
                         + floor_coeff*|g(z*)|^2 + 3*stderr
     Lower check (asymptotic):
         tail estimate >= floor_lower_coeff*|g(z*)|^2 - 3*stderr.
-    Never raises; violations are reported as time indices.
+    Violations are reported as time indices, not raised; a negative or
+    non-finite norm raises ``ValueError`` naming it.
     """
+    _require_constant("initial_dev", initial_dev)
+    _require_constant("u_star_norm", u_star_norm)
+    _require_constant("g_norm_at_zstar", g_norm_at_zstar)
     t = stats.times
     amp = initial_dev ** 2 + u_star_norm ** 2
     floor = bc.floor_coeff * g_norm_at_zstar ** 2

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .design import GainVector, _dyadic, _routh
+from .model import _as_floats
 
 __all__ = [
     "NonPositiveCoefficient",
@@ -37,7 +38,7 @@ class DegreeTooLow(ValueError):
 
 
 def _coeffs(p) -> np.ndarray:
-    a = np.asarray(p, dtype=float)
+    a = _as_floats(p, "coefficients")
     if a.ndim != 1 or a.size < 2:
         raise ValueError("expected ascending coefficients of a degree >= 1 polynomial")
     if not np.isfinite(a).all():

@@ -8,13 +8,17 @@ from stochpid import (
     NonFinite,
     PlantSpec,
     bench3,
+    bound_constants,
     chain,
     check_inequality,
+    determining_coeffs,
     expression_plant,
     falsify_lipschitz,
     geometric_gains,
     lambda_gains,
+    nie_stable,
     ou,
+    routh_hurwitz,
     solve_equilibrium,
 )
 from helpers import ClosedLoopState
@@ -197,8 +201,11 @@ class TestAffineDrift:
         assert not plant.affine.flags.writeable
 
 
-def _spec(*constants):
-    return PlantSpec(1, 1, 1, None, lambda x: np.zeros((1, 1)), *constants)
+def _spec(*constants, **fields):
+    return PlantSpec(1, 1, 1, None, lambda x: np.zeros((1, 1)), *constants, **fields)
+
+
+PID2 = GainVector("pid", np.ones(2))
 
 
 @pytest.mark.parametrize("make, name", [
@@ -239,6 +246,28 @@ def test_non_finite_plant_constants_are_rejected(make, name, value):
     pytest.param(lambda: chain(2, bias="0.5"), "affine", id="chain-bias-str"),
     pytest.param(lambda: falsify_lipschitz(bench3(), samples=2.5), "samples",
                  id="falsify_lipschitz-samples"),
+    # bound_constants took any L and M: a negative one, NaN, or text in a TypeError
+    pytest.param(lambda: bound_constants(PID2, 1.0, -1.0, 0.0, 1.0), "L",
+                 id="bound_constants-L-negative"),
+    pytest.param(lambda: bound_constants(PID2, 1.0, 0.0, -3.0, 1.0), "M",
+                 id="bound_constants-M-negative"),
+    pytest.param(lambda: bound_constants(PID2, 1.0, np.nan, 0.0, 1.0), "L",
+                 id="bound_constants-L-nan"),
+    pytest.param(lambda: bound_constants(PID2, 1.0, "1", 0.0, 1.0), "L",
+                 id="bound_constants-L-str"),
+    # array entries were read from text and bools by np.asarray(..., dtype=float)
+    pytest.param(lambda: GainVector("pid", ["1", "2"]), "gains", id="GainVector-str"),
+    pytest.param(lambda: GainVector("pid", [True, 2.0]), "gains", id="GainVector-bool"),
+    pytest.param(lambda: lambda_gains(1.0, 0.0, 0.0, 2, betas=["0.05", "0.01"]), "betas",
+                 id="lambda_gains-betas-str"),
+    pytest.param(lambda: routh_hurwitz(["1", "3", "3", "1"]), "coefficients",
+                 id="routh_hurwitz-str"),
+    pytest.param(lambda: determining_coeffs(["1", "3", "3", "1"]), "coefficients",
+                 id="determining_coeffs-str"),
+    pytest.param(lambda: nie_stable(["1", "6", "15", "20", "15", "6", "1"]), "coefficients",
+                 id="nie_stable-str"),
+    pytest.param(lambda: _spec(0.0, 0.0, 1.0, affine=[[True, 0.0, 1.0]]), "affine",
+                 id="PlantSpec-affine-bool"),
 ])
 def test_one_number_rule_names_the_value(call, name):
     with pytest.raises(ValueError) as info:

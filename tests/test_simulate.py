@@ -24,7 +24,8 @@ from stochpid import (
     solve_equilibrium,
 )
 from helpers import ClosedLoopState, em_step
-from stochpid.simulate import _chunk_stream, _control_law
+from stochpid.lyapunov import companion
+from stochpid.simulate import _chunk_stream, _closed_loop, _control_law, _law_weights
 
 BENCH = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
 BENCH_DRIFT = "0.4*sin(x1) - 0.3*x2 + 0.5*x3 + 6 + u + 5.2*tanh(u)"
@@ -129,6 +130,24 @@ class TestControllers:
         # e = 2, e' = -x2 = -1
         state = ClosedLoopState(x=np.array([-2.0, 1.0]), integral=np.zeros(1), t=0.0)
         assert (K @ helpers.law_input(state))[0] == pytest.approx(3.0 * 2.0 + 4.0 * -1.0)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_certified_matrix_is_the_simulated_loop(self, n):
+        # under the law, the homogeneous part of the chain loop the engine steps is the
+        # companion matrix the certificate reads; PID's integral coordinate enters negated
+        plant = chain(n, sigma=0.3, bias=0.5)
+        sp = solve_equilibrium(plant, 0.7)
+        A, _ = _closed_loop(plant, sp.y_star, np.eye(1))
+        S = n + 2  # rows of [1; integral; x]
+        rng = np.random.default_rng(n)
+        pid = GainVector("pid", rng.uniform(0.5, 20.0, n + 1))
+        A_cl = A[:, :S] + A[:, S:S + 1] @ _law_weights("pid", pid, plant, sp.y_star)
+        sign = np.r_[-1.0, np.ones(n)]
+        assert np.array_equal(A_cl[1:, 1:] * np.outer(sign, sign), companion(pid))
+        pd = GainVector("pd", rng.uniform(0.5, 20.0, n))
+        A_cl = A[:, :S] + A[:, S:S + 1] @ _law_weights("pd", pd, plant, sp.y_star)
+        assert np.array_equal(A_cl[2:, 2:], companion(pd))
+        assert not A_cl[2:, 1].any()  # PD leaves the integral out of the chain
 
 
 class TestEmStep:
@@ -738,4 +757,18 @@ class TestBoundEnvelope:
         report = bound_envelope(stats, shrunk, 1.0, 0.0, 0.3)
         assert not report.upper_ok
         assert report.violations.size > 0
+
+    @pytest.mark.parametrize("name, value", [
+        ("initial_dev", np.nan), ("initial_dev", -1.0), ("u_star_norm", np.inf),
+        ("u_star_norm", -0.5), ("g_norm_at_zstar", np.nan), ("g_norm_at_zstar", -0.3)])
+    def test_bad_norms_are_named(self, name, value):
+        # a NaN initial_dev failed every comparison and so reported upper_ok=True
+        plant = chain(1)
+        sp = solve_equilibrium(plant, 1.0)
+        g = GainVector("pid", np.array([1.0, 2.0]))
+        stats = simulate_paths(plant, sp, g, SimConfig(dt=0.1, horizon=1.0, paths=2, seed=0))
+        norms = {"initial_dev": 1.0, "u_star_norm": 0.0, "g_norm_at_zstar": 0.0, name: value}
+        with pytest.raises(ValueError) as info:
+            bound_envelope(stats, bound_constants(g, 1.0, 0.0, 0.0, 1.0), **norms)
+        assert str(info.value).startswith(name)
 
