@@ -38,7 +38,8 @@ from .lyapunov import CertificateError, verify_certificate
 from .model import (NoConvergence, NonFinite, _as_vec, _is_real, _require_constant, _section,
                     solve_equilibrium)
 from .plants import BUILTIN_PLANTS, bench3, build_plant
-from .simulate import _NOISE_STREAM, Diverged, SimConfig, bound_envelope, simulate_paths
+from .simulate import (_NOISE_STREAM, Diverged, SimConfig, _law_weights, bound_envelope,
+                       simulate_paths)
 from .stability import char_coeffs, determining_coeffs, is_hurwitz
 
 EXIT_OK = 0
@@ -123,13 +124,11 @@ def _sim_config(sim: dict) -> SimConfig:
 
 
 def _run_metadata(plant_doc: dict, plant, sp, gains, cfg, x0) -> dict:
-    """CSV metadata of a run: plant, builtin params, resolved sim settings, noise stream."""
+    """CSV metadata of a run: plant, builtin params, every SimConfig field, setpoint, noise."""
     metadata = dict(plant_doc.get("params", {})) if plant_doc["kind"] in BUILTIN_PLANTS else {}
-    metadata.update(
-        plant=plant.name, controller=cfg.controller, dt=cfg.dt, horizon=cfg.horizon,
-        paths=cfg.paths, seed=cfg.seed, record_stride=cfg.record_stride, x0=_csv_list(x0),
-        y_star=_csv_list(sp.y_star), u_star=_csv_list(sp.u_star), noise=_NOISE_STREAM,
-    )
+    metadata.update({f.name: getattr(cfg, f.name) for f in dataclasses.fields(SimConfig)})
+    metadata.update(plant=plant.name, x0=_csv_list(x0), y_star=_csv_list(sp.y_star),
+                    u_star=_csv_list(sp.u_star), noise=_NOISE_STREAM)
     if gains is not None:
         metadata.update(gains=_csv_list(gains.gains), gain_kind=gains.kind)
     return metadata
@@ -145,16 +144,8 @@ def _run_config(doc: dict, workers: int):
              f"sim.x0: expected {plant.state_dim} entries for this plant")
     # an open-loop run checks a gains section it is given, then runs without it
     gains = _gains_from(doc["gains"], "gains") if "gains" in doc else None
-    if cfg.controller == "open_loop":
-        gains = None
-    else:
-        _require(gains is not None, "gains: required section for a closed-loop run")
-        _require(gains.kind == cfg.controller,
-                 f"gains.kind: a {cfg.controller} controller needs {cfg.controller} gains, "
-                 f"got {gains.kind}")
-        _require(gains.n == plant.n,
-                 f"gains.gains: {gains.gains.size} {gains.kind} gains are for relative degree "
-                 f"{gains.n}, the plant has {plant.n}")
+    gains = None if cfg.controller == "open_loop" else gains
+    _law_weights(cfg.controller, gains, plant, y_star)  # the gains fit controller and plant
     bc = None
     if "bounds" in doc:
         bounds = _section("bounds", doc["bounds"], ("lambda",), ("R",))
@@ -371,13 +362,7 @@ def _cmd_sweep(args) -> int:
             gains = _gains_from(sweep_doc["gains"], "gains")
             sweep_doc["gains"]["gains"] = (value * gains.gains).tolist()
         stats, _, _ = _run_config(sweep_doc, args.workers)
-        tail = max(1, stats.times.size // 4)
-        rows.append((
-            value,
-            float(np.mean(stats.mean_sq_error[-tail:])),
-            float(np.mean(stats.stderr_sq_error[-tail:])),
-            float(np.mean(stats.var_u[-tail:])),
-        ))
+        rows.append((value, *map(stats.tail_mean, ("mean_sq_error", "stderr_sq_error", "var_u"))))
         print(f"{args.vary}={value:g}: steady E|e|^2 = {rows[-1][1]:.6g} "
               f"(stderr {rows[-1][2]:.2g}), Var(u) = {rows[-1][3]:.6g}")
     metadata = {"vary": args.vary, "values": ",".join(f"{v:g}" for v in args.values)}

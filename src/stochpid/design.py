@@ -91,9 +91,9 @@ class GainVector:
     """Extended PID gains (k0..kn) or PD gains (k1..kn).
 
     ``kind`` is ``"pid"`` or ``"pd"``; ``gains`` holds n+1 entries for PID
-    and n entries for PD, all strictly positive.  ``gains`` is a read-only
-    copy of the values passed in, so the exact form and the verdicts cached
-    on the vector cannot go stale.
+    and n entries for PD, n >= 1, all strictly positive.  ``gains`` is a
+    read-only copy of the values passed in, so the exact form and the
+    verdicts cached on the vector cannot go stale.
     """
 
     kind: str
@@ -105,6 +105,9 @@ class GainVector:
         g = _as_floats(self.gains, "gains")
         if g.ndim != 1 or g.size < 1:
             raise ValueError("gains must be a non-empty 1-D vector")
+        if self.kind == "pid" and g.size < 2:  # no plant has relative degree 0
+            raise ValueError(f"gains of kind pid need at least 2 entries (k0..kn, n >= 1), "
+                             f"got {g.size}")
         if not all(0.0 < v < math.inf for v in g.tolist()):  # NaN fails too
             raise NonPositiveGain(f"all gains must be positive and finite, got {g}")
         g.flags.writeable = False

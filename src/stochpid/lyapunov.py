@@ -52,7 +52,6 @@ class CertificateError(ValueError):
     """
 
     def __init__(self, condition: str, eigenvalue: float):
-        self.condition = condition
         self.eigenvalue = float(eigenvalue)
         super().__init__(f"{condition} (offending eigenvalue {eigenvalue:.6g})")
 

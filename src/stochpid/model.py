@@ -205,28 +205,24 @@ def _section(where: str, value, required, optional=()) -> dict:
     return value
 
 
-def solve_equilibrium(
-    plant: PlantSpec,
-    y_star,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> Setpoint:
+_EQUILIBRIUM_TOL = 1e-10  # residual |f(z*; u*)| that ends the Newton iteration
+_EQUILIBRIUM_MAX_ITER = 200  # Newton steps before NoConvergence
+
+
+def solve_equilibrium(plant: PlantSpec, y_star) -> Setpoint:
     """Solve f(z*; u) = 0 for the equilibrium input u* by one damped Newton iteration.
 
     The same iteration, with a finite-difference Jacobian and a halving line
     search from u = 0, serves every input dimension d; it is safe because the
-    symmetrized Jacobian is bounded below by b*I.  That bound also confines
-    the root: (f(u) - f(0))'u >= b|u|^2 puts every u with |f(u)| <= tol
-    within (|f(0)| + tol)/b of the origin, so a converged u beyond that reach
-    (up to a 1e-9 relative rounding allowance) refutes the plant's asserted
-    b.  Raises :class:`NoConvergence` naming b in that case, or when the
-    residual tolerance is not met within ``max_iter`` steps, and
-    :class:`NonFinite` on NaN/Inf plant output.  Raises ``ValueError`` naming
-    ``tol`` or ``max_iter`` unless they are a positive finite number and a
-    positive integer.
+    symmetrized Jacobian is bounded below by b*I.  It stops once the residual
+    |f| is at most tol = 1e-10, within 200 Newton steps.  The bound b also
+    confines the root: (f(u) - f(0))'u >= b|u|^2 puts every u with
+    |f(u)| <= tol within (|f(0)| + tol)/b of the origin, so a converged u
+    beyond that reach (up to a 1e-9 relative rounding allowance) refutes the
+    plant's asserted b.  Raises :class:`NoConvergence` naming b in that case,
+    or when 200 steps do not reach tol, and :class:`NonFinite` on NaN/Inf
+    plant output.
     """
-    _require_constant("tol", tol, positive=True)
-    max_iter = _require_count("max_iter", max_iter)
     y = _as_vec(y_star, plant.d, "y_star")
     z = np.zeros(plant.state_dim)
     z[: plant.d] = y
@@ -237,9 +233,9 @@ def solve_equilibrium(
     u = np.zeros(plant.d)
     fu = f(u)
     res = float(np.linalg.norm(fu))
-    reach = (res + tol) / plant.gain_lower_b
-    for _ in range(max_iter):
-        if res <= tol:
+    reach = (res + _EQUILIBRIUM_TOL) / plant.gain_lower_b
+    for _ in range(_EQUILIBRIUM_MAX_ITER):
+        if res <= _EQUILIBRIUM_TOL:
             break
         try:
             step = np.linalg.solve(_fd_jacobian(f, u, fu), -fu)
@@ -256,9 +252,9 @@ def solve_equilibrium(
             alpha *= 0.5
         else:
             raise NoConvergence(f"Newton line search stalled at residual {res:.3e}")
-    if res > tol:
-        raise NoConvergence(f"equilibrium residual {res:.3e} above tolerance {tol:.1e} "
-                            f"after {max_iter} Newton steps")
+    if res > _EQUILIBRIUM_TOL:
+        raise NoConvergence(f"equilibrium residual {res:.3e} above tolerance "
+                            f"{_EQUILIBRIUM_TOL:.1e} after {_EQUILIBRIUM_MAX_ITER} Newton steps")
     dist = float(np.linalg.norm(u))
     if dist > reach * (1.0 + 1e-9):
         raise NoConvergence(

@@ -112,7 +112,6 @@ def expression_plant(
     L: float,
     M: float,
     b_lower: float = 1.0,
-    name: str = "expression",
 ) -> PlantSpec:
     """Scalar plant (d = m = 1) from DSL expressions.
 
@@ -165,7 +164,7 @@ def expression_plant(
         lipschitz_L=L,
         lipschitz_M=M,
         gain_lower_b=b_lower,
-        name=name,
+        name="expression",
         affine=affine,
     )
 
@@ -215,7 +214,7 @@ def build_plant(spec: dict, where: str = "plant") -> PlantSpec:
 
     A builtin plant is ``{"kind", "params"}`` with the builtin's keyword
     arguments as params; an expression plant has the fields of
-    :func:`expression_plant` but ``name``.  Any other key is an error."""
+    :func:`expression_plant`.  Any other key is an error."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind in tuple(BUILTIN_PLANTS):  # a tuple: an unhashable kind compares unequal
         make = BUILTIN_PLANTS[kind]

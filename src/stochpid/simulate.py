@@ -138,8 +138,6 @@ class EnsembleStats:
     stderr_sq_u: np.ndarray
     var_u: np.ndarray
     stderr_var_u: np.ndarray
-    paths: int
-    dt: float
 
     CSV_COLUMNS = (
         "t",
@@ -156,6 +154,12 @@ class EnsembleStats:
     def table(self) -> np.ndarray:
         """(records, columns) array, one row per recorded time, in ``CSV_COLUMNS`` order."""
         return np.column_stack([self.times] + [getattr(self, c) for c in self.CSV_COLUMNS[1:]])
+
+    def tail_mean(self, column: str) -> float:
+        """Mean of the series ``column`` over the trailing quarter of the records
+        (at least the last one): the long-run (liminf) estimate."""
+        series = getattr(self, column)
+        return float(np.mean(series[-max(1, series.size // 4):]))
 
 
 def _control_law(g: GainVector, y_star) -> np.ndarray:
@@ -189,16 +193,19 @@ def _chunk_stream(seed: int, chunk: int) -> np.random.Generator:
 
 def _law_weights(controller: str, g: Optional[GainVector], plant: PlantSpec,
                  y_star) -> np.ndarray:
-    """Control-law weights K for the configured controller; the open loop is K = 0."""
+    """Control-law weights K for the configured controller; the open loop is K = 0.
+    The one check that the gains fit the controller and the plant: each message
+    starts with the field it names, ``gains``, ``gains.kind`` or ``gains.gains``."""
     if controller == "open_loop":
         return np.zeros((plant.d, 1 + (plant.n + 1) * plant.d))
     if g is None:
-        raise ValueError(f"{controller} controller requires gains")
-    expected_kind = "pid" if controller == "pid" else "pd"
-    if g.kind != expected_kind:
-        raise ValueError(f"{controller} controller requires {expected_kind} gains, got {g.kind}")
+        raise ValueError("gains: required section for a closed-loop run")
+    if g.kind != controller:
+        raise ValueError(f"gains.kind: a {controller} controller needs {controller} gains, "
+                         f"got {g.kind}")
     if g.n != plant.n:
-        raise ValueError(f"gains are for relative degree {g.n}, plant has {plant.n}")
+        raise ValueError(f"gains.gains: {g.gains.size} {g.kind} gains are for relative degree "
+                         f"{g.n}, the plant has {plant.n}")
     return _control_law(g, y_star)
 
 
@@ -420,7 +427,6 @@ def simulate_paths(
     """
     K = _law_weights(cfg.controller, g, plant, sp.y_star)
     x0 = sp.z_star if cfg.x0 is None else cfg.x0
-    x0 = np.asarray(x0, dtype=float)
     if x0.shape != (plant.state_dim,):
         raise ValueError(f"x0 must have shape ({plant.state_dim},), got {x0.shape}")
 
@@ -479,8 +485,6 @@ def simulate_paths(
         stderr_sq_u=stderr(sq[:, 2]),
         var_u=sq[:, 3:].sum(axis=1) / N,
         stderr_var_u=stderr(h_sq_dev),
-        paths=N,
-        dt=cfg.dt,
     )
 
 
@@ -488,15 +492,14 @@ def simulate_paths(
 class EnvelopeReport:
     """Pointwise upper-envelope check plus the asymptotic lower-floor check.
 
-    ``tail_estimate`` averages E|x-z*|^2 over the trailing quarter of the
-    recorded times as the long-run (liminf) estimate.
+    ``tail_estimate`` is the long-run estimate of E|x-z*|^2,
+    :meth:`EnsembleStats.tail_mean` of ``mean_sq_state_dev``.
     """
 
     upper: np.ndarray
     upper_ok: bool
     violations: np.ndarray
     tail_estimate: float
-    tail_start: float
     lower_bound: float
     lower_ok: bool
 
@@ -516,28 +519,32 @@ def bound_envelope(
     Lower check (asymptotic):
         tail estimate >= floor_lower_coeff*|g(z*)|^2 - 3*stderr.
     Violations are reported as time indices, not raised; a negative or
-    non-finite norm raises ``ValueError`` naming it.
+    non-finite norm, or one whose square overflows float64, raises
+    ``ValueError`` naming it.
     """
-    _require_constant("initial_dev", initial_dev)
-    _require_constant("u_star_norm", u_star_norm)
-    _require_constant("g_norm_at_zstar", g_norm_at_zstar)
-    t = stats.times
-    amp = initial_dev ** 2 + u_star_norm ** 2
-    floor = bc.floor_coeff * g_norm_at_zstar ** 2
-    upper = bc.decay_coeff * amp * np.exp(-bc.rate * t) + floor
+    amp = _square("initial_dev", initial_dev) + _square("u_star_norm", u_star_norm)
+    g_sq = _square("g_norm_at_zstar", g_norm_at_zstar)
+    upper = bc.decay_coeff * amp * np.exp(-bc.rate * stats.times) + bc.floor_coeff * g_sq
     slack = upper + 3.0 * stats.stderr_sq_state_dev - stats.mean_sq_state_dev
     violations = np.nonzero(slack < 0.0)[0]
 
-    tail = max(1, t.size // 4)
-    tail_estimate = float(np.mean(stats.mean_sq_state_dev[-tail:]))
-    tail_err = float(np.mean(stats.stderr_sq_state_dev[-tail:]))
-    lower = bc.floor_lower_coeff * g_norm_at_zstar ** 2
+    tail_estimate = stats.tail_mean("mean_sq_state_dev")
+    tail_err = stats.tail_mean("stderr_sq_state_dev")
+    lower = bc.floor_lower_coeff * g_sq
     return EnvelopeReport(
         upper=upper,
         upper_ok=bool(violations.size == 0),
         violations=violations,
         tail_estimate=tail_estimate,
-        tail_start=float(t[-tail]),
         lower_bound=float(lower),
         lower_ok=bool(tail_estimate >= lower - 3.0 * tail_err),
     )
+
+
+def _square(name: str, v) -> float:
+    """``float(v) ** 2``; ValueError naming ``name`` unless v >= 0 and both are finite."""
+    _require_constant(name, v)
+    try:
+        return float(v) ** 2
+    except OverflowError:
+        raise ValueError(f"{name}: {v!r} squared overflows float64") from None

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import pytest
 import stochpid
 from stochpid import cli
 from stochpid.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_REJECTED, _run_config, main
+from stochpid.simulate import SimConfig
 
 
 def write_config(path, **overrides):
@@ -227,6 +229,14 @@ def test_kind_beside_a_gains_file_is_config_error(tmp_path, capsys, argv):
     for kind in ("pd", "pid"):
         assert main(argv + ["--gains-file", str(path), "--kind", kind]) == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: --kind: a gains file names its own kind\n"
+
+
+@pytest.mark.parametrize("argv", GAIN_COMMANDS)
+def test_one_pid_gain_is_config_error(capsys, argv):
+    # relative degree 0: design printed admissible, certify valid and hurwitz True
+    assert main(argv + ["--gains", "5"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: --gains: gains of kind pid need at least 2 entries")
 
 
 @pytest.mark.parametrize("argv", GAIN_COMMANDS)
@@ -467,6 +477,14 @@ class TestSimulate:
         noise = [l for l in out.read_text().splitlines() if l.startswith("# noise=")]
         assert noise == ["# noise=SFC64 per chunk of 4096 paths; "
                          "SeedSequence(seed, spawn_key=(chunk,))"]
+
+    def test_metadata_records_every_sim_config_field(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", **{"sim.paths": 4})
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        keys = {line[2:].partition("=")[0] for line in out.read_text().splitlines()
+                if line.startswith("# ")}
+        assert {f.name for f in dataclasses.fields(SimConfig)} <= keys
 
     @pytest.mark.parametrize("overrides, message", [
         ({"sim.record_strid": 100}, "sim: unknown keys ['record_strid']"),  # ran at stride 1

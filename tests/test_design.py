@@ -40,6 +40,14 @@ class TestGainVector:
         with pytest.raises(ValueError, match="read-only"):
             g.gains[0] = -1.0
 
+    def test_a_pid_vector_needs_two_entries(self):
+        # one pid entry is relative degree 0, which no plant has; it was called admissible,
+        # certified and Hurwitz
+        with pytest.raises(ValueError, match=r"^gains of kind pid need at least 2 entries"):
+            GainVector("pid", np.array([5.0]))
+        assert GainVector("pd", np.array([5.0])).n == 1
+        assert GainVector("pid", np.array([5.0, 1.0])).n == 1
+
     def test_copies_and_pickles_are_read_only_copies(self):
         g = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
         assert is_hurwitz(g) and check_inequality(g, L_BENCH, 0.0).admissible  # fill the cache

@@ -72,7 +72,7 @@ class TestSolveEquilibrium:
 
         plant = PlantSpec(1, 1, 1, drift, lambda x: np.zeros((1, 1)), 0.0, 0.0)
         with pytest.raises(NoConvergence):
-            solve_equilibrium(plant, 0.0, max_iter=30)
+            solve_equilibrium(plant, 0.0)
 
     def test_nonfinite_plant(self):
         def drift(x, u):
@@ -133,16 +133,6 @@ class TestSolveEquilibrium:
         plant = PlantSpec(1, 1, 1, None, lambda x: np.zeros((1, 1)), 0.0, 0.0,
                           gain_lower_b=b, affine=[[c, 0.0, b]])
         assert solve_equilibrium(plant, 0.0).u_star[0] == pytest.approx(-c / b, rel=1e-14)
-
-    @pytest.mark.parametrize("kwargs, name", [({"tol": float("nan")}, "tol"),
-                                              ({"tol": -1.0}, "tol"),
-                                              ({"max_iter": 0}, "max_iter"),
-                                              ({"max_iter": 2.5}, "max_iter")])
-    def test_tolerance_and_iteration_count_checked(self, kwargs, name):
-        # tol=nan ran the whole iteration and ended in NoConvergence
-        with pytest.raises(ValueError) as info:
-            solve_equilibrium(bench3(), 1.0, **kwargs)
-        assert str(info.value).startswith(name)
 
 
 class TestShiftedCoordinates:

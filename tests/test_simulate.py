@@ -283,7 +283,7 @@ class TestSimulatePaths:
         cfg = SimConfig(dt=0.1, horizon=1.0, paths=1, seed=1)
         # relative degree 3 on a degree-2 plant, and PD gains for the PID controller
         for gains, match in ((BENCH, "relative degree 3"),
-                             (GainVector("pd", np.array([3.0, 4.0])), "requires pid gains")):
+                             (GainVector("pd", np.array([3.0, 4.0])), "needs pid gains")):
             with pytest.raises(ValueError, match=match):
                 simulate_paths(plant, sp, gains, cfg)
 
@@ -760,9 +760,11 @@ class TestBoundEnvelope:
 
     @pytest.mark.parametrize("name, value", [
         ("initial_dev", np.nan), ("initial_dev", -1.0), ("u_star_norm", np.inf),
-        ("u_star_norm", -0.5), ("g_norm_at_zstar", np.nan), ("g_norm_at_zstar", -0.3)])
+        ("u_star_norm", -0.5), ("g_norm_at_zstar", np.nan), ("g_norm_at_zstar", -0.3),
+        ("initial_dev", 1e200), ("u_star_norm", 1e200), ("g_norm_at_zstar", np.float64(1e200))])
     def test_bad_norms_are_named(self, name, value):
-        # a NaN initial_dev failed every comparison and so reported upper_ok=True
+        # a NaN initial_dev failed every comparison and so reported upper_ok=True; a finite
+        # norm above about 1.3e154 ended in OverflowError, or a RuntimeWarning for a numpy one
         plant = chain(1)
         sp = solve_equilibrium(plant, 1.0)
         g = GainVector("pid", np.array([1.0, 2.0]))
