@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .design import GainVector, bound_constants, check_inequality, geometric_gains, lambda_gains
-from .lyapunov import CertificateError, verify_certificate
+from .lyapunov import CertificateError, q_diagonal, verify_certificate
 from .model import (NoConvergence, NonFinite, _as_vec, _is_real, _require_constant, _section,
                     solve_equilibrium)
 from .plants import BUILTIN_PLANTS, bench3, build_plant
@@ -225,7 +225,10 @@ def _cmd_certify(args) -> int:
     try:
         cert = verify_certificate(g, args.L, args.M)
     except CertificateError as exc:
+        # condition (ii) is min(q) > 2*kbar, so both explain a rejection
         print(f"certificate rejected: {exc}")
+        print(f"  Q diagonal       = {', '.join(f'{q:.6g}' for q in q_diagonal(g))}")
+        print(f"  2*kbar           = {2.0 * g.kbar(args.L, args.M):.6g}")
         return EXIT_REJECTED
     print(f"certificate valid for (L={args.L:g}, M={args.M:g}), kbar={cert.kbar:.6g}")
     print(f"  min eig P        = {cert.min_eig_P:.6g}")

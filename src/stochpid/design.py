@@ -186,8 +186,13 @@ class BoundConstants:
 
 
 def _gain_sum(gains: np.ndarray) -> float:
-    """numpy's sum of the gains, inf when it overflows; its pairwise sum rounds unlike
+    """numpy's sum of positive gains, inf when it overflows; its pairwise sum rounds unlike
     a sequential one from 8 entries on, so the sum stays numpy's."""
+    v = gains.tolist()
+    # no partial sum exceeds len*max by more than a few ulps, so half the float64 range
+    # rules out overflow and skips np.errstate, which costs more than the sum
+    if max(v) * len(v) < 2.0 ** 1023:
+        return float(gains.sum())
     with np.errstate(over="ignore"):
         return float(gains.sum())
 

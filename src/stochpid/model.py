@@ -1,4 +1,4 @@
-"""Plant description, equilibrium solving and the Lipschitz falsifier.
+"""Plant description and equilibrium solving.
 
 A plant of relative degree n is the n-chain of integrators
 
@@ -7,11 +7,10 @@ A plant of relative degree n is the n-chain of integrators
 with x in R^(n*d), u in R^d and an m-dimensional Brownian motion.  The user
 asserts the Lipschitz constants L (drift in x, uniform in u) and M
 (diffusion, Hilbert-Schmidt norm) plus a lower bound b on the symmetrized
-control gain matrix; these are inputs, not derived quantities, and can only
-be refuted by sampling (see :func:`falsify_lipschitz`).  The bound b makes
-the setpoint input u* unique for every d; :func:`solve_equilibrium` finds it
-by one damped Newton iteration and rejects a root farther from the origin
-than b allows.
+control gain matrix; these are inputs, not derived quantities.  The bound b
+makes the setpoint input u* unique for every d; :func:`solve_equilibrium`
+finds it by one damped Newton iteration and rejects a root farther from the
+origin than b allows.
 
 The drift splits into an affine part given as data and a residual callable:
 f(x; u) = W @ [1; x; u] + drift(x, u), with the weights W = ``affine`` of
@@ -42,7 +41,6 @@ __all__ = [
     "NoConvergence",
     "NonFinite",
     "solve_equilibrium",
-    "falsify_lipschitz",
 ]
 
 
@@ -131,7 +129,6 @@ class Setpoint:
     y_star: np.ndarray
     z_star: np.ndarray
     u_star: np.ndarray
-    residual: float
 
 
 def _is_real(value) -> bool:
@@ -260,7 +257,7 @@ def solve_equilibrium(plant: PlantSpec, y_star) -> Setpoint:
         raise NoConvergence(
             f"root |u| = {dist:.6g} lies beyond (|f(0)| + tol)/b = {reach:.6g}, so the plant "
             f"violates its asserted gain_lower_b b = {plant.gain_lower_b!r}")
-    return Setpoint(y_star=y, z_star=z, u_star=u, residual=res)
+    return Setpoint(y_star=y, z_star=z, u_star=u)
 
 
 def _fd_jacobian(f, u: np.ndarray, fu: np.ndarray) -> np.ndarray:
@@ -272,47 +269,3 @@ def _fd_jacobian(f, u: np.ndarray, fu: np.ndarray) -> np.ndarray:
         up[j] += h
         J[:, j] = (f(up) - fu) / h
     return J
-
-
-def falsify_lipschitz(
-    plant: PlantSpec,
-    samples: int = 1000,
-    radius: float = 10.0,
-    seed: int = 0,
-) -> Optional[dict]:
-    """Try to refute the asserted L and M constants by random sampling.
-
-    Draws ``samples`` pairs (x, y) uniformly in a box of the given radius
-    (and a shared random input) in one batch, evaluates the plant once per
-    batch and compares difference quotients against the asserted constants.
-    Returns None when no violation is found, otherwise a dict with the
-    worst offending pair (the first one, on ties).  Absence of a
-    counterexample proves nothing; the constants remain user assertions.
-    """
-    samples = _require_count("samples", samples)
-    _require_constant("radius", radius, positive=True)
-    nd, d = plant.state_dim, plant.d
-    if not 4.0 * radius * radius * nd < math.inf:  # an infinite distance would hide violations
-        raise ValueError(f"radius={radius!r}: squared distances across the box overflow float64")
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform(-radius, radius, (samples, 2 * nd + d))  # rows (x1, x2, u)
-    x1, x2, u = draws[:, :nd], draws[:, nd:2 * nd], draws[:, 2 * nd:]
-    dist = np.linalg.norm(x1 - x2, axis=-1)
-    df = np.linalg.norm(plant.eval_drift(x1, u) - plant.eval_drift(x2, u), axis=-1)
-    dg = np.linalg.norm(plant.eval_diffusion(x1) - plant.eval_diffusion(x2), axis=(-2, -1))
-    tol = 1e-9 * (1.0 + dist)
-    over = (df > plant.lipschitz_L * dist + tol) | (dg > plant.lipschitz_M * dist + tol)
-    bad = over & (dist > 0.0)
-    if not bad.any():
-        return None
-    safe = np.where(bad, dist, 1.0)  # coincident pairs are never violations
-    ratio_f, ratio_g = df / safe, dg / safe
-    i = int(np.argmax(np.where(bad, np.maximum(ratio_f, ratio_g), -np.inf)))
-    return {
-        "x1": x1[i].copy(),
-        "x2": x2[i].copy(),
-        "u": u[i].copy(),
-        "drift_ratio": float(ratio_f[i]),
-        "diffusion_ratio": float(ratio_g[i]),
-        "ratio": float(max(ratio_f[i], ratio_g[i])),
-    }

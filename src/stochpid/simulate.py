@@ -520,11 +520,18 @@ def bound_envelope(
         tail estimate >= floor_lower_coeff*|g(z*)|^2 - 3*stderr.
     Violations are reported as time indices, not raised; a negative or
     non-finite norm, or one whose square overflows float64, raises
-    ``ValueError`` naming it.
+    ``ValueError`` naming it, and so does a term of the upper envelope
+    that overflows float64.
     """
     amp = _square("initial_dev", initial_dev) + _square("u_star_norm", u_star_norm)
     g_sq = _square("g_norm_at_zstar", g_norm_at_zstar)
-    upper = bc.decay_coeff * amp * np.exp(-bc.rate * stats.times) + bc.floor_coeff * g_sq
+    decay, floor = bc.decay_coeff * amp, bc.floor_coeff * g_sq
+    for name, term in (("decay_coeff*(initial_dev^2 + u_star_norm^2)", decay),
+                       ("floor_coeff*g_norm_at_zstar^2", floor),
+                       ("the upper envelope at t = 0", decay + floor)):
+        if not math.isfinite(term):
+            raise ValueError(f"{name} = {term} overflows float64")
+    upper = decay * np.exp(-bc.rate * stats.times) + floor
     slack = upper + 3.0 * stats.stderr_sq_state_dev - stats.mean_sq_state_dev
     violations = np.nonzero(slack < 0.0)[0]
 

@@ -166,6 +166,22 @@ class TestCertify:
     def test_rejected(self):
         assert main(["certify", "--gains", "1,1,4", "--L", "0"]) == EXIT_REJECTED
 
+    @pytest.mark.parametrize("argv, first, q, twice_kbar", [
+        (["1,1,4", "--L", "0.5", "--M", "0.5"],
+         "P*A + A'*P + 2*kbar*I is not negative definite (offending eigenvalue 22)",
+         "2, -14, 30", "8"),
+        # min(q) > 2*kbar, but the companion matrix is not Hurwitz
+        (["74.60806914600228,5.654475268531501,0.13957040433426207,1.598536863978957,"
+          "12.435839659435544", "--L", "0.01"],
+         "P is not positive definite (offending eigenvalue -2008.24)",
+         "11132.7, 22.2939, 3675.14, 9.47689, 306.103", "1.88873"),
+    ], ids=["not-negative-definite", "not-positive-definite"])
+    def test_rejection_prints_q_and_2kbar(self, capsys, argv, first, q, twice_kbar):
+        assert main(["certify", "--gains", *argv]) == EXIT_REJECTED
+        assert capsys.readouterr().out == (f"certificate rejected: {first}\n"
+                                           f"  Q diagonal       = {q}\n"
+                                           f"  2*kbar           = {twice_kbar}\n")
+
     def test_bad_gains_are_config_errors(self, tmp_path, capsys):
         assert main(["certify", "--gains=-1,2", "--L", "0"]) == EXIT_CONFIG
         assert "--gains: all gains must be positive" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import pickle
 import re
 import sys
 import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from stochpid import (
     is_hurwitz,
     lambda_gains,
 )
-from stochpid.design import _k_admissible_threshold, _terms
+from stochpid.design import _gain_sum, _k_admissible_threshold, _terms
 
 L_BENCH = math.sqrt(3.0) / 2.0
 
@@ -102,6 +103,34 @@ class TestGainVector:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(out == expected for out in seen)
+
+
+def errstate_sum(gains):
+    """Reference for _gain_sum: numpy's sum under np.errstate, whatever the gains."""
+    with np.errstate(over="ignore"):
+        return float(gains.sum())
+
+
+class TestGainSum:
+    def test_bitwise_equal_to_the_errstate_sum(self):
+        # the overflow pre-check picks a path only; the sum is numpy's pairwise one either way
+        rng = np.random.default_rng(31)
+        grid = [10.0 ** rng.uniform(-300.0, 300.0, size)
+                for size in range(1, 10) for _ in range(200)]
+        top = sys.float_info.max
+        # just below the pre-check's bound, and beyond it with finite and infinite sums
+        grid += [np.array(v) for v in ([top / 4.001] * 2, [top / 16.01] * 8, [top / 18.01] * 9,
+                                       [top / 2], [top / 4, top / 4], [top / 2, top / 4],
+                                       [top / 3] * 3, [top, 1.0], [top / 8] * 8, [top / 9] * 9)]
+        for gains in grid:
+            expected = np.float64(errstate_sum(gains)).tobytes()
+            assert np.float64(_gain_sum(gains)).tobytes() == expected
+
+    @pytest.mark.parametrize("gains", [[1e308, 1e308], [1e308, 1.0, 1e308], [6e307] * 9])
+    def test_an_overflowing_sum_is_inf_without_a_warning(self, gains):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _gain_sum(np.array(gains)) == math.inf
 
 
 class TestCheckInequality:

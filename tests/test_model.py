@@ -13,7 +13,6 @@ from stochpid import (
     check_inequality,
     determining_coeffs,
     expression_plant,
-    falsify_lipschitz,
     geometric_gains,
     lambda_gains,
     nie_stable,
@@ -44,7 +43,7 @@ class TestSolveEquilibrium:
         plant = bench3(a=0.0, b=-0.3, c=0.5, d=6.0, mu=0.0, sigma=0.0)
         sp = solve_equilibrium(plant, 0.0)
         assert sp.u_star == pytest.approx(-6.0, abs=1e-10)
-        assert sp.residual <= 1e-10
+        assert np.linalg.norm(plant.eval_drift(sp.z_star, sp.u_star)) <= 1e-10
         assert np.array_equal(sp.z_star, [0.0, 0.0, 0.0])
 
     def test_saturating_input_plant(self):
@@ -52,7 +51,7 @@ class TestSolveEquilibrium:
         sp = solve_equilibrium(plant, 0.0)
         oracle = bisect_u_star(lambda u: u + 5.2 * np.tanh(u) + 6.0, -6.0, 0.0)
         assert sp.u_star[0] == pytest.approx(oracle, abs=1e-6)
-        assert sp.residual <= 1e-10
+        assert np.linalg.norm(plant.eval_drift(sp.z_star, sp.u_star)) <= 1e-10
 
     def test_identity_plant(self):
         plant = chain(2)
@@ -93,8 +92,7 @@ class TestSolveEquilibrium:
 
         plant = PlantSpec(2, 2, 1, drift, lambda x: np.zeros((2, 1)), 0.0, 0.0)
         sp = solve_equilibrium(plant, np.array([0.3, -0.7]))
-        assert sp.residual <= 1e-10
-        assert np.linalg.norm(drift(sp.z_star, sp.u_star)) <= 1e-10
+        assert np.linalg.norm(plant.eval_drift(sp.z_star, sp.u_star)) <= 1e-10
 
     @pytest.mark.parametrize("family, shape", [
         ("tanh", np.tanh), ("arctan", np.arctan), ("cubic", lambda u: u ** 3),
@@ -113,7 +111,7 @@ class TestSolveEquilibrium:
             sp = solve_equilibrium(plant, 0.0)
             reach = (abs(c) + 1.0) / b  # f(-reach) < 0 < f(reach)
             assert sp.u_star[0] == pytest.approx(bisect_u_star(f, -reach, reach), abs=1e-6)
-            assert sp.residual <= 1e-10 and abs(f(sp.u_star[0])) <= 1e-10
+            assert np.linalg.norm(plant.eval_drift(sp.z_star, sp.u_star)) <= 1e-10
 
     def test_root_beyond_reach_of_b_raises(self):
         # f = 0.01u + 5 has its root at -500, beyond (|f(0)| + tol)/b = 5 for b = 1
@@ -199,7 +197,7 @@ PID2 = GainVector("pid", np.ones(2))
 
 
 @pytest.mark.parametrize("make, name", [
-    # asserted constants that falsify_lipschitz could never refute
+    # asserted constants that no sampling could ever refute
     pytest.param(lambda v: _spec(v, 0.0), "lipschitz_L", id="PlantSpec-L"),
     pytest.param(lambda v: _spec(0.0, v), "lipschitz_M", id="PlantSpec-M"),
     pytest.param(lambda v: _spec(0.0, 0.0, v), "gain_lower_b", id="PlantSpec-b"),
@@ -234,8 +232,6 @@ def test_non_finite_plant_constants_are_rejected(make, name, value):
     # the affine weights were read from text
     pytest.param(lambda: bench3(d="6.5"), "affine", id="bench3-d-str"),
     pytest.param(lambda: chain(2, bias="0.5"), "affine", id="chain-bias-str"),
-    pytest.param(lambda: falsify_lipschitz(bench3(), samples=2.5), "samples",
-                 id="falsify_lipschitz-samples"),
     # bound_constants took any L and M: a negative one, NaN, or text in a TypeError
     pytest.param(lambda: bound_constants(PID2, 1.0, -1.0, 0.0, 1.0), "L",
                  id="bound_constants-L-negative"),
@@ -269,86 +265,3 @@ def test_counts_are_stored_as_int():
     plant = PlantSpec(2.0, np.int64(1), 1, None, lambda x: np.zeros((1, 1)), 0.0, 0.0)
     assert (type(plant.n), type(plant.d), plant.state_dim) == (int, int, 2)
     assert geometric_gains(10.0, 2.0).n == 2
-
-
-def understated_bench3() -> PlantSpec:
-    """bench3's residual drift with an understated drift constant L = 0.01."""
-    plant = bench3()
-    return PlantSpec(
-        n=3, d=1, m=1,
-        drift=plant.drift, diffusion=plant.diffusion,
-        lipschitz_L=0.01, lipschitz_M=0.0,
-    )
-
-
-def sin_diffusion_plant() -> PlantSpec:
-    """g(x) = sin(x1) asserted with M = 0."""
-    def diffusion(x):
-        x = np.asarray(x, dtype=float)
-        return np.sin(x[..., 0:1, None])
-
-    return PlantSpec(1, 1, 1, lambda x, u: u, diffusion, 0.0, 0.0)
-
-
-def falsify_per_sample(plant, samples, radius, seed):
-    """Reference for falsify_lipschitz: one pair per plant call, the first worst kept."""
-    rng = np.random.default_rng(seed)
-    nd, d = plant.state_dim, plant.d
-    worst = None
-    for _ in range(samples):
-        x1 = rng.uniform(-radius, radius, nd)
-        x2 = rng.uniform(-radius, radius, nd)
-        u = rng.uniform(-radius, radius, d)
-        dist = float(np.linalg.norm(x1 - x2))
-        if dist == 0.0:
-            continue
-        df = float(np.linalg.norm(plant.eval_drift(x1, u) - plant.eval_drift(x2, u)))
-        dg = float(np.linalg.norm(plant.eval_diffusion(x1) - plant.eval_diffusion(x2)))
-        tol = 1e-9 * (1.0 + dist)
-        if df > plant.lipschitz_L * dist + tol or dg > plant.lipschitz_M * dist + tol:
-            ratio = max(df / dist, dg / dist)
-            if worst is None or ratio > worst["ratio"]:
-                worst = {"x1": x1, "x2": x2, "u": u, "drift_ratio": df / dist,
-                         "diffusion_ratio": dg / dist, "ratio": ratio}
-    return worst
-
-
-class TestFalsifyLipschitz:
-    def test_valid_constants_not_refuted(self):
-        assert falsify_lipschitz(bench3(), samples=300, seed=1) is None
-
-    def test_understated_drift_constant_refuted(self):
-        found = falsify_lipschitz(understated_bench3(), samples=300, seed=1)
-        assert found is not None
-        assert found["drift_ratio"] > 0.01
-
-    def test_understated_diffusion_constant_refuted(self):
-        found = falsify_lipschitz(sin_diffusion_plant(), samples=500, seed=2)
-        assert found is not None
-        assert found["diffusion_ratio"] > 0.0
-
-    @pytest.mark.parametrize("make_plant", [bench3, understated_bench3, sin_diffusion_plant])
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_batch_matches_per_sample_loop(self, make_plant, seed):
-        # one batched draw is the per-sample stream in order; the norms may
-        # round differently, so only the ratios carry a tolerance
-        plant = make_plant()
-        found = falsify_lipschitz(plant, samples=300, radius=4.0, seed=seed)
-        expect = falsify_per_sample(plant, 300, 4.0, seed)
-        assert (found is None) == (expect is None)
-        if expect is not None:
-            for key in ("x1", "x2", "u"):
-                assert np.array_equal(found[key], expect[key])
-            for key in ("drift_ratio", "diffusion_ratio", "ratio"):
-                assert found[key] == pytest.approx(expect[key], rel=1e-15, abs=0.0)
-
-    def test_samples_must_be_positive(self):
-        with pytest.raises(ValueError, match="samples"):
-            falsify_lipschitz(bench3(), samples=0)
-
-    @pytest.mark.parametrize("radius", [0.0, -10.0, np.nan, np.inf, 1e154, 1e308])
-    def test_radius_must_be_positive_and_bounded(self, radius):
-        # 0 gave a vacuous None, -10 a numpy "high - low < 0", NaN and inf an OverflowError;
-        # 1e154 overflows the squared distances to inf tolerances, 1e308 even the box width
-        with pytest.raises(ValueError, match="^radius"):
-            falsify_lipschitz(understated_bench3(), samples=10, radius=radius)

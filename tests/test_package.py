@@ -79,13 +79,6 @@ def test_no_orphan_private_names():
     assert sorted(f"{m}.{n}" for m, n in defined if n not in referenced) == []
 
 
-# public names with no caller yet, each with the reason it stays
-UNCALLED_PUBLIC = {
-    "q_diagonal": "gives q for a rejected vector too, which LyapunovCertificate.Q cannot",
-    "falsify_lipschitz": "the in-class plant generator of the uncertainty-class test will call it",
-}
-
-
 def test_no_uncalled_public_names():
     # a public name that neither the package, the benchmark nor the acceptance gate
     # references beyond its own definition is dead API
@@ -96,4 +89,4 @@ def test_no_uncalled_public_names():
     referenced = set().union(*map(_referenced, [*package.glob("*.py"),
                                                 *(root / "perfbench").glob("*.py"),
                                                 root / "tests" / "test_acceptance.py"]))
-    assert sorted(public - referenced) == sorted(UNCALLED_PUBLIC)
+    assert public - referenced == set()

@@ -774,3 +774,22 @@ class TestBoundEnvelope:
             bound_envelope(stats, bound_constants(g, 1.0, 0.0, 0.0, 1.0), **norms)
         assert str(info.value).startswith(name)
 
+    @pytest.mark.parametrize("rate, norms, name", [
+        (None, (1e154, 1e154, 0.0), "decay_coeff"),
+        (None, (1.0, 0.0, 1.3e154), "floor_coeff"),
+        (1000.0, (1e154, 1e154, 0.0), "decay_coeff"),
+        (None, (1e154, 0.0, 5e153), "the upper envelope"),
+    ], ids=["decay-term", "floor-term", "decay-term-underflowing-exp", "sum-of-terms"])
+    def test_overflowing_envelope_terms_are_named(self, rate, norms, name):
+        # finite squares whose envelope term overflowed gave an all-inf upper with
+        # upper_ok=True; once exp(-rate*t) underflowed, inf*0 was a NaN and a RuntimeWarning
+        plant = chain(1, sigma=0.1)
+        sp = solve_equilibrium(plant, 1.0)
+        g = GainVector("pid", np.array([1.0, 2.0]))
+        stats = simulate_paths(plant, sp, g, SimConfig(dt=0.1, horizon=1.0, paths=2, seed=0))
+        bc = bound_constants(g, 1.0, 0.0, 0.0, 1.0)
+        if rate is not None:
+            bc = type(bc)(decay_coeff=1.0, floor_coeff=0.0, rate=rate, floor_lower_coeff=0.0)
+        with pytest.raises(ValueError) as info:
+            bound_envelope(stats, bc, *norms)
+        assert str(info.value).startswith(name)
