@@ -149,8 +149,9 @@ def _run_config(doc: dict, workers: int):
     bc = None
     if "bounds" in doc:
         bounds = _section("bounds", doc["bounds"], ("lambda",), ("R",))
-        _require(gains is not None and gains.kind == "pid",
-                 "bounds: the envelope constants are defined for PID gains")
+        # the gains fit the controller, so only the controller can be wrong here
+        _require(cfg.controller == "pid", "bounds: the envelope constants are defined for the "
+                 f"pid controller, not {cfg.controller}")
         lam, R = bounds["lambda"], bounds.get("R", 1.0)
         _require(_is_real(lam) and lam > 0,
                  f"bounds.lambda: expected a positive number, got {lam!r}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -139,18 +139,6 @@ class EnsembleStats:
     var_u: np.ndarray
     stderr_var_u: np.ndarray
 
-    CSV_COLUMNS = (
-        "t",
-        "mean_sq_error",
-        "stderr_sq_error",
-        "mean_sq_state_dev",
-        "stderr_sq_state_dev",
-        "mean_sq_u",
-        "stderr_sq_u",
-        "var_u",
-        "stderr_var_u",
-    )
-
     def table(self) -> np.ndarray:
         """(records, columns) array, one row per recorded time, in ``CSV_COLUMNS`` order."""
         return np.column_stack([self.times] + [getattr(self, c) for c in self.CSV_COLUMNS[1:]])
@@ -160,6 +148,11 @@ class EnsembleStats:
         (at least the last one): the long-run (liminf) estimate."""
         series = getattr(self, column)
         return float(np.mean(series[-max(1, series.size // 4):]))
+
+
+# the CSV header: the field names in order, "t" for times
+EnsembleStats.CSV_COLUMNS = tuple("t" if f.name == "times" else f.name
+                                  for f in fields(EnsembleStats))
 
 
 def _control_law(g: GainVector, y_star) -> np.ndarray:
@@ -252,11 +245,12 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     block starts at slot 0 of one, each step's matmul by M writes the next
     slot, and the block's last step writes slot 0 of the other; plants see
     the transposed (size, n*d) view of a slot's x.  The diffusion is
-    evaluated at x0 first: an unbatched (d, m) result is constant, the noise
-    gain G, and each block's one draw writes its normals into the w rows
-    (through a (block, m, size) scratch unless m = 1 or block = 1, and not
-    at all when G is zero).  Otherwise g is evaluated every step, the
-    block's normals z go to the scratch and w = g(x) z.
+    evaluated at x0 first, and the noise takes one of two paths.  An
+    unbatched (d, m) result is constant, the noise gain G, and each block's
+    one draw writes its normals straight into the w rows (not at all when G
+    is zero); with m > 1 columns a block is one step, so that the rows take
+    them in stream order.  Otherwise g is evaluated every step, the block's
+    normals z go to a (block, m, size) scratch and w = g(x) z.
 
     After a block's steps one box guard covers the [integral; x] rows of its
     whole array, whose other states were guarded before (or are x0), and
@@ -288,7 +282,9 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     M = _euler_maruyama(A, G, K, dt)
     Rm, R = M.shape  # the rows a step writes, the rows of a slot
     F = R - G.shape[1]  # first row of w
-    block = max(1, min(steps, _BLOCK_BYTES // (8 * R * size)))
+    # a constant diffusion with m > 1 steps one slot per block, so that each draw fills the
+    # (m, 1, size) w rows in stream order (step, noise dimension, path), as for m = 1
+    block = 1 if constant and m > 1 else max(1, min(steps, _BLOCK_BYTES // (8 * R * size)))
     arrays = [np.zeros((R, block, size)) for _ in range(2)]
     # the first u from a contiguous [1; integral; x]: a narrow strided one rounds differently
     start = np.zeros((S, size))
@@ -298,22 +294,20 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     np.matmul(K, start, out=arrays[0][S:S + d, 0])
     rng = _chunk_stream(cfg.seed, chunk)
     draw = bool(G.any())  # a zero noise gain leaves w at zero: no draw
-    # a block's w rows hold its normals in stream order (step, noise dimension, path) when
-    # m = 1 or block = 1; otherwise, and for w = g(x) z, the normals are drawn into z
-    z = None if constant and (m == 1 or block == 1 or not draw) else np.empty((block, m, size))
+    # a constant diffusion draws its normals into the w rows, w = g(x) z draws them into z
+    z = None if constant else np.empty((block, m, size))
 
     def layout(k: int):
         """Views of a block that starts in arrays[k]: per slot x and u as the plant
         sees them, the f and w rows, the slot's normals (or None), the matmul input
-        and output; the arrays the guard covers; where the block's normals are
-        drawn, and the w rows they are then copied to (or None)."""
+        and output; the arrays the guard covers; where the block's normals are drawn."""
         A, B = arrays[k], arrays[1 - k]
         out = [A[:Rm, j] for j in range(1, block)] + [B[:Rm, 0]]
         slots = [(A[1 + d:S, j].T, A[S:S + d, j].T, A[S + d:F, j], A[F:, j],
                   None if z is None else z[j], A[:, j], out[j]) for j in range(block)]
         # every state in A but the ones the block writes is already guarded (or x0)
         box = [A[1:S], B[1:S, 0]] if block > 1 else [B[1:S, 0]]
-        return slots, box, A[F:] if z is None else z, A[F:] if constant and z is not None else None
+        return slots, box, A[F:] if constant else z
 
     def locate(k: int, s0: int, nb: int, written: int):
         """Divergence marker of the first of the ``written`` states after the start
@@ -358,14 +352,13 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     # overflow and NaN reach the box guard and require_finite; warnings would repeat them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for s0 in range(0, steps, block):
-            slots, box, normals, w_rows = blocks[k]
+            slots, box, normals = blocks[k]
             nb = block
             if s0 + block > steps:  # the last block: its last step writes slot 0 of the other array
                 nb = steps - s0
                 *_, out = slots[-1]
                 slots = slots[:nb - 1] + [slots[nb - 1][:-1] + (out,)]
-                normals = normals[:nb] if z is not None else normals[:, :nb]
-                w_rows = None if w_rows is None else w_rows[:, :nb]
+                normals = normals[:, :nb] if constant else normals[:nb]
             s = s0
             try:
                 for x, u, f_row, w_row, z_j, state, out in slots:
@@ -379,8 +372,6 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
                     # about 3% slower
                     if s == s0 and draw:
                         rng.standard_normal(out=normals)
-                        if w_rows is not None:
-                            w_rows[...] = normals.transpose(1, 0, 2)
                     if not constant:  # one (d, m) matrix per path
                         if s:
                             g = np.asarray(plant.diffusion(x), dtype=float)
@@ -463,10 +454,9 @@ def simulate_paths(
     sq = np.diagonal(C, axis1=1, axis2=2)  # sums of squared deviations
 
     def stderr(sq_dev: np.ndarray) -> np.ndarray:
-        """Standard error of a path mean from its sum of squared deviations."""
-        if N == 1:
-            return np.zeros_like(sq_dev)
-        return np.sqrt(np.maximum(sq_dev, 0.0) / (N - 1) / N)
+        """Standard error of a path mean from its sum of squared deviations (exactly
+        +0.0 for one path, whose centred deviations are +0.0)."""
+        return np.sqrt(np.maximum(sq_dev, 0.0) / max(N - 1, 1) / N)
 
     # delta method: to first order var_u varies like the path mean of
     # h = |u|^2 - 2 (E u).u = v.mom with v = [0, 0, 1, -2 E u]

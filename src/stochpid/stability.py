@@ -87,12 +87,9 @@ def nie_stable(p) -> bool:
     if N < 5:
         raise DegreeTooLow("nie_stable applies to degree >= 5; use routh_hurwitz")
     alpha = determining_coeffs(a)
-    if not np.all(alpha < 0.5):
-        return False
-    for i in range(2, N - 2):  # paper-style indices 2..N-3, 1-based alphas
-        if alpha[i - 1] + alpha[i - 2] * alpha[i - 1] * alpha[i] > 0.5:
-            return False
-    return True
+    # alpha[1:-1] are the paper's alpha_2..alpha_{N-3}, with their neighbours on either side
+    return bool(np.all(alpha < 0.5)
+                and np.all(alpha[1:-1] + alpha[:-2] * alpha[1:-1] * alpha[2:] <= 0.5))
 
 
 def routh_hurwitz(p) -> bool:

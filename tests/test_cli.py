@@ -420,6 +420,8 @@ class TestSimulate:
         ({"b_lower": float("inf")}, "b_lower"),
         # a formula tree deeper than 200 levels
         ({"drift": "u" + " + x1" * 1200}, "drift"),
+        # a builtin's own error, under the params prefix
+        ({"kind": "bench3", "params": {"a": 0.9}}, "params"),
     ])
     def test_wrong_plant_types_are_config_errors(self, tmp_path, capsys, plant, field):
         doc = {"kind": "expression", "n": 2, "drift": "u - 0.2*x1", "diffusion": "0.1",
@@ -454,6 +456,19 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) \
             == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+    @pytest.mark.parametrize("overrides, controller", [
+        ({"gains": {"kind": "pd", "gains": [3, 4]}}, "pd"),
+        ({}, "open_loop"),  # with the default pid gains section, which it checks and ignores
+    ])
+    def test_bounds_error_names_the_controller(self, tmp_path, capsys, overrides, controller):
+        # the open loop once read "defined for PID gains", next to a section of PID gains
+        cfg = write_config(tmp_path / "cfg.json", bounds={"lambda": 1.0},
+                           **{"sim.controller": controller}, **overrides)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: bounds: the envelope constants are "
+                                           f"defined for the pid controller, not {controller}\n")
 
     @pytest.mark.parametrize("gains, message", [
         ({"kind": "pid", "gains": "not gains"}, "gains: expected finite number(s)"),  # ran

@@ -479,6 +479,10 @@ class TestBoundConstants:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             bound_constants(g, args["lam"], 0.5, 0.0, args["R"])
 
+    def test_pd_gains_are_rejected(self):
+        with pytest.raises(ValueError, match="^bound constants are defined for PID gains"):
+            bound_constants(GainVector("pd", np.array([3.0, 4.0])), 1.0, 0.5, 0.0, 1.0)
+
     def test_huge_diffusion_constant_gives_a_zero_floor(self):
         # M ** 2 on a Python float raises OverflowError above about 1.3e154
         g = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from stochpid import (
     solve_equilibrium,
 )
 from helpers import ClosedLoopState
+from stochpid.model import _is_real
 from stochpid.simulate import _control_law
 
 
@@ -244,6 +247,8 @@ def test_non_finite_plant_constants_are_rejected(make, name, value):
     # array entries were read from text and bools by np.asarray(..., dtype=float)
     pytest.param(lambda: GainVector("pid", ["1", "2"]), "gains", id="GainVector-str"),
     pytest.param(lambda: GainVector("pid", [True, 2.0]), "gains", id="GainVector-bool"),
+    pytest.param(lambda: GainVector("pid", np.ones((2, 2))), "gains", id="GainVector-2d"),
+    pytest.param(lambda: GainVector("pid", []), "gains", id="GainVector-empty"),
     pytest.param(lambda: lambda_gains(1.0, 0.0, 0.0, 2, betas=["0.05", "0.01"]), "betas",
                  id="lambda_gains-betas-str"),
     pytest.param(lambda: routh_hurwitz(["1", "3", "3", "1"]), "coefficients",
@@ -259,6 +264,11 @@ def test_one_number_rule_names_the_value(call, name):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value).startswith(name)
+
+
+def test_exact_rationals_are_real():
+    # a numbers.Real that is neither a float nor an Integral is read by its float value
+    assert _is_real(Fraction(1, 3))
 
 
 def test_counts_are_stored_as_int():

@@ -9,6 +9,7 @@ import helpers
 import stochpid.plants
 from stochpid import (
     Diverged,
+    EnsembleStats,
     GainVector,
     NonFinite,
     PlantSpec,
@@ -281,11 +282,19 @@ class TestSimulatePaths:
         plant = chain(2)
         sp = solve_equilibrium(plant, 0.0)
         cfg = SimConfig(dt=0.1, horizon=1.0, paths=1, seed=1)
-        # relative degree 3 on a degree-2 plant, and PD gains for the PID controller
+        # relative degree 3 on a degree-2 plant, PD gains for the PID controller, and none
         for gains, match in ((BENCH, "relative degree 3"),
-                             (GainVector("pd", np.array([3.0, 4.0])), "needs pid gains")):
+                             (GainVector("pd", np.array([3.0, 4.0])), "needs pid gains"),
+                             (None, "^gains: required section")):
             with pytest.raises(ValueError, match=match):
                 simulate_paths(plant, sp, gains, cfg)
+
+    def test_x0_must_fit_the_plant(self):
+        plant = chain(2)
+        cfg = SimConfig(dt=0.1, horizon=1.0, paths=1, seed=1, controller="open_loop",
+                        x0=np.zeros(3))
+        with pytest.raises(ValueError, match=r"^x0 must have shape \(2,\), got \(3,\)"):
+            simulate_paths(plant, solve_equilibrium(plant, 0.0), None, cfg)
 
     def test_horizon_must_be_a_multiple_of_dt(self):
         with pytest.raises(ValueError, match="multiple"):
@@ -329,6 +338,8 @@ class TestSimulatePaths:
         ("seed", 1.9), ("paths", 4.7), ("record_stride", 2.5), ("dt", "0.1"),
         ("horizon", True), ("x0", ["0"]),
         ("record_stride", 3),  # does not divide the 10 steps: the last record would be t = 0.9
+        ("dt", 0.0), ("dt", 2.0),  # 0 < dt <= horizon
+        ("controller", "pi"),
     ])
     def test_values_of_the_wrong_type_are_named(self, field, value):
         # nothing is truncated or read from text: a seed of 1.9 once ran as seed 1
@@ -404,6 +415,32 @@ class TestKernelMatchesEmStep:
         for want, have in zip(ref, stats.table().T):
             assert have == pytest.approx(want, rel=1e-9, abs=1e-12)
         assert np.array_equal(stats.table(), simulate_paths(plant, sp, g, cfg, workers=2).table())
+
+    @pytest.mark.parametrize("paths", [48, 4100])
+    def test_a_start_outside_the_box_is_not_a_divergence(self, paths):
+        # the first step brings x0 = 5e12 back to 5e11, inside the box; the spread of
+        # |x|^2 near 2.5e23 is at the rounding limit, so only the means are compared
+        plant = ou(theta=90.0, sigma=0.1)
+        sp = solve_equilibrium(plant, 0.0)
+        cfg = SimConfig(dt=0.01, horizon=0.1, paths=paths, seed=41, controller="open_loop",
+                        x0=np.array([5e12]))
+        have = simulate_paths(plant, sp, None, cfg).table().T
+        want = em_reference(plant, sp, None, cfg)
+        for column in ("t", "mean_sq_error", "mean_sq_state_dev", "mean_sq_u"):
+            i = EnsembleStats.CSV_COLUMNS.index(column)
+            assert have[i] == pytest.approx(want[i], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("paths", [48, 4100])
+    def test_a_scalar_residual_drift_is_broadcast(self, paths):
+        plant = PlantSpec(1, 1, 1, lambda x, u: 0.5, lambda x: np.array([[0.3]]), 0.0, 0.0,
+                          affine=[[0.0, -1.0, 1.0]])
+        g = GainVector("pid", np.array([1.0, 2.0]))
+        sp = solve_equilibrium(plant, 1.0)
+        cfg = SimConfig(dt=0.01, horizon=0.3, paths=paths, seed=42, record_stride=3,
+                        x0=np.array([0.2]))
+        for want, have in zip(em_reference(plant, sp, g, cfg),
+                              simulate_paths(plant, sp, g, cfg).table().T):
+            assert have == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_noise_free_run_draws_no_normals(self, monkeypatch):
         # a zero constant diffusion leaves the noise rows at zero: no chunk draws,

@@ -84,6 +84,30 @@ class TestNieStable:
         with pytest.raises(DegreeTooLow):
             nie_stable(BENCH_QUARTIC)
 
+    def test_triple_product_condition_alone_can_fail(self):
+        # every alpha is below 1/2, but alpha_2 + alpha_1*alpha_2*alpha_3 is not: the
+        # sufficient test decides nothing on a polynomial that is stable
+        a = [1.0, 1.3, 6.6, 3.9, 9.7, 1.6, 1.0]
+        alpha = determining_coeffs(a)
+        assert np.all(alpha < 0.5) and alpha[1] + alpha[0] * alpha[1] * alpha[2] > 0.5
+        assert not nie_stable(a)
+        assert routh_hurwitz(a)
+
+    def test_verdicts_match_the_paper_index_loop(self):
+        def loop(p):  # the test as the paper states it, alphas 1-based
+            alpha, N = determining_coeffs(p), len(p) - 1
+            if not np.all(alpha < 0.5):
+                return False
+            return all(alpha[i - 1] + alpha[i - 2] * alpha[i - 1] * alpha[i] <= 0.5
+                       for i in range(2, N - 2))
+
+        # the polynomials of acceptance criterion 3, and the one above
+        rng = np.random.default_rng(99)
+        polys = [10.0 ** rng.uniform(-1.0, 1.3, int(rng.integers(3, 9)) + 1) for _ in range(1000)]
+        polys = [p for p in polys if p.size >= 6] + [[1.0, 1.3, 6.6, 3.9, 9.7, 1.6, 1.0]]
+        verdicts = [nie_stable(p) for p in polys]
+        assert verdicts == [loop(p) for p in polys] and any(verdicts)
+
     def test_admissible_high_degree_gains_pass(self):
         # admissible gains with n >= 4 keep every alpha < 1/4 and the last < 1/2
         rng = np.random.default_rng(21)
@@ -150,6 +174,15 @@ class TestRouthHurwitz:
                                         [1.0, 2.0, float("-inf"), 1.0]])
     def test_non_finite_coefficient_raises(self, coeffs):
         with pytest.raises(ValueError, match="finite coefficients"):
+            routh_hurwitz(coeffs)
+
+    @pytest.mark.parametrize("coeffs, match", [
+        ([1.0], "degree >= 1 polynomial"),
+        ([1.0, 0.0], "leading coefficient must be nonzero"),
+        ([1.0, -1.0], "leading coefficient must be positive"),
+    ])
+    def test_malformed_polynomial_raises(self, coeffs, match):
+        with pytest.raises(ValueError, match=match):
             routh_hurwitz(coeffs)
 
     def test_oracle_agreement_random(self):
