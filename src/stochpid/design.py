@@ -30,22 +30,12 @@ __all__ = [
     "GainVector",
     "DesignReport",
     "BoundConstants",
-    "NonPositiveGain",
-    "InvalidBeta",
     "check_inequality",
     "check_inequality_pd",
     "geometric_gains",
     "lambda_gains",
     "bound_constants",
 ]
-
-
-class NonPositiveGain(ValueError):
-    """A gain entry is zero or negative."""
-
-
-class InvalidBeta(ValueError):
-    """Ratio overrides violate the strict design inequalities."""
 
 
 class _cached:
@@ -109,7 +99,7 @@ class GainVector:
             raise ValueError(f"gains of kind pid need at least 2 entries (k0..kn, n >= 1), "
                              f"got {g.size}")
         if not all(0.0 < v < math.inf for v in g.tolist()):  # NaN fails too
-            raise NonPositiveGain(f"all gains must be positive and finite, got {g}")
+            raise ValueError(f"all gains must be positive and finite, got {g}")
         g.flags.writeable = False
         object.__setattr__(self, "gains", g)
 
@@ -340,7 +330,7 @@ def lambda_gains(
     Defaults pick beta_1 = 0.9*bound, beta_i = 0.9*beta_{i-1}/n and
     k = 1.1*threshold, which keeps the strict inequalities robust to
     round-off.  Explicit ``betas``/``k`` overrides are validated and raise
-    :class:`InvalidBeta` when they sit on or outside the open region; a
+    ``ValueError`` when they sit on or outside the open region; a
     ``ValueError`` names ``lam`` (or ``betas``) when no finite default k exists.
     Returns the gain vector together with the ratios actually used.
     """
@@ -358,12 +348,12 @@ def lambda_gains(
     else:
         b = _as_floats(betas, "betas")
         if b.shape != (n,):
-            raise InvalidBeta(f"expected {n} ratios, got shape {b.shape}")
+            raise ValueError(f"expected {n} ratios, got shape {b.shape}")
         if not (0.0 < b[0] < b1_bound):
-            raise InvalidBeta(f"beta_1={b[0]} outside (0, {b1_bound})")
+            raise ValueError(f"beta_1={b[0]} outside (0, {b1_bound})")
         for i in range(1, n):
             if not (0.0 < b[i] < b[i - 1] / n):
-                raise InvalidBeta(f"beta_{i + 1}={b[i]} outside (0, beta_{i}/n)")
+                raise ValueError(f"beta_{i + 1}={b[i]} outside (0, beta_{i}/n)")
         b = b.tolist()
 
     # w = (1, cumprod(b)) on Python floats: the sequential products np.cumprod and
@@ -387,7 +377,7 @@ def lambda_gains(
         # 1e-12 relative guard keeps the strict comparison meaningful when
         # the threshold itself rounds (exact boundary values must reject)
         if not k_val > k_min * (1.0 + 1e-12):
-            raise InvalidBeta(f"k={k_val} must strictly exceed {k_min}")
+            raise ValueError(f"k={k_val} must strictly exceed {k_min}")
 
     return GainVector("pid", np.array([k_val * v for v in w])), np.array(b)
 
@@ -401,7 +391,7 @@ def bound_constants(
 ) -> BoundConstants:
     """Explicit envelope constants for rate-designed PID gains.
 
-    ``decay_coeff = 4*n**3*k0**2/kn**2``, ``floor_coeff = 4*n/lam`` and
+    ``decay_coeff = 4*n**3*(k0/kn)**2``, ``floor_coeff = 4*n/lam`` and
     ``floor_lower_coeff = lam / (4*(2+2L+M^2)*lam + 64*(n+1)*R^2*sum(k_i^2))``.
     Raises ``ValueError`` naming ``lam``, ``L``, ``M`` or ``R`` unless it is
     finite and positive (``lam``) or nonnegative, and when ``decay_coeff``
@@ -419,7 +409,7 @@ def bound_constants(
     floor = 4.0 * n / lam
     # an overflowing decay is raised below; an overflowing denom makes c3 = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        decay = 4.0 * n ** 3 * k[0] ** 2 / k[-1] ** 2
+        decay = 4.0 * n ** 3 * (k[0] / k[-1]) ** 2  # one ratio: kn**2 may underflow to 0
         # M*M and R*R: a Python float ** 2 raises OverflowError where * gives inf
         denom = (4.0 * (2.0 + 2.0 * L + M * M) * lam
                  + 64.0 * (n + 1) * R * R * float(np.sum(k ** 2)))

@@ -29,8 +29,6 @@ import numpy as np
 
 __all__ = [
     "ParseError",
-    "UnknownIdentifier",
-    "ArityError",
     "parse_expr",
     "compile_expr",
     "eval_expr",
@@ -55,14 +53,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         self.position = position
         super().__init__(f"{message} (at position {position})")
-
-
-class UnknownIdentifier(ParseError):
-    pass
-
-
-class ArityError(ParseError):
-    pass
 
 
 _NON_DSL = re.compile(r"[^A-Za-z0-9_.+\-*/(),\s]")
@@ -118,21 +108,21 @@ def parse_expr(text: str, n: Optional[int] = None, allow_u: bool = True) -> ast.
         if isinstance(node, ast.Name):
             if node.id == "u":
                 if not allow_u:
-                    raise UnknownIdentifier("u is not allowed in a diffusion expression", pos)
+                    raise ParseError("u is not allowed in a diffusion expression", pos)
             elif not _VAR_PATTERN.match(node.id):
-                raise UnknownIdentifier(f"unknown identifier {node.id!r}", pos)
+                raise ParseError(f"unknown identifier {node.id!r}", pos)
             elif n is not None and int(node.id[1:]) > n:
-                raise UnknownIdentifier(f"{node.id} exceeds the state dimension (n={n})", pos)
+                raise ParseError(f"{node.id} exceeds the state dimension (n={n})", pos)
             return
         # a call's name must not be parenthesized: "(sin)(x1)" is not a call
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.col_offset == node.col_offset):
             name = node.func.id
             if name not in FUNCTIONS:
-                raise UnknownIdentifier(f"unknown function {name!r}", pos)
+                raise ParseError(f"unknown function {name!r}", pos)
             args = node.args + node.keywords  # a keyword is "**x1": check rejects it
             if len(args) != 1:
-                raise ArityError(f"{name} takes exactly one argument, got {len(args)}", pos)
+                raise ParseError(f"{name} takes exactly one argument, got {len(args)}", pos)
             tail = src[args[0].end_col_offset:node.end_col_offset]
             if "," in tail:
                 raise ParseError("unexpected trailing ','",

@@ -139,7 +139,10 @@ def _is_real(value) -> bool:
         return False
     if isinstance(value, numbers.Integral):  # math.isfinite(10**400) raises OverflowError
         return abs(int(value)) <= sys.float_info.max
-    return math.isfinite(value)
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # Fraction(10**400): too large for the float isfinite converts to
+        return False
 
 
 def _is_integer(value) -> bool:

@@ -19,22 +19,12 @@ from .design import GainVector, _dyadic, _routh
 from .model import _as_floats
 
 __all__ = [
-    "NonPositiveCoefficient",
-    "DegreeTooLow",
     "char_coeffs",
     "determining_coeffs",
     "nie_stable",
     "routh_hurwitz",
     "is_hurwitz",
 ]
-
-
-class NonPositiveCoefficient(ValueError):
-    """The test requires strictly positive coefficients."""
-
-
-class DegreeTooLow(ValueError):
-    """Polynomial degree below the test's scope."""
 
 
 def _coeffs(p) -> np.ndarray:
@@ -62,9 +52,9 @@ def determining_coeffs(p) -> np.ndarray:
     a = _coeffs(p)
     N = a.size - 1
     if N < 3:
-        raise DegreeTooLow("determining coefficients need degree >= 3")
+        raise ValueError("determining coefficients need degree >= 3")
     if np.any(a <= 0.0):
-        raise NonPositiveCoefficient("all coefficients must be positive")
+        raise ValueError("all coefficients must be positive")
     c = a.tolist()
     alpha = []
     for i in range(1, N - 1):
@@ -85,7 +75,7 @@ def nie_stable(p) -> bool:
     a = _coeffs(p)
     N = a.size - 1
     if N < 5:
-        raise DegreeTooLow("nie_stable applies to degree >= 5; use routh_hurwitz")
+        raise ValueError("nie_stable applies to degree >= 5; use routh_hurwitz")
     alpha = determining_coeffs(a)
     # alpha[1:-1] are the paper's alpha_2..alpha_{N-3}, with their neighbours on either side
     return bool(np.all(alpha < 0.5)

@@ -443,8 +443,9 @@ class TestSimulate:
         ({"bounds": {"lambda": 1.0}, "sim.controller": "open_loop"}, "bounds"),
         ({"bounds": {"lambda": float("inf")}}, "bounds.lambda"),
         ({"bounds": {"lambda": 1.0, "R": float("inf")}}, "bounds.R"),
-        # decay_coeff = 4*n**3*k0**2/kn**2 overflows to inf/inf
-        ({"bounds": {"lambda": 1.0}, "gains": {"kind": "pid", "gains": [1e200] * 3}}, "bounds"),
+        # decay_coeff = 4*n**3*(k0/kn)**2 overflows to inf
+        ({"bounds": {"lambda": 1.0}, "gains": {"kind": "pid", "gains": [1.0, 1.0, 1e-200]}},
+         "bounds"),
     ])
     def test_bad_bounds_fail_before_the_run(self, tmp_path, capsys, monkeypatch, overrides,
                                            field):

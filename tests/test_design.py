@@ -13,8 +13,6 @@ import pytest
 import stochpid.design
 from stochpid import (
     GainVector,
-    InvalidBeta,
-    NonPositiveGain,
     bound_constants,
     check_inequality,
     check_inequality_pd,
@@ -188,9 +186,9 @@ class TestCheckInequality:
             check_inequality_pd(GainVector("pid", np.array([1.0, 3.0, 4.0])), 0.0, 0.0)
 
     def test_nonpositive_gain_rejected(self):
-        with pytest.raises(NonPositiveGain):
+        with pytest.raises(ValueError, match="^all gains must be positive and finite"):
             GainVector("pid", np.array([1.0, -3.0, 4.0]))
-        with pytest.raises(NonPositiveGain):
+        with pytest.raises(ValueError, match="^all gains must be positive and finite"):
             GainVector("pd", np.array([0.0, 4.0]))
 
     def test_overflow_is_not_admissible(self):
@@ -329,7 +327,7 @@ class TestLambdaGains:
         assert report.binding_value == pytest.approx(24000.0)
 
     def test_boundary_k_rejected(self):
-        with pytest.raises(InvalidBeta):
+        with pytest.raises(ValueError, match="^k=3750.0 must strictly exceed"):
             lambda_gains(1.0, 1.0, 0.0, 2, betas=[0.4, 0.1], k=3750.0)
 
     def test_matches_the_numpy_formula_bitwise(self):
@@ -358,11 +356,11 @@ class TestLambdaGains:
             assert g.gains.tobytes() == (float(1.5 * k) * w).tobytes()
 
     def test_bad_betas_rejected(self):
-        with pytest.raises(InvalidBeta):
+        with pytest.raises(ValueError, match=r"^beta_1=0.6 outside \(0, "):
             lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.6, 0.1])  # beta1 >= 1/2
-        with pytest.raises(InvalidBeta):
+        with pytest.raises(ValueError, match=r"^beta_2=0.25 outside \(0, beta_1/n\)"):
             lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4, 0.25])  # beta2 >= beta1/2
-        with pytest.raises(InvalidBeta):
+        with pytest.raises(ValueError, match=r"^expected 2 ratios, got shape \(1,\)"):
             lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4])  # wrong length
 
     def test_defaults_always_admissible(self):
@@ -387,7 +385,7 @@ class TestLambdaGains:
 
     def test_b_lower_scales_threshold(self):
         # halving b doubles the minimal k for fixed ratios
-        with pytest.raises(InvalidBeta):
+        with pytest.raises(ValueError, match="^k=7500.0 must strictly exceed"):
             lambda_gains(1.0, 1.0, 0.0, 2, b_lower=0.5, betas=[0.4, 0.1], k=7500.0)
         g, _ = lambda_gains(1.0, 1.0, 0.0, 2, b_lower=0.5, betas=[0.4, 0.1], k=7501.0)
         assert g.gains[0] == 7501.0
@@ -448,7 +446,7 @@ class TestLambdaGains:
         assert 0 < raised < 500
 
     def test_explicit_k_against_infinite_threshold(self):
-        with pytest.raises(InvalidBeta, match="must strictly exceed inf"):
+        with pytest.raises(ValueError, match="^k=5.0 must strictly exceed inf"):
             lambda_gains(1.0, 0.0, 0.0, 2, betas=[1e-200, 1e-201], k=5.0)
         for k in (float("nan"), float("inf"), -1.0):
             with pytest.raises(ValueError, match="^k must be positive and finite"):
@@ -489,13 +487,19 @@ class TestBoundConstants:
         assert bound_constants(g, 1.0, 0.5, 1e200, 1.0).floor_lower_coeff == 0.0
 
     def test_overflowing_gains_are_named(self):
-        # k0**2 / kn**2 is inf/inf here; the suite turns a RuntimeWarning into an error
-        g = GainVector("pid", np.array([1e200] * 4))
-        with pytest.raises(ValueError, match="^decay_coeff = nan overflows float64"):
+        # (k0/kn)**2 overflows here; the suite turns a RuntimeWarning into an error
+        g = GainVector("pid", np.array([1.0, 1.0, 1e-200]))
+        with pytest.raises(ValueError, match="^decay_coeff = inf overflows float64"):
             bound_constants(g, 1.0, 0.5, 0.0, 1.0)
-        # gains in range keep the formula's exact value
-        g = GainVector("pid", np.array([3.0, 1.0, 7.0]))
-        assert bound_constants(g, 1.0, 0.5, 0.0, 1.0).decay_coeff == 4.0 * 8 * 3.0 ** 2 / 7.0 ** 2
+
+    @pytest.mark.parametrize("gains, decay", [
+        ([1e200] * 4, 4.0 * 27),  # k0**2 and kn**2 both overflow: inf/inf was NaN
+        ([1e-200, 1.0, 1e-200], 4.0 * 8),  # both underflow: 0/0 was NaN
+        ([4000.0, 1600.0, 160.0], 20000.0),
+    ])
+    def test_decay_is_the_exact_ratio(self, gains, decay):
+        g = GainVector("pid", np.array(gains))
+        assert bound_constants(g, 1.0, 0.5, 0.0, 1.0).decay_coeff == decay
 
 
 class TestMarginContinuity:

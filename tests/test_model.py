@@ -9,6 +9,7 @@ from stochpid import (
     NoConvergence,
     NonFinite,
     PlantSpec,
+    SimConfig,
     bench3,
     bound_constants,
     chain,
@@ -244,6 +245,11 @@ def test_non_finite_plant_constants_are_rejected(make, name, value):
                  id="bound_constants-L-nan"),
     pytest.param(lambda: bound_constants(PID2, 1.0, "1", 0.0, 1.0), "L",
                  id="bound_constants-L-str"),
+    # a Fraction beyond float64 ended in OverflowError from math.isfinite
+    pytest.param(lambda: bound_constants(PID2, Fraction(10 ** 400), 0.5, 0.0, 1.0), "lam",
+                 id="bound_constants-lam-huge-fraction"),
+    pytest.param(lambda: SimConfig(dt=0.1, horizon=Fraction(10 ** 400), paths=1, seed=1),
+                 "horizon", id="SimConfig-horizon-huge-fraction"),
     # array entries were read from text and bools by np.asarray(..., dtype=float)
     pytest.param(lambda: GainVector("pid", ["1", "2"]), "gains", id="GainVector-str"),
     pytest.param(lambda: GainVector("pid", [True, 2.0]), "gains", id="GainVector-bool"),

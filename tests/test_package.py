@@ -79,14 +79,45 @@ def test_no_orphan_private_names():
     assert sorted(f"{m}.{n}" for m, n in defined if n not in referenced) == []
 
 
+PACKAGE = Path(stochpid.__file__).parent
+# the code that uses the package: the package itself, the benchmark and the acceptance gate
+CALLERS = [*PACKAGE.glob("*.py"), *(PACKAGE.parents[1] / "perfbench").glob("*.py"),
+           PACKAGE.parents[1] / "tests" / "test_acceptance.py"]
+
+
+MODULES = {path: importlib.import_module(f"stochpid.{path.stem}")
+           for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+
+
 def test_no_uncalled_public_names():
-    # a public name that neither the package, the benchmark nor the acceptance gate
-    # references beyond its own definition is dead API
-    package = Path(stochpid.__file__).parent
-    root = package.parents[1]
-    public = {name for path in package.glob("*.py") if path.stem != "__init__"
-              for name in getattr(importlib.import_module(f"stochpid.{path.stem}"), "__all__", ())}
-    referenced = set().union(*map(_referenced, [*package.glob("*.py"),
-                                                *(root / "perfbench").glob("*.py"),
-                                                root / "tests" / "test_acceptance.py"]))
-    assert public - referenced == set()
+    # a public name that no caller references beyond its own definition is dead API
+    public = {name for module in MODULES.values() for name in getattr(module, "__all__", ())}
+    assert public - set().union(*map(_referenced, CALLERS)) == set()
+
+
+def _caught(path: Path) -> set:
+    """The names that the ``except`` clauses of a file catch by name."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            for sub in ast.walk(node.type) if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def _is_bare(node: ast.ClassDef) -> bool:
+    """A class body of nothing but a docstring or ``pass``."""
+    return all(isinstance(stmt, ast.Pass) or isinstance(stmt, ast.Expr)
+               and isinstance(stmt.value, ast.Constant) and isinstance(stmt.value.value, str)
+               for stmt in node.body)
+
+
+def test_no_uncaught_bare_exception_classes():
+    # an exception class that adds nothing to its base is worth a name only when a
+    # caller catches it by that name; raising the base says the same otherwise
+    caught = set().union(*map(_caught, CALLERS))
+    bare = [f"{path.stem}.{node.name}"
+            for path, module in MODULES.items()
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ClassDef) and node.name in getattr(module, "__all__", ())
+            and issubclass(getattr(module, node.name), BaseException)
+            and _is_bare(node) and node.name not in caught]
+    assert bare == []
