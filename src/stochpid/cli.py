@@ -209,7 +209,6 @@ def _cmd_design(args) -> int:
         print(f"ratios: {', '.join(f'{b:.6g}' for b in used)}")
     else:
         g = _load_gains(args)
-    _require(g.kind == "pid" or args.b_lower == 1.0, "--b-lower: the PD inequality has no b term")
     report = check_inequality(g, L, args.M, args.b_lower)
     print(f"gains ({g.kind}): {', '.join(f'{v:.10g}' for v in g.gains)}")
     verdict = "admissible" if report.admissible else "NOT admissible"
@@ -369,7 +368,7 @@ def _cmd_sweep(args) -> int:
         rows.append((value, *map(stats.tail_mean, ("mean_sq_error", "stderr_sq_error", "var_u"))))
         print(f"{args.vary}={value:g}: steady E|e|^2 = {rows[-1][1]:.6g} "
               f"(stderr {rows[-1][2]:.2g}), Var(u) = {rows[-1][3]:.6g}")
-    metadata = {"vary": args.vary, "values": ",".join(f"{v:g}" for v in args.values)}
+    metadata = {"vary": args.vary, "values": _csv_list(args.values)}
     _write_csv(Path(args.out), metadata,
                (args.vary, "steady_mean_sq_error", "stderr", "steady_var_u"), rows)
     print(f"wrote {args.out}")

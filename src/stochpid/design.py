@@ -268,11 +268,6 @@ def geometric_gains(k: float, n: int) -> GainVector:
     return GainVector("pid", gains)
 
 
-# squares are products: a Python float ** 2 raises OverflowError where * gives inf
-def _beta_bounds(lam: float, M: float, n: int) -> float:
-    return min(1.0, 1.0 / (n * (lam + 8.0 * M * M)))
-
-
 def _k_threshold(prod: float, lam: float, L: float, M: float, b_lower: float) -> float:
     """The design condition's bound on k for ratios whose product is ``prod``; inf when
     prod**2 * b_lower underflows."""
@@ -340,7 +335,8 @@ def lambda_gains(
     _require_constant("b_lower", b_lower, positive=True)
     n = _require_count("n", n)
 
-    b1_bound = _beta_bounds(lam, M, n)
+    # M*M: a Python float ** 2 raises OverflowError where * gives inf
+    b1_bound = min(1.0, 1.0 / (n * (lam + 8.0 * M * M)))
     if betas is None:
         b = [0.9 * b1_bound]
         for _ in range(1, n):

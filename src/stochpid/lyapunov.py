@@ -11,8 +11,9 @@ mirrored to the lower triangle; PID gains (k0..kn) give the (n+1)x(n+1)
 matrix P and PD gains (k1..kn) the n x n matrix P0 by the same recursion.
 It runs on exact ints, D**2*P and D**2*q for gains c/D over their common
 power-of-two denominator D, and P and q are returned correctly rounded.
-Each q_i = 2*(g_i**2 - p[i-1,i]) needs one anti-diagonal of the recursion
-only, so q is computed without P.
+Unrolled along its anti-diagonal, each entry p[i,j] is one alternating sum of
+gain products (:func:`_entry`); P reads one per entry and each
+q_i = 2*(g_i**2 - p[i-1,i]) one, so q is computed without P.
 A certificate for constants (L, M) holds when P is positive definite and
 P*A + A'*P + 2*kbar*I = diag(2*kbar - q) is negative definite.  The second
 condition, min(q) > 2*kbar, is decided on ints; it makes diag(q) positive
@@ -113,35 +114,20 @@ def companion(g: GainVector) -> np.ndarray:
     return A
 
 
-def _scaled_P(g: GainVector) -> tuple[int, list[list[int]]]:
-    """The gains' power-of-two denominator D, and D**2*P on ints."""
-    c, D = g._ints
+def _entry(c: list[int], D: int, i: int, j: int) -> int:
+    """D**2*p[i][j] (i <= j) for the gain ints c over D: the recursion unrolled along its
+    anti-diagonal, c[i]*e[j] - c[i-1]*e[j+1] + ..., which ends at row 0 or at the boundary
+    column, with e[b] = 2*c[b+1], or D at b = N-1; it is summed from its far end."""
     N = len(c)
-    p = [[0] * N for _ in range(N)]
-    for i in range(N):
-        p[i][N - 1] = p[N - 1][i] = c[i] * D
-        for j in range(i, N - 1):
-            p[i][j] = p[j][i] = 2 * c[i] * c[j + 1] - (p[i - 1][j + 1] if i else 0)
-    return D, p
+    s = 0
+    for t in range(min(i + 1, N - j) - 1, -1, -1):
+        s = c[i - t] * (2 * c[j + t + 1] if j + t < N - 1 else D) - s
+    return s
 
 
 def _scaled_q(c: list[int], D: int) -> list[int]:
-    """D**2*q for the gain ints c over D: q_i = 2*(c_i**2 - p[i-1][i]).
-
-    The recursion unrolls p[i-1][i] along its anti-diagonal into the
-    alternating sum 2*c[i-1]*c[i+1] - 2*c[i-2]*c[i+2] + ..., which ends at
-    row 0 or at a boundary entry p[a][N-1] = c[a]*D; ``e[b]`` is the factor
-    at column b, 2*c[b+1] or D, and the sum is taken from its far end.
-    """
-    N = len(c)
-    e = [2 * v for v in c[1:]] + [D]
-    q = []
-    for i in range(N):
-        s = 0
-        for t in range(min(i, N - i) - 1, -1, -1):
-            s = c[i - 1 - t] * e[i + t] - s
-        q.append(2 * (c[i] * c[i] - s))
-    return q
+    """D**2*q for the gain ints c over D: q_i = 2*(c_i**2 - p[i-1][i])."""
+    return [2 * (v * v - _entry(c, D, i - 1, i)) for i, v in enumerate(c)]
 
 
 def _rounded(g: GainVector, ints, scale: int):
@@ -159,8 +145,12 @@ def _rounded(g: GainVector, ints, scale: int):
 
 def build_P(g: GainVector) -> np.ndarray:
     """Diagonalizing Lyapunov matrix: (n+1)x(n+1) for PID gains, n x n for PD."""
-    D, p = _scaled_P(g)
-    return np.array([_rounded(g, row, D * D) for row in p])
+    c, D = g._ints
+    N = len(c)
+    P = np.empty((N, N))
+    for i in range(N):
+        P[i, i:] = P[i:, i] = _rounded(g, [_entry(c, D, i, j) for j in range(i, N)], D * D)
+    return P
 
 
 def q_diagonal(g: GainVector) -> np.ndarray:

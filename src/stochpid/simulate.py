@@ -237,7 +237,7 @@ def _euler_maruyama(A: np.ndarray, G: np.ndarray, K: np.ndarray, dt: float) -> n
 
 
 def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_count: int):
-    """Simulate one fixed chunk of paths; returns its moments or a divergence marker.
+    """Simulate one fixed chunk of paths; returns its moments (means, C) or a Diverged.
 
     The chunk lives in two (rows, block, size) arrays whose slots are states
     [1; integral; x; u; f; w], with block = max(1, ``_BLOCK_BYTES`` //
@@ -252,10 +252,10 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     them in stream order.  Otherwise g is evaluated every step, the block's
     normals z go to a (block, m, size) scratch and w = g(x) z.
 
-    After a block's steps one box guard covers the [integral; x] rows of its
-    whole array, whose other states were guarded before (or are x0), and
-    slot 0 of the other; a non-finite residual drift or diffusion reaches x_n
-    at the same step, so the guard finds it too.  The first state the block
+    After a block's steps one box guard covers the [integral; x] rows of the
+    states the block wrote, slots 1 on of its array and slot 0 of the other
+    (x0 is never guarded); a non-finite residual drift or diffusion reaches
+    x_n at the same step, so the guard finds it too.  The first state the block
     wrote outside the box, and the first path in it, locate the divergence;
     the drift (its f row) and the diffusion (evaluated again, as w keeps
     g(x) z) at the step that produced it are checked first, to raise
@@ -305,13 +305,12 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
         out = [A[:Rm, j] for j in range(1, block)] + [B[:Rm, 0]]
         slots = [(A[1 + d:S, j].T, A[S:S + d, j].T, A[S + d:F, j], A[F:, j],
                   None if z is None else z[j], A[:, j], out[j]) for j in range(block)]
-        # every state in A but the ones the block writes is already guarded (or x0)
-        box = [A[1:S], B[1:S, 0]] if block > 1 else [B[1:S, 0]]
+        box = [A[1:S, 1:], B[1:S, 0]] if block > 1 else [B[1:S, 0]]
         return slots, box, A[F:] if constant else z
 
     def locate(k: int, s0: int, nb: int, written: int):
-        """Divergence marker of the first of the ``written`` states after the start
-        of the block (s0, arrays[k], nb steps) that is outside the box, else None."""
+        """:class:`Diverged` at the first of the ``written`` states after the start of
+        the block (s0, arrays[k], nb steps) that is outside the box, else None."""
         A, B = arrays[k], arrays[1 - k]
         for j in range(1, written + 1):
             bad = ~np.all(np.abs(A[1:S, j] if j < nb else B[1:S, 0]) <= _DIVERGENCE_LIMIT, axis=0)
@@ -321,7 +320,7 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
                 if not constant:  # w keeps g(x) z, not g
                     require_finite(np.asarray(plant.diffusion(A[1 + d:S, j - 1].T), dtype=float),
                                    "diffusion")
-                return ("diverged", (s0 + j) * dt, chunk * _CHUNK_PATHS + int(np.argmax(bad)))
+                return Diverged((s0 + j) * dt, chunk * _CHUNK_PATHS + int(np.argmax(bad)))
         return None
 
     means = np.empty((rec_count, 3 + d))
@@ -381,22 +380,19 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
                     np.matmul(M, state, out=out)
                     s += 1
             except Exception:  # an earlier state outside the box comes first
-                marker = locate(k, s0, nb, s - s0)
-                if marker is None:
+                diverged = locate(k, s0, nb, s - s0)
+                if diverged is None:
                     raise
-                return marker
+                return diverged
             for v in box:
                 if not (v.max() <= _DIVERGENCE_LIMIT and v.min() >= -_DIVERGENCE_LIMIT):
-                    marker = locate(k, s0, nb, nb)
-                    if marker is not None:
-                        return marker
-                    break  # only x0 is outside the box
+                    return locate(k, s0, nb, nb)
             j = -s0 % stride  # the block's first recorded slot
             if j < nb:
                 reduce(arrays[k], slice(j, nb, stride), (s0 + j) // stride)
             k = 1 - k
     reduce(arrays[k], slice(0, 1), rec_count - 1)
-    return ("ok", means, C)
+    return means, C
 
 
 def simulate_paths(
@@ -436,14 +432,13 @@ def simulate_paths(
                        for chunk in chunks]
             results = [f.result() for f in futures]
 
-    diverged = [(r[1], r[2]) for r in results if r[0] == "diverged"]
+    diverged = [r for r in results if isinstance(r, Diverged)]
     if diverged:
-        t, path = min(diverged)
-        raise Diverged(t, path=path)
+        raise min(diverged, key=lambda exc: (exc.t, exc.path))
 
     # Chan, Golub and LeVeque's pairwise update merges the chunk moments in chunk order
-    count, mean, C = chunks[0][1], *results[0][1:]
-    for (_, size), (_, mean_c, C_c) in zip(chunks[1:], results[1:]):
+    count, (mean, C) = chunks[0][1], results[0]
+    for (_, size), (mean_c, C_c) in zip(chunks[1:], results[1:]):
         delta = mean_c - mean
         mean = mean + delta * (size / (count + size))
         C = C + C_c + (count * size / (count + size)) * delta[:, :, None] * delta[:, None, :]

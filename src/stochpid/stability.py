@@ -33,8 +33,8 @@ def _coeffs(p) -> np.ndarray:
         raise ValueError("expected ascending coefficients of a degree >= 1 polynomial")
     if not np.isfinite(a).all():
         raise ValueError(f"expected finite coefficients, got {a}")
-    if a[-1] == 0.0:
-        raise ValueError("leading coefficient must be nonzero")
+    if a[-1] <= 0.0:
+        raise ValueError("leading coefficient must be positive")
     return a
 
 
@@ -90,10 +90,7 @@ def routh_hurwitz(p) -> bool:
     multiple of the rational Routh row while every earlier pivot is positive.
     A first-column entry <= 0 means "not Hurwitz", so every polynomial is decided.
     """
-    a = _coeffs(p)
-    if a[-1] < 0.0:
-        raise ValueError("leading coefficient must be positive")
-    return _routh(_dyadic(a[::-1].tolist())[0])
+    return _routh(_dyadic(_coeffs(p)[::-1].tolist())[0])
 
 
 def is_hurwitz(g: GainVector) -> bool:

@@ -84,8 +84,9 @@ class TestDesign:
         assert main(["design", "--gains", "3,4", "--kind", "pd"]) == EXIT_OK
         assert main(["design", "--gains", "3,1", "--kind", "pd"]) == EXIT_REJECTED
         # the PD inequality has no b term, so a b bound cannot be honoured
+        # (check_inequality's rule, named by its parameter)
         assert main(["design", "--gains", "3,4", "--kind", "pd", "--b-lower", "2"]) == EXIT_CONFIG
-        assert "--b-lower" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: b_lower: the PD inequality has no b term\n"
 
     def test_missing_gains_is_config_error(self):
         assert main(["design"]) == EXIT_CONFIG
@@ -741,6 +742,16 @@ class TestSweep:
         code = main(["sweep", "--config", str(cfg), "--vary", "gain-scale",
                      "--values", "1,2", "--out", str(out)])
         assert code == EXIT_OK
+
+    def test_values_line_is_not_rounded(self, tmp_path):
+        # values that differ in the 7th digit: "%g" wrote both as 1
+        cfg = write_config(tmp_path / "cfg.json", **{"sim.paths": 20, "sim.horizon": 0.1})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--vary", "gain-scale",
+                     "--values", "1.0000001,1.0000002", "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert "# values=1.0000001,1.0000002" in lines
+        assert [l.split(",")[0] for l in lines[-2:]] == ["1.0000001", "1.0000002"]
 
     def test_gain_scale_sweep_rejects_open_loop(self, tmp_path, capsys):
         # an open-loop run ignores its gains: every row would be the same run

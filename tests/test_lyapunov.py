@@ -20,7 +20,7 @@ from stochpid import (
     verify_certificate,
 )
 from stochpid.design import _k_admissible_threshold
-from stochpid.lyapunov import _rounded, _scaled_P, _scaled_q
+from stochpid.lyapunov import _entry, _rounded, _scaled_q
 
 BENCH_GAINS = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
 EIGVALSH = np.linalg.eigvalsh
@@ -29,6 +29,41 @@ EIGVALSH = np.linalg.eigvalsh
 def random_positive_gains(rng, n, kind="pid"):
     size = n + 1 if kind == "pid" else n
     return GainVector(kind, 10.0 ** rng.uniform(-1.0, 2.0, size))
+
+
+def row_recursion(c, D):
+    """Reference D**2*P on ints, row by row: p[i][N-1] = c[i]*D and
+    p[i][j] = 2*c[i]*c[j+1] - p[i-1][j+1] (i <= j < N-1), mirrored."""
+    N = len(c)
+    p = [[0] * N for _ in range(N)]
+    for i in range(N):
+        p[i][N - 1] = p[N - 1][i] = c[i] * D
+        for j in range(i, N - 1):
+            p[i][j] = p[j][i] = 2 * c[i] * c[j + 1] - (p[i - 1][j + 1] if i else 0)
+    return p
+
+
+def scaled_P(g):
+    """The gains' power-of-two denominator D, and D**2*P from ``_entry``, mirrored."""
+    c, D = g._ints
+    N = len(c)
+    return D, [[_entry(c, D, min(i, j), max(i, j)) for j in range(N)] for i in range(N)]
+
+
+class TestEntry:
+    @pytest.mark.parametrize("kind", ["pid", "pd"])
+    @pytest.mark.parametrize("low, high", [(-1.0, 2.0), (-300.0, 153.0)])
+    def test_entries_and_q_are_those_of_the_row_recursion(self, kind, low, high):
+        # exact ints: every entry and every q_i = 2*(c_i**2 - p[i-1][i]) equal
+        rng = np.random.default_rng(65)
+        for n in range(1, 9):
+            for _ in range(12):
+                g = GainVector(kind, 10.0 ** rng.uniform(low, high, n + (kind == "pid")))
+                c, D = g._ints
+                p = row_recursion(c, D)
+                assert scaled_P(g) == (D, p), g
+                assert _scaled_q(c, D) == [2 * (v * v - (p[i - 1][i] if i else 0))
+                                           for i, v in enumerate(c)], g
 
 
 class TestCompanion:
@@ -308,7 +343,7 @@ class TestVerifyCertificate:
                                         * _k_admissible_threshold(w, L, M, 1.0), n)
                 cert = verify_certificate(g, L, M)
                 assert cert.min_eig_P / cert.max_eig_P < 1e-30
-                D, p = _scaled_P(g)
+                D, p = scaled_P(g)
                 lo = Fraction(cert.min_eig_P)
                 assert eigenvalues_below(p, D * D, lo * (1 - Fraction(1, 10 ** 6))) == 0
                 assert eigenvalues_below(p, D * D, lo * (1 + Fraction(1, 10 ** 6))) == 1
@@ -470,7 +505,7 @@ class TestPOnFirstRead:
         for g in seeded_vectors(63):
             c, D = g._ints
             N = len(c)
-            _, p = _scaled_P(g)
+            _, p = scaled_P(g)
             DA = [[D if j == i + 1 else 0 for j in range(N)] for i in range(N - 1)]
             DA.append([-v for v in c])
             S = [[sum(p[i][m] * DA[m][j] for m in range(N)) for j in range(N)] for i in range(N)]

@@ -430,6 +430,19 @@ class TestKernelMatchesEmStep:
             i = EnsembleStats.CSV_COLUMNS.index(column)
             assert have[i] == pytest.approx(want[i], rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("paths", [48, 4100])  # narrow blocks, and one step per block
+    def test_a_start_that_stays_outside_the_box_diverges_at_the_first_step(self, paths):
+        # x1 = 2e12 stays outside the box: the guard covers the states a chunk wrote,
+        # never x0, so the first is at t = dt on path 0, where em_step reports it
+        plant = chain(2)
+        sp = solve_equilibrium(plant, 0.0)
+        cfg = SimConfig(dt=0.01, horizon=0.1, paths=paths, seed=43, controller="open_loop",
+                        x0=np.array([2e12, 0.0]))
+        for run in (simulate_paths, em_reference):
+            with pytest.raises(Diverged) as info:
+                run(plant, sp, None, cfg)
+            assert (info.value.t, info.value.path) == (cfg.dt, 0)
+
     @pytest.mark.parametrize("paths", [48, 4100])
     def test_a_scalar_residual_drift_is_broadcast(self, paths):
         plant = PlantSpec(1, 1, 1, lambda x, u: 0.5, lambda x: np.array([[0.3]]), 0.0, 0.0,

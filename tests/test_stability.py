@@ -176,7 +176,7 @@ class TestRouthHurwitz:
 
     @pytest.mark.parametrize("coeffs, match", [
         ([1.0], "degree >= 1 polynomial"),
-        ([1.0, 0.0], "leading coefficient must be nonzero"),
+        ([1.0, 0.0], "leading coefficient must be positive"),
         ([1.0, -1.0], "leading coefficient must be positive"),
     ])
     def test_malformed_polynomial_raises(self, coeffs, match):
