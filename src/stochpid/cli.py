@@ -366,7 +366,7 @@ def _cmd_sweep(args) -> int:
             sweep_doc["gains"]["gains"] = (value * gains.gains).tolist()
         stats, _, _ = _run_config(sweep_doc, args.workers)
         rows.append((value, *map(stats.tail_mean, ("mean_sq_error", "stderr_sq_error", "var_u"))))
-        print(f"{args.vary}={value:g}: steady E|e|^2 = {rows[-1][1]:.6g} "
+        print(f"{args.vary}={value!r}: steady E|e|^2 = {rows[-1][1]:.6g} "
               f"(stderr {rows[-1][2]:.2g}), Var(u) = {rows[-1][3]:.6g}")
     metadata = {"vary": args.vary, "values": _csv_list(args.values)}
     _write_csv(Path(args.out), metadata,

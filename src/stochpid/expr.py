@@ -11,9 +11,10 @@ offset in the formula, as is a tree deeper than 200 levels, which bounds
 every later recursive walk.  ``ast.unparse`` prints a tree as a formula that
 parses back to the same tree.  :func:`fold_constants` evaluates the
 variable-free subtrees once, :func:`split_affine` separates the affine terms
-of a top-level sum from the rest, which lets a plant apply them as data, and
-:func:`compile_expr` compiles a tree once for :func:`eval_expr`, which runs
-it without builtins on scalars or arrays.
+of a top-level sum from the rest, which lets a plant apply them as data,
+:func:`split_terms` reads a residual sum of scaled one-variable function
+calls as data too, and :func:`compile_expr` compiles a tree once for
+:func:`eval_expr`, which runs it without builtins on scalars or arrays.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "eval_expr",
     "fold_constants",
     "split_affine",
+    "split_terms",
 ]
 
 FUNCTIONS = {
@@ -186,24 +188,43 @@ def fold_constants(node: ast.expr) -> ast.expr:
     return ast.Constant(value)
 
 
-def _linear_term(node: ast.expr) -> Optional[tuple[str, float]]:
-    """(variable, coefficient) of a variable, possibly negated or multiplied or
-    divided by constants; None for any other term."""
-    if isinstance(node, ast.Name):
-        return node.id, 1.0
+def _summands(node: ast.expr, sign: float = 1.0):
+    """(sign, term) of each operand of the top-level ``+`` and ``-``, through unary minus."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        yield from _summands(node.left, sign)
+        yield from _summands(node.right, sign if isinstance(node.op, ast.Add) else -sign)
+    elif isinstance(node, ast.UnaryOp):
+        yield from _summands(node.operand, -sign)
+    else:
+        yield sign, node
+
+
+def _is_variable(node: ast.expr) -> bool:
+    return isinstance(node, ast.Name)
+
+
+def _is_function_of_variable(node: ast.expr) -> bool:
+    return isinstance(node, ast.Call) and _is_variable(node.args[0])
+
+
+def _scaled(node: ast.expr, leaf) -> Optional[tuple[ast.expr, float]]:
+    """(leaf node, coefficient) of a node that ``leaf`` accepts, possibly negated or
+    multiplied or divided by constants; None for any other term."""
+    if leaf(node):
+        return node, 1.0
     if isinstance(node, ast.UnaryOp):
-        inner = _linear_term(node.operand)
+        inner = _scaled(node.operand, leaf)
         return inner and (inner[0], -inner[1])
     if not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div))):
         return None
     times = isinstance(node.op, ast.Mult)
     if isinstance(node.right, ast.Constant):
-        inner = _linear_term(node.left)
+        inner = _scaled(node.left, leaf)
         if inner:
             c = node.right.value
             return inner[0], inner[1] * c if times else inner[1] / c
     if times and isinstance(node.left, ast.Constant):
-        inner = _linear_term(node.right)
+        inner = _scaled(node.right, leaf)
         return inner and (inner[0], node.left.value * inner[1])
     return None
 
@@ -218,23 +239,31 @@ def split_affine(node: ast.expr) -> tuple[float, dict[str, float], Optional[ast.
     their order, or None when every term is affine.
     """
     const, coeffs, residual = 0.0, {}, None
-
-    def terms(n: ast.expr, sign: float):
-        if isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Add, ast.Sub)):
-            yield from terms(n.left, sign)
-            yield from terms(n.right, sign if isinstance(n.op, ast.Add) else -sign)
-        elif isinstance(n, ast.UnaryOp):
-            yield from terms(n.operand, -sign)
-        else:
-            yield sign, n
-
-    for sign, term in terms(node, 1.0):
+    for sign, term in _summands(node):
         if isinstance(term, ast.Constant):
             const += sign * term.value
-        elif linear := _linear_term(term):
-            coeffs[linear[0]] = coeffs.get(linear[0], 0.0) + sign * linear[1]
+        elif linear := _scaled(term, _is_variable):
+            name = linear[0].id
+            coeffs[name] = coeffs.get(name, 0.0) + sign * linear[1]
         elif residual is None:
             residual = term if sign > 0 else ast.UnaryOp(ast.USub(), term)
         else:
             residual = ast.BinOp(residual, ast.Add() if sign > 0 else ast.Sub(), term)
     return const, coeffs, residual
+
+
+def split_terms(node: Optional[ast.expr]) -> list[tuple[str, str, float]]:
+    """(function, variable, coefficient) of each term of a sum whose every term, as
+    :func:`split_affine` reads them, is a function of one variable, possibly negated or
+    multiplied or divided by constants (``0.4*sin(x1) - tanh(u)/2``); [] for None or for
+    any other sum (``sin(x1) + x1*x2``), whose terms are not all of that form."""
+    if node is None:
+        return []
+    terms = []
+    for sign, term in _summands(node):
+        scaled = _scaled(term, _is_function_of_variable)
+        if scaled is None:
+            return []
+        call, c = scaled
+        terms.append((call.func.id, call.args[0].id, sign * c))
+    return terms

@@ -15,8 +15,13 @@ origin than b allows.
 The drift splits into an affine part given as data and a residual callable:
 f(x; u) = W @ [1; x; u] + drift(x, u), with the weights W = ``affine`` of
 shape (d, 1 + n*d + d) (absent means zero) and ``drift`` None when f is
-affine.  The simulator folds W into its loop matrix, so only the residual
-is evaluated per step; :meth:`PlantSpec.eval_drift` returns the full f.
+affine.  A residual that is a weighted sum of elementwise functions may
+also be given as data, the ``terms`` (ufunc, source, weights): drift(x, u)
+= sum_k weights_k * ufunc_k(z[source_k]) with z = [x; u] and d weights per
+term, built from the terms when no ``drift`` is given.  The simulator folds
+W and the terms' weights into its loop matrix, so per step it evaluates
+only each term's ufunc in place, or else the residual callable;
+:meth:`PlantSpec.eval_drift` returns the full f from ``drift``.
 Drift and diffusion callables must be pure functions, vectorized over a
 leading batch axis: drift(x, u) maps (..., n*d) x (..., d) -> (..., d) and
 diffusion(x) maps (..., n*d) -> (..., d, m).  A diffusion that returns one
@@ -57,7 +62,8 @@ class PlantSpec:
     """An uncertain nonlinear stochastic plant of relative degree n.
 
     ``drift`` is the residual of f beyond the affine part ``affine`` (see
-    the module docstring); None means f is affine.
+    the module docstring); None means f is affine, unless ``terms`` give
+    the residual.
     """
 
     n: int
@@ -70,6 +76,7 @@ class PlantSpec:
     gain_lower_b: float = 1.0
     name: str = field(default="", compare=False)
     affine: Optional[np.ndarray] = field(default=None, compare=False)  # == on arrays is elementwise
+    terms: tuple = ()
 
     def __post_init__(self):
         for name in ("n", "d", "m"):
@@ -86,6 +93,26 @@ class PlantSpec:
                 raise ValueError(f"affine weights must be finite numbers, got {W}")
             W.flags.writeable = False
             object.__setattr__(self, "affine", W)
+        terms = tuple(self._term(k, term) for k, term in enumerate(self.terms))
+        object.__setattr__(self, "terms", terms)
+        if self.drift is None and terms:
+            object.__setattr__(self, "drift", _term_sum(terms, self.state_dim))
+
+    def _term(self, k: int, term) -> tuple:
+        """Term k as (unary ufunc, source index into [x; u], d float weights), else
+        ValueError starting with ``terms``."""
+        try:
+            ufunc, source, weights = term
+        except (TypeError, ValueError):
+            raise ValueError(f"terms[{k}]: expected (ufunc, source, weights), "
+                             f"got {term!r}") from None
+        if not (isinstance(ufunc, np.ufunc) and ufunc.nin == ufunc.nout == 1):
+            raise ValueError(f"terms[{k}]: expected a unary numpy ufunc, got {ufunc!r}")
+        if not (_is_integer(source) and 0 <= source < self.state_dim + self.d):
+            raise ValueError(f"terms[{k}]: source must be an index in "
+                             f"[0, {self.state_dim + self.d}), got {source!r}")
+        weights = _as_vec(weights, self.d, f"terms[{k}] weights")
+        return ufunc, int(source), tuple(weights.tolist())
 
     @property
     def state_dim(self) -> int:
@@ -108,6 +135,21 @@ class PlantSpec:
         batch = np.shape(x)[:-1]
         out = np.broadcast_to(out, batch + (self.d, self.m))
         return require_finite(out, "diffusion")
+
+
+def _term_sum(terms: tuple, nd: int):
+    """The residual drift sum_k weights_k * ufunc_k(z[source_k]) of ``terms``, z = [x; u]."""
+    weights = [np.array(w) for _, _, w in terms]
+
+    def drift(x, u):
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        out = None
+        for (ufunc, source, _), w in zip(terms, weights):
+            z = x[..., source:source + 1] if source < nd else u[..., source - nd:source - nd + 1]
+            out = w * ufunc(z) if out is None else out + w * ufunc(z)
+        return out
+
+    return drift
 
 
 def require_finite(out: np.ndarray, what: str) -> np.ndarray:

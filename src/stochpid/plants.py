@@ -7,11 +7,12 @@
 restricted to |a|, |b|, |c| <= 1/2, mu >= 0, which keeps the asserted
 Lipschitz constants L = sqrt(3)/2, M = 0 and control-gain lower bound 1
 valid for the whole parameter class; its affine part b*x2 + c*x3 + d + u
-is declared as data and a*sin(x1) + mu*tanh(u) is the residual callable.
-``chain`` (f = u + bias) and ``ou`` (f = u - theta*x1) cover the linear
-sanity cases and are affine only.  Expression plants are
+is declared as data and so is the residual a*sin(x1) + mu*tanh(u), as two
+elementwise terms.  ``chain`` (f = u + bias) and ``ou`` (f = u - theta*x1)
+cover the linear sanity cases and are affine only.  Expression plants are
 scalar (d = m = 1) with drift over x1..xn, u and diffusion over x1..xn only;
-the affine terms of their drift formula become data as well.
+the affine terms of their drift formula become data as well, and so does a
+residual that is a sum of constant multiples of functions of one variable.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import math
 
 import numpy as np
 
-from .expr import compile_expr, eval_expr, fold_constants, parse_expr, split_affine
+from .expr import (FUNCTIONS, compile_expr, eval_expr, fold_constants, parse_expr, split_affine,
+                   split_terms)
 from .model import PlantSpec, _is_real, _require_constant, _require_count, _section
 
 __all__ = ["bench3", "chain", "ou", "expression_plant", "BUILTIN_PLANTS", "build_plant"]
@@ -49,21 +51,18 @@ def bench3(
             raise ValueError(f"|{name}| must not exceed 1/2, got {value!r}")
     _require_constant("mu", mu)
 
-    def residual(x, u):
-        x = np.asarray(x, dtype=float)
-        return a * np.sin(x[..., 0:1]) + mu * np.tanh(u)
-
     return PlantSpec(
         n=3,
         d=1,
         m=1,
-        drift=residual,
+        drift=None,  # built from the terms
         diffusion=_additive_noise(sigma),
         lipschitz_L=math.sqrt(3.0) / 2.0,
         lipschitz_M=0.0,
         gain_lower_b=1.0,
         name="bench3",
         affine=np.array([[d, 0.0, b, c, 1.0]]),
+        terms=((np.sin, 0, (a,)), (np.tanh, 3, (mu,))),
     )
 
 
@@ -123,7 +122,11 @@ def expression_plant(
     simulator folds into its loop matrix, and the remaining terms are the
     residual callable (None when every term is affine), so the formula
     from the README gives W = [6, 0, -0.3, 0.5, 1] and the residual
-    0.4*sin(x1) + 5.2*tanh(u), as ``bench3`` declares.  A diffusion that
+    0.4*sin(x1) + 5.2*tanh(u), as ``bench3`` declares.  A residual whose
+    every term is a function of one variable, possibly negated or times
+    or over a constant, is also given as ``terms``, which the simulator
+    steps in place of the callable: here sin(x1) weighted 0.4 and tanh(u)
+    weighted 5.2.  A diffusion that
     references no variable returns one unbatched (1, 1) matrix, so the
     simulator treats it as constant.  Each callable runs its formula
     compiled once here and binds only the variables the formula's tree
@@ -139,6 +142,7 @@ def expression_plant(
     diff_code = compile_expr(diff_ast)
     names = [f"x{i + 1}" for i in range(n)] + ["u"]
     affine = np.array([[const] + [coeffs.get(v, 0.0) for v in names]]) if coeffs or const else None
+    terms = tuple((FUNCTIONS[g], names.index(v), (c,)) for g, v, c in split_terms(drift_ast))
     drift_x, drift_u = _columns(drift_ast, n)
     diff_x, _ = _columns(diff_ast, n)
 
@@ -166,6 +170,7 @@ def expression_plant(
         gain_lower_b=b_lower,
         name="expression",
         affine=affine,
+        terms=terms,
     )
 
 

@@ -11,17 +11,18 @@ the left endpoint of the step; it is the only code that applies dt.
 :func:`simulate_paths` runs one fused kernel for every controller and every
 chunk width.  A chunk of paths lives in two (state rows, block, paths)
 arrays that take turns, and one matmul by M per step writes the next state
-slot in place, so per step the kernel calls only the residual drift and a
-state-dependent diffusion.  The block is as many steps as fit one 64 KB
-budget per array (``_BLOCK_BYTES``): a few dozen for a narrow chunk, one
-for a full one.  Per block the kernel makes one noise draw, one divergence
-check over every state the block wrote, and one moment reduction of its
-recorded states.  Paths are processed in fixed chunks of 4096; each chunk
-draws its noise from one SFC64 stream seeded by ``SeedSequence(seed,
-spawn_key=(chunk index,))``, sequentially in (step, noise dimension, path)
-order whatever the block, and chunk moments are merged in chunk order,
-which makes the resulting moments bitwise identical no matter how many
-worker threads run the chunks.
+slot in place, so per step the kernel evaluates only the residual drift,
+as one in-place ufunc call per elementwise term of the plant or else as
+its residual callable, and a state-dependent diffusion.  The block is as
+many steps as fit one 64 KB budget per array (``_BLOCK_BYTES``): a few
+dozen for a narrow chunk, one for a full one.  Per block the kernel makes
+one noise draw, one divergence check over every state the block wrote, and
+one moment reduction of its recorded states.  Paths are processed in fixed
+chunks of 4096; each chunk draws its noise from one SFC64 stream seeded by
+``SeedSequence(seed, spawn_key=(chunk index,))``, sequentially in (step,
+noise dimension, path) order whatever the block, and chunk moments are
+merged in chunk order, which makes the resulting moments bitwise identical
+no matter how many worker threads run the chunks.
 """
 
 from __future__ import annotations
@@ -207,20 +208,25 @@ def _closed_loop(plant: PlantSpec, y_star: np.ndarray, noise_gain: np.ndarray):
 
     Row by row: the integral reads y* - x1, x_i reads x_{i+1} (i < n), and x_n
     reads W @ [1; x; u] + f, W the plant's affine drift part and f its
-    residual drift (no column when it has none), plus noise_gain @ w.  w is
-    either m standard normals, with a constant diffusion as noise_gain, or
-    the d-row term g(x) z, with noise_gain = I.
+    residual drift, plus noise_gain @ w.  f has one column per plant term,
+    holding the term's weights, so its rows are the terms' ufunc values;
+    else d columns of I for the residual callable; none when f is zero.  w
+    is either m standard normals, with a constant diffusion as noise_gain,
+    or the d-row term g(x) z, with noise_gain = I.
     """
     n, d = plant.n, plant.d
     S = 1 + (n + 1) * d
-    A = np.zeros((S, S + d + (0 if plant.drift is None else d)))
+    if plant.terms:
+        residual = np.array([w for _, _, w in plant.terms]).T
+    else:
+        residual = np.zeros((d, 0)) if plant.drift is None else np.eye(d)
+    A = np.zeros((S, S + d + residual.shape[1]))
     A[1:1 + d, 0] = y_star
     A[1:1 + d, 1 + d:1 + 2 * d] = -np.eye(d)
     A[1 + d:S - d, 1 + 2 * d:S] = np.eye((n - 1) * d)
     if plant.affine is not None:  # W acts on [1; x; u], every column but the integral's
         A[S - d:, np.r_[0, 1 + d:S + d]] += plant.affine
-    if plant.drift is not None:
-        A[S - d:, S + d:] = np.eye(d)
+    A[S - d:, S + d:] = residual
     G = np.zeros((S, noise_gain.shape[1]))
     G[S - d:] = noise_gain
     return A, G
@@ -243,8 +249,11 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     [1; integral; x; u; f; w], with block = max(1, ``_BLOCK_BYTES`` //
     (8*rows*size)) steps, at most the step count.  The arrays take turns: a
     block starts at slot 0 of one, each step's matmul by M writes the next
-    slot, and the block's last step writes slot 0 of the other; plants see
-    the transposed (size, n*d) view of a slot's x.  The diffusion is
+    slot, and the block's last step writes slot 0 of the other.  Before the
+    matmul, a plant with terms has each term's ufunc write its f row from
+    its source row of the slot in place; otherwise the residual callable,
+    which sees the transposed (size, n*d) view of a slot's x, has its
+    result copied into the f rows.  The diffusion is
     evaluated at x0 first, and the noise takes one of two paths.  An
     unbatched (d, m) result is constant, the noise gain G, and each block's
     one draw writes its normals straight into the w rows (not at all when G
@@ -257,7 +266,7 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     (x0 is never guarded); a non-finite residual drift or diffusion reaches
     x_n at the same step, so the guard finds it too.  The first state the block
     wrote outside the box, and the first path in it, locate the divergence;
-    the drift (its f row) and the diffusion (evaluated again, as w keeps
+    the drift (its f rows) and the diffusion (evaluated again, as w keeps
     g(x) z) at the step that produced it are checked first, to raise
     :class:`NonFinite` where a step-by-step reference would.  A plant may see
     a state outside the box before the guard runs, so a plant error is
@@ -299,12 +308,16 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
 
     def layout(k: int):
         """Views of a block that starts in arrays[k]: per slot x and u as the plant
-        sees them, the f and w rows, the slot's normals (or None), the matmul input
-        and output; the arrays the guard covers; where the block's normals are drawn."""
+        sees them, each term's ufunc with its source row and its f row, the f and w
+        rows, the slot's normals (or None), the matmul input and output; the arrays
+        the guard covers; where the block's normals are drawn."""
         A, B = arrays[k], arrays[1 - k]
         out = [A[:Rm, j] for j in range(1, block)] + [B[:Rm, 0]]
-        slots = [(A[1 + d:S, j].T, A[S:S + d, j].T, A[S + d:F, j], A[F:, j],
-                  None if z is None else z[j], A[:, j], out[j]) for j in range(block)]
+        slots = [(A[1 + d:S, j].T, A[S:S + d, j].T,
+                  [(ufunc, A[1 + d + source, j], A[S + d + t, j])
+                   for t, (ufunc, source, _) in enumerate(plant.terms)],
+                  A[S + d:F, j], A[F:, j], None if z is None else z[j], A[:, j], out[j])
+                 for j in range(block)]
         box = [A[1:S, 1:], B[1:S, 0]] if block > 1 else [B[1:S, 0]]
         return slots, box, A[F:] if constant else z
 
@@ -347,6 +360,7 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
         np.matmul(mom, mom.transpose(0, 2, 1), out=C[rows])
 
     blocks = [layout(0), layout(1)]
+    drift = None if plant.terms else plant.drift  # a term plant steps its terms in place
     k = 0
     # overflow and NaN reach the box guard and require_finite; warnings would repeat them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -360,9 +374,11 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
                 normals = normals[:, :nb] if constant else normals[:nb]
             s = s0
             try:
-                for x, u, f_row, w_row, z_j, state, out in slots:
-                    if plant.drift is not None:
-                        f = np.asarray(plant.drift(x, u), dtype=float)
+                for x, u, terms, f_row, w_row, z_j, state, out in slots:
+                    for ufunc, source, value in terms:
+                        ufunc(source, out=value)
+                    if drift is not None:
+                        f = np.asarray(drift(x, u), dtype=float)
                         if f.shape != (size, d):
                             f = np.broadcast_to(f, (size, d))
                         f_row[...] = f.T

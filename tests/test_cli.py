@@ -753,6 +753,20 @@ class TestSweep:
         assert "# values=1.0000001,1.0000002" in lines
         assert [l.split(",")[0] for l in lines[-2:]] == ["1.0000001", "1.0000002"]
 
+    def test_progress_lines_print_each_value_unrounded(self, tmp_path, capsys):
+        # the progress line prints a value as the values line does: "%g" printed
+        # "gain-scale=1:" for both values and "sigma=0:" for 0.0
+        cfg = write_config(tmp_path / "cfg.json", **{"sim.paths": 20, "sim.horizon": 0.1})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--vary", "gain-scale",
+                     "--values", "1.0000001,1.0000002", "--out", str(out)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:2]] == ["gain-scale=1.0000001",
+                                                              "gain-scale=1.0000002"]
+        assert main(["sweep", "--config", str(cfg), "--vary", "sigma",
+                     "--values", "0", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("sigma=0.0: steady E|e|^2 = ")
+
     def test_gain_scale_sweep_rejects_open_loop(self, tmp_path, capsys):
         # an open-loop run ignores its gains: every row would be the same run
         cfg = write_config(tmp_path / "cfg.json", **{"sim.controller": "open_loop"})

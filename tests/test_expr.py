@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from stochpid.expr import (
     fold_constants,
     parse_expr,
     split_affine,
+    split_terms,
 )
 
 BENCH_DRIFT = "0.4*sin(x1) - 0.3*x2 + 0.5*x3 + 6 + u + 5.2*tanh(u)"
@@ -287,6 +289,48 @@ class TestAffineSplit:
         want = evaluate(tree, env)[:, None]
         assert np.allclose(plant.eval_drift(x, u), want, rtol=1e-14, atol=1e-14)
         assert np.allclose(plant.eval_drift(x[0], u[0]), want[0], rtol=1e-14, atol=1e-14)
+
+
+class TestTermLowering:
+    """A residual whose every term is a scaled function of one variable is data."""
+
+    @pytest.mark.parametrize("text, terms", [
+        ("0.4*sin(x1)", ((np.sin, 0, (0.4,)),)),
+        ("sin(x1)/4", ((np.sin, 0, (0.25,)),)),
+        ("-tanh(u)", ((np.tanh, 2, (-1.0,)),)),
+        ("tanh(u)*5.2", ((np.tanh, 2, (5.2,)),)),
+        ("abs(x2)", ((np.abs, 1, (1.0,)),)),
+        ("u - 0.2*x1 + 0.4*sin(x1) - 2*(3*exp(x2)) + cos(u)",
+         ((np.sin, 0, (0.4,)), (np.exp, 1, (-6.0,)), (np.cos, 2, (1.0,)))),
+    ])
+    def test_lowered(self, text, terms):
+        plant = expression_plant(2, text, "0.1", L=1.0, M=0.0)
+        assert plant.terms == terms
+        # the compiled residual stays the drift, so eval_drift and u* do not see the terms
+        rng = np.random.default_rng(44)
+        x, u = rng.standard_normal((64, 2)), rng.standard_normal((64, 1))
+        want = evaluate(parse_expr(text, n=2), {"x1": x[:, 0], "x2": x[:, 1], "u": u[:, 0]})
+        assert np.allclose(plant.eval_drift(x, u), want[:, None], rtol=1e-14, atol=1e-14)
+        twin = dataclasses.replace(plant, terms=())
+        assert np.array_equal(plant.eval_drift(x, u), twin.eval_drift(x, u))
+
+    @pytest.mark.parametrize("text", [
+        "sin(x1 - 1)",
+        "u*sin(x1)",
+        "sin(x1)*cos(x2)",
+        "0.4*sin(x1) + x1*x2",
+        "sin(x1) + exp(-x2)",
+        "u - 0.2*x1",
+    ])
+    def test_kept_as_a_callable(self, text):
+        plant = expression_plant(2, text, "0.1", L=1.0, M=0.0)
+        assert plant.terms == ()
+        assert (plant.drift is None) == (text == "u - 0.2*x1")
+
+    def test_split_terms_reads_the_residual_sum(self):
+        residual = split_affine(fold_constants(parse_expr(BENCH_DRIFT)))[2]
+        assert split_terms(residual) == [("sin", "x1", 0.4), ("tanh", "u", 5.2)]
+        assert split_terms(None) == []
 
 
 class TestExpressionPlant:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -191,6 +192,63 @@ class TestAffineDrift:
             PlantSpec(1, 1, 1, None, diffusion, 0.0, 0.0, affine=[[np.inf, 0.0, 1.0]])
         plant = PlantSpec(1, 1, 1, None, diffusion, 0.0, 0.0, affine=[[1.0, 0.0, 1.0]])
         assert not plant.affine.flags.writeable
+
+
+class TestTerms:
+    """A residual given as elementwise terms: sum_k weights_k * ufunc_k(z[source_k])."""
+
+    def test_bench3_drift_is_the_formula_bitwise(self):
+        rng = np.random.default_rng(8)
+        x, u = rng.uniform(-5.0, 5.0, (200, 3)), rng.uniform(-10.0, 10.0, (200, 1))
+        x[:4], u[:2] = -0.0, -0.0  # the sign of a zero is kept too
+        plant = bench3(a=0.3, mu=1.5)
+        want = 0.3 * np.sin(x[..., 0:1]) + 1.5 * np.tanh(u)
+        assert plant.drift(x, u).tobytes() == want.tobytes()
+        assert plant.drift(x[7], u[7]).tobytes() == want[7].tobytes()
+
+    def test_a_term_feeds_every_input_dimension(self):
+        plant = PlantSpec(1, 2, 1, None, lambda x: np.zeros((2, 1)), 1.0, 0.0,
+                          terms=((np.sin, 0, (0.5, -2.0)), (np.tanh, 3, (0.0, 1.0))))
+        x, u = np.array([[0.3, -0.4]]), np.array([[0.1, 0.7]])
+        want = np.sin(0.3) * np.array([0.5, -2.0]) + np.tanh(0.7) * np.array([0.0, 1.0])
+        assert np.allclose(plant.eval_drift(x, u), want, rtol=1e-15, atol=0.0)
+        assert plant.terms == ((np.sin, 0, (0.5, -2.0)), (np.tanh, 3, (0.0, 1.0)))
+
+    @pytest.mark.parametrize("term, message", [
+        ((np.sin,), r"terms\[0\]: expected \(ufunc, source, weights\)"),
+        ((np.sin, 0), r"terms\[0\]: expected \(ufunc, source, weights\)"),
+        ((np.sin, 0, (1.0, 2.0), 3), r"terms\[0\]: expected \(ufunc, source, weights\)"),
+        ((lambda v: v, 0, (1.0, 2.0)), r"terms\[0\]: expected a unary numpy ufunc"),
+        ((np.add, 0, (1.0, 2.0)), r"terms\[0\]: expected a unary numpy ufunc"),
+        ((np.divmod, 0, (1.0, 2.0)), r"terms\[0\]: expected a unary numpy ufunc"),
+        ((np.frexp, 0, (1.0, 2.0)), r"terms\[0\]: expected a unary numpy ufunc"),
+        ((np.sin, -1, (1.0, 2.0)), r"terms\[0\]: source must be an index in \[0, 6\)"),
+        ((np.sin, 6, (1.0, 2.0)), r"terms\[0\]: source must be an index in \[0, 6\)"),
+        ((np.sin, 1.5, (1.0, 2.0)), r"terms\[0\]: source must be an index"),
+        ((np.sin, "0", (1.0, 2.0)), r"terms\[0\]: source must be an index"),
+        ((np.sin, True, (1.0, 2.0)), r"terms\[0\]: source must be an index"),
+        ((np.sin, 0, (1.0,)), r"terms\[0\] weights: expected 2 finite number"),
+        ((np.sin, 0, 1.0), r"terms\[0\] weights: expected 2 finite number"),
+        ((np.sin, 0, (1.0, np.nan)), r"terms\[0\] weights: expected 2 finite number"),
+        ((np.sin, 0, (1.0, np.inf)), r"terms\[0\] weights: expected 2 finite number"),
+        ((np.sin, 0, (1.0, "2")), r"terms\[0\] weights: expected 2 finite number"),
+    ])
+    def test_terms_are_checked(self, term, message):
+        # n*d + d = 2*2 + 2 = 6 entries in z = [x; u]
+        with pytest.raises(ValueError, match="^" + message):
+            PlantSpec(2, 2, 1, None, lambda x: np.zeros((2, 1)), 1.0, 0.0,
+                      terms=(term,))
+
+    def test_a_later_term_is_named_by_its_index(self):
+        with pytest.raises(ValueError, match=r"^terms\[1\]: source"):
+            PlantSpec(1, 1, 1, None, lambda x: np.zeros((1, 1)), 1.0, 0.0,
+                      terms=((np.sin, 0, (1.0,)), (np.sin, 2, (1.0,))))
+
+    def test_replacing_the_drift_keeps_the_terms(self):
+        plant = bench3()
+        wrapped = dataclasses.replace(plant, drift=lambda x, u: plant.drift(x, u))
+        assert wrapped.terms == plant.terms and wrapped.drift is not plant.drift
+        assert dataclasses.replace(plant, terms=()).drift is plant.drift
 
 
 def _spec(*constants, **fields):

@@ -490,8 +490,10 @@ class TestKernelMatchesEmStep:
     ])
     def test_plant_calls_per_chunk(self, plant, g, diffusion_per_step, monkeypatch):
         # a constant diffusion is evaluated once per chunk, a state-dependent one
-        # once per step, and a residual drift once per step (never when the drift
-        # is affine); wrapped callables and two workers leave the moments bitwise equal
+        # once per step, and a residual drift callable once per step (never when the
+        # drift is affine or its residual is given as terms, as bench3's and the
+        # BENCH_DRIFT plant's are); wrapped callables and two workers leave the
+        # moments bitwise equal
         counters = {name: itertools.count() for name in ("drift", "diffusion", "expr")}
 
         def counted(name, fn):
@@ -514,7 +516,7 @@ class TestKernelMatchesEmStep:
         chunks, steps = 2, cfg.steps
         drift_calls = next(counters["drift"])
         diffusion_calls = next(counters["diffusion"])
-        assert drift_calls == (0 if plant.drift is None else steps * chunks)
+        assert drift_calls == (0 if plant.drift is None or plant.terms else steps * chunks)
         assert diffusion_calls == (steps if diffusion_per_step else 1) * chunks
         # expression plants evaluate one formula per call
         expr_calls = drift_calls + diffusion_calls if plant.name == "expression" else 0
@@ -586,6 +588,88 @@ class TestKernelMatchesEmStep:
         assert last == pytest.approx(state.x[0, 0] ** 2, abs=1e-9)
 
 
+def term_plant_d2() -> PlantSpec:
+    """n = 2, d = 2, m = 2: three elementwise terms, of x1, x4 and u1, each weighted
+    into both drift rows, beside an affine part and a constant diffusion."""
+    return PlantSpec(2, 2, 2, None, lambda x: np.array([[0.3, 0.05], [-0.1, 0.2]]),
+                     lipschitz_L=1.0, lipschitz_M=0.0, gain_lower_b=0.5,
+                     affine=[[0.5, -0.4, 0.1, 0.0, 0.2, 1.0, 0.0],
+                             [-0.2, 0.0, 0.3, 0.1, -0.5, 0.0, 1.0]],
+                     terms=((np.sin, 0, (0.3, -0.2)), (np.cos, 3, (0.1, 0.1)),
+                            (np.tanh, 4, (0.4, 0.2))))
+
+
+class TestTerms:
+    """A plant's elementwise terms are stepped in place, their weights in the step matrix."""
+
+    CASES = {
+        "bench3": (bench3(sigma=0.3), BENCH, [0.9, 0.0, 0.1]),
+        "cli_narrow": (expression_plant(3, BENCH_DRIFT, "0.2", L=0.87, M=0.0), BENCH,
+                       [0.92, -0.01, 0.1]),
+        "d2": (term_plant_d2(), GainVector("pid", np.array([1.0, 4.0, 3.0])),
+               [0.2, -0.1, 0.05, 0.0]),
+    }
+
+    @staticmethod
+    def run(case, paths, **fields):
+        plant, g, x0 = TestTerms.CASES[case]
+        plant = dataclasses.replace(plant, **fields)
+        sp = solve_equilibrium(plant, [1.0] * plant.d)
+        cfg = SimConfig(dt=0.01, horizon=0.6, paths=paths, seed=41, record_stride=2,
+                        controller="pid", x0=np.array(x0))
+        return lambda **kw: simulate_paths(plant, sp, g, cfg, **kw).table()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_generic_residual(self, case):
+        # the twin without terms evaluates the same sum through its drift callable
+        plant = self.CASES[case][0]
+        assert plant.terms and plant.drift is not None
+        have, want = self.run(case, 48)(), self.run(case, 48, terms=())()
+        assert not np.array_equal(have, want)  # dt*w*f(z) rounds unlike dt*(sum of w*f(z))
+        np.testing.assert_allclose(have, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_workers_and_blocks_leave_moments_bitwise_equal(self, case, monkeypatch):
+        # 4100 paths: a 4096-path chunk of one-step blocks beside a 4-path chunk of one
+        # block, of 7-step blocks or of one-step blocks
+        plant = self.CASES[case][0]
+        run = self.run(case, 4100)
+        default = run(workers=1)
+        assert np.array_equal(run(workers=2), default)
+        rows = 1 + (plant.n + 2) * plant.d + len(plant.terms) + plant.m
+        for block in (1, 7):
+            monkeypatch.setattr("stochpid.simulate._BLOCK_BYTES", block_budget(block, rows, 4))
+            for workers in (1, 2):
+                assert np.array_equal(run(workers=workers), default)
+
+    def test_overflowing_term_raises_non_finite_at_the_reference_step(self, monkeypatch):
+        # x1 climbs by about 10 a step until exp(x1) overflows, at x1 = 710, far inside the
+        # box: the term's weight keeps 1e-300*exp(x1) small until then
+        plant = expression_plant(2, "1e-300*exp(x1) + u", "0", L=1.0, M=0.0)
+        assert plant.terms == ((np.exp, 0, (1e-300,)),)
+        sp = solve_equilibrium(plant, 0.0)
+        cfg = SimConfig(dt=0.01, horizon=2.0, paths=16, seed=3, record_stride=1,
+                        controller="open_loop", x0=np.array([0.0, 1000.0]))
+        for steps in range(200):  # the first state at which the reference's drift overflows
+            try:
+                with np.errstate(over="ignore"):  # exp(710) = inf is what the test is after
+                    em_reference(plant, sp, None,
+                                 dataclasses.replace(cfg, horizon=(steps + 1) * 0.01))
+            except NonFinite as exc:
+                assert "drift" in str(exc)
+                break
+        assert steps == 71
+        # slots [1; integral; x1; x2; u; exp; w] have 7 rows; the step is interior to the
+        # first block
+        monkeypatch.setattr("stochpid.simulate._BLOCK_BYTES", block_budget(steps + 3, 7, 16))
+        ok = dataclasses.replace(cfg, horizon=steps * 0.01)
+        assert np.isfinite(simulate_paths(plant, sp, None, ok).table()).all()
+        with pytest.raises(NonFinite, match="drift"):
+            simulate_paths(plant, sp, None, dataclasses.replace(ok, horizon=(steps + 1) * 0.01))
+        with pytest.raises(NonFinite, match="drift"):
+            simulate_paths(plant, sp, None, cfg)
+
+
 def block_budget(block: int, rows: int, paths: int) -> int:
     """The ``_BLOCK_BYTES`` that gives a chunk of ``paths`` paths, whose slots have
     ``rows`` rows, blocks of ``block`` steps."""
@@ -618,15 +702,15 @@ class TestBlocks:
     SIN_DIFFUSION = expression_plant(3, BENCH_DRIFT, "0.4*sin(x1 - 1) + 0.01", L=0.87, M=0.4)
     # case: plant, gains, x0 and the rows of a slot
     CASES = {
-        "bench3_pid": (bench3(sigma=0.3), BENCH, [0.9, 0.0, 0.1], 8),
-        "sin_diffusion": (SIN_DIFFUSION, BENCH, [0.9, 0.0, 0.1], 8),
+        "bench3_pid": (bench3(sigma=0.3), BENCH, [0.9, 0.0, 0.1], 9),
+        "sin_diffusion": (SIN_DIFFUSION, BENCH, [0.9, 0.0, 0.1], 9),
         "open_loop": (ou(theta=2.0, sigma=0.7), None, [0.5], 5),
     }
 
     @pytest.mark.parametrize("stride", [1, 4])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_block_size_leaves_moments_bitwise_equal(self, case, stride, monkeypatch):
-        # the default budget gives 48 paths blocks of 21 (8 rows) or 34 (5 rows)
+        # the default budget gives 48 paths blocks of 18 (9 rows) or 34 (5 rows)
         # steps; 7 does not divide the 100 steps, so the last block is partial
         plant, g, x0, rows = self.CASES[case]
         sp = solve_equilibrium(plant, 1.0 if g else 0.0)
@@ -647,15 +731,16 @@ class TestBlocks:
         default = simulate_paths(plant, sp, BENCH, cfg, workers=1).table()
         assert np.array_equal(simulate_paths(plant, sp, BENCH, cfg, workers=2).table(), default)
         for block in (1, 7):
-            monkeypatch.setattr("stochpid.simulate._BLOCK_BYTES", block_budget(block, 8, 4))
+            monkeypatch.setattr("stochpid.simulate._BLOCK_BYTES", block_budget(block, 9, 4))
             for workers in (1, 2):
                 assert np.array_equal(simulate_paths(plant, sp, BENCH, cfg, workers).table(),
                                       default)
 
-    @pytest.mark.parametrize("paths, draws", [(48, [5]), (4096, [100]), (4100, [100, 1])])
+    @pytest.mark.parametrize("paths, draws", [(48, [6]), (4096, [100]), (4100, [100, 1])])
     def test_one_noise_draw_per_block(self, paths, draws, monkeypatch):
-        # bench3 slots have 8 rows: 48 paths take blocks of 65536 // (8*8*48) = 21 of
-        # the 100 steps, a full chunk blocks of one step and a 4-path chunk one block
+        # bench3 slots [1; integral; x1..x3; u; sin; tanh; w] have 9 rows: 48 paths take
+        # blocks of 65536 // (8*9*48) = 18 of the 100 steps, a full chunk blocks of one
+        # step and a 4-path chunk one block
         plant = bench3(sigma=0.3)
         sp = solve_equilibrium(plant, 1.0)
         cfg = SimConfig(dt=0.01, horizon=1.0, paths=paths, seed=33, record_stride=5,
