@@ -329,13 +329,13 @@ def _plot_script(path: Path, title: str, ylabel: str, curves, logscale: bool) ->
 
 def _cmd_reproduce(args) -> int:
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     curves, scripts = JOBS[args.job]
     for fname, _, doc in curves:
         doc = copy.deepcopy(doc)
         doc["sim"].update(dt=args.dt, horizon=args.horizon, paths=args.paths, seed=args.seed,
                           record_stride=args.stride)
         stats, _, metadata = _run_config(doc, args.workers)
+        outdir.mkdir(parents=True, exist_ok=True)  # a config error of the first run leaves none
         _stats_csv(outdir / fname, metadata, stats)
         print(f"wrote {outdir / fname}")
     for name, title, ylabel, cols, prefix, logscale in scripts:
@@ -436,11 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="bundled benchmark study jobs")
     p.add_argument("job", choices=("fig1", "fig2", "fig3"))
     p.add_argument("--outdir", default="reproduce-out")
-    p.add_argument("--paths", type=int, default=20000)
+    p.add_argument("--paths", type=_positive_int, default=20000)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--horizon", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=20240901)
-    p.add_argument("--stride", type=int, default=25)
+    p.add_argument("--stride", type=_positive_int, default=25)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_reproduce)
 

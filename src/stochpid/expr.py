@@ -10,10 +10,10 @@ a float constant; any other node is an error whose position is a character
 offset in the formula, as is a tree deeper than 200 levels, which bounds
 every later recursive walk.  ``ast.unparse`` prints a tree as a formula that
 parses back to the same tree.  :func:`fold_constants` evaluates the
-variable-free subtrees once, :func:`split_affine` separates the affine terms
-of a top-level sum from the rest, which lets a plant apply them as data,
-:func:`split_terms` reads a residual sum of scaled one-variable function
-calls as data too, and :func:`compile_expr` compiles a tree once for
+variable-free subtrees once, :func:`split_sum` reads a top-level sum in one
+pass into its affine part and either scaled one-variable function calls or
+a residual tree, which lets a plant apply all but that residual as data,
+and :func:`compile_expr` compiles a tree once for
 :func:`eval_expr`, which runs it without builtins on scalars or arrays.
 """
 
@@ -34,8 +34,7 @@ __all__ = [
     "compile_expr",
     "eval_expr",
     "fold_constants",
-    "split_affine",
-    "split_terms",
+    "split_sum",
 ]
 
 FUNCTIONS = {
@@ -229,41 +228,35 @@ def _scaled(node: ast.expr, leaf) -> Optional[tuple[ast.expr, float]]:
     return None
 
 
-def split_affine(node: ast.expr) -> tuple[float, dict[str, float], Optional[ast.expr]]:
-    """Split a constant-folded tree into its affine terms and a residual.
+def split_sum(node: ast.expr) -> tuple[float, dict[str, float], list[tuple[str, str, float]],
+                                       Optional[ast.expr]]:
+    """Split a constant-folded tree at its top-level sum, read in one pass.
 
-    The terms are the operands of the top-level ``+`` and ``-``, through
+    The summands are the operands of the top-level ``+`` and ``-``, through
     unary minus.  A constant, a variable, or a constant multiple or quotient
-    of a variable is affine.  Returns the sum of the constants, the summed
-    coefficient of each variable, and the sum of the remaining terms in
-    their order, or None when every term is affine.
+    of a variable is affine; a function of one variable, possibly negated or
+    multiplied or divided by constants (``0.4*sin(x1)``, ``-tanh(u)/2``), is
+    a term.  Returns the sum of the constants, the summed coefficient of each
+    variable, the (function, variable, coefficient) of each term when every
+    other summand is a term, else [], and the residual: the sum of the other
+    summands in their order, or None when there are none or they are terms.
     """
-    const, coeffs, residual = 0.0, {}, None
-    for sign, term in _summands(node):
-        if isinstance(term, ast.Constant):
-            const += sign * term.value
-        elif linear := _scaled(term, _is_variable):
+    const, coeffs, terms, residual = 0.0, {}, [], None
+    for sign, summand in _summands(node):
+        if isinstance(summand, ast.Constant):
+            const += sign * summand.value
+            continue
+        if linear := _scaled(summand, _is_variable):
             name = linear[0].id
             coeffs[name] = coeffs.get(name, 0.0) + sign * linear[1]
-        elif residual is None:
-            residual = term if sign > 0 else ast.UnaryOp(ast.USub(), term)
+            continue
+        call = _scaled(summand, _is_function_of_variable)
+        if terms is not None and call:
+            terms.append((call[0].func.id, call[0].args[0].id, sign * call[1]))
         else:
-            residual = ast.BinOp(residual, ast.Add() if sign > 0 else ast.Sub(), term)
-    return const, coeffs, residual
-
-
-def split_terms(node: Optional[ast.expr]) -> list[tuple[str, str, float]]:
-    """(function, variable, coefficient) of each term of a sum whose every term, as
-    :func:`split_affine` reads them, is a function of one variable, possibly negated or
-    multiplied or divided by constants (``0.4*sin(x1) - tanh(u)/2``); [] for None or for
-    any other sum (``sin(x1) + x1*x2``), whose terms are not all of that form."""
-    if node is None:
-        return []
-    terms = []
-    for sign, term in _summands(node):
-        scaled = _scaled(term, _is_function_of_variable)
-        if scaled is None:
-            return []
-        call, c = scaled
-        terms.append((call.func.id, call.args[0].id, sign * c))
-    return terms
+            terms = None
+        if residual is None:
+            residual = summand if sign > 0 else ast.UnaryOp(ast.USub(), summand)
+        else:
+            residual = ast.BinOp(residual, ast.Add() if sign > 0 else ast.Sub(), summand)
+    return (const, coeffs, terms, None) if terms else (const, coeffs, [], residual)

@@ -12,16 +12,16 @@ makes the setpoint input u* unique for every d; :func:`solve_equilibrium`
 finds it by one damped Newton iteration and rejects a root farther from the
 origin than b allows.
 
-The drift splits into an affine part given as data and a residual callable:
+The drift splits into an affine part given as data and a residual:
 f(x; u) = W @ [1; x; u] + drift(x, u), with the weights W = ``affine`` of
-shape (d, 1 + n*d + d) (absent means zero) and ``drift`` None when f is
-affine.  A residual that is a weighted sum of elementwise functions may
-also be given as data, the ``terms`` (ufunc, source, weights): drift(x, u)
-= sum_k weights_k * ufunc_k(z[source_k]) with z = [x; u] and d weights per
-term, built from the terms when no ``drift`` is given.  The simulator folds
+shape (d, 1 + n*d + d) (absent means zero).  ``drift`` is None when f is
+affine, a residual callable, or the residual as data: a tuple of terms
+(ufunc, source, weights) for drift(x, u) = sum_k weights_k *
+ufunc_k(z[source_k]) with z = [x; u] and d weights per term, which the
+plant stores as a callable tuple that returns that sum.  The simulator folds
 W and the terms' weights into its loop matrix, so per step it evaluates
 only each term's ufunc in place, or else the residual callable;
-:meth:`PlantSpec.eval_drift` returns the full f from ``drift``.
+:meth:`PlantSpec.eval_drift` returns the full f.
 Drift and diffusion callables must be pure functions, vectorized over a
 leading batch axis: drift(x, u) maps (..., n*d) x (..., d) -> (..., d) and
 diffusion(x) maps (..., n*d) -> (..., d, m).  A diffusion that returns one
@@ -36,7 +36,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -61,22 +61,21 @@ class NonFinite(ValueError):
 class PlantSpec:
     """An uncertain nonlinear stochastic plant of relative degree n.
 
-    ``drift`` is the residual of f beyond the affine part ``affine`` (see
-    the module docstring); None means f is affine, unless ``terms`` give
-    the residual.
+    ``drift`` is the residual of f beyond the affine part ``affine``: None,
+    a callable or a tuple of terms (see the module docstring); no terms,
+    ``()``, is None.
     """
 
     n: int
     d: int
     m: int
-    drift: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
+    drift: Union[None, Callable[[np.ndarray, np.ndarray], np.ndarray], tuple]
     diffusion: Callable[[np.ndarray], np.ndarray]
     lipschitz_L: float
     lipschitz_M: float
     gain_lower_b: float = 1.0
     name: str = field(default="", compare=False)
     affine: Optional[np.ndarray] = field(default=None, compare=False)  # == on arrays is elementwise
-    terms: tuple = ()
 
     def __post_init__(self):
         for name in ("n", "d", "m"):
@@ -93,25 +92,24 @@ class PlantSpec:
                 raise ValueError(f"affine weights must be finite numbers, got {W}")
             W.flags.writeable = False
             object.__setattr__(self, "affine", W)
-        terms = tuple(self._term(k, term) for k, term in enumerate(self.terms))
-        object.__setattr__(self, "terms", terms)
-        if self.drift is None and terms:
-            object.__setattr__(self, "drift", _term_sum(terms, self.state_dim))
+        if isinstance(self.drift, tuple):  # a _Terms too, so a replaced n is checked again
+            terms = tuple(self._term(k, term) for k, term in enumerate(self.drift))
+            object.__setattr__(self, "drift", _Terms(terms, self.state_dim) if terms else None)
 
     def _term(self, k: int, term) -> tuple:
         """Term k as (unary ufunc, source index into [x; u], d float weights), else
-        ValueError starting with ``terms``."""
+        ValueError starting with ``drift[k]``."""
         try:
             ufunc, source, weights = term
         except (TypeError, ValueError):
-            raise ValueError(f"terms[{k}]: expected (ufunc, source, weights), "
+            raise ValueError(f"drift[{k}]: expected (ufunc, source, weights), "
                              f"got {term!r}") from None
         if not (isinstance(ufunc, np.ufunc) and ufunc.nin == ufunc.nout == 1):
-            raise ValueError(f"terms[{k}]: expected a unary numpy ufunc, got {ufunc!r}")
+            raise ValueError(f"drift[{k}]: expected a unary numpy ufunc, got {ufunc!r}")
         if not (_is_integer(source) and 0 <= source < self.state_dim + self.d):
-            raise ValueError(f"terms[{k}]: source must be an index in "
+            raise ValueError(f"drift[{k}]: source must be an index in "
                              f"[0, {self.state_dim + self.d}), got {source!r}")
-        weights = _as_vec(weights, self.d, f"terms[{k}] weights")
+        weights = _as_vec(weights, self.d, f"drift[{k}] weights")
         return ufunc, int(source), tuple(weights.tolist())
 
     @property
@@ -137,19 +135,26 @@ class PlantSpec:
         return require_finite(out, "diffusion")
 
 
-def _term_sum(terms: tuple, nd: int):
-    """The residual drift sum_k weights_k * ufunc_k(z[source_k]) of ``terms``, z = [x; u]."""
-    weights = [np.array(w) for _, _, w in terms]
+class _Terms(tuple):
+    """Checked terms (ufunc, source, weights) of a residual drift; calling it returns
+    their sum sum_k weights_k * ufunc_k(z[source_k]), z = [x; u]."""
 
-    def drift(x, u):
+    def __new__(cls, terms: tuple, state_dim: int):
+        self = super().__new__(cls, terms)
+        self.state_dim = state_dim
+        self._weights = [np.array(w) for _, _, w in terms]
+        return self
+
+    def __getnewargs__(self):  # what copies and pickles rebuild a _Terms from
+        return tuple(self), self.state_dim
+
+    def __call__(self, x, u):
         x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-        out = None
-        for (ufunc, source, _), w in zip(terms, weights):
+        nd, out = self.state_dim, None
+        for (ufunc, source, _), w in zip(self, self._weights):
             z = x[..., source:source + 1] if source < nd else u[..., source - nd:source - nd + 1]
             out = w * ufunc(z) if out is None else out + w * ufunc(z)
         return out
-
-    return drift
 
 
 def require_finite(out: np.ndarray, what: str) -> np.ndarray:

@@ -7,12 +7,13 @@
 restricted to |a|, |b|, |c| <= 1/2, mu >= 0, which keeps the asserted
 Lipschitz constants L = sqrt(3)/2, M = 0 and control-gain lower bound 1
 valid for the whole parameter class; its affine part b*x2 + c*x3 + d + u
-is declared as data and so is the residual a*sin(x1) + mu*tanh(u), as two
-elementwise terms.  ``chain`` (f = u + bias) and ``ou`` (f = u - theta*x1)
+is declared as data and its drift is the residual a*sin(x1) + mu*tanh(u)
+as two elementwise terms.  ``chain`` (f = u + bias) and ``ou`` (f = u - theta*x1)
 cover the linear sanity cases and are affine only.  Expression plants are
 scalar (d = m = 1) with drift over x1..xn, u and diffusion over x1..xn only;
 the affine terms of their drift formula become data as well, and so does a
-residual that is a sum of constant multiples of functions of one variable.
+residual that is a sum of constant multiples of functions of one variable;
+only any other residual is a callable.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import math
 
 import numpy as np
 
-from .expr import (FUNCTIONS, compile_expr, eval_expr, fold_constants, parse_expr, split_affine,
-                   split_terms)
+from .expr import FUNCTIONS, compile_expr, eval_expr, fold_constants, parse_expr, split_sum
 from .model import PlantSpec, _is_real, _require_constant, _require_count, _section
 
 __all__ = ["bench3", "chain", "ou", "expression_plant", "BUILTIN_PLANTS", "build_plant"]
@@ -55,14 +55,13 @@ def bench3(
         n=3,
         d=1,
         m=1,
-        drift=None,  # built from the terms
+        drift=((np.sin, 0, (a,)), (np.tanh, 3, (mu,))),
         diffusion=_additive_noise(sigma),
         lipschitz_L=math.sqrt(3.0) / 2.0,
         lipschitz_M=0.0,
         gain_lower_b=1.0,
         name="bench3",
         affine=np.array([[d, 0.0, b, c, 1.0]]),
-        terms=((np.sin, 0, (a,)), (np.tanh, 3, (mu,))),
     )
 
 
@@ -117,69 +116,63 @@ def expression_plant(
     The drift may reference x1..xn and u; the diffusion only x1..xn (the
     noise gain does not depend on the input).  Both formulas have their
     constant subexpressions folded once here.  The drift is then split at
-    its top-level sum: the constant terms and the constant multiples or
-    quotients of one variable become the affine weights W, which the
-    simulator folds into its loop matrix, and the remaining terms are the
-    residual callable (None when every term is affine), so the formula
-    from the README gives W = [6, 0, -0.3, 0.5, 1] and the residual
-    0.4*sin(x1) + 5.2*tanh(u), as ``bench3`` declares.  A residual whose
-    every term is a function of one variable, possibly negated or times
-    or over a constant, is also given as ``terms``, which the simulator
-    steps in place of the callable: here sin(x1) weighted 0.4 and tanh(u)
-    weighted 5.2.  A diffusion that
-    references no variable returns one unbatched (1, 1) matrix, so the
-    simulator treats it as constant.  Each callable runs its formula
-    compiled once here and binds only the variables the formula's tree
-    reads, found once here: the residual above binds x1 and u.  L, M and
-    b_lower are the caller's assertions about the expressions.  Errors in
-    a formula, including a constant that divides by zero or is not finite,
+    its top-level sum (:func:`~stochpid.expr.split_sum`): the constant terms
+    and the constant multiples or quotients of one variable become the
+    affine weights W, which the simulator folds into its loop matrix, and
+    the remaining terms are the plant's ``drift`` (None when every term is
+    affine).  When each of them is a function of one variable, possibly
+    negated or times or over a constant, the drift is those terms as data,
+    which the simulator steps in place: the formula from the README gives
+    W = [6, 0, -0.3, 0.5, 1] and the terms sin(x1) weighted 0.4 and tanh(u)
+    weighted 5.2, as ``bench3`` declares.  Any other residual is compiled
+    once here into the drift callable.  A diffusion that references no
+    variable returns one unbatched (1, 1) matrix, so the simulator treats it
+    as constant.  Each callable binds only the variables its formula's tree
+    reads, found once here: a residual u*sin(x1) binds x1 and u.  L, M and
+    b_lower are the caller's assertions about the expressions.  Errors in a
+    formula, including a constant that divides by zero or is not finite,
     name its parameter (``drift: ...``).
     """
     n = _require_count("n", n)
-    const, coeffs, drift_ast = split_affine(_parse("drift", drift, n, allow_u=True))
-    drift_code = None if drift_ast is None else compile_expr(drift_ast)
-    diff_ast = _parse("diffusion", diffusion, n, allow_u=False)
-    diff_code = compile_expr(diff_ast)
+    const, coeffs, terms, residual = split_sum(_parse("drift", drift, n, allow_u=True))
+    diffusion_tree = _parse("diffusion", diffusion, n, allow_u=False)
     names = [f"x{i + 1}" for i in range(n)] + ["u"]
     affine = np.array([[const] + [coeffs.get(v, 0.0) for v in names]]) if coeffs or const else None
-    terms = tuple((FUNCTIONS[g], names.index(v), (c,)) for g, v, c in split_terms(drift_ast))
-    drift_x, drift_u = _columns(drift_ast, n)
-    diff_x, _ = _columns(diff_ast, n)
-
-    def drift_fn(x, u):
-        x = np.asarray(x, dtype=float)
-        env = {v: x[..., i] for v, i in drift_x}
-        if drift_u:
-            env["u"] = np.asarray(u, dtype=float)[..., 0]
-        return np.asarray(eval_expr(drift_code, env), dtype=float)[..., None]
-
-    def diff_fn(x):
-        x = np.asarray(x, dtype=float)
-        env = {v: x[..., i] for v, i in diff_x}
-        # a formula without variables evaluates to a scalar: one unbatched (1, 1) matrix
-        return np.asarray(eval_expr(diff_code, env), dtype=float)[..., None, None]
-
+    if terms:
+        residual = tuple((FUNCTIONS[g], names.index(v), (c,)) for g, v, c in terms)
+    elif residual is not None:
+        residual = _compiled(residual, n, (None,))
     return PlantSpec(
         n=n,
         d=1,
         m=1,
-        drift=None if drift_code is None else drift_fn,
-        diffusion=diff_fn,
+        drift=residual,
+        diffusion=_compiled(diffusion_tree, n, (None, None)),
         lipschitz_L=L,
         lipschitz_M=M,
         gain_lower_b=b_lower,
         name="expression",
         affine=affine,
-        terms=terms,
     )
 
 
-def _columns(tree, n: int) -> tuple[list[tuple[str, int]], bool]:
-    """(name, column) of each of x1..xn that a formula tree reads, and whether it reads u."""
-    if tree is None:
-        return [], False
+def _compiled(tree, n: int, axes: tuple):
+    """The formula ``tree`` compiled once, as a function of x (and u) that binds only
+    the variables the tree reads and appends ``axes`` (None each) to the result; a
+    formula without variables gives one unbatched value."""
+    code = compile_expr(tree)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [(f"x{i + 1}", i) for i in range(n) if f"x{i + 1}" in used], "u" in used
+    columns = [(f"x{i + 1}", i) for i in range(n) if f"x{i + 1}" in used]
+    index = (...,) + axes
+
+    def formula(x, u=None):
+        x = np.asarray(x, dtype=float)
+        env = {v: x[..., i] for v, i in columns}
+        if "u" in used:
+            env["u"] = np.asarray(u, dtype=float)[..., 0]
+        return np.asarray(eval_expr(code, env), dtype=float)[index]
+
+    return formula
 
 
 def _parse(what: str, text: str, n: int, allow_u: bool):

@@ -12,10 +12,10 @@ the left endpoint of the step; it is the only code that applies dt.
 chunk width.  A chunk of paths lives in two (state rows, block, paths)
 arrays that take turns, and one matmul by M per step writes the next state
 slot in place, so per step the kernel evaluates only the residual drift,
-as one in-place ufunc call per elementwise term of the plant or else as
-its residual callable, and a state-dependent diffusion.  The block is as
-many steps as fit one 64 KB budget per array (``_BLOCK_BYTES``): a few
-dozen for a narrow chunk, one for a full one.  Per block the kernel makes
+as one in-place ufunc call per term of a drift given as terms or else one
+call of the residual callable, and a state-dependent diffusion.  The block
+is as many steps as fit one 64 KB budget per array (``_BLOCK_BYTES``): a
+few dozen for a narrow chunk, one for a full one.  Per block the kernel makes
 one noise draw, one divergence check over every state the block wrote, and
 one moment reduction of its recorded states.  Paths are processed in fixed
 chunks of 4096; each chunk draws its noise from one SFC64 stream seeded by
@@ -36,7 +36,7 @@ import numpy as np
 
 from .design import BoundConstants, GainVector
 from .model import (PlantSpec, Setpoint, _as_vec, _is_integer, _is_real, _require_constant,
-                    _require_count, require_finite)
+                    _require_count, _Terms, require_finite)
 
 __all__ = [
     "SimConfig",
@@ -208,16 +208,16 @@ def _closed_loop(plant: PlantSpec, y_star: np.ndarray, noise_gain: np.ndarray):
 
     Row by row: the integral reads y* - x1, x_i reads x_{i+1} (i < n), and x_n
     reads W @ [1; x; u] + f, W the plant's affine drift part and f its
-    residual drift, plus noise_gain @ w.  f has one column per plant term,
-    holding the term's weights, so its rows are the terms' ufunc values;
-    else d columns of I for the residual callable; none when f is zero.  w
-    is either m standard normals, with a constant diffusion as noise_gain,
-    or the d-row term g(x) z, with noise_gain = I.
+    residual drift, plus noise_gain @ w.  A plant whose drift is terms has
+    one f column per term, holding the term's weights, so its rows are the
+    terms' ufunc values; a residual callable has d columns of I; a zero
+    residual none.  w is either m standard normals, with a constant
+    diffusion as noise_gain, or the d-row term g(x) z, with noise_gain = I.
     """
     n, d = plant.n, plant.d
     S = 1 + (n + 1) * d
-    if plant.terms:
-        residual = np.array([w for _, _, w in plant.terms]).T
+    if isinstance(plant.drift, _Terms):
+        residual = np.array([w for _, _, w in plant.drift]).T
     else:
         residual = np.zeros((d, 0)) if plant.drift is None else np.eye(d)
     A = np.zeros((S, S + d + residual.shape[1]))
@@ -250,11 +250,11 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     (8*rows*size)) steps, at most the step count.  The arrays take turns: a
     block starts at slot 0 of one, each step's matmul by M writes the next
     slot, and the block's last step writes slot 0 of the other.  Before the
-    matmul, a plant with terms has each term's ufunc write its f row from
-    its source row of the slot in place; otherwise the residual callable,
-    which sees the transposed (size, n*d) view of a slot's x, has its
-    result copied into the f rows.  The diffusion is
-    evaluated at x0 first, and the noise takes one of two paths.  An
+    matmul, a plant whose drift is terms has each term's ufunc write its f
+    row from its source row of the slot in place; any other residual drift
+    is a callable, which sees the transposed (size, n*d) view of a slot's x
+    and has its result copied into the f rows.  The diffusion is evaluated
+    at x0 first, and the noise takes one of two paths.  An
     unbatched (d, m) result is constant, the noise gain G, and each block's
     one draw writes its normals straight into the w rows (not at all when G
     is zero); with m > 1 columns a block is one step, so that the rows take
@@ -305,6 +305,8 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
     draw = bool(G.any())  # a zero noise gain leaves w at zero: no draw
     # a constant diffusion draws its normals into the w rows, w = g(x) z draws them into z
     z = None if constant else np.empty((block, m, size))
+    # a drift given as terms steps them in place, any other residual through its call
+    terms, drift = (plant.drift, None) if isinstance(plant.drift, _Terms) else ((), plant.drift)
 
     def layout(k: int):
         """Views of a block that starts in arrays[k]: per slot x and u as the plant
@@ -315,7 +317,7 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
         out = [A[:Rm, j] for j in range(1, block)] + [B[:Rm, 0]]
         slots = [(A[1 + d:S, j].T, A[S:S + d, j].T,
                   [(ufunc, A[1 + d + source, j], A[S + d + t, j])
-                   for t, (ufunc, source, _) in enumerate(plant.terms)],
+                   for t, (ufunc, source, _) in enumerate(terms)],
                   A[S + d:F, j], A[F:, j], None if z is None else z[j], A[:, j], out[j])
                  for j in range(block)]
         box = [A[1:S, 1:], B[1:S, 0]] if block > 1 else [B[1:S, 0]]
@@ -360,7 +362,6 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
         np.matmul(mom, mom.transpose(0, 2, 1), out=C[rows])
 
     blocks = [layout(0), layout(1)]
-    drift = None if plant.terms else plant.drift  # a term plant steps its terms in place
     k = 0
     # overflow and NaN reach the box guard and require_finite; warnings would repeat them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -374,8 +375,8 @@ def _run_chunk(plant, sp, K, cfg: SimConfig, x0, chunk: int, size: int, rec_coun
                 normals = normals[:, :nb] if constant else normals[:nb]
             s = s0
             try:
-                for x, u, terms, f_row, w_row, z_j, state, out in slots:
-                    for ufunc, source, value in terms:
+                for x, u, ufuncs, f_row, w_row, z_j, state, out in slots:
+                    for ufunc, source, value in ufuncs:
                         ufunc(source, out=value)
                     if drift is not None:
                         f = np.asarray(drift(x, u), dtype=float)

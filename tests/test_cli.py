@@ -712,6 +712,25 @@ class TestReproduce:
         assert main(args) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: sim.record_stride: 25 ")
 
+    @pytest.mark.parametrize("flag, value", [("--paths", "0"), ("--paths", "-3"),
+                                             ("--paths", "4.5"), ("--stride", "0")])
+    def test_count_flags_are_usage_errors_naming_the_flag(self, flag, value, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        with pytest.raises(SystemExit) as usage:
+            main(["reproduce", "fig2", "--outdir", str(outdir), flag, value])
+        assert usage.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a positive integer, got '{value}'" in err
+        assert not outdir.exists()
+
+    def test_config_error_leaves_no_outdir(self, tmp_path, capsys):
+        # the horizon is not a multiple of dt: the first run fails before any CSV
+        outdir = tmp_path / "a" / "b"
+        args = ["reproduce", "fig2", "--outdir", str(outdir), "--paths", "4",
+                "--horizon", "0.0015"]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: sim.horizon: ")
+        assert not (tmp_path / "a").exists()
 
     def test_outdir_that_is_a_file_is_config_error(self, tmp_path, capsys):
         outdir = tmp_path / "taken"

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import re
 
 import numpy as np
@@ -12,8 +11,7 @@ from stochpid.expr import (
     eval_expr,
     fold_constants,
     parse_expr,
-    split_affine,
-    split_terms,
+    split_sum,
 )
 
 BENCH_DRIFT = "0.4*sin(x1) - 0.3*x2 + 0.5*x3 + 6 + u + 5.2*tanh(u)"
@@ -241,37 +239,41 @@ class TestConstantFolding:
 class TestAffineSplit:
     @staticmethod
     def split(text):
-        return split_affine(fold_constants(parse_expr(text)))
+        return split_sum(fold_constants(parse_expr(text)))
 
     def test_bench_formula(self):
-        const, coeffs, residual = self.split(BENCH_DRIFT)
+        const, coeffs, terms, residual = self.split(BENCH_DRIFT)
         assert (const, coeffs) == (6.0, {"x2": -0.3, "x3": 0.5, "u": 1.0})
-        assert same(residual, parse_expr("0.4*sin(x1) + 5.2*tanh(u)"))
+        assert (terms, residual) == ([("sin", "x1", 0.4), ("tanh", "u", 5.2)], None)
         plant = expression_plant(3, BENCH_DRIFT, "0.2", L=np.sqrt(3) / 2, M=0.0)
         assert np.array_equal(plant.affine, [[6.0, 0.0, -0.3, 0.5, 1.0]])
 
     def test_affine_only_formula_has_no_drift_callable(self):
-        assert self.split("u - 0.2*x1") == (0.0, {"u": 1.0, "x1": -0.2}, None)
+        assert self.split("u - 0.2*x1") == (0.0, {"u": 1.0, "x1": -0.2}, [], None)
         plant = expression_plant(2, "u - 0.2*x1", "0.1", L=0.2, M=0.0)
         assert plant.drift is None
         assert np.array_equal(plant.affine, [[0.0, -0.2, 0.0, 1.0]])
 
-    @pytest.mark.parametrize("term", ["x1*x2", "2/x1", "x1*u", "sin(x1)", "2*(x1 + u)"])
+    @pytest.mark.parametrize("term", ["x1*x2", "2/x1", "x1*u", "sin(x1*u)", "2*(x1 + u)"])
     def test_nonlinear_terms_stay_residual(self, term):
-        const, coeffs, residual = self.split(f"u + {term} - 1")
-        assert (const, coeffs) == (-1.0, {"u": 1.0})
+        const, coeffs, terms, residual = self.split(f"u + {term} - 1")
+        assert (const, coeffs, terms) == (-1.0, {"u": 1.0}, [])
         assert same(residual, fold_constants(parse_expr(term)))
         plant = expression_plant(2, f"{term} - 1", "0.1", L=1.0, M=0.0)
         assert np.array_equal(plant.affine, [[-1.0, 0.0, 0.0, 0.0]])
 
     def test_terms_through_unary_minus_and_repeats(self):
-        assert self.split("x1 + 2*x1") == (0.0, {"x1": 3.0}, None)
-        const, coeffs, residual = self.split("-(x1/4 - 3) - -u*2 - sin(x2)")
-        assert (const, coeffs) == (3.0, {"x1": -0.25, "u": 2.0})
-        assert same(residual, neg(call("sin", var("x2"))))
-        const, coeffs, residual = self.split("sin(x1) - cos(x2)")
-        assert (const, coeffs) == (0.0, {})
-        assert same(residual, binop("-", call("sin", var("x1")), call("cos", var("x2"))))
+        assert self.split("x1 + 2*x1") == (0.0, {"x1": 3.0}, [], None)
+        const, coeffs, terms, residual = self.split("-(x1/4 - 3) - -u*2 - sin(x2)")
+        assert (const, coeffs, terms, residual) == (3.0, {"x1": -0.25, "u": 2.0},
+                                                    [("sin", "x2", -1.0)], None)
+        const, coeffs, terms, residual = self.split("sin(x1) - cos(x2) - x1*x2")
+        assert (const, coeffs, terms) == (0.0, {}, [])
+        assert same(residual, binop("-", binop("-", call("sin", var("x1")), call("cos", var("x2"))),
+                                    binop("*", var("x1"), var("x2"))))
+        assert same(self.split("-sin(x1*x2) + cos(x2)")[3],
+                    binop("+", neg(call("sin", binop("*", var("x1"), var("x2")))),
+                          call("cos", var("x2"))))
         assert expression_plant(2, "sin(x1) + tanh(u)", "0.1", L=1.0, M=0.0).affine is None
 
     @pytest.mark.parametrize("text", [
@@ -305,14 +307,12 @@ class TestTermLowering:
     ])
     def test_lowered(self, text, terms):
         plant = expression_plant(2, text, "0.1", L=1.0, M=0.0)
-        assert plant.terms == terms
-        # the compiled residual stays the drift, so eval_drift and u* do not see the terms
+        assert plant.drift == terms
+        # the terms are the drift, so eval_drift and u* read the sum the simulator steps
         rng = np.random.default_rng(44)
         x, u = rng.standard_normal((64, 2)), rng.standard_normal((64, 1))
         want = evaluate(parse_expr(text, n=2), {"x1": x[:, 0], "x2": x[:, 1], "u": u[:, 0]})
         assert np.allclose(plant.eval_drift(x, u), want[:, None], rtol=1e-14, atol=1e-14)
-        twin = dataclasses.replace(plant, terms=())
-        assert np.array_equal(plant.eval_drift(x, u), twin.eval_drift(x, u))
 
     @pytest.mark.parametrize("text", [
         "sin(x1 - 1)",
@@ -324,13 +324,18 @@ class TestTermLowering:
     ])
     def test_kept_as_a_callable(self, text):
         plant = expression_plant(2, text, "0.1", L=1.0, M=0.0)
-        assert plant.terms == ()
+        assert not isinstance(plant.drift, tuple)
         assert (plant.drift is None) == (text == "u - 0.2*x1")
 
     def test_split_terms_reads_the_residual_sum(self):
-        residual = split_affine(fold_constants(parse_expr(BENCH_DRIFT)))[2]
-        assert split_terms(residual) == [("sin", "x1", 0.4), ("tanh", "u", 5.2)]
-        assert split_terms(None) == []
+        # one term that is not a scaled function of one variable keeps the whole sum,
+        # in its order, as the residual
+        tree = fold_constants(parse_expr("0.4*sin(x1) - u + tanh(u)/2 + x1*x2"))
+        const, coeffs, terms, residual = split_sum(tree)
+        assert (const, coeffs, terms) == (0.0, {"u": -1.0}, [])
+        assert ast.unparse(residual) == "0.4 * sin(x1) + tanh(u) / 2.0 + x1 * x2"
+        assert split_sum(tree.left) == (0.0, {"u": -1.0}, [("sin", "x1", 0.4),
+                                                           ("tanh", "u", 0.5)], None)
 
 
 class TestExpressionPlant:
@@ -404,18 +409,19 @@ class TestExpressionPlant:
         x, u = rng.standard_normal((32, n)), rng.standard_normal((32, 1))
         every = {**{f"x{i + 1}": x[:, i] for i in range(n)}, "u": u[:, 0]}
         residuals = 0
-        for _ in range(20):
+        for _ in range(30):  # a formula lowered to terms runs no formula code for its drift
             drift = self.random_formula(rng, names)
             diffusion = self.random_formula(rng, state)
             plant = expression_plant(n, drift, diffusion, L=1.0, M=1.0)
-            residual = split_affine(fold_constants(parse_expr(drift, n=n)))[2]
+            _, _, terms, residual = split_sum(fold_constants(parse_expr(drift, n=n)))
+            assert isinstance(plant.drift, tuple) == bool(terms)  # data: no formula code runs
             for tree, call_fn, shape in (
                 (residual, lambda: plant.drift(x, u), (32, 1)),
                 (fold_constants(parse_expr(diffusion, n=n, allow_u=False)),
                  lambda: plant.diffusion(x), (32, 1, 1)),
             ):
-                if tree is None:
-                    assert plant.drift is None
+                if tree is None:  # an affine drift, or terms
+                    assert plant.drift is None or terms
                     continue
                 text = ast.unparse(tree)
                 reads = set(re.findall(r"\b(?:x[0-9]+|u)\b", text))

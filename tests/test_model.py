@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +27,7 @@ from stochpid import (
     solve_equilibrium,
 )
 from helpers import ClosedLoopState
-from stochpid.model import _is_real
+from stochpid.model import _is_real, _Terms
 from stochpid.simulate import _control_law
 
 
@@ -207,48 +209,80 @@ class TestTerms:
         assert plant.drift(x[7], u[7]).tobytes() == want[7].tobytes()
 
     def test_a_term_feeds_every_input_dimension(self):
-        plant = PlantSpec(1, 2, 1, None, lambda x: np.zeros((2, 1)), 1.0, 0.0,
-                          terms=((np.sin, 0, (0.5, -2.0)), (np.tanh, 3, (0.0, 1.0))))
+        plant = PlantSpec(1, 2, 1, ((np.sin, 0, (0.5, -2.0)), (np.tanh, 3, (0.0, 1.0))),
+                          lambda x: np.zeros((2, 1)), 1.0, 0.0)
         x, u = np.array([[0.3, -0.4]]), np.array([[0.1, 0.7]])
         want = np.sin(0.3) * np.array([0.5, -2.0]) + np.tanh(0.7) * np.array([0.0, 1.0])
         assert np.allclose(plant.eval_drift(x, u), want, rtol=1e-15, atol=0.0)
-        assert plant.terms == ((np.sin, 0, (0.5, -2.0)), (np.tanh, 3, (0.0, 1.0)))
+        assert plant.drift == ((np.sin, 0, (0.5, -2.0)), (np.tanh, 3, (0.0, 1.0)))
 
     @pytest.mark.parametrize("term, message", [
-        ((np.sin,), r"terms\[0\]: expected \(ufunc, source, weights\)"),
-        ((np.sin, 0), r"terms\[0\]: expected \(ufunc, source, weights\)"),
-        ((np.sin, 0, (1.0, 2.0), 3), r"terms\[0\]: expected \(ufunc, source, weights\)"),
-        ((lambda v: v, 0, (1.0, 2.0)), r"terms\[0\]: expected a unary numpy ufunc"),
-        ((np.add, 0, (1.0, 2.0)), r"terms\[0\]: expected a unary numpy ufunc"),
-        ((np.divmod, 0, (1.0, 2.0)), r"terms\[0\]: expected a unary numpy ufunc"),
-        ((np.frexp, 0, (1.0, 2.0)), r"terms\[0\]: expected a unary numpy ufunc"),
-        ((np.sin, -1, (1.0, 2.0)), r"terms\[0\]: source must be an index in \[0, 6\)"),
-        ((np.sin, 6, (1.0, 2.0)), r"terms\[0\]: source must be an index in \[0, 6\)"),
-        ((np.sin, 1.5, (1.0, 2.0)), r"terms\[0\]: source must be an index"),
-        ((np.sin, "0", (1.0, 2.0)), r"terms\[0\]: source must be an index"),
-        ((np.sin, True, (1.0, 2.0)), r"terms\[0\]: source must be an index"),
-        ((np.sin, 0, (1.0,)), r"terms\[0\] weights: expected 2 finite number"),
-        ((np.sin, 0, 1.0), r"terms\[0\] weights: expected 2 finite number"),
-        ((np.sin, 0, (1.0, np.nan)), r"terms\[0\] weights: expected 2 finite number"),
-        ((np.sin, 0, (1.0, np.inf)), r"terms\[0\] weights: expected 2 finite number"),
-        ((np.sin, 0, (1.0, "2")), r"terms\[0\] weights: expected 2 finite number"),
+        ((np.sin,), r"drift\[0\]: expected \(ufunc, source, weights\)"),
+        ((np.sin, 0), r"drift\[0\]: expected \(ufunc, source, weights\)"),
+        ((np.sin, 0, (1.0, 2.0), 3), r"drift\[0\]: expected \(ufunc, source, weights\)"),
+        ((lambda v: v, 0, (1.0, 2.0)), r"drift\[0\]: expected a unary numpy ufunc"),
+        ((np.add, 0, (1.0, 2.0)), r"drift\[0\]: expected a unary numpy ufunc"),
+        ((np.divmod, 0, (1.0, 2.0)), r"drift\[0\]: expected a unary numpy ufunc"),
+        ((np.frexp, 0, (1.0, 2.0)), r"drift\[0\]: expected a unary numpy ufunc"),
+        ((np.sin, -1, (1.0, 2.0)), r"drift\[0\]: source must be an index in \[0, 6\)"),
+        ((np.sin, 6, (1.0, 2.0)), r"drift\[0\]: source must be an index in \[0, 6\)"),
+        ((np.sin, 1.5, (1.0, 2.0)), r"drift\[0\]: source must be an index"),
+        ((np.sin, "0", (1.0, 2.0)), r"drift\[0\]: source must be an index"),
+        ((np.sin, True, (1.0, 2.0)), r"drift\[0\]: source must be an index"),
+        ((np.sin, 0, (1.0,)), r"drift\[0\] weights: expected 2 finite number"),
+        ((np.sin, 0, 1.0), r"drift\[0\] weights: expected 2 finite number"),
+        ((np.sin, 0, (1.0, np.nan)), r"drift\[0\] weights: expected 2 finite number"),
+        ((np.sin, 0, (1.0, np.inf)), r"drift\[0\] weights: expected 2 finite number"),
+        ((np.sin, 0, (1.0, "2")), r"drift\[0\] weights: expected 2 finite number"),
     ])
     def test_terms_are_checked(self, term, message):
         # n*d + d = 2*2 + 2 = 6 entries in z = [x; u]
         with pytest.raises(ValueError, match="^" + message):
-            PlantSpec(2, 2, 1, None, lambda x: np.zeros((2, 1)), 1.0, 0.0,
-                      terms=(term,))
+            PlantSpec(2, 2, 1, (term,), lambda x: np.zeros((2, 1)), 1.0, 0.0)
 
     def test_a_later_term_is_named_by_its_index(self):
-        with pytest.raises(ValueError, match=r"^terms\[1\]: source"):
-            PlantSpec(1, 1, 1, None, lambda x: np.zeros((1, 1)), 1.0, 0.0,
-                      terms=((np.sin, 0, (1.0,)), (np.sin, 2, (1.0,))))
+        with pytest.raises(ValueError, match=r"^drift\[1\]: source"):
+            PlantSpec(1, 1, 1, ((np.sin, 0, (1.0,)), (np.sin, 2, (1.0,))),
+                      lambda x: np.zeros((1, 1)), 1.0, 0.0)
 
-    def test_replacing_the_drift_keeps_the_terms(self):
+    def test_replacing_the_drift_replaces_the_terms(self):
+        # the drift is the one residual: a callable in place of the terms is stepped as
+        # a callable, and terms in place of a callable are the terms
         plant = bench3()
         wrapped = dataclasses.replace(plant, drift=lambda x, u: plant.drift(x, u))
-        assert wrapped.terms == plant.terms and wrapped.drift is not plant.drift
-        assert dataclasses.replace(plant, terms=()).drift is plant.drift
+        assert not isinstance(wrapped.drift, tuple)
+        back = dataclasses.replace(wrapped, drift=tuple(plant.drift))
+        assert back.drift == plant.drift and back.drift is not plant.drift
+        assert dataclasses.replace(plant, drift=()).drift is None
+        with pytest.raises(TypeError, match="terms"):
+            dataclasses.replace(plant, terms=((np.sin, 0, (0.1,)),))
+
+    def test_copies_and_pickles_keep_the_terms(self):
+        plant = PlantSpec(1, 2, 1, ((np.sin, 0, (0.5, -2.0)), (np.tanh, 3, (0.0, 1.0))),
+                          np.zeros((2, 1)).copy, 1.0, 0.0)  # a builtin method pickles
+        x, u = np.array([[0.3, -0.4]]), np.array([[0.1, 0.7]])
+        for other in (copy.copy(plant), copy.deepcopy(plant), pickle.loads(pickle.dumps(plant))):
+            assert isinstance(other.drift, _Terms) and other.drift == plant.drift
+            assert other.drift.state_dim == 2
+            assert other.eval_drift(x, u).tobytes() == plant.eval_drift(x, u).tobytes()
+
+    def test_replaced_terms_are_the_residual_solved(self):
+        # bench3's affine part with the residual 0.1*sin(x1): eval_drift and u* read the
+        # terms the simulator steps
+        plant = dataclasses.replace(bench3(), drift=((np.sin, 0, (0.1,)),))
+        assert plant.eval_drift([0.5, 0.0, 0.0], [0.2]) == pytest.approx(
+            [6.2 + 0.1 * np.sin(0.5)], rel=1e-15)
+        u_star = solve_equilibrium(plant, 1.0).u_star
+        assert u_star == pytest.approx([-(6.0 + 0.1 * np.sin(1.0))], rel=1e-12)
+
+    def test_terms_are_checked_again_on_replace(self):
+        # a replaced n checks the stored terms against the new z = [x; u]; no affine part,
+        # whose shape check would fail first
+        plant = PlantSpec(2, 1, 1, ((np.tanh, 2, (1.0,)),), lambda x: np.zeros((1, 1)),
+                          1.0, 0.0)
+        assert plant.drift.state_dim == 2
+        with pytest.raises(ValueError, match=r"^drift\[0\]: source must be an index in \[0, 2\)"):
+            dataclasses.replace(plant, n=1)
 
 
 def _spec(*constants, **fields):

@@ -26,6 +26,7 @@ from stochpid import (
 )
 from helpers import ClosedLoopState, em_step
 from stochpid.lyapunov import companion
+from stochpid.model import _Terms
 from stochpid.simulate import _chunk_stream, _closed_loop, _control_law, _law_weights
 
 BENCH = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
@@ -491,10 +492,11 @@ class TestKernelMatchesEmStep:
     def test_plant_calls_per_chunk(self, plant, g, diffusion_per_step, monkeypatch):
         # a constant diffusion is evaluated once per chunk, a state-dependent one
         # once per step, and a residual drift callable once per step (never when the
-        # drift is affine or its residual is given as terms, as bench3's and the
-        # BENCH_DRIFT plant's are); wrapped callables and two workers leave the
-        # moments bitwise equal
-        counters = {name: itertools.count() for name in ("drift", "diffusion", "expr")}
+        # drift is affine); a wrapped drift is a callable, also where the plant's drift
+        # is terms, as bench3's and the BENCH_DRIFT plant's are, so those plants'
+        # moments move at round-off; two workers leave the moments bitwise equal
+        names = ("drift", "diffusion", "expr")
+        counters = {name: itertools.count() for name in names}
 
         def counted(name, fn):
             def call(*args):
@@ -508,18 +510,24 @@ class TestKernelMatchesEmStep:
         sp = solve_equilibrium(plant, [1.0] * plant.d)
         cfg = SimConfig(dt=0.01, horizon=0.5, paths=4100, seed=11, record_stride=10,
                         controller="pid", x0=np.linspace(-0.2, 0.2, plant.state_dim))
-        a = simulate_paths(plant, sp, g, cfg, workers=1)
+        a = simulate_paths(plant, sp, g, cfg, workers=1).table()
+        b = simulate_paths(wrapped, sp, g, cfg, workers=1).table()
+        counters.update((name, itertools.count()) for name in names)  # count one run
         monkeypatch.setattr("stochpid.plants.eval_expr",
                             counted("expr", stochpid.plants.eval_expr))
-        b = simulate_paths(wrapped, sp, g, cfg, workers=2)
-        assert np.array_equal(a.table(), b.table())
+        assert np.array_equal(simulate_paths(wrapped, sp, g, cfg, workers=2).table(), b)
+        if isinstance(plant.drift, tuple):
+            np.testing.assert_allclose(b, a, rtol=1e-12, atol=0.0)
+        else:
+            assert np.array_equal(a, b)
         chunks, steps = 2, cfg.steps
         drift_calls = next(counters["drift"])
         diffusion_calls = next(counters["diffusion"])
-        assert drift_calls == (0 if plant.drift is None or plant.terms else steps * chunks)
+        assert drift_calls == (0 if plant.drift is None else steps * chunks)
         assert diffusion_calls == (steps if diffusion_per_step else 1) * chunks
-        # expression plants evaluate one formula per call
-        expr_calls = drift_calls + diffusion_calls if plant.name == "expression" else 0
+        # expression plants evaluate one formula per call of a compiled formula: terms are none
+        formula_calls = diffusion_calls + (0 if isinstance(plant.drift, tuple) else drift_calls)
+        expr_calls = formula_calls if plant.name == "expression" else 0
         assert next(counters["expr"]) == expr_calls
 
     def test_divergence_located_like_em_step(self, monkeypatch):
@@ -591,12 +599,12 @@ class TestKernelMatchesEmStep:
 def term_plant_d2() -> PlantSpec:
     """n = 2, d = 2, m = 2: three elementwise terms, of x1, x4 and u1, each weighted
     into both drift rows, beside an affine part and a constant diffusion."""
-    return PlantSpec(2, 2, 2, None, lambda x: np.array([[0.3, 0.05], [-0.1, 0.2]]),
+    return PlantSpec(2, 2, 2,
+                     ((np.sin, 0, (0.3, -0.2)), (np.cos, 3, (0.1, 0.1)), (np.tanh, 4, (0.4, 0.2))),
+                     lambda x: np.array([[0.3, 0.05], [-0.1, 0.2]]),
                      lipschitz_L=1.0, lipschitz_M=0.0, gain_lower_b=0.5,
                      affine=[[0.5, -0.4, 0.1, 0.0, 0.2, 1.0, 0.0],
-                             [-0.2, 0.0, 0.3, 0.1, -0.5, 0.0, 1.0]],
-                     terms=((np.sin, 0, (0.3, -0.2)), (np.cos, 3, (0.1, 0.1)),
-                            (np.tanh, 4, (0.4, 0.2))))
+                             [-0.2, 0.0, 0.3, 0.1, -0.5, 0.0, 1.0]])
 
 
 class TestTerms:
@@ -611,9 +619,11 @@ class TestTerms:
     }
 
     @staticmethod
-    def run(case, paths, **fields):
+    def run(case, paths, callable_twin=False):
         plant, g, x0 = TestTerms.CASES[case]
-        plant = dataclasses.replace(plant, **fields)
+        if callable_twin:  # the same sum through a callable, as a traced run wraps it
+            terms = plant.drift
+            plant = dataclasses.replace(plant, drift=lambda x, u: terms(x, u))
         sp = solve_equilibrium(plant, [1.0] * plant.d)
         cfg = SimConfig(dt=0.01, horizon=0.6, paths=paths, seed=41, record_stride=2,
                         controller="pid", x0=np.array(x0))
@@ -621,10 +631,9 @@ class TestTerms:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_the_generic_residual(self, case):
-        # the twin without terms evaluates the same sum through its drift callable
-        plant = self.CASES[case][0]
-        assert plant.terms and plant.drift is not None
-        have, want = self.run(case, 48)(), self.run(case, 48, terms=())()
+        # the callable twin evaluates the same sum, and solves the same u*
+        assert isinstance(self.CASES[case][0].drift, _Terms)
+        have, want = self.run(case, 48)(), self.run(case, 48, callable_twin=True)()
         assert not np.array_equal(have, want)  # dt*w*f(z) rounds unlike dt*(sum of w*f(z))
         np.testing.assert_allclose(have, want, rtol=1e-12, atol=0.0)
 
@@ -636,7 +645,7 @@ class TestTerms:
         run = self.run(case, 4100)
         default = run(workers=1)
         assert np.array_equal(run(workers=2), default)
-        rows = 1 + (plant.n + 2) * plant.d + len(plant.terms) + plant.m
+        rows = 1 + (plant.n + 2) * plant.d + len(plant.drift) + plant.m
         for block in (1, 7):
             monkeypatch.setattr("stochpid.simulate._BLOCK_BYTES", block_budget(block, rows, 4))
             for workers in (1, 2):
@@ -646,7 +655,7 @@ class TestTerms:
         # x1 climbs by about 10 a step until exp(x1) overflows, at x1 = 710, far inside the
         # box: the term's weight keeps 1e-300*exp(x1) small until then
         plant = expression_plant(2, "1e-300*exp(x1) + u", "0", L=1.0, M=0.0)
-        assert plant.terms == ((np.exp, 0, (1e-300,)),)
+        assert plant.drift == ((np.exp, 0, (1e-300,)),)
         sp = solve_equilibrium(plant, 0.0)
         cfg = SimConfig(dt=0.01, horizon=2.0, paths=16, seed=3, record_stride=1,
                         controller="open_loop", x0=np.array([0.0, 1000.0]))
