@@ -123,11 +123,11 @@ def _sim_config(sim: dict) -> SimConfig:
         raise ValueError(f"sim.{exc}") from None
 
 
-def _run_metadata(plant_doc: dict, plant, sp, gains, cfg, x0) -> dict:
+def _run_metadata(plant_doc: dict, sp, gains, cfg, x0) -> dict:
     """CSV metadata of a run: plant, builtin params, every SimConfig field, setpoint, noise."""
     metadata = dict(plant_doc.get("params", {})) if plant_doc["kind"] in BUILTIN_PLANTS else {}
     metadata.update({f.name: getattr(cfg, f.name) for f in dataclasses.fields(SimConfig)})
-    metadata.update(plant=plant.name, x0=_csv_list(x0), y_star=_csv_list(sp.y_star),
+    metadata.update(plant=plant_doc["kind"], x0=_csv_list(x0), y_star=_csv_list(sp.y_star),
                     u_star=_csv_list(sp.u_star), noise=_NOISE_STREAM)
     if gains is not None:
         metadata.update(gains=_csv_list(gains.gains), gain_kind=gains.kind)
@@ -177,7 +177,7 @@ def _run_config(doc: dict, workers: int):
             u_star_norm=float(np.linalg.norm(sp.u_star)),
             g_norm_at_zstar=g_norm,
         )
-    return stats, envelope, _run_metadata(doc["plant"], plant, sp, gains, cfg, x0)
+    return stats, envelope, _run_metadata(doc["plant"], sp, gains, cfg, x0)
 
 
 # ------------------------------------------------------------ subcommands

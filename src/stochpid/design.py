@@ -344,7 +344,7 @@ def lambda_gains(
     else:
         b = _as_floats(betas, "betas")
         if b.shape != (n,):
-            raise ValueError(f"expected {n} ratios, got shape {b.shape}")
+            raise ValueError(f"betas: expected {n} ratios, got shape {b.shape}")
         if not (0.0 < b[0] < b1_bound):
             raise ValueError(f"beta_1={b[0]} outside (0, {b1_bound})")
         for i in range(1, n):

@@ -26,8 +26,9 @@ Drift and diffusion callables must be pure functions, vectorized over a
 leading batch axis: drift(x, u) maps (..., n*d) x (..., d) -> (..., d) and
 diffusion(x) maps (..., n*d) -> (..., d, m).  A diffusion that returns one
 unbatched (d, m) matrix is constant: it is broadcast over the batch, and
-the simulator evaluates it once per chunk of paths.  All builtin plants
-satisfy this.
+the simulator evaluates it once per chunk of paths.  A drift of any other
+type, or a diffusion that is not callable, is a ValueError naming the field
+when the plant is built.  All builtin plants satisfy this.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class PlantSpec:
     lipschitz_L: float
     lipschitz_M: float
     gain_lower_b: float = 1.0
-    name: str = field(default="", compare=False)
     affine: Optional[np.ndarray] = field(default=None, compare=False)  # == on arrays is elementwise
 
     def __post_init__(self):
@@ -83,6 +83,11 @@ class PlantSpec:
         _require_constant("lipschitz_L", self.lipschitz_L)
         _require_constant("lipschitz_M", self.lipschitz_M)
         _require_constant("gain_lower_b", self.gain_lower_b, positive=True)
+        if not (self.drift is None or callable(self.drift) or isinstance(self.drift, tuple)):
+            raise ValueError(f"drift: expected None, a callable or a tuple of terms, "
+                             f"got {self.drift!r}")
+        if not callable(self.diffusion):
+            raise ValueError(f"diffusion: expected a callable, got {self.diffusion!r}")
         if self.affine is not None:
             W = _as_floats(self.affine, "affine")
             shape = (self.d, 1 + self.state_dim + self.d)

@@ -6,14 +6,16 @@
 
 restricted to |a|, |b|, |c| <= 1/2, mu >= 0, which keeps the asserted
 Lipschitz constants L = sqrt(3)/2, M = 0 and control-gain lower bound 1
-valid for the whole parameter class; its affine part b*x2 + c*x3 + d + u
-is declared as data and its drift is the residual a*sin(x1) + mu*tanh(u)
-as two elementwise terms.  ``chain`` (f = u + bias) and ``ou`` (f = u - theta*x1)
-cover the linear sanity cases and are affine only.  Expression plants are
-scalar (d = m = 1) with drift over x1..xn, u and diffusion over x1..xn only;
-the affine terms of their drift formula become data as well, and so does a
-residual that is a sum of constant multiples of functions of one variable;
-only any other residual is a callable.
+valid for the whole parameter class.  ``chain`` (f = u + bias) and ``ou``
+(f = u - theta*x1) cover the linear sanity cases.  Each builtin is its
+drift formula with its parameters written in, built by
+:func:`expression_plant` with the constant diffusion sigma, so the one
+lowering of a formula writes every scalar plant's affine weights and
+elementwise terms.  Expression plants are scalar (d = m = 1) with drift
+over x1..xn, u and diffusion over x1..xn only; the affine terms of their
+drift formula become data, and so does a residual that is a sum of
+constant multiples of functions of one variable; only any other residual
+is a callable.
 """
 
 from __future__ import annotations
@@ -30,11 +32,15 @@ from .model import PlantSpec, _is_real, _require_constant, _require_count, _sect
 __all__ = ["bench3", "chain", "ou", "expression_plant", "BUILTIN_PLANTS", "build_plant"]
 
 
-def _additive_noise(sigma: float):
-    """Constant diffusion g = sigma: one unbatched (1, 1) matrix, sigma finite."""
-    if not _is_real(sigma):
-        raise ValueError(f"sigma must be a finite number, got {sigma!r}")
-    return lambda x: np.array([[float(sigma)]])
+def _formula_plant(n, drift: str, L: float, sigma, **params) -> PlantSpec:
+    """:func:`expression_plant` of the ``drift`` template with each parameter written
+    in as the repr of its float, and the constant diffusion sigma; a ValueError
+    names the first parameter, sigma last, that is not a finite number."""
+    for name, value in {**params, "sigma": sigma}.items():
+        if not _is_real(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+    text = {name: repr(float(value)) for name, value in params.items()}
+    return expression_plant(n, drift.format(**text), repr(float(sigma)), L=L, M=0.0)
 
 
 def bench3(
@@ -50,36 +56,13 @@ def bench3(
         if not (_is_real(value) and abs(value) <= 0.5):
             raise ValueError(f"|{name}| must not exceed 1/2, got {value!r}")
     _require_constant("mu", mu)
-
-    return PlantSpec(
-        n=3,
-        d=1,
-        m=1,
-        drift=((np.sin, 0, (a,)), (np.tanh, 3, (mu,))),
-        diffusion=_additive_noise(sigma),
-        lipschitz_L=math.sqrt(3.0) / 2.0,
-        lipschitz_M=0.0,
-        gain_lower_b=1.0,
-        name="bench3",
-        affine=np.array([[d, 0.0, b, c, 1.0]]),
-    )
+    return _formula_plant(3, "{a}*sin(x1) + {b}*x2 + {c}*x3 + {d} + u + {mu}*tanh(u)",
+                          math.sqrt(3.0) / 2.0, sigma, a=a, b=b, c=c, d=d, mu=mu)
 
 
 def chain(n: int, sigma: float = 0.0, bias: float = 0.0) -> PlantSpec:
     """Linear integrator chain f = u + bias with additive noise."""
-    n = _require_count("n", n)
-    return PlantSpec(
-        n=n,
-        d=1,
-        m=1,
-        drift=None,
-        diffusion=_additive_noise(sigma),
-        lipschitz_L=0.0,
-        lipschitz_M=0.0,
-        gain_lower_b=1.0,
-        name="chain",
-        affine=np.concatenate([[bias], np.zeros(n), [1.0]])[None, :],
-    )
+    return _formula_plant(n, "u + {bias}", 0.0, sigma, bias=bias)
 
 
 def ou(theta: float = 1.0, sigma: float = 1.0) -> PlantSpec:
@@ -89,18 +72,7 @@ def ou(theta: float = 1.0, sigma: float = 1.0) -> PlantSpec:
     standard simulator oracle.
     """
     _require_constant("theta", theta, positive=True)
-    return PlantSpec(
-        n=1,
-        d=1,
-        m=1,
-        drift=None,
-        diffusion=_additive_noise(sigma),
-        lipschitz_L=float(theta),
-        lipschitz_M=0.0,
-        gain_lower_b=1.0,
-        name="ou",
-        affine=np.array([[0.0, -float(theta), 1.0]]),
-    )
+    return _formula_plant(1, "u - {theta}*x1", float(theta), sigma, theta=theta)
 
 
 def expression_plant(
@@ -122,10 +94,10 @@ def expression_plant(
     the remaining terms are the plant's ``drift`` (None when every term is
     affine).  When each of them is a function of one variable, possibly
     negated or times or over a constant, the drift is those terms as data,
-    which the simulator steps in place: the formula from the README gives
-    W = [6, 0, -0.3, 0.5, 1] and the terms sin(x1) weighted 0.4 and tanh(u)
-    weighted 5.2, as ``bench3`` declares.  Any other residual is compiled
-    once here into the drift callable.  A diffusion that references no
+    which the simulator steps in place: ``bench3``'s formula, the README's,
+    gives W = [6, 0, -0.3, 0.5, 1] and the terms sin(x1) weighted 0.4 and
+    tanh(u) weighted 5.2.  Any other residual is compiled once here into
+    the drift callable.  A diffusion that references no
     variable returns one unbatched (1, 1) matrix, so the simulator treats it
     as constant.  Each callable binds only the variables its formula's tree
     reads, found once here: a residual u*sin(x1) binds x1 and u.  L, M and
@@ -151,7 +123,6 @@ def expression_plant(
         lipschitz_L=L,
         lipschitz_M=M,
         gain_lower_b=b_lower,
-        name="expression",
         affine=affine,
     )
 

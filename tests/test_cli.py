@@ -653,6 +653,30 @@ class TestSimulate:
         out = tmp_path / "out.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
 
+    def test_readme_expression_config_runs_like_its_bench3_twin(self, tmp_path):
+        # bench3 is built from the README's formula with its defaults written in, so the
+        # two runs differ only in the metadata lines that name the plant and its params
+        runs = {}
+        for kind, plant in (
+            ("expression", {"kind": "expression", "n": 3, "L": 0.87, "M": 0.0,
+                            "drift": "0.4*sin(x1) - 0.3*x2 + 0.5*x3 + 6 + u + 5.2*tanh(u)",
+                            "diffusion": "0.2"}),
+            ("bench3", {"kind": "bench3"}),
+        ):
+            cfg = write_config(
+                tmp_path / f"{kind}.json", plant=plant,
+                gains={"kind": "pid", "gains": [8.6, 21.5, 21.5, 8.6]},
+                **{"sim.x0": [0.9, 0.0, 0.1], "sim.horizon": 0.2, "sim.paths": 16,
+                   "sim.seed": 1, "sim.record_stride": 10})
+            out = tmp_path / f"{kind}.csv"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            lines = out.read_text().splitlines()
+            assert f"# plant={kind}" in lines
+            runs[kind] = ([l for l in lines if l.startswith("# u_star=")],
+                          [l for l in lines if not l.startswith("#")])
+        assert len(runs["bench3"][0]) == 1 and len(runs["bench3"][1]) > 2
+        assert runs["expression"] == runs["bench3"]
+
 
 class TestReproduce:
     def test_fig2_outputs_and_determinism(self, tmp_path):

@@ -360,7 +360,7 @@ class TestLambdaGains:
             lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.6, 0.1])  # beta1 >= 1/2
         with pytest.raises(ValueError, match=r"^beta_2=0.25 outside \(0, beta_1/n\)"):
             lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4, 0.25])  # beta2 >= beta1/2
-        with pytest.raises(ValueError, match=r"^expected 2 ratios, got shape \(1,\)"):
+        with pytest.raises(ValueError, match=r"^betas: expected 2 ratios, got shape \(1,\)"):
             lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4])  # wrong length
 
     def test_defaults_always_admissible(self):

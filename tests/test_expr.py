@@ -340,16 +340,19 @@ class TestTermLowering:
 
 class TestExpressionPlant:
     def test_matches_builtin_bench(self):
+        # bench3 is this formula with its defaults written in, lowered by the same
+        # split: the same affine bytes, term triples and diffusion value
         plant = expression_plant(3, BENCH_DRIFT, "0.2", L=np.sqrt(3) / 2, M=0.0)
         builtin = bench3(a=0.4, b=-0.3, c=0.5, d=6.0, mu=5.2, sigma=0.2)
+        assert plant.affine.tobytes() == builtin.affine.tobytes()
+        assert plant.drift == builtin.drift == ((np.sin, 0, (0.4,)), (np.tanh, 3, (5.2,)))
+        assert plant.diffusion(np.zeros(3)).tobytes() == np.array([[0.2]]).tobytes()
+        assert builtin.diffusion(np.zeros(3)).tobytes() == np.array([[0.2]]).tobytes()
         rng = np.random.default_rng(42)
         for _ in range(100):
             x = rng.standard_normal(3)
             u = rng.standard_normal(1)
-            assert plant.eval_drift(x, u) == pytest.approx(
-                builtin.eval_drift(x, u), rel=1e-12, abs=1e-12
-            )
-            assert np.allclose(plant.eval_diffusion(x), builtin.eval_diffusion(x))
+            assert plant.eval_drift(x, u).tobytes() == builtin.eval_drift(x, u).tobytes()
         # batched evaluation agrees with the loop
         xs = rng.standard_normal((64, 3))
         us = rng.standard_normal((64, 1))

@@ -195,6 +195,19 @@ class TestAffineDrift:
         plant = PlantSpec(1, 1, 1, None, diffusion, 0.0, 0.0, affine=[[1.0, 0.0, 1.0]])
         assert not plant.affine.flags.writeable
 
+    @pytest.mark.parametrize("drift, diffusion, field", [
+        # each built and solved u*, then failed in simulate_paths with a TypeError
+        (None, None, "diffusion"),
+        (None, np.array([[0.1]]), "diffusion"),
+        ([(np.sin, 0, (0.4,))], np.array([[0.1]]).copy, "drift"),  # a list of terms
+        (0.5, np.array([[0.1]]).copy, "drift"),
+    ])
+    def test_drift_and_diffusion_types_are_checked(self, drift, diffusion, field):
+        with pytest.raises(ValueError, match=f"^{field}: expected "):
+            PlantSpec(1, 1, 1, drift, diffusion, 0.0, 0.0, affine=[[0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match=f"^{field}: expected "):
+            dataclasses.replace(ou(), **{field: drift if field == "drift" else diffusion})
+
 
 class TestTerms:
     """A residual given as elementwise terms: sum_k weights_k * ufunc_k(z[source_k])."""
@@ -301,7 +314,9 @@ PID2 = GainVector("pid", np.ones(2))
     pytest.param(lambda v: bench3(a=v), "|a|", id="bench3-a"),
     pytest.param(lambda v: bench3(c=v), "|c|", id="bench3-c"),
     pytest.param(lambda v: bench3(mu=v), "mu", id="bench3-mu"),
+    pytest.param(lambda v: bench3(d=v), "d ", id="bench3-d"),
     pytest.param(lambda v: bench3(sigma=v), "sigma", id="bench3-sigma"),
+    pytest.param(lambda v: chain(2, bias=v), "bias", id="chain-bias"),
     pytest.param(lambda v: chain(2, sigma=v), "sigma", id="chain-sigma"),
     pytest.param(lambda v: ou(theta=v), "theta", id="ou-theta"),
     pytest.param(lambda v: ou(sigma=v), "sigma", id="ou-sigma"),
@@ -325,9 +340,9 @@ def test_non_finite_plant_constants_are_rejected(make, name, value):
     pytest.param(lambda: lambda_gains(1.0, 0.0, 0.0, 2.5), "n", id="lambda_gains-n"),
     pytest.param(lambda: expression_plant(2.5, "u", "0", 0.0, 0.0), "n", id="expression_plant-n"),
     pytest.param(lambda: chain(2.5), "n", id="chain-n"),
-    # the affine weights were read from text
-    pytest.param(lambda: bench3(d="6.5"), "affine", id="bench3-d-str"),
-    pytest.param(lambda: chain(2, bias="0.5"), "affine", id="chain-bias-str"),
+    # the affine weights were read from text, and the error named the affine array
+    pytest.param(lambda: bench3(d="6.5"), "d ", id="bench3-d-str"),
+    pytest.param(lambda: chain(2, bias="0.5"), "bias ", id="chain-bias-str"),
     # bound_constants took any L and M: a negative one, NaN, or text in a TypeError
     pytest.param(lambda: bound_constants(PID2, 1.0, -1.0, 0.0, 1.0), "L",
                  id="bound_constants-L-negative"),

@@ -525,9 +525,10 @@ class TestKernelMatchesEmStep:
         diffusion_calls = next(counters["diffusion"])
         assert drift_calls == (0 if plant.drift is None else steps * chunks)
         assert diffusion_calls == (steps if diffusion_per_step else 1) * chunks
-        # expression plants evaluate one formula per call of a compiled formula: terms are none
+        # a plant built by stochpid.plants, bench3 too, evaluates one formula per call of a
+        # compiled formula (its diffusion, and a residual drift callable; terms are none)
         formula_calls = diffusion_calls + (0 if isinstance(plant.drift, tuple) else drift_calls)
-        expr_calls = formula_calls if plant.name == "expression" else 0
+        expr_calls = formula_calls if plant.diffusion.__module__ == "stochpid.plants" else 0
         assert next(counters["expr"]) == expr_calls
 
     def test_divergence_located_like_em_step(self, monkeypatch):
