@@ -35,7 +35,7 @@ import numpy as np
 
 from .design import GainVector, bound_constants, check_inequality, geometric_gains, lambda_gains
 from .lyapunov import CertificateError, q_diagonal, verify_certificate
-from .model import (NoConvergence, NonFinite, _as_vec, _is_real, _require_constant, _section,
+from .model import (NoConvergence, NonFinite, _as_vec, _require_number, _section,
                     solve_equilibrium)
 from .plants import BUILTIN_PLANTS, bench3, build_plant
 from .simulate import (_NOISE_STREAM, Diverged, SimConfig, _law_weights, bound_envelope,
@@ -141,7 +141,7 @@ def _run_config(doc: dict, workers: int):
     cfg = _sim_config(doc["sim"])
     y_star = _as_vec(doc["sim"].get("y_star", 0.0), plant.d, "sim.y_star")
     _require(cfg.x0 is None or cfg.x0.shape == (plant.state_dim,),
-             f"sim.x0: expected {plant.state_dim} entries for this plant")
+             f"sim.x0: expected {plant.state_dim} entries for this plant, got {np.size(cfg.x0)}")
     # an open-loop run checks a gains section it is given, then runs without it
     gains = _gains_from(doc["gains"], "gains") if "gains" in doc else None
     gains = None if cfg.controller == "open_loop" else gains
@@ -152,12 +152,10 @@ def _run_config(doc: dict, workers: int):
         # the gains fit the controller, so only the controller can be wrong here
         _require(cfg.controller == "pid", "bounds: the envelope constants are defined for the "
                  f"pid controller, not {cfg.controller}")
-        lam, R = bounds["lambda"], bounds.get("R", 1.0)
-        _require(_is_real(lam) and lam > 0,
-                 f"bounds.lambda: expected a positive number, got {lam!r}")
-        _require(_is_real(R) and R >= 0, f"bounds.R: expected a nonnegative number, got {R!r}")
+        lam = _require_number("bounds.lambda", bounds["lambda"], "positive")
+        R = _require_number("bounds.R", bounds.get("R", 1.0))
         try:
-            bc = bound_constants(gains, float(lam), plant.lipschitz_L, plant.lipschitz_M, float(R))
+            bc = bound_constants(gains, lam, plant.lipschitz_L, plant.lipschitz_M, R)
         except ValueError as exc:
             raise ValueError(f"bounds: {exc}") from None
     try:
@@ -194,7 +192,7 @@ def _cmd_design(args) -> int:
     L = args.L or 0.0
     if args.pattern == "bench3":
         _require(args.k is not None, "--k is required for the bench3 pattern")
-        _require_constant("k", args.k, positive=True)
+        _require_number("k", args.k, "positive")
         g = GainVector("pid", np.array([args.k, 2.5 * args.k, 2.5 * args.k, args.k]))
         L = bench3().lipschitz_L if args.L is None else args.L
     elif args.pattern == "geometric":

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import _as_floats, _require_constant, _require_count
+from .model import _as_floats, _require_count, _require_number
 
 __all__ = [
     "GainVector",
@@ -91,15 +91,15 @@ class GainVector:
 
     def __post_init__(self):
         if self.kind not in ("pid", "pd"):
-            raise ValueError(f"kind must be 'pid' or 'pd', got {self.kind!r}")
+            raise ValueError(f"kind: expected 'pid' or 'pd', got {self.kind!r}")
         g = _as_floats(self.gains, "gains")
         if g.ndim != 1 or g.size < 1:
-            raise ValueError("gains must be a non-empty 1-D vector")
+            raise ValueError(f"gains: expected a non-empty 1-D vector, got shape {g.shape}")
         if self.kind == "pid" and g.size < 2:  # no plant has relative degree 0
-            raise ValueError(f"gains of kind pid need at least 2 entries (k0..kn, n >= 1), "
+            raise ValueError(f"gains: expected at least 2 pid gains (k0..kn, n >= 1), "
                              f"got {g.size}")
         if not all(0.0 < v < math.inf for v in g.tolist()):  # NaN fails too
-            raise ValueError(f"all gains must be positive and finite, got {g}")
+            raise ValueError(f"gains: expected positive finite numbers, got {g}")
         g.flags.writeable = False
         object.__setattr__(self, "gains", g)
 
@@ -127,8 +127,8 @@ class GainVector:
         Raises ``ValueError`` for a negative or non-finite ``L`` or ``M`` and
         when the constant is not a finite float64.
         """
-        _require_constant("L", L)
-        _require_constant("M", M)
+        _require_number("L", L)
+        _require_number("M", M)
         kbar = _kbar(self._sum, float(self.gains[-1]), float(L), float(M))
         if not math.isfinite(kbar):
             raise ValueError(f"kbar = {kbar} overflows float64 for L={L}, M={M}")
@@ -227,9 +227,10 @@ def check_inequality(g: GainVector, L: float, M: float, b_lower: float = 1.0) ->
     to ``k1^2 > kbar``.
     """
     if g.kind == "pd" and b_lower != 1.0:
-        raise ValueError("b_lower: the PD inequality has no b term")
+        raise ValueError(f"b_lower: expected 1 for PD gains, whose inequality has no b term, "
+                         f"got {b_lower!r}")
     kbar = g.kbar(L, M)
-    _require_constant("b_lower", b_lower, positive=True)
+    _require_number("b_lower", b_lower, "positive")
     terms = [q - l for _, q, l in _terms(g.gains.tolist(), float(b_lower))]
     for i, value in enumerate(terms):
         if not math.isfinite(value):
@@ -252,7 +253,7 @@ def check_inequality(g: GainVector, L: float, M: float, b_lower: float = 1.0) ->
 def check_inequality_pd(g: GainVector, L: float, M: float) -> DesignReport:
     """:func:`check_inequality` for gains that must be PD."""
     if g.kind != "pd":
-        raise ValueError("check_inequality_pd expects PD gains")
+        raise ValueError(f"g: expected pd gains, got {g.kind} gains")
     return check_inequality(g, L, M)
 
 
@@ -262,7 +263,7 @@ def geometric_gains(k: float, n: int) -> GainVector:
     This one-parameter family is admissible for every (L, M) once ``k`` is
     large enough; admissibility is monotone in ``k``.
     """
-    _require_constant("k", k, positive=True)
+    _require_number("k", k, "positive")
     n = _require_count("n", n)
     gains = np.array([3.0 ** (-i * (i + 1) / 2.0) * k for i in range(n + 1)])
     return GainVector("pid", gains)
@@ -329,10 +330,10 @@ def lambda_gains(
     ``ValueError`` names ``lam`` (or ``betas``) when no finite default k exists.
     Returns the gain vector together with the ratios actually used.
     """
-    _require_constant("lam", lam, positive=True)
-    _require_constant("L", L)
-    _require_constant("M", M)
-    _require_constant("b_lower", b_lower, positive=True)
+    _require_number("lam", lam, "positive")
+    _require_number("L", L)
+    _require_number("M", M)
+    _require_number("b_lower", b_lower, "positive")
     n = _require_count("n", n)
 
     # M*M: a Python float ** 2 raises OverflowError where * gives inf
@@ -346,10 +347,11 @@ def lambda_gains(
         if b.shape != (n,):
             raise ValueError(f"betas: expected {n} ratios, got shape {b.shape}")
         if not (0.0 < b[0] < b1_bound):
-            raise ValueError(f"beta_1={b[0]} outside (0, {b1_bound})")
+            raise ValueError(f"betas: expected 0 < beta_1 < {b1_bound}, got {b[0]}")
         for i in range(1, n):
             if not (0.0 < b[i] < b[i - 1] / n):
-                raise ValueError(f"beta_{i + 1}={b[i]} outside (0, beta_{i}/n)")
+                raise ValueError(f"betas: expected 0 < beta_{i + 1} < beta_{i}/n = {b[i - 1] / n}, "
+                                 f"got {b[i]}")
         b = b.tolist()
 
     # w = (1, cumprod(b)) on Python floats: the sequential products np.cumprod and
@@ -364,16 +366,15 @@ def lambda_gains(
         k_val = 1.1 * max(k_min, _k_admissible_threshold(np.array(w), L, M, b_lower))
         if not k_val < math.inf:
             raise ValueError(
-                f"{'lam' if betas is None else 'betas'} must be such that the gain threshold "
-                f"is finite, got inf for lam={lam}, L={L}, M={M}, b_lower={b_lower} and ratios "
-                f"{np.array(b)}")
+                f"{'lam' if betas is None else 'betas'}: expected a finite gain threshold, got "
+                f"inf for lam={lam}, L={L}, M={M}, b_lower={b_lower} and ratios {np.array(b)}")
     else:
-        _require_constant("k", k, positive=True)
+        _require_number("k", k, "positive")
         k_val = float(k)
         # 1e-12 relative guard keeps the strict comparison meaningful when
         # the threshold itself rounds (exact boundary values must reject)
         if not k_val > k_min * (1.0 + 1e-12):
-            raise ValueError(f"k={k_val} must strictly exceed {k_min}")
+            raise ValueError(f"k: expected a number above {k_min}, got {k_val}")
 
     return GainVector("pid", np.array([k_val * v for v in w])), np.array(b)
 
@@ -395,11 +396,11 @@ def bound_constants(
     ``floor_lower_coeff = 0``, a valid lower bound.
     """
     if g.kind != "pid":
-        raise ValueError("bound constants are defined for PID gains")
-    _require_constant("lam", lam, positive=True)
-    _require_constant("L", L)
-    _require_constant("M", M)
-    _require_constant("R", R)
+        raise ValueError(f"g: expected pid gains, got {g.kind} gains")
+    _require_number("lam", lam, "positive")
+    _require_number("L", L)
+    _require_number("M", M)
+    _require_number("R", R)
     n = g.n
     k = g.gains
     floor = 4.0 * n / lam

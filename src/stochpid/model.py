@@ -80,9 +80,9 @@ class PlantSpec:
     def __post_init__(self):
         for name in ("n", "d", "m"):
             object.__setattr__(self, name, _require_count(name, getattr(self, name)))
-        _require_constant("lipschitz_L", self.lipschitz_L)
-        _require_constant("lipschitz_M", self.lipschitz_M)
-        _require_constant("gain_lower_b", self.gain_lower_b, positive=True)
+        _require_number("lipschitz_L", self.lipschitz_L)
+        _require_number("lipschitz_M", self.lipschitz_M)
+        _require_number("gain_lower_b", self.gain_lower_b, "positive")
         if not (self.drift is None or callable(self.drift) or isinstance(self.drift, tuple)):
             raise ValueError(f"drift: expected None, a callable or a tuple of terms, "
                              f"got {self.drift!r}")
@@ -203,12 +203,14 @@ def _is_integer(value) -> bool:
             or _is_real(value) and float(value).is_integer())
 
 
-def _require_constant(name: str, value, positive: bool = False) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` satisfies :func:`_is_real`
-    and is nonnegative (positive with ``positive``)."""
-    if not (_is_real(value) and (value > 0 if positive else value >= 0)):
-        kind = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be {kind} and finite, got {value!r}")
+def _require_number(name: str, value, sign: str = "nonnegative") -> float:
+    """``value`` as a float if it satisfies :func:`_is_real` and ``sign``: "nonnegative"
+    (>= 0), "positive" (> 0) or "" (any); else the one refusal of an input number,
+    ValueError ``<name>: expected a <sign> finite number, got <value!r>``."""
+    if not (_is_real(value) and (value > 0 if sign == "positive" else not sign or value >= 0)):
+        raise ValueError(f"{name}: expected a {sign + ' ' if sign else ''}finite number, "
+                         f"got {value!r}")
+    return float(value)
 
 
 def _require_count(name: str, value) -> int:

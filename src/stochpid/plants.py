@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .expr import FUNCTIONS, compile_expr, eval_expr, fold_constants, parse_expr, split_sum
-from .model import PlantSpec, _is_real, _require_constant, _require_count, _section
+from .model import PlantSpec, _require_count, _require_number, _section
 
 __all__ = ["bench3", "chain", "ou", "expression_plant", "BUILTIN_PLANTS", "build_plant"]
 
@@ -36,11 +36,9 @@ def _formula_plant(n, drift: str, L: float, sigma, **params) -> PlantSpec:
     """:func:`expression_plant` of the ``drift`` template with each parameter written
     in as the repr of its float, and the constant diffusion sigma; a ValueError
     names the first parameter, sigma last, that is not a finite number."""
-    for name, value in {**params, "sigma": sigma}.items():
-        if not _is_real(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-    text = {name: repr(float(value)) for name, value in params.items()}
-    return expression_plant(n, drift.format(**text), repr(float(sigma)), L=L, M=0.0)
+    text = {name: repr(_require_number(name, value, ""))
+            for name, value in {**params, "sigma": sigma}.items()}
+    return expression_plant(n, drift.format(**text), text["sigma"], L=L, M=0.0)
 
 
 def bench3(
@@ -53,9 +51,9 @@ def bench3(
 ) -> PlantSpec:
     """Third-order benchmark plant with additive noise of intensity sigma."""
     for name, value in (("a", a), ("b", b), ("c", c)):
-        if not (_is_real(value) and abs(value) <= 0.5):
-            raise ValueError(f"|{name}| must not exceed 1/2, got {value!r}")
-    _require_constant("mu", mu)
+        if not abs(_require_number(name, value, "")) <= 0.5:
+            raise ValueError(f"{name}: expected |{name}| <= 1/2, got {value!r}")
+    _require_number("mu", mu)
     return _formula_plant(3, "{a}*sin(x1) + {b}*x2 + {c}*x3 + {d} + u + {mu}*tanh(u)",
                           math.sqrt(3.0) / 2.0, sigma, a=a, b=b, c=c, d=d, mu=mu)
 
@@ -71,7 +69,7 @@ def ou(theta: float = 1.0, sigma: float = 1.0) -> PlantSpec:
     With u = 0 the stationary second moment is sigma^2/(2*theta), the
     standard simulator oracle.
     """
-    _require_constant("theta", theta, positive=True)
+    _require_number("theta", theta, "positive")
     return _formula_plant(1, "u - {theta}*x1", float(theta), sigma, theta=theta)
 
 
@@ -103,9 +101,13 @@ def expression_plant(
     reads, found once here: a residual u*sin(x1) binds x1 and u.  L, M and
     b_lower are the caller's assertions about the expressions.  Errors in a
     formula, including a constant that divides by zero or is not finite,
-    name its parameter (``drift: ...``).
+    name its parameter (``drift: ...``), and so do a count ``n``, a nonnegative
+    ``L`` and ``M`` and a positive ``b_lower`` that are not finite numbers.
     """
     n = _require_count("n", n)
+    _require_number("L", L)
+    _require_number("M", M)
+    _require_number("b_lower", b_lower, "positive")
     const, coeffs, terms, residual = split_sum(_parse("drift", drift, n, allow_u=True))
     diffusion_tree = _parse("diffusion", diffusion, n, allow_u=False)
     names = [f"x{i + 1}" for i in range(n)] + ["u"]
@@ -147,8 +149,10 @@ def _compiled(tree, n: int, axes: tuple):
 
 
 def _parse(what: str, text: str, n: int, allow_u: bool):
-    """Parse one formula and fold its constants; an error keeps its type and
+    """Parse one formula string and fold its constants; an error keeps its type and
     names the formula it is in."""
+    if not isinstance(text, str):
+        raise ValueError(f"{what}: expected a formula string, got {text!r}")
     try:
         return fold_constants(parse_expr(text, n=n, allow_u=allow_u))
     except ValueError as exc:
@@ -157,25 +161,6 @@ def _parse(what: str, text: str, n: int, allow_u: bool):
 
 
 BUILTIN_PLANTS = {"bench3": bench3, "chain": chain, "ou": ou}
-
-
-def _field(where: str, name: str, value):
-    """A plant field checked by its type and range: ``n`` a positive count, the
-    formulas strings, the Lipschitz constants ``L`` and ``M`` nonnegative,
-    ``b_lower`` positive, the rest numbers."""
-    if name == "n":
-        return _require_count(f"{where}.{name}", value)
-    if name in ("drift", "diffusion"):
-        if not isinstance(value, str):
-            raise ValueError(f"{where}.{name}: expected a formula string, got {value!r}")
-        return value
-    if not _is_real(value):
-        raise ValueError(f"{where}.{name}: expected a finite number, got {value!r}")
-    if name in ("L", "M") and not value >= 0:
-        raise ValueError(f"{where}.{name}: expected a nonnegative number, got {value!r}")
-    if name == "b_lower" and not value > 0:
-        raise ValueError(f"{where}.{name}: expected a positive number, got {value!r}")
-    return value
 
 
 def build_plant(spec: dict, where: str = "plant") -> PlantSpec:
@@ -191,17 +176,15 @@ def build_plant(spec: dict, where: str = "plant") -> PlantSpec:
         params = _section(where, spec, ("kind",), ("params",)).get("params", {})
         _section(f"{where}.params", params,
                  [a for a in args if args[a].default is inspect.Parameter.empty], list(args))
-        params = {name: _field(f"{where}.params", name, v) for name, v in params.items()}
         try:
             return make(**params)
-        except ValueError as exc:
-            raise ValueError(f"{where}.params: {exc}") from None
+        except ValueError as exc:  # each builtin names the parameter it refuses
+            raise ValueError(f"{where}.params.{exc}") from None
     if kind == "expression":
         _section(where, spec, ("kind", "n", "drift", "diffusion", "L", "M"), ("b_lower",))
-        fields = {name: _field(where, name, v) for name, v in spec.items() if name != "kind"}
         try:
-            return expression_plant(**fields)
-        except ValueError as exc:  # a formula error, named by its field
+            return expression_plant(**{name: v for name, v in spec.items() if name != "kind"})
+        except ValueError as exc:  # every error names its field
             raise ValueError(f"{where}.{exc}") from None
     if not isinstance(spec, dict):
         raise ValueError(f"{where}: expected an object, got {type(spec).__name__}")

@@ -35,8 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .design import BoundConstants, GainVector
-from .model import (PlantSpec, Setpoint, _as_vec, _is_integer, _is_real, _require_constant,
-                    _require_count, _Terms, require_finite)
+from .model import (PlantSpec, Setpoint, _as_vec, _is_integer, _require_count, _require_number,
+                    _Terms, require_finite)
 
 __all__ = [
     "SimConfig",
@@ -73,7 +73,7 @@ class SimConfig:
     divisor of ``steps``, so the last record is at the horizon) and
     ``x0`` the shared initial state (defaults to the setpoint z*).  Real
     fields are stored as floats and counts as ints, nothing rounded or read
-    from text (see :func:`~stochpid.model._is_real` and ``_is_integer``).
+    from text (see :func:`~stochpid.model._require_number` and ``_is_integer``).
     """
 
     dt: float
@@ -87,32 +87,30 @@ class SimConfig:
     def __post_init__(self):
         # each message starts with its field name, so a caller can prefix its section
         for name in ("dt", "horizon"):
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise ValueError(f"{name}: expected a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _require_number(name, getattr(self, name), ""))
         if not _is_integer(self.seed):
             raise ValueError(f"seed: expected an integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         for name in ("paths", "record_stride"):
             object.__setattr__(self, name, _require_count(name, getattr(self, name)))
         if not 0.0 < self.dt <= self.horizon:
-            raise ValueError(f"dt: need 0 < dt <= horizon, got dt={self.dt}, "
-                             f"horizon={self.horizon}")
+            raise ValueError(f"dt: expected 0 < dt <= horizon = {self.horizon}, got {self.dt}")
         ratio = self.horizon / self.dt
         # above 2**53 every float is an integer, so the multiple check below could not fail
         if not ratio <= 2.0 ** 53:
-            raise ValueError(f"horizon: {self.horizon} is more than 2**53 steps of dt={self.dt}")
+            raise ValueError(f"horizon: expected at most 2**53 steps of dt={self.dt}, "
+                             f"got {self.horizon}")
         # a relative 1e-9 absorbs the rounding of decimal horizons and steps
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
-            raise ValueError(f"horizon: {self.horizon} is not an integer multiple of dt={self.dt}")
+            raise ValueError(f"horizon: expected an integer multiple of dt={self.dt}, "
+                             f"got {self.horizon}")
         if self.steps % self.record_stride:  # the last record falls on the horizon
-            raise ValueError(f"record_stride: {self.record_stride} does not divide "
-                             f"{self.steps} steps")
+            raise ValueError(f"record_stride: expected a divisor of the {self.steps} steps, "
+                             f"got {self.record_stride}")
         if not 0 <= self.seed < 2 ** 64:  # the run entropy of each chunk's SeedSequence
-            raise ValueError(f"seed: {self.seed} is outside [0, 2**64)")
+            raise ValueError(f"seed: expected an integer in [0, 2**64), got {self.seed}")
         if self.controller not in _CONTROLLERS:
-            raise ValueError(f"controller: must be one of {_CONTROLLERS}, got {self.controller!r}")
+            raise ValueError(f"controller: expected one of {_CONTROLLERS}, got {self.controller!r}")
         if self.x0 is not None:
             object.__setattr__(self, "x0", _as_vec(self.x0, None, "x0"))
 
@@ -195,11 +193,11 @@ def _law_weights(controller: str, g: Optional[GainVector], plant: PlantSpec,
     if g is None:
         raise ValueError("gains: required section for a closed-loop run")
     if g.kind != controller:
-        raise ValueError(f"gains.kind: a {controller} controller needs {controller} gains, "
-                         f"got {g.kind}")
+        raise ValueError(f"gains.kind: expected {controller} gains for the {controller} "
+                         f"controller, got {g.kind}")
     if g.n != plant.n:
-        raise ValueError(f"gains.gains: {g.gains.size} {g.kind} gains are for relative degree "
-                         f"{g.n}, the plant has {plant.n}")
+        raise ValueError(f"gains.gains: expected {plant.n + (g.kind == 'pid')} {g.kind} gains "
+                         f"for relative degree {plant.n}, got {g.gains.size}")
     return _control_law(g, y_star)
 
 
@@ -432,7 +430,7 @@ def simulate_paths(
     K = _law_weights(cfg.controller, g, plant, sp.y_star)
     x0 = sp.z_star if cfg.x0 is None else cfg.x0
     if x0.shape != (plant.state_dim,):
-        raise ValueError(f"x0 must have shape ({plant.state_dim},), got {x0.shape}")
+        raise ValueError(f"x0: expected shape ({plant.state_dim},), got {x0.shape}")
 
     steps = cfg.steps
     positions = np.arange(0, steps + 1, cfg.record_stride)
@@ -552,8 +550,8 @@ def bound_envelope(
 
 def _square(name: str, v) -> float:
     """``float(v) ** 2``; ValueError naming ``name`` unless v >= 0 and both are finite."""
-    _require_constant(name, v)
+    v = _require_number(name, v)
     try:
-        return float(v) ** 2
+        return v ** 2
     except OverflowError:
         raise ValueError(f"{name}: {v!r} squared overflows float64") from None

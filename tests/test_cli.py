@@ -86,7 +86,8 @@ class TestDesign:
         # the PD inequality has no b term, so a b bound cannot be honoured
         # (check_inequality's rule, named by its parameter)
         assert main(["design", "--gains", "3,4", "--kind", "pd", "--b-lower", "2"]) == EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: b_lower: the PD inequality has no b term\n"
+        assert capsys.readouterr().err == ("config error: b_lower: expected 1 for PD gains, whose "
+                                           "inequality has no b term, got 2.0\n")
 
     def test_missing_gains_is_config_error(self):
         assert main(["design"]) == EXIT_CONFIG
@@ -105,7 +106,7 @@ class TestDesign:
 
     def test_bad_gains_are_config_errors(self, capsys):
         assert main(["design", "--gains=-1,2"]) == EXIT_CONFIG
-        assert "--gains: all gains must be positive" in capsys.readouterr().err
+        assert "--gains: gains: expected positive finite numbers" in capsys.readouterr().err
         assert main(["design", "--gains=1e200,1e200,1e200", "--L", "0.5"]) == EXIT_CONFIG
         assert "overflows" in capsys.readouterr().err
         assert main(["design", "--pattern", "geometric", "--k", "2", "--n", "2", "--M", "1e200"]) \
@@ -129,7 +130,7 @@ class TestDesign:
     def test_bad_design_constants_are_named(self, capsys, argv, name):
         # NaN and inf fail the range check itself instead of a later overflow check
         assert main(["design"] + argv) == EXIT_CONFIG
-        assert f"config error: {name} must be " in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: {name}: expected ")
 
     @pytest.mark.parametrize("argv, flag, pattern", [
         # each was ignored: the bench3 case checked the n = 3 bench3 gains and exited 0
@@ -185,14 +186,14 @@ class TestCertify:
 
     def test_bad_gains_are_config_errors(self, tmp_path, capsys):
         assert main(["certify", "--gains=-1,2", "--L", "0"]) == EXIT_CONFIG
-        assert "--gains: all gains must be positive" in capsys.readouterr().err
+        assert "--gains: gains: expected positive finite numbers" in capsys.readouterr().err
         assert main(["certify", "--gains=1e200,1e200,1e200", "--L", "0.5"]) == EXIT_CONFIG
         assert "overflows" in capsys.readouterr().err
         for flag, value in (("--L", "nan"), ("--M", "inf")):
             argv = ["certify", "--gains", "8.6,21.5,21.5,8.6", "--L", "0", flag, value]
             assert main(argv) == EXIT_CONFIG
-            assert f"config error: {flag[2:]} must be nonnegative and finite, got {value}" \
-                in capsys.readouterr().err
+            assert capsys.readouterr().err == \
+                f"config error: {flag[2:]}: expected a nonnegative finite number, got {value}\n"
         # gain entries follow the sim section's rule: JSON numbers, not strings or booleans
         for gains in (["8.6", "21.5", "21.5", "8.6"], [True, 21.5, 21.5, 8.6]):
             path = tmp_path / "g.json"
@@ -230,7 +231,7 @@ class TestHurwitz:
 
     def test_bad_gains_are_config_errors(self, capsys):
         assert main(["hurwitz", "--gains=0,1"]) == EXIT_CONFIG
-        assert "--gains: all gains must be positive" in capsys.readouterr().err
+        assert "--gains: gains: expected positive finite numbers" in capsys.readouterr().err
 
 
 GAIN_COMMANDS = [["design"], ["certify", "--L", "0.87"], ["hurwitz"]]
@@ -253,7 +254,7 @@ def test_one_pid_gain_is_config_error(capsys, argv):
     # relative degree 0: design printed admissible, certify valid and hurwitz True
     assert main(argv + ["--gains", "5"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(
-        "config error: --gains: gains of kind pid need at least 2 entries")
+        "config error: --gains: gains: expected at least 2 pid gains")
 
 
 @pytest.mark.parametrize("argv", GAIN_COMMANDS)
@@ -265,6 +266,110 @@ def test_two_gain_sources_are_a_usage_error(tmp_path, capsys, argv):
         main(argv + ["--gains-file", str(path), "--gains", "100,1,0.01"])
     assert info.value.code == EXIT_CONFIG
     assert "argument --gains: not allowed with argument --gains-file" in capsys.readouterr().err
+
+
+def _refused_x0():
+    plant, cfg = stochpid.chain(3), SimConfig(dt=0.1, horizon=1.0, paths=1, seed=1,
+                                              controller="open_loop", x0=[0.0, 0.0])
+    stochpid.simulate_paths(plant, stochpid.solve_equilibrium(plant, 0.0), None, cfg)
+
+
+LAMBDA = ["design", "--pattern", "lambda", "--lam", "1", "--n", "2", "--L", "1"]
+EXPRESSION = {"kind": "expression", "n": 2, "drift": "u - 0.2*x1", "diffusion": "0.1",
+              "L": 0.2, "M": 0.0}
+
+# One row per refusal site of an input value: a flag list is a command line, a dict the
+# overrides of a simulate config, a callable a library call; the value is the field named.
+REFUSALS = {
+    # flags
+    "design-betas-range": (LAMBDA + ["--betas", "0.6,0.1"], "betas"),
+    "design-betas-second-range": (LAMBDA + ["--betas", "0.4,0.25"], "betas"),
+    "design-betas-count": (LAMBDA + ["--betas", "0.4"], "betas"),
+    "design-k-threshold": (LAMBDA + ["--betas", "0.4,0.1", "--k", "1e-9"], "k"),
+    "design-lam-threshold": (["design", "--pattern", "lambda", "--lam", "1e308", "--n", "2"],
+                             "lam"),
+    "design-L": (["design", "--gains", "8.6,21.5,21.5,8.6", "--L", "-1"], "L"),
+    "design-b_lower-pd": (["design", "--gains", "3,4", "--kind", "pd", "--b-lower", "2"],
+                          "b_lower"),
+    "design-k": (["design", "--pattern", "geometric", "--k", "0", "--n", "2"], "k"),
+    "design-n": (["design", "--pattern", "geometric", "--k", "2", "--n", "0"], "n"),
+    "certify-M": (["certify", "--gains", "8.6,21.5,21.5,8.6", "--L", "0", "--M", "inf"], "M"),
+    "hurwitz-gains": (["hurwitz", "--gains=0,1"], "--gains: gains"),
+    "hurwitz-one-pid-gain": (["hurwitz", "--gains", "5"], "--gains: gains"),
+    # plant section
+    "bench3-a": ({"plant": {"kind": "bench3", "params": {"a": 0.9}}}, "plant.params.a"),
+    "bench3-mu": ({"plant": {"kind": "bench3", "params": {"mu": -1}}}, "plant.params.mu"),
+    "bench3-sigma": ({"plant": {"kind": "bench3", "params": {"sigma": "0.2"}}},
+                     "plant.params.sigma"),
+    "chain-bias": ({"plant": {"kind": "chain", "params": {"n": 2, "bias": "x"}}},
+                   "plant.params.bias"),
+    "chain-n": ({"plant": {"kind": "chain", "params": {"n": 0}}}, "plant.params.n"),
+    "ou-theta": ({"plant": {"kind": "ou", "params": {"theta": 0}}}, "plant.params.theta"),
+    "expression-n": ({"plant": {**EXPRESSION, "n": 2.5}}, "plant.n"),
+    "expression-L": ({"plant": {**EXPRESSION, "L": -1}}, "plant.L"),
+    "expression-M": ({"plant": {**EXPRESSION, "M": float("nan")}}, "plant.M"),
+    "expression-b_lower": ({"plant": {**EXPRESSION, "b_lower": 0}}, "plant.b_lower"),
+    "expression-drift": ({"plant": {**EXPRESSION, "drift": 3.0}}, "plant.drift"),
+    "expression-diffusion": ({"plant": {**EXPRESSION, "diffusion": None}}, "plant.diffusion"),
+    # sim section
+    "sim-dt-nan": ({"sim.dt": float("nan")}, "sim.dt"),
+    "sim-dt-range": ({"sim.dt": 2.0}, "sim.dt"),
+    "sim-horizon-str": ({"sim.horizon": "1"}, "sim.horizon"),
+    "sim-horizon-multiple": ({"sim.dt": 0.3}, "sim.horizon"),
+    "sim-horizon-steps": ({"sim.dt": 1e-300}, "sim.horizon"),
+    "sim-paths": ({"sim.paths": 0}, "sim.paths"),
+    "sim-seed-integer": ({"sim.seed": 1.9}, "sim.seed"),
+    "sim-seed-range": ({"sim.seed": -1}, "sim.seed"),
+    "sim-record_stride": ({"sim.record_stride": 3}, "sim.record_stride"),
+    "sim-controller": ({"sim.controller": "pi"}, "sim.controller"),
+    "sim-x0-entries": ({"sim.x0": [0.0, "0"]}, "sim.x0"),
+    "sim-x0-length": ({"sim.x0": [0.0, 0.0, 0.0]}, "sim.x0"),
+    "sim-y_star": ({"sim.y_star": "1"}, "sim.y_star"),
+    # gains and bounds sections
+    "gains-kind": ({"gains": {"kind": "pi", "gains": [1, 2]}}, "gains: kind"),
+    "gains-entries": ({"gains": {"kind": "pid", "gains": [1, -1, 1]}}, "gains: gains"),
+    "gains-controller": ({"gains": {"kind": "pd", "gains": [3, 4]}}, "gains.kind"),
+    "gains-degree": ({"gains.gains": [8.6, 21.5, 21.5, 8.6]}, "gains.gains"),
+    "bounds-lambda": ({"bounds": {"lambda": 0}}, "bounds.lambda"),
+    "bounds-R": ({"bounds": {"lambda": 1.0, "R": -1}}, "bounds.R"),
+    # library calls
+    "chain-bias-library": (lambda: stochpid.chain(2, bias="x"), "bias"),
+    "bench3-a-library": (lambda: stochpid.bench3(a=0.6), "a"),
+    "GainVector-gains": (lambda: stochpid.GainVector("pid", [1, -1]), "gains"),
+    "GainVector-kind": (lambda: stochpid.GainVector("pi", [1, 2]), "kind"),
+    "lambda_gains-betas": (lambda: stochpid.lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.6, 0.1]),
+                           "betas"),
+    "PlantSpec-L": (lambda: stochpid.PlantSpec(1, 1, 1, None, np.ones, -1.0, 0.0),
+                    "lipschitz_L"),
+    "expression_plant-b_lower": (lambda: stochpid.expression_plant(1, "u", "0", 0, 0, 0),
+                                 "b_lower"),
+    "check_inequality_pd-g": (lambda: stochpid.check_inequality_pd(
+        stochpid.GainVector("pid", [1, 2]), 0.0, 0.0), "g"),
+    "bound_constants-g": (lambda: stochpid.bound_constants(
+        stochpid.GainVector("pd", [1, 2]), 1.0, 0.0, 0.0, 1.0), "g"),
+    "simulate_paths-x0": (_refused_x0, "x0"),
+}
+
+
+@pytest.mark.parametrize("source, field", REFUSALS.values(), ids=REFUSALS)
+def test_every_refusal_reads_field_expected_got(tmp_path, capsys, monkeypatch, source, field):
+    # one shape for every refused input: "<field>: expected <rule>, got <value>"
+    if callable(source):
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)}: expected .*, got "):
+            source()
+        return
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulate_paths ran on a refused config")
+
+    monkeypatch.setattr("stochpid.cli.simulate_paths", no_run)
+    if isinstance(source, dict):
+        cfg = write_config(tmp_path / "cfg.json", **source)
+        source = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
+    assert main(source) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: expected ") and ", got " in err
+    assert err.count("\n") == 1
 
 
 class TestSimulate:
@@ -345,18 +450,20 @@ class TestSimulate:
         cfg3 = write_config(tmp_path / "cfg3.json", **{"sim.dt": 0.3})
         assert main(["simulate", "--config", str(cfg3), "--out", str(tmp_path / "o.csv")]) \
             == EXIT_CONFIG
-        assert "not an integer multiple of dt" in capsys.readouterr().err
+        assert "sim.horizon: expected an integer multiple of dt" in capsys.readouterr().err
 
         cfg4 = write_config(tmp_path / "cfg4.json",
                             gains={"kind": "pid", "gains": [8.6, 21.5, 21.5, 8.6]})
         assert main(["simulate", "--config", str(cfg4), "--out", str(tmp_path / "o.csv")]) \
             == EXIT_CONFIG
-        assert "relative degree 3, the plant has 2" in capsys.readouterr().err
+        assert "gains.gains: expected 3 pid gains for relative degree 2, got 4" \
+            in capsys.readouterr().err
 
         cfg5 = write_config(tmp_path / "cfg5.json", gains={"kind": "pd", "gains": [3, 4]})
         assert main(["simulate", "--config", str(cfg5), "--out", str(tmp_path / "o.csv")]) \
             == EXIT_CONFIG
-        assert "gains.kind: a pid controller needs pid gains, got pd" in capsys.readouterr().err
+        assert "gains.kind: expected pid gains for the pid controller, got pd" \
+            in capsys.readouterr().err
 
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -421,8 +528,8 @@ class TestSimulate:
         ({"b_lower": float("inf")}, "b_lower"),
         # a formula tree deeper than 200 levels
         ({"drift": "u" + " + x1" * 1200}, "drift"),
-        # a builtin's own error, under the params prefix
-        ({"kind": "bench3", "params": {"a": 0.9}}, "params"),
+        # a builtin's own error, under the params prefix and the parameter's name
+        ({"kind": "bench3", "params": {"a": 0.9}}, "params.a"),
     ])
     def test_wrong_plant_types_are_config_errors(self, tmp_path, capsys, plant, field):
         doc = {"kind": "expression", "n": 2, "drift": "u - 0.2*x1", "diffusion": "0.1",
@@ -474,7 +581,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("gains, message", [
         ({"kind": "pid", "gains": "not gains"}, "gains: expected finite number(s)"),  # ran
-        ({"kind": "pi", "gains": [1, 2]}, "gains: kind must be 'pid' or 'pd'"),
+        ({"kind": "pi", "gains": [1, 2]}, "gains: kind: expected 'pid' or 'pd'"),
         ({"kind": "pid"}, "gains: missing ['gains']"),
         ({"kind": "pid", "gains": [4000, 1600, 160], "gain": 1}, "gains: unknown keys ['gain']"),
     ])
@@ -734,7 +841,8 @@ class TestReproduce:
         args = ["reproduce", "fig2", "--outdir", str(tmp_path), "--paths", "4",
                 "--horizon", "0.01"]
         assert main(args) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: sim.record_stride: 25 ")
+        assert capsys.readouterr().err == \
+            "config error: sim.record_stride: expected a divisor of the 10 steps, got 25\n"
 
     @pytest.mark.parametrize("flag, value", [("--paths", "0"), ("--paths", "-3"),
                                              ("--paths", "4.5"), ("--stride", "0")])

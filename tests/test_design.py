@@ -42,7 +42,7 @@ class TestGainVector:
     def test_a_pid_vector_needs_two_entries(self):
         # one pid entry is relative degree 0, which no plant has; it was called admissible,
         # certified and Hurwitz
-        with pytest.raises(ValueError, match=r"^gains of kind pid need at least 2 entries"):
+        with pytest.raises(ValueError, match=r"^gains: expected at least 2 pid gains"):
             GainVector("pid", np.array([5.0]))
         assert GainVector("pd", np.array([5.0])).n == 1
         assert GainVector("pid", np.array([5.0, 1.0])).n == 1
@@ -180,15 +180,16 @@ class TestCheckInequality:
         # one inequality for both kinds: the PD wrapper only guards the kind
         pd = GainVector("pd", np.array([3.0, 4.0]))
         assert check_inequality(pd, 0.5, 0.25) == check_inequality_pd(pd, 0.5, 0.25)
-        with pytest.raises(ValueError, match="no b term"):
+        with pytest.raises(ValueError, match="^b_lower: expected 1 for PD gains, whose inequality "
+                                             "has no b term, got 2.0"):
             check_inequality(pd, 0.0, 0.0, b_lower=2.0)
         with pytest.raises(ValueError):
             check_inequality_pd(GainVector("pid", np.array([1.0, 3.0, 4.0])), 0.0, 0.0)
 
     def test_nonpositive_gain_rejected(self):
-        with pytest.raises(ValueError, match="^all gains must be positive and finite"):
+        with pytest.raises(ValueError, match="^gains: expected positive finite numbers, got "):
             GainVector("pid", np.array([1.0, -3.0, 4.0]))
-        with pytest.raises(ValueError, match="^all gains must be positive and finite"):
+        with pytest.raises(ValueError, match="^gains: expected positive finite numbers, got "):
             GainVector("pd", np.array([0.0, 4.0]))
 
     def test_overflow_is_not_admissible(self):
@@ -312,7 +313,7 @@ class TestGeometricGains:
 
     @pytest.mark.parametrize("k", [float("nan"), float("inf"), 0.0, -1.0])
     def test_bad_k_is_named(self, k):
-        with pytest.raises(ValueError, match="^k must be positive and finite"):
+        with pytest.raises(ValueError, match="^k: expected a positive finite number, got "):
             geometric_gains(k, 2)
 
 
@@ -327,7 +328,8 @@ class TestLambdaGains:
         assert report.binding_value == pytest.approx(24000.0)
 
     def test_boundary_k_rejected(self):
-        with pytest.raises(ValueError, match="^k=3750.0 must strictly exceed"):
+        with pytest.raises(ValueError,
+                           match=r"^k: expected a number above 3\d{3}\.\d+, got 3750\.0$"):
             lambda_gains(1.0, 1.0, 0.0, 2, betas=[0.4, 0.1], k=3750.0)
 
     def test_matches_the_numpy_formula_bitwise(self):
@@ -356,9 +358,10 @@ class TestLambdaGains:
             assert g.gains.tobytes() == (float(1.5 * k) * w).tobytes()
 
     def test_bad_betas_rejected(self):
-        with pytest.raises(ValueError, match=r"^beta_1=0.6 outside \(0, "):
+        with pytest.raises(ValueError, match=r"^betas: expected 0 < beta_1 < 0\.5, got 0\.6$"):
             lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.6, 0.1])  # beta1 >= 1/2
-        with pytest.raises(ValueError, match=r"^beta_2=0.25 outside \(0, beta_1/n\)"):
+        with pytest.raises(ValueError,
+                           match=r"^betas: expected 0 < beta_2 < beta_1/n = 0\.2, got 0\.25$"):
             lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4, 0.25])  # beta2 >= beta1/2
         with pytest.raises(ValueError, match=r"^betas: expected 2 ratios, got shape \(1,\)"):
             lambda_gains(1.0, 0.0, 0.0, 2, betas=[0.4])  # wrong length
@@ -385,7 +388,8 @@ class TestLambdaGains:
 
     def test_b_lower_scales_threshold(self):
         # halving b doubles the minimal k for fixed ratios
-        with pytest.raises(ValueError, match="^k=7500.0 must strictly exceed"):
+        with pytest.raises(ValueError,
+                           match=r"^k: expected a number above 7\d{3}\.\d+, got 7500\.0$"):
             lambda_gains(1.0, 1.0, 0.0, 2, b_lower=0.5, betas=[0.4, 0.1], k=7500.0)
         g, _ = lambda_gains(1.0, 1.0, 0.0, 2, b_lower=0.5, betas=[0.4, 0.1], k=7501.0)
         assert g.gains[0] == 7501.0
@@ -412,13 +416,14 @@ class TestLambdaGains:
         ((1.0, 0.0, 0.0, 2), {"betas": [1e-200, 1e-201]}, "betas"),
     ])
     def test_infinite_threshold_is_named(self, args, kwargs, name):
-        with pytest.raises(ValueError, match=f"^{name} must be such that the gain threshold"):
+        with pytest.raises(ValueError,
+                           match=f"^{name}: expected a finite gain threshold, got inf "):
             lambda_gains(*args, **kwargs)
 
     @pytest.mark.parametrize("beta2", [np.nextafter(0.2, 0.0), 0.2 * (1.0 - 1e-15)])
     def test_cancelled_middle_term_raises(self, beta2):
         # k1^2 - 2*k0*k2 cancels to rounding noise as beta_2 nears beta_1/2
-        with pytest.raises(ValueError, match="^betas must be such that the gain threshold"):
+        with pytest.raises(ValueError, match="^betas: expected a finite gain threshold, got inf "):
             lambda_gains(1.0, 1.0, 0.0, 2, betas=[0.4, beta2])
 
     def test_near_boundary_overrides_are_admissible_or_raise(self):
@@ -439,17 +444,17 @@ class TestLambdaGains:
             try:
                 g, _ = lambda_gains(lam, L, M, n, b_lower, betas)
             except ValueError as exc:
-                assert str(exc).startswith("betas must be such that the gain threshold")
+                assert str(exc).startswith("betas: expected a finite gain threshold, got inf ")
                 raised += 1
                 continue
             assert check_inequality(g, L, M, b_lower).admissible, (n, lam, L, M, b_lower, betas)
         assert 0 < raised < 500
 
     def test_explicit_k_against_infinite_threshold(self):
-        with pytest.raises(ValueError, match="^k=5.0 must strictly exceed inf"):
+        with pytest.raises(ValueError, match="^k: expected a number above inf, got 5.0$"):
             lambda_gains(1.0, 0.0, 0.0, 2, betas=[1e-200, 1e-201], k=5.0)
         for k in (float("nan"), float("inf"), -1.0):
-            with pytest.raises(ValueError, match="^k must be positive and finite"):
+            with pytest.raises(ValueError, match="^k: expected a positive finite number, got "):
                 lambda_gains(1.0, 1.0, 0.0, 2, betas=[0.4, 0.1], k=k)
 
 
@@ -474,11 +479,11 @@ class TestBoundConstants:
     def test_non_finite_lam_and_r_are_rejected(self, name, value):
         g = GainVector("pid", np.array([8.6, 21.5, 21.5, 8.6]))
         args = {"lam": 1.0, "R": 1.0, name: value}
-        with pytest.raises(ValueError, match=f"^{name} must be"):
+        with pytest.raises(ValueError, match=f"^{name}: expected a "):
             bound_constants(g, args["lam"], 0.5, 0.0, args["R"])
 
     def test_pd_gains_are_rejected(self):
-        with pytest.raises(ValueError, match="^bound constants are defined for PID gains"):
+        with pytest.raises(ValueError, match="^g: expected pid gains, got pd gains$"):
             bound_constants(GainVector("pd", np.array([3.0, 4.0])), 1.0, 0.5, 0.0, 1.0)
 
     def test_huge_diffusion_constant_gives_a_zero_floor(self):

@@ -311,10 +311,10 @@ PID2 = GainVector("pid", np.ones(2))
     pytest.param(lambda v: _spec(0.0, v), "lipschitz_M", id="PlantSpec-M"),
     pytest.param(lambda v: _spec(0.0, 0.0, v), "gain_lower_b", id="PlantSpec-b"),
     # builtin parameters, each checked on its own when the plant is built
-    pytest.param(lambda v: bench3(a=v), "|a|", id="bench3-a"),
-    pytest.param(lambda v: bench3(c=v), "|c|", id="bench3-c"),
+    pytest.param(lambda v: bench3(a=v), "a", id="bench3-a"),
+    pytest.param(lambda v: bench3(c=v), "c", id="bench3-c"),
     pytest.param(lambda v: bench3(mu=v), "mu", id="bench3-mu"),
-    pytest.param(lambda v: bench3(d=v), "d ", id="bench3-d"),
+    pytest.param(lambda v: bench3(d=v), "d", id="bench3-d"),
     pytest.param(lambda v: bench3(sigma=v), "sigma", id="bench3-sigma"),
     pytest.param(lambda v: chain(2, bias=v), "bias", id="chain-bias"),
     pytest.param(lambda v: chain(2, sigma=v), "sigma", id="chain-sigma"),
@@ -325,7 +325,7 @@ PID2 = GainVector("pid", np.ones(2))
 def test_non_finite_plant_constants_are_rejected(make, name, value):
     with pytest.raises(ValueError) as info:
         make(value)
-    assert str(info.value).startswith(name)
+    assert str(info.value).startswith(f"{name}: expected a ")
 
 
 @pytest.mark.parametrize("call, name", [
@@ -341,8 +341,8 @@ def test_non_finite_plant_constants_are_rejected(make, name, value):
     pytest.param(lambda: expression_plant(2.5, "u", "0", 0.0, 0.0), "n", id="expression_plant-n"),
     pytest.param(lambda: chain(2.5), "n", id="chain-n"),
     # the affine weights were read from text, and the error named the affine array
-    pytest.param(lambda: bench3(d="6.5"), "d ", id="bench3-d-str"),
-    pytest.param(lambda: chain(2, bias="0.5"), "bias ", id="chain-bias-str"),
+    pytest.param(lambda: bench3(d="6.5"), "d", id="bench3-d-str"),
+    pytest.param(lambda: chain(2, bias="0.5"), "bias", id="chain-bias-str"),
     # bound_constants took any L and M: a negative one, NaN, or text in a TypeError
     pytest.param(lambda: bound_constants(PID2, 1.0, -1.0, 0.0, 1.0), "L",
                  id="bound_constants-L-negative"),
@@ -376,7 +376,7 @@ def test_non_finite_plant_constants_are_rejected(make, name, value):
 def test_one_number_rule_names_the_value(call, name):
     with pytest.raises(ValueError) as info:
         call()
-    assert str(info.value).startswith(name)
+    assert str(info.value).startswith(f"{name}: expected ")
 
 
 def test_exact_rationals_are_real():

@@ -284,8 +284,10 @@ class TestSimulatePaths:
         sp = solve_equilibrium(plant, 0.0)
         cfg = SimConfig(dt=0.1, horizon=1.0, paths=1, seed=1)
         # relative degree 3 on a degree-2 plant, PD gains for the PID controller, and none
-        for gains, match in ((BENCH, "relative degree 3"),
-                             (GainVector("pd", np.array([3.0, 4.0])), "needs pid gains"),
+        for gains, match in ((BENCH, r"^gains\.gains: expected 3 pid gains for relative degree 2, "
+                                     "got 4$"),
+                             (GainVector("pd", np.array([3.0, 4.0])),
+                              "^gains.kind: expected pid gains for the pid controller, got pd$"),
                              (None, "^gains: required section")):
             with pytest.raises(ValueError, match=match):
                 simulate_paths(plant, sp, gains, cfg)
@@ -294,17 +296,19 @@ class TestSimulatePaths:
         plant = chain(2)
         cfg = SimConfig(dt=0.1, horizon=1.0, paths=1, seed=1, controller="open_loop",
                         x0=np.zeros(3))
-        with pytest.raises(ValueError, match=r"^x0 must have shape \(2,\), got \(3,\)"):
+        with pytest.raises(ValueError, match=r"^x0: expected shape \(2,\), got \(3,\)$"):
             simulate_paths(plant, solve_equilibrium(plant, 0.0), None, cfg)
 
     def test_horizon_must_be_a_multiple_of_dt(self):
-        with pytest.raises(ValueError, match="multiple"):
+        with pytest.raises(ValueError,
+                           match=r"^horizon: expected an integer multiple of dt=0\.3, got 1\.0$"):
             SimConfig(dt=0.3, horizon=1.0, paths=1, seed=1)
         with pytest.raises(ValueError):
             SimConfig(dt=1e-3, horizon=math.inf, paths=1, seed=1)
         # an infinite step count, and one so large that every float is an integer multiple
         for dt, horizon in ((5e-324, 1e300), (1e-300, 1.0)):
-            with pytest.raises(ValueError, match=r"^horizon: .* more than 2\*\*53 steps"):
+            with pytest.raises(ValueError,
+                               match=r"^horizon: expected at most 2\*\*53 steps of dt="):
                 SimConfig(dt=dt, horizon=horizon, paths=1, seed=1)
         assert SimConfig(dt=1.0, horizon=2.0 ** 53, paths=1, seed=1).steps == 2 ** 53
         assert SimConfig(dt=1e-3, horizon=30.0, paths=1, seed=1).steps == 30000
@@ -313,7 +317,8 @@ class TestSimulatePaths:
     def test_seed_must_fit_64_bits(self):
         # the seed is the run entropy of each chunk's SeedSequence, taken as is
         for seed in (-1, 2 ** 64):
-            with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            with pytest.raises(ValueError,
+                               match=r"^seed: expected an integer in \[0, 2\*\*64\), got "):
                 SimConfig(dt=0.1, horizon=1.0, paths=1, seed=seed)
         cfg = SimConfig(dt=0.1, horizon=1.0, paths=1, seed=2 ** 64 - 1, controller="open_loop")
         assert cfg.seed == 2 ** 64 - 1
